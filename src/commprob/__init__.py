@@ -24,6 +24,7 @@ from .errors import (
     CacheError,
     CommProbError,
     InputError,
+    InternalError,
     SizeCapError,
 )
 from .feitfine import PartitionPowerNotation, f, feit_fine_pairs, partitions

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError
 from .groups import (
     Group,
     Subgroup,
@@ -154,15 +154,15 @@ def _validate_matrix(bm: BranchingMatrix):
     sums = bm.column_sums()
     for i, st in enumerate(bm.states):
         if sums[i] != st.class_count:
-            raise AssertionError(
+            raise InternalError(
                 f"column {i} sums to {sums[i]}, expected k = {st.class_count}"
             )
         if st.abelian:
             if bm.counts[i][i] != st.order:
-                raise AssertionError(f"abelian state {i} is not absorbing")
+                raise InternalError(f"abelian state {i} is not absorbing")
             for j in range(size):
                 if j != i and bm.counts[j][i] != 0:
-                    raise AssertionError(f"abelian state {i} has a foreign branch")
+                    raise InternalError(f"abelian state {i} has a foreign branch")
 
 
 def c_tuples(B: BranchingMatrix, n: int) -> int:

@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError
 from .gf import field, prime_power, is_prime
 from .groups import GROUP_SIZE_CAP, Group, matrix_operations
 
@@ -392,7 +392,7 @@ def _build_sp2(q, descriptor):
     tr = ops.transpose
     for A in mats:
         if mm(mm(tr(A), J), A) != J:
-            raise AssertionError(f"{descriptor}: matrix does not preserve the form")
+            raise InternalError(f"{descriptor}: matrix does not preserve the form")
     return Group.from_matrix_list(fld, 2, mats, descriptor)
 
 
@@ -513,7 +513,7 @@ def _build_uncached(desc: GroupDescriptor) -> Group:
     else:  # pragma: no cover
         raise InputError(f"unknown family {fam!r}")
     if G.order != expected:
-        raise AssertionError(
+        raise InternalError(
             f"{text}: constructed order {G.order} != formula {expected}"
         )
     return G

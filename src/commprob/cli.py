@@ -23,7 +23,14 @@ from .branching import (
     lump,
 )
 from .catalog import build, metadata, parse
-from .errors import BudgetError, CacheError, CommProbError, InputError, SizeCapError
+from .errors import (
+    BudgetError,
+    CacheError,
+    CommProbError,
+    InputError,
+    InternalError,
+    SizeCapError,
+)
 from .feitfine import feit_fine_pairs
 from .formulas import render_table, report_json, verify_suite
 from .groups import centralizer, conjugacy_classes, z_classes
@@ -346,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if descriptor:
             p.add_argument("descriptor", help="group descriptor, e.g. 'GL(2,3)'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker thread cap (outputs are thread-count independent)")
 
     p = sub.add_parser("info", help="order, abelian flag, class and z-class counts")
     common(p)
@@ -384,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check by brute-force pair scan")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_feitfine)
 
     p = sub.add_parser("verify", help="run the verification grid")
@@ -408,6 +412,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except CommProbError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return 2

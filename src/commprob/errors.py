@@ -19,3 +19,7 @@ class BudgetError(CommProbError):
 
 class CacheError(CommProbError):
     """An on-disk cache record failed validation."""
+
+
+class InternalError(CommProbError):
+    """An internal invariant failed: a defect in the package, not bad input."""

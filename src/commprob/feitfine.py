@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .gf import is_prime_power
 
 
@@ -84,5 +84,5 @@ def feit_fine_pairs(d: int, q: int) -> int:
         total += Fraction(q ** pi.k_pi) / denom
     value = Fraction(q ** (d * d)) * f(d, q) * total
     if value.denominator != 1 or value < 0:
-        raise AssertionError(f"P({d},{q}) evaluated to non-integer {value}")
+        raise InternalError(f"P({d},{q}) evaluated to non-integer {value}")
     return value.numerator

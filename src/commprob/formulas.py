@@ -37,7 +37,7 @@ from math import factorial
 
 from .branching import count_via_matrix, cp_via_branching, cp_via_lescot
 from .catalog import build
-from .errors import InputError
+from .errors import InputError, InternalError
 from .gf import prime_power
 from .groups import conjugacy_classes
 
@@ -388,7 +388,7 @@ def _evaluate_matrix_formula(mf: MatrixFormula, q: int):
         for poly in row:
             v = poly(q)
             if v.denominator != 1 or v < 0:
-                raise AssertionError(
+                raise InternalError(
                     f"{mf.family} matrix entry {poly!r} evaluates to {v} at q={q}"
                 )
             vals.append(v.numerator)
@@ -408,7 +408,8 @@ def _matrix_formula_cp(mf: MatrixFormula, q: int, n: int) -> Fraction:
     counts = _evaluate_matrix_formula(mf, q)
     c = count_via_matrix(counts, 0, n - 1)
     order = ORDER_POLYS[mf.family](q)
-    assert order.denominator == 1
+    if order.denominator != 1:
+        raise InternalError(f"{mf.family} group order is not an integer at q={q}")
     return Fraction(c, order.numerator ** (n - 1))
 
 

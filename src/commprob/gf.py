@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 FIELD_SIZE_CAP = 1 << 16
 
@@ -112,7 +112,7 @@ def _smallest_irreducible(p, k):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
-    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
+    raise InternalError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
 class FieldSpec:

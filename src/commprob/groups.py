@@ -9,10 +9,13 @@ identity moved to id 0.
 
 Subgroups are plain id sets inside an ambient group; their canonical key
 is the sorted id tuple, which makes subgroup identity exact and cheap.
-Conjugacy classes, centralizers, centers and derived series are computed
-by direct orbit and scan algorithms, which is the right trade-off at the
-scales this package targets (groups up to a few hundred thousand
-elements).
+Conjugacy classes are conjugation orbits found by breadth-first search
+over a small generating set.  Centralizers are point stabilizers of that
+action: Schreier generators read off the orbit's transversal, closed by
+an incremental Dimino closure that stops at the orbit–stabilizer order
+|H| / |x^H|.  Centers and derived series use direct scans and normal
+closures, which is the right trade-off at the scales this package
+targets (groups up to a few hundred thousand elements).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError
 from .gf import FieldElement, FieldSpec
 
 GROUP_SIZE_CAP = 250_000
@@ -553,20 +556,39 @@ class ClassData:
 # subgroup algorithms
 # ---------------------------------------------------------------------------
 
-def _closure_ids(G: Group, gen_ids):
-    """Id set of the subgroup generated by the given ids."""
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gen_ids:
-                p = G.mul(g, cur)
-                if p not in members:
-                    members.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return members
+def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
+    """Extend ``closure`` (id -> data of the subgroup K generated by the
+    data in ``gens``) to the subgroup generated by ``gens`` and ``g``, and
+    append ``g`` to ``gens``.  The new subgroup is a union of right cosets
+    K r; only the coset representatives r are multiplied by the
+    generators (Dimino).  With a ``target`` order known to be the new
+    subgroup's, stops as soon as the closure has that many elements."""
+    ids = G._ids
+    mul_data = G._mul_data
+    old = list(closure.values())
+    gens.append(g)
+
+    def add_coset(r):
+        for k in old:
+            p = mul_data(k, r)
+            closure[ids[p]] = p
+            if len(closure) == target:
+                return True
+        return False
+
+    if add_coset(g):
+        return
+    reps = [g]
+    ri = 0
+    while ri < len(reps):
+        r = reps[ri]
+        ri += 1
+        for s in gens:
+            t = mul_data(r, s)
+            if ids[t] not in closure:
+                reps.append(t)
+                if add_coset(t):
+                    return
 
 
 def generating_ids(H: Subgroup) -> tuple:
@@ -576,16 +598,17 @@ def generating_ids(H: Subgroup) -> tuple:
     cached = G._gen_cache.get(H.key)
     if cached is not None:
         return cached
+    data = G._data
     gens = []
-    closed = {0}
+    gens_data = []
+    closure = {0: data[0]}
     target = len(H.member_ids)
     for x in H.key:
-        if x in closed:
-            continue
-        gens.append(x)
-        closed = _closure_ids(G, gens)
-        if len(closed) == target:
+        if len(closure) == target:
             break
+        if x not in closure:
+            gens.append(x)
+            _dimino_add(G, closure, gens_data, data[x], target)
     result = tuple(gens)
     G._gen_cache.setdefault(H.key, result)
     return result
@@ -626,7 +649,18 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
 
 
 def centralizer(H: Subgroup, x) -> Subgroup:
-    """Elements of H commuting with x (full membership scan)."""
+    """Elements of H commuting with x, as the stabilizer of x under
+    conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
+    Computational Group Theory*, §4.1).
+
+    A breadth-first search over ``generating_ids(H)`` finds the class
+    x^H and a transversal t_y (t_y x t_y^-1 = y) for each orbit point y.
+    Every non-tree edge y -> s y s^-1 = z gives a Schreier generator
+    t_z^-1 s t_y, which commutes with x.  These are added one at a time
+    by an incremental Dimino closure, which stops as soon as the closure
+    reaches the known order |H| / |x^H|, so most Schreier generators are
+    never formed.  A class of size 1 gives H itself.
+    """
     if isinstance(x, Element):
         x = x.id
     G = H.group
@@ -637,13 +671,54 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if cached is not None:
         return cached
     data = G._data
+    ids = G._ids
+    inv = G._inv
     mul_data = G._mul_data
-    xd = data[x]
-    members = [
-        h for h in H.key
-        if mul_data(data[h], xd) == mul_data(xd, data[h])
-    ]
-    Z = Subgroup(G, members, _validate=False)
+    gens = [(data[g], data[inv[g]]) for g in generating_ids(H)]
+
+    # orbit of x under conjugation, with a transversal and the non-tree
+    # edges (orbit index of y, generator index, orbit index of z)
+    index = {x: 0}
+    trans = [data[0]]
+    points = [data[x]]
+    edges = []
+    qi = 0
+    while qi < len(points):
+        y = points[qi]
+        for si, (sd, sdi) in enumerate(gens):
+            z = ids[mul_data(mul_data(sd, y), sdi)]
+            zi = index.get(z)
+            if zi is None:
+                index[z] = len(points)
+                points.append(data[z])
+                trans.append(mul_data(sd, trans[qi]))
+            else:
+                edges.append((qi, si, zi))
+        qi += 1
+
+    if len(points) == 1:
+        Z = H
+    else:
+        target, rest = divmod(len(H.member_ids), len(points))
+        if rest:
+            raise InternalError(
+                f"class size {len(points)} does not divide |H| = {len(H.member_ids)}"
+            )
+        # Schreier generators t_z^-1 s t_y, formed only until the closure
+        # reaches the target order
+        closure = {0: data[0]}
+        found = []
+        for yi, si, zi in edges:
+            if len(closure) == target:
+                break
+            g = mul_data(data[inv[ids[trans[zi]]]], mul_data(gens[si][0], trans[yi]))
+            if ids[g] not in closure:
+                _dimino_add(G, closure, found, g, target)
+        if len(closure) != target:
+            raise InternalError(
+                f"Schreier closure reached order {len(closure)}, expected {target}"
+            )
+        Z = Subgroup(G, closure, _validate=False)
     G._cent_cache.setdefault(ck, Z)
     return G._cent_cache[ck]
 
@@ -688,16 +763,16 @@ def commutator_subgroup(H: Subgroup) -> Subgroup:
     if not comms:
         return Subgroup(G, [0], _validate=False)
     seed = sorted(comms)
+    data = G._data
     genlist = []
-    members = {0}
+    members = {0: data[0]}
     pending = list(reversed(seed))
     gpairs = [(g, inv(g)) for g in gens]
     while pending:
         c = pending.pop()
         if c in members:
             continue
-        genlist.append(c)
-        members = _closure_ids(G, genlist)
+        _dimino_add(G, members, genlist, data[c])
         new_conj = set()
         for m in members:
             for g, gi in gpairs:

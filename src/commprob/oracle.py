@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
 from .groups import Group, matrix_operations
 
@@ -39,7 +39,8 @@ def _class_count(cent_sets) -> int:
     # k(G) by the n=1 Burnside count: sum of centralizer sizes over |G|
     total = sum(len(s) for s in cent_sets)
     n = len(cent_sets)
-    assert total % n == 0
+    if total % n:
+        raise InternalError("centralizer sizes do not sum to a multiple of |G|")
     return total // n
 
 
@@ -124,7 +125,10 @@ def simultaneous_classes_count(
             emit(prefix + (x,), C & cents[x], m - 1)
 
     emit((), frozenset(range(G.order)), n)
-    assert len(tuples) == total
+    if len(tuples) != total:
+        raise InternalError(
+            f"enumerated {len(tuples)} commuting tuples, counted {total}"
+        )
 
     # orbit partition under conjugation by a whole-group generating sweep:
     # conjugating by every group element is wasteful, so use the ascending
@@ -155,7 +159,10 @@ def simultaneous_classes_count(
                     visited.add(img)
                     stack.append(img)
         orbit_sizes.append(size)
-    assert sum(orbit_sizes) == total
+    if sum(orbit_sizes) != total:
+        raise InternalError(
+            f"orbit sizes sum to {sum(orbit_sizes)}, expected {total} tuples"
+        )
 
     # Burnside: orbits = average number of fixed tuples, and the tuples
     # fixed by conjugation by g are the commuting n-tuples inside Z(g)
@@ -173,10 +180,10 @@ def simultaneous_classes_count(
 
     fixed_total = sum(count_within(cents[g], n) for g in range(G.order))
     if fixed_total % G.order != 0:
-        raise AssertionError("Burnside sum is not divisible by |G|")
+        raise InternalError("Burnside sum is not divisible by |G|")
     burnside = fixed_total // G.order
     if burnside != orbit_count:
-        raise AssertionError(
+        raise InternalError(
             f"Burnside count {burnside} != orbit partition count {orbit_count}"
         )
     return TupleOrbitReport(

@@ -11,3 +11,15 @@ ORACLE_GRID = (
     "Q8", "UT(3,2)", "UT(3,3)",
     "GL(2,2)", "GL(2,3)", "SL(2,3)", "U(2,2)", "PSL(2,3)", "PSL(2,5)",
 )
+
+
+def scan_centralizer(H, x):
+    """Reference centralizer: the sorted ids of H commuting with x, by
+    testing every member (the kernel's former full scan)."""
+    G = H.group
+    data = G._data
+    mul_data = G._mul_data
+    xd = data[x]
+    return tuple(
+        h for h in H.key if mul_data(data[h], xd) == mul_data(xd, data[h])
+    )

@@ -113,6 +113,31 @@ def test_budget_exit_3(capsys):
     assert code == 3
 
 
+def test_internal_error_exit_4(capsys, monkeypatch):
+    from commprob import cli
+    from commprob.errors import InternalError
+
+    def broken(*_args):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setattr(cli, "cp_via_branching", broken)
+    code, _, err = run(capsys, "cp", "S(3)", "--n", "2")
+    assert code == 4
+    assert "internal error: invariant failed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("info", "S(3)"), ("classes", "S(3)"), ("branching", "S(3)"),
+    ("cp", "S(3)", "--n", "2"), ("ctuples", "S(3)", "--n", "2"),
+    ("feitfine", "--d", "2", "--q", "2"),
+])
+def test_threads_flag_only_on_verify(command):
+    # only verify runs a worker pool; the other commands reject the flag
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", "2"])
+    assert exc.value.code == 2
+
+
 # -- cache behavior --
 
 def test_cache_roundtrip(cache_env, capsys):

@@ -1,7 +1,11 @@
 import pytest
 
-from commprob.catalog import build
-from commprob.errors import InputError, SizeCapError
+from conftest import scan_centralizer
+
+from commprob import groups
+from commprob.branching import build_branching
+from commprob.catalog import SMALL_GROUPS, build
+from commprob.errors import InputError, InternalError, SizeCapError
 from commprob.gf import field
 from commprob.groups import (
     Group,
@@ -186,6 +190,43 @@ def test_centralizer_rejects_non_member():
     H = G.subgroup([0], validate=False)
     with pytest.raises(InputError):
         centralizer(H, 1)
+
+
+def test_centralizer_matches_scan_on_catalog_states():
+    # every state of every small branching matrix, at each class
+    # representative and one other member of each class
+    for desc in SMALL_GROUPS:
+        G = build(desc)
+        for st in build_branching(G).states:
+            H = G.subgroup(st.key, validate=False)
+            for c in conjugacy_classes(H).classes:
+                for x in {c.rep, c.members[-1]}:
+                    Z = centralizer(H, x)
+                    assert Z.key == scan_centralizer(H, x), (desc, st.key, x)
+                    assert Z.order * c.size == H.order, (desc, st.key, x)
+
+
+def test_centralizer_of_central_element_is_the_subgroup_itself():
+    H = build("Q8").full()
+    for c in conjugacy_classes(H).classes:
+        if c.size == 1:
+            assert centralizer(H, c.rep) is H
+
+
+def test_centralizer_order_check_raises(monkeypatch):
+    # generators of a proper subgroup make the Schreier closure fall short
+    # of |H| / |x^H|, which must raise even under python -O
+    G = build("S(4)")
+    H = G.full()
+    gens = generating_ids(H)
+    x = next(y for y in H.key if G.conj(gens[0], y) != y)
+    monkeypatch.setattr(groups, "generating_ids", lambda _H: gens[:1])
+    G._cent_cache.clear()
+    try:
+        with pytest.raises(InternalError):
+            centralizer(H, x)
+    finally:
+        G._cent_cache.clear()
 
 
 def test_center_q8():

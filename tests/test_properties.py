@@ -1,0 +1,59 @@
+"""Property tests over random permutation groups.
+
+The centralizer kernel is checked against the full scan, and the three
+counting methods against each other.  Branching and Lescot share the
+group's class and centralizer caches, so a kernel defect would hit both;
+the oracle's element-level counts and Burnside's lemma do not use them.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import scan_centralizer
+
+from commprob.branching import build_branching, c_tuples, cp_via_branching, cp_via_lescot
+from commprob.groups import Group, centralizer, conjugacy_classes
+from commprob.oracle import simultaneous_classes_count
+
+# largest group handed to the oracle: its centralizer tables cost |G|^2
+ORACLE_ORDER_CAP = 200
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def permutation_groups(draw, max_points=7):
+    n = draw(st.integers(2, max_points))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return Group.from_permutation_generators(n, gens)
+
+
+@PROPERTY_SETTINGS
+@given(G=permutation_groups(), data=st.data())
+def test_centralizer_matches_scan(G, data):
+    full = G.full()
+    y = data.draw(st.integers(0, G.order - 1), label="y")
+    # the whole group, and a centralizer subgroup built by the scan alone
+    for H in (full, G.subgroup(scan_centralizer(full, y), validate=False)):
+        x = data.draw(st.sampled_from(H.key), label="x")
+        Z = centralizer(H, x)
+        assert Z.key == scan_centralizer(H, x)
+        cd = conjugacy_classes(H)
+        assert Z.order * cd.classes[cd.class_of[x]].size == H.order
+
+
+@PROPERTY_SETTINGS
+@given(G=permutation_groups())
+def test_branching_lescot_oracle_burnside_agree(G):
+    assume(G.order <= ORACLE_ORDER_CAP)
+    B = build_branching(G)
+    for n in (2, 3):
+        report = simultaneous_classes_count(G, n - 1)
+        assert report.orbit_count == report.burnside_count
+        assert c_tuples(B, n - 1) == report.orbit_count
+        expected = Fraction(report.orbit_count, G.order ** (n - 1))
+        assert cp_via_branching(G, n) == cp_via_lescot(G, n) == expected
