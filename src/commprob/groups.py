@@ -9,9 +9,16 @@ identity moved to id 0.
 
 Subgroups are plain id sets inside an ambient group; their canonical key
 is the sorted id tuple, which makes subgroup identity exact and cheap.
-Conjugacy classes are conjugation orbits found by breadth-first search
-over a small generating set.  Centralizers are point stabilizers of that
-action: Schreier generators read off the orbit's transversal, closed by
+Matrix products are straight-line code over the field's add and mul
+tables for d = 1, 2, 3.
+
+A non-abelian subgroup H gets, on its first class or centralizer call,
+the conjugation action of its small generating set as integer
+permutations of the positions in ``H.key``, built once at 2 products per
+element per generator and cached on the group.  Conjugacy classes,
+centralizer orbits and z-classes are then breadth-first searches by
+integer indexing.  Centralizers are point stabilizers of that action:
+Schreier generators, formed from a lazily built transversal, closed by
 an incremental Dimino closure that stops at the orbit–stabilizer order
 |H| / |x^H|.  Centers and derived series use direct scans and normal
 closures, which is the right trade-off at the scales this package
@@ -21,7 +28,10 @@ targets (groups up to a few hundred thousand elements).
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -62,17 +72,47 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
     one = fld.one_index
     rng = range(d)
 
-    def mat_mul(A, B):
-        out = []
-        push = out.append
-        for i in rng:
-            ib = i * d
-            for j in rng:
-                acc = 0
-                for l in rng:
-                    acc = add[acc][mul[A[ib + l]][B[l * d + j]]]
-                push(acc)
-        return tuple(out)
+    # straight-line products: one row lookup mul[a] per entry of A, then
+    # plain indexing, with no loop and no list building
+    if d == 1:
+        def mat_mul(A, B):
+            return (mul[A[0]][B[0]],)
+    elif d == 2:
+        def mat_mul(A, B):
+            a0, a1, a2, a3 = A
+            b0, b1, b2, b3 = B
+            m0 = mul[a0]
+            m1 = mul[a1]
+            m2 = mul[a2]
+            m3 = mul[a3]
+            return (
+                add[m0[b0]][m1[b2]], add[m0[b1]][m1[b3]],
+                add[m2[b0]][m3[b2]], add[m2[b1]][m3[b3]],
+            )
+    else:
+        def mat_mul(A, B):
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
+            m0 = mul[a0]
+            m1 = mul[a1]
+            m2 = mul[a2]
+            m3 = mul[a3]
+            m4 = mul[a4]
+            m5 = mul[a5]
+            m6 = mul[a6]
+            m7 = mul[a7]
+            m8 = mul[a8]
+            return (
+                add[add[m0[b0]][m1[b3]]][m2[b6]],
+                add[add[m0[b1]][m1[b4]]][m2[b7]],
+                add[add[m0[b2]][m1[b5]]][m2[b8]],
+                add[add[m3[b0]][m4[b3]]][m5[b6]],
+                add[add[m3[b1]][m4[b4]]][m5[b7]],
+                add[add[m3[b2]][m4[b5]]][m5[b8]],
+                add[add[m6[b0]][m7[b3]]][m8[b6]],
+                add[add[m6[b1]][m7[b4]]][m8[b7]],
+                add[add[m6[b2]][m7[b5]]][m8[b8]],
+            )
 
     def sub(x, y):
         return add[x][neg[y]]
@@ -183,7 +223,7 @@ class Group:
         "_data", "_ids", "_inv", "_mul_data", "_inv_data",
         "generator_ids",
         "_full", "_class_cache", "_cent_cache", "_gen_cache",
-        "_abelian_cache", "_branching", "_lescot_memo",
+        "_abelian_cache", "_action_cache", "_branching", "_lescot_memo",
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
@@ -216,6 +256,7 @@ class Group:
         self._cent_cache = {}
         self._gen_cache = {}
         self._abelian_cache = {}
+        self._action_cache = {}
         self._branching = None
         self._lescot_memo = {}
         self._spot_check()
@@ -614,36 +655,77 @@ def generating_ids(H: Subgroup) -> tuple:
     return result
 
 
+def _conjugation_action(H: Subgroup, gens: tuple) -> list:
+    """The conjugation action y -> s y s^-1 of each generator s in ``gens``
+    on H, as one integer permutation per generator: an ``array('i')``
+    over the positions in ``H.key`` (for the whole group, positions are
+    ids).  It costs 2 products per element per generator, once per
+    subgroup and generating set; every orbit walk after that is integer
+    indexing."""
+    G = H.group
+    ck = (H.key, gens)
+    cached = G._action_cache.get(ck)
+    if cached is not None:
+        return cached
+    data = G._data
+    inv = G._inv
+    mul_data = G._mul_data
+    key = H.key
+    if len(key) == len(data):
+        points = data
+        where = G._ids
+    else:
+        points = [data[h] for h in key]
+        where = {y: i for i, y in enumerate(points)}
+    action = []
+    for g in gens:
+        gd = data[g]
+        gdi = data[inv[g]]
+        action.append(array("i", [where[mul_data(mul_data(gd, y), gdi)]
+                                  for y in points]))
+    G._action_cache.setdefault(ck, action)
+    return G._action_cache[ck]
+
+
 def conjugacy_classes(H: Subgroup) -> ClassData:
-    """Partition H into conjugation orbits under H itself."""
+    """Partition H into conjugation orbits under H itself.
+
+    The orbits are walked on positions in ``H.key`` through the integer
+    conjugation action of ``generating_ids(H)``, so no product is made
+    once the action is built; an abelian H is split into singletons
+    without building it.  Seeds ascend, so each class representative is
+    its minimal id."""
     G = H.group
     cached = G._class_cache.get(H.key)
     if cached is not None:
         return cached
-    gens = generating_ids(H)
-    data = G._data
-    ids = G._ids
-    mul_data = G._mul_data
-    pairs = [(data[g], data[G.inv(g)]) for g in gens]
-    assigned = {}
+    key = H.key
     classes = []
-    for seed in H.key:
-        if seed in assigned:
-            continue
-        ci = len(classes)
-        assigned[seed] = ci
-        orbit = [seed]
-        qi = 0
-        while qi < len(orbit):
-            y = data[orbit[qi]]
-            qi += 1
-            for gd, gdi in pairs:
-                z = ids[mul_data(mul_data(gd, y), gdi)]
-                if z not in assigned:
-                    assigned[z] = ci
-                    orbit.append(z)
-        classes.append(ConjugacyClass(seed, len(orbit), tuple(sorted(orbit))))
-    cd = ClassData(H, classes, assigned)
+    class_of = {}
+    if is_abelian(H):
+        for ci, h in enumerate(key):
+            classes.append(ConjugacyClass(h, 1, (h,)))
+            class_of[h] = ci
+    else:
+        action = _conjugation_action(H, generating_ids(H))
+        label = [-1] * len(key)
+        for seed, seen in enumerate(label):
+            if seen >= 0:
+                continue
+            ci = len(classes)
+            label[seed] = ci
+            orbit = [seed]
+            for y in orbit:
+                for perm in action:
+                    z = perm[y]
+                    if label[z] < 0:
+                        label[z] = ci
+                        orbit.append(z)
+            members = [key[y] for y in orbit]
+            for m in members:
+                class_of[m] = ci
+            classes.append(ConjugacyClass(key[seed], len(orbit), tuple(sorted(members))))
+    cd = ClassData(H, classes, class_of)
     G._class_cache.setdefault(H.key, cd)
     return G._class_cache[H.key]
 
@@ -653,13 +735,18 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, §4.1).
 
-    A breadth-first search over ``generating_ids(H)`` finds the class
-    x^H and a transversal t_y (t_y x t_y^-1 = y) for each orbit point y.
-    Every non-tree edge y -> s y s^-1 = z gives a Schreier generator
-    t_z^-1 s t_y, which commutes with x.  These are added one at a time
-    by an incremental Dimino closure, which stops as soon as the closure
-    reaches the known order |H| / |x^H|, so most Schreier generators are
-    never formed.  A class of size 1 gives H itself.
+    A breadth-first search through the integer conjugation action of
+    ``generating_ids(H)`` finds the class x^H with parent pointers
+    (orbit index, generator index), making no product.  Every non-tree
+    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y, which
+    commutes with x; the transversal element t_y (t_y x t_y^-1 = y) is
+    formed from the parent pointers only when a Schreier generator needs
+    it, and kept.  The Schreier generators are added one at a time by an
+    incremental Dimino closure, which stops as soon as the closure
+    reaches the known order |H| / |x^H|, so most of them and most
+    transversal elements are never formed.  A class of size 1 gives H
+    itself, and so does an H already known to be abelian, without
+    building the action.
     """
     if isinstance(x, Element):
         x = x.id
@@ -670,48 +757,65 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     cached = G._cent_cache.get(ck)
     if cached is not None:
         return cached
-    data = G._data
-    ids = G._ids
-    inv = G._inv
-    mul_data = G._mul_data
-    gens = [(data[g], data[inv[g]]) for g in generating_ids(H)]
+    if G._abelian_cache.get(H.key):
+        G._cent_cache.setdefault(ck, H)
+        return G._cent_cache[ck]
+    gens = generating_ids(H)
+    action = _conjugation_action(H, gens)
 
-    # orbit of x under conjugation, with a transversal and the non-tree
-    # edges (orbit index of y, generator index, orbit index of z)
-    index = {x: 0}
-    trans = [data[0]]
-    points = [data[x]]
-    edges = []
-    qi = 0
-    while qi < len(points):
-        y = points[qi]
-        for si, (sd, sdi) in enumerate(gens):
-            z = ids[mul_data(mul_data(sd, y), sdi)]
-            zi = index.get(z)
-            if zi is None:
-                index[z] = len(points)
-                points.append(data[z])
-                trans.append(mul_data(sd, trans[qi]))
-            else:
-                edges.append((qi, si, zi))
-        qi += 1
+    # orbit of x's position; point i was first reached from point up[i]
+    # by generator via[i]
+    orbit = [bisect_left(H.key, x)]
+    index = {orbit[0]: 0}
+    up = [-1]
+    via = [-1]
+    for yi, y in enumerate(orbit):
+        for si, perm in enumerate(action):
+            z = perm[y]
+            if z not in index:
+                index[z] = len(orbit)
+                orbit.append(z)
+                up.append(yi)
+                via.append(si)
 
-    if len(points) == 1:
+    if len(orbit) == 1:
         Z = H
     else:
-        target, rest = divmod(len(H.member_ids), len(points))
+        target, rest = divmod(len(H.member_ids), len(orbit))
         if rest:
             raise InternalError(
-                f"class size {len(points)} does not divide |H| = {len(H.member_ids)}"
+                f"class size {len(orbit)} does not divide |H| = {len(H.member_ids)}"
             )
-        # Schreier generators t_z^-1 s t_y, formed only until the closure
-        # reaches the target order
+        data = G._data
+        ids = G._ids
+        inv = G._inv
+        mul_data = G._mul_data
+        gdata = [data[g] for g in gens]
+        trans = {0: data[0]}
+
+        def transversal(i):
+            path = []
+            while i not in trans:
+                path.append(i)
+                i = up[i]
+            t = trans[i]
+            for j in reversed(path):
+                t = mul_data(gdata[via[j]], t)
+                trans[j] = t
+            return t
+
+        # Schreier generators of the non-tree edges in BFS order, formed
+        # only until the closure reaches the target order
         closure = {0: data[0]}
         found = []
-        for yi, si, zi in edges:
+        for yi, si in product(range(len(orbit)), range(len(action))):
             if len(closure) == target:
                 break
-            g = mul_data(data[inv[ids[trans[zi]]]], mul_data(gens[si][0], trans[yi]))
+            zi = index[action[si][orbit[yi]]]
+            if up[zi] == yi and via[zi] == si:
+                continue
+            tz = transversal(zi)
+            g = mul_data(data[inv[ids[tz]]], mul_data(gdata[si], transversal(yi)))
             if ids[g] not in closure:
                 _dimino_add(G, closure, found, g, target)
         if len(closure) != target:
@@ -820,31 +924,35 @@ def element_order(H: Subgroup, x) -> int:
 def z_classes(H: Subgroup) -> list:
     """Group class indices whose representatives' centralizers are
     conjugate subgroups of H.  Returns a partition as a list of sorted
-    index lists, ordered by smallest class index."""
-    G = H.group
+    index lists, ordered by smallest class index.
+
+    Centralizers are conjugated as sorted tuples of positions in
+    ``H.key`` (positions ascend with ids, so a subgroup key maps to a
+    sorted position tuple) through the integer conjugation action of
+    ``generating_ids(H)``; an abelian H is a single block."""
     cd = conjugacy_classes(H)
-    cents = [centralizer(H, c.rep) for c in cd.classes]
-    gens = generating_ids(H)
-    gpairs = [(g, G.inv(g)) for g in gens]
-    mul = G.mul
+    if is_abelian(H):
+        return [list(range(cd.k))]
+    key = H.key
+    action = _conjugation_action(H, generating_ids(H))
     orbit_of = {}
     blocks = []
-    for i, Z in enumerate(cents):
-        found = orbit_of.get(Z.key)
+    for i, c in enumerate(cd.classes):
+        Z = centralizer(H, c.rep)
+        start = tuple(bisect_left(key, z) for z in Z.key)
+        found = orbit_of.get(start)
         if found is not None:
             blocks[found].append(i)
             continue
         oi = len(blocks)
         blocks.append([i])
-        seen = {Z.key}
-        queue = [Z.key]
-        orbit_of[Z.key] = oi
+        orbit_of[start] = oi
+        queue = [start]
         while queue:
             k = queue.pop()
-            for g, gi in gpairs:
-                ck = tuple(sorted(mul(mul(g, z), gi) for z in k))
-                if ck not in seen:
-                    seen.add(ck)
+            for perm in action:
+                ck = tuple(sorted([perm[z] for z in k]))
+                if ck not in orbit_of:
                     orbit_of[ck] = oi
                     queue.append(ck)
     return blocks

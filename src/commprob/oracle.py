@@ -74,14 +74,18 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
     _check_preparation_budget(G, budget)
     cents = _centralizer_sets(G)
     _check_budget(G, n, _class_count(cents), budget)
-    full = frozenset(range(G.order))
+    return _count_tuples(cents, n)
+
+
+def _count_tuples(cents, n: int) -> int:
+    """|G^(n)| for n >= 1 from the centralizer table of G."""
 
     def count(C, m):
         if m == 1:
             return len(C)
         return sum(count(C & cents[x], m - 1) for x in C)
 
-    return count(full, n)
+    return count(frozenset(range(len(cents))), n)
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def simultaneous_classes_count(
     k = _class_count(cents)
     _check_budget(G, n, k, budget)
 
-    total = commuting_tuples_count(G, n, budget)
+    total = _count_tuples(cents, n)
     # rough per-tuple estimate: an n-tuple of small ints plus set slot
     if total * (n * 28 + 80) > memory_bytes:
         raise BudgetError(

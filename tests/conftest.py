@@ -23,3 +23,101 @@ def scan_centralizer(H, x):
     return tuple(
         h for h in H.key if mul_data(data[h], xd) == mul_data(xd, data[h])
     )
+
+
+def schoolbook_mat_mul(fld, d, A, B):
+    """Reference d x d matrix product over the field tables, by the
+    triple loop the straight-line kernels replaced."""
+    add = fld.add_table()
+    mul = fld.mul_table()
+    out = []
+    for i in range(d):
+        for j in range(d):
+            acc = 0
+            for l in range(d):
+                acc = add[acc][mul[A[i * d + l]][B[l * d + j]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def bfs_classes(H):
+    """Reference conjugacy classes of H: (rep, size, sorted members) per
+    class and the id -> class index map, by a breadth-first search over
+    element data with 2 products per edge (the kernel's former class
+    BFS)."""
+    from commprob.groups import generating_ids
+
+    G = H.group
+    data = G._data
+    ids = G._ids
+    mul_data = G._mul_data
+    pairs = [(data[g], data[G.inv(g)]) for g in generating_ids(H)]
+    assigned = {}
+    classes = []
+    for seed in H.key:
+        if seed in assigned:
+            continue
+        ci = len(classes)
+        assigned[seed] = ci
+        orbit = [seed]
+        for y in orbit:
+            for gd, gdi in pairs:
+                z = ids[mul_data(mul_data(gd, data[y]), gdi)]
+                if z not in assigned:
+                    assigned[z] = ci
+                    orbit.append(z)
+        classes.append((seed, len(orbit), tuple(sorted(orbit))))
+    return classes, assigned
+
+
+def mul_z_classes(H):
+    """Reference z-classes of H: the orbits of the class representatives'
+    centralizers under conjugation, by ``G.mul`` on subgroup keys (the
+    kernel's former z-class pass)."""
+    from commprob.groups import centralizer, conjugacy_classes, generating_ids
+
+    G = H.group
+    mul = G.mul
+    gpairs = [(g, G.inv(g)) for g in generating_ids(H)]
+    orbit_of = {}
+    blocks = []
+    for i, c in enumerate(conjugacy_classes(H).classes):
+        key = centralizer(H, c.rep).key
+        found = orbit_of.get(key)
+        if found is not None:
+            blocks[found].append(i)
+            continue
+        oi = len(blocks)
+        blocks.append([i])
+        orbit_of[key] = oi
+        queue = [key]
+        while queue:
+            k = queue.pop()
+            for g, gi in gpairs:
+                ck = tuple(sorted(mul(mul(g, z), gi) for z in k))
+                if ck not in orbit_of:
+                    orbit_of[ck] = oi
+                    queue.append(ck)
+    return blocks
+
+
+def fresh_build(desc):
+    """A newly built catalog group, bypassing the build cache, so that its
+    class, centralizer and action caches start empty."""
+    from commprob import catalog
+
+    return catalog._build_uncached(catalog.parse(desc))
+
+
+def count_products(monkeypatch, G):
+    """Count element products of G from now on: returns a one-item list
+    holding the running count."""
+    count = [0]
+    inner = G._mul_data
+
+    def counted(a, b):
+        count[0] += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(G, "_mul_data", counted)
+    return count

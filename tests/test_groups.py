@@ -1,6 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from conftest import scan_centralizer
+from conftest import (
+    bfs_classes,
+    count_products,
+    fresh_build,
+    mul_z_classes,
+    scan_centralizer,
+    schoolbook_mat_mul,
+)
 
 from commprob import groups
 from commprob.branching import build_branching
@@ -20,8 +32,43 @@ from commprob.groups import (
     generating_ids,
     is_abelian,
     is_solvable,
+    matrix_operations,
     z_classes,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+# -- matrix kernels --
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matrix_kernel_matches_schoolbook(p, k, d):
+    fld = field(p, k)
+    ops = matrix_operations(fld, d)
+    rng = random.Random(1000 * d + fld.q)
+
+    def rand():
+        return tuple(rng.randrange(fld.q) for _ in range(d * d))
+
+    zero = (0,) * (d * d)
+    one = ops.identity
+    singular = tuple(rng.randrange(fld.q) for _ in range(d)) * d  # equal rows
+    special = [zero, one, singular, rand()]
+    pairs = [(a, b) for a in special for b in special]
+    pairs += [(rand(), rand()) for _ in range(300)]
+    for A, B in pairs:
+        assert ops.mul(A, B) == schoolbook_mat_mul(fld, d, A, B), (A, B)
+    if d > 1:
+        assert ops.det(singular) == 0
+    invertible = 0
+    while invertible < 50:
+        A = rand()
+        if ops.det(A) == 0:
+            continue
+        invertible += 1
+        assert ops.mul(ops.inv(A), A) == one, A
+        assert ops.mul(A, ops.inv(A)) == one, A
 
 
 def s3():
@@ -160,6 +207,47 @@ def test_class_equation_and_orbit_stabilizer():
             assert c.size * centralizer(full, c.rep).order == G.order
 
 
+def test_classes_match_bfs_reference_on_catalog_states():
+    # every state of every small branching matrix, plus two larger groups
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        G = build(desc)
+        for st in build_branching(G).states:
+            H = G.subgroup(st.key, validate=False)
+            cd = conjugacy_classes(H)
+            classes, class_of = bfs_classes(H)
+            assert [(c.rep, c.size, c.members) for c in cd.classes] == classes, \
+                (desc, st.key)
+            assert cd.class_of == class_of, (desc, st.key)
+
+
+def test_z_classes_match_mul_reference():
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        H = build(desc).full()
+        assert z_classes(H) == mul_z_classes(H), desc
+
+
+@pytest.mark.parametrize("desc, bound", [("GL(3,2)", 1777), ("U(3,2)", 12781)])
+def test_branching_work_count(monkeypatch, desc, bound):
+    # element products of a cold branching expansion: each conjugation
+    # orbit is paid for once, by the integer action
+    G = fresh_build(desc)
+    products = count_products(monkeypatch, G)
+    build_branching(G)
+    assert products[0] <= bound, products[0]
+
+
+def test_abelian_subgroup_builds_no_action():
+    G = fresh_build("S(4)")
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        cd = conjugacy_classes(H)
+        z_classes(H)
+        for c in cd.classes:
+            assert centralizer(H, c.rep).key == scan_centralizer(H, c.rep)
+        built = any(k[0] == H.key for k in G._action_cache)
+        assert built == (not st.abelian), st.key
+
+
 def test_class_reps_are_minimal_ids():
     G = build("S(4)")
     for c in conjugacy_classes(G.full()).classes:
@@ -227,6 +315,29 @@ def test_centralizer_order_check_raises(monkeypatch):
             centralizer(H, x)
     finally:
         G._cent_cache.clear()
+
+
+def test_centralizer_order_check_raises_under_optimize():
+    # the same failure as above in a python -O interpreter, where an
+    # assert would be stripped
+    script = (
+        "from commprob import catalog, groups\n"
+        "from commprob.errors import InternalError\n"
+        "G = catalog.build('S(4)')\n"
+        "H = G.full()\n"
+        "gens = groups.generating_ids(H)\n"
+        "x = next(y for y in H.key if G.conj(gens[0], y) != y)\n"
+        "groups.generating_ids = lambda _H: gens[:1]\n"
+        "try:\n"
+        "    groups.centralizer(H, x)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError"), proc.stdout
 
 
 def test_center_q8():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ORACLE_GRID
+from conftest import ORACLE_GRID, count_products, fresh_build
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
@@ -99,3 +99,13 @@ def test_matrix_algebra_pairs_d2():
 def test_matrix_algebra_budget():
     with pytest.raises(BudgetError):
         commuting_pairs_matrix_algebra(2, 5)
+
+
+def test_pair_orbits_build_one_centralizer_table(monkeypatch):
+    # one |G|^2 centralizer table (4,608 products for GL(2,3)) plus the
+    # generators' conjugation maps; the tuple count reuses the table
+    G = fresh_build("GL(2,3)")
+    products = count_products(monkeypatch, G)
+    report = simultaneous_classes_count(G, 2)
+    assert products[0] <= 4882, products[0]
+    assert report.tuple_count == commuting_tuples_count(G, 2)
