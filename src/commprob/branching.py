@@ -100,50 +100,48 @@ def build_branching(G: Group) -> BranchingMatrix:
     if G._branching is not None:
         return G._branching
     full = G.full()
-    subs = {full.key: full}
-    info = {}
+    # subgroups are interned, so states are keyed by object; a state is
+    # entered (as None) when first reached and described when expanded
+    info = {full: None}
     edges = {}
-    work = deque([full.key])
+    work = deque([full])
     while work:
-        key = work.popleft()
-        if key in info:
-            continue
-        H = subs[key]
+        H = work.popleft()
         if is_abelian(H):
-            info[key] = (H.order, H.order, True)
-            edges[(key, key)] = H.order
+            info[H] = (H.order, H.order, True)
+            edges[(H, H)] = H.order
             continue
         cd = conjugacy_classes(H)
-        info[key] = (H.order, cd.k, False)
+        info[H] = (H.order, cd.k, False)
         for c in cd.classes:
             Z = centralizer(H, c.rep)
-            if Z.key not in subs:
-                if len(subs) >= STATE_COUNT_CAP:
+            if Z not in info:
+                if len(info) >= STATE_COUNT_CAP:
                     raise SizeCapError(
                         f"branching expansion exceeds {STATE_COUNT_CAP} states "
                         f"(offending state order {Z.order})"
                     )
-                subs[Z.key] = Z
-                work.append(Z.key)
-            pair = (Z.key, key)
+                info[Z] = None
+                work.append(Z)
+            pair = (Z, H)
             edges[pair] = edges.get(pair, 0) + 1
-    keys = sorted(info)
-    index = {k: i for i, k in enumerate(keys)}
-    size = len(keys)
+    ordered = sorted(info, key=lambda H: H.key)
+    index = {H: i for i, H in enumerate(ordered)}
+    size = len(ordered)
     counts = [[0] * size for _ in range(size)]
     for (child, parent), c in edges.items():
         counts[index[child]][index[parent]] = c
     states = [
         StateInfo(
             label=f"s{i}",
-            order=info[k][0],
-            class_count=info[k][1],
-            abelian=info[k][2],
-            key=k,
+            order=info[H][0],
+            class_count=info[H][1],
+            abelian=info[H][2],
+            key=H.key,
         )
-        for i, k in enumerate(keys)
+        for i, H in enumerate(ordered)
     ]
-    bm = BranchingMatrix(states=states, counts=counts, root=index[full.key])
+    bm = BranchingMatrix(states=states, counts=counts, root=index[full])
     _validate_matrix(bm)
     G._branching = bm
     return bm
@@ -182,7 +180,7 @@ def cp_via_branching(G: Group, n: int) -> Fraction:
 
 def cp_via_lescot(G: Group, n: int) -> Fraction:
     """cp_n(G) through Lescot's recurrence over centralizer subgroups,
-    memoized by subgroup key."""
+    memoized by (subgroup, m)."""
     if n < 2:
         raise InputError("commuting probability needs n >= 2")
     memo = G._lescot_memo
@@ -190,7 +188,7 @@ def cp_via_lescot(G: Group, n: int) -> Fraction:
     def rec(H: Subgroup, m: int) -> Fraction:
         if m <= 1:
             return Fraction(1)
-        mkey = (H.key, m)
+        mkey = (H, m)
         val = memo.get(mkey)
         if val is not None:
             return val

@@ -1,7 +1,7 @@
 """Command-line front end and the on-disk branching-matrix cache.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 work or size budget exceeded.
+3 work or size budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def cache_load(descriptor: str, order: int):
               file=sys.stderr)
         return None
     try:
+        if not isinstance(record, dict):
+            raise CacheError("cache record is not a JSON object")
         if record.get("descriptor") != descriptor or int(record.get("order", -1)) != order:
             raise CacheError("cache record is for a different group")
         return _record_matrix(record)

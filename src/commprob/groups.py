@@ -7,15 +7,18 @@ seen wins), so ids are reproducible across runs and platforms; groups
 built from an explicit element list keep the given order with the
 identity moved to id 0.
 
-Subgroups are plain id sets inside an ambient group; their canonical key
-is the sorted id tuple, which makes subgroup identity exact and cheap.
-Matrix products are straight-line code over the field's add and mul
-tables for d = 1, 2, 3.
+Subgroups are id sets inside an ambient group; their canonical key is
+the sorted id tuple.  Subgroups are interned: constructing one whose key
+its group has seen before returns the same object, so subgroup identity
+is object identity, and everything computed about a subgroup (its
+generating set, abelian flag, conjugation action, classes and
+centralizers) is kept on that object.  Matrix products are straight-line
+code over the field's add and mul tables for d = 1, 2, 3.
 
 A non-abelian subgroup H gets, on its first class or centralizer call,
 the conjugation action of its small generating set as integer
 permutations of the positions in ``H.key``, built once at 2 products per
-element per generator and cached on the group.  Conjugacy classes,
+element per generator and kept on the subgroup.  Conjugacy classes,
 centralizer orbits and z-classes are then breadth-first searches by
 integer indexing.  Centralizers are point stabilizers of that action:
 Schreier generators, formed from a lazily built transversal, closed by
@@ -221,9 +224,7 @@ class Group:
     __slots__ = (
         "kind", "descriptor", "degree", "field", "dim",
         "_data", "_ids", "_inv", "_mul_data", "_inv_data",
-        "generator_ids",
-        "_full", "_class_cache", "_cent_cache", "_gen_cache",
-        "_abelian_cache", "_action_cache", "_branching", "_lescot_memo",
+        "generator_ids", "_subgroups", "_full", "_branching", "_lescot_memo",
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
@@ -251,12 +252,8 @@ class Group:
         except KeyError:
             raise InputError("element set is not closed under inversion") from None
         self.generator_ids = tuple(self._ids[g] for g in generators_data)
+        self._subgroups = {}
         self._full = None
-        self._class_cache = {}
-        self._cent_cache = {}
-        self._gen_cache = {}
-        self._abelian_cache = {}
-        self._action_cache = {}
         self._branching = None
         self._lescot_memo = {}
         self._spot_check()
@@ -501,18 +498,36 @@ class Element:
 
 
 class Subgroup:
-    """A subgroup of an ambient group, identified by its sorted id tuple."""
+    """A subgroup of an ambient group, identified by its sorted id tuple.
 
-    __slots__ = ("group", "member_ids", "key")
+    Construction interns: the group keeps one object per key, so a second
+    construction of the same id set returns the first object, and equal
+    subgroups are identical.  Validation, when asked, runs on every
+    construction, before a new object is entered, so a set that fails it
+    is never interned.  The
+    slots after ``key`` hold what the subgroup algorithms compute about
+    it, each filled on first use."""
 
-    def __init__(self, group: Group, ids, _validate=True):
-        self.group = group
-        self.member_ids = frozenset(
+    __slots__ = ("group", "member_ids", "key",
+                 "_gens", "_abelian", "_action", "_classes", "_centralizers")
+
+    def __new__(cls, group: Group, ids, _validate=True):
+        member_ids = frozenset(
             i.id if isinstance(i, Element) else int(i) for i in ids
         )
-        self.key = tuple(sorted(self.member_ids))
+        key = tuple(sorted(member_ids))
+        H = group._subgroups.get(key)
+        if H is None:
+            H = object.__new__(cls)
+            H.group = group
+            H.member_ids = member_ids
+            H.key = key
+            H._gens = H._abelian = H._action = H._classes = None
+            H._centralizers = {}
         if _validate:
-            self._validate()
+            H._validate()
+        # two threads building the same subgroup both get the first entry
+        return group._subgroups.setdefault(key, H)
 
     def _validate(self):
         G = self.group
@@ -549,16 +564,6 @@ class Subgroup:
         if isinstance(x, Element):
             x = x.id
         return x in self.member_ids
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and other.group is self.group
-            and other.key == self.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def elements(self):
         for i in self.key:
@@ -635,10 +640,9 @@ def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
 def generating_ids(H: Subgroup) -> tuple:
     """A small generating set of H: greedy over ascending ids, so at most
     log2 |H| generators."""
+    if H._gens is not None:
+        return H._gens
     G = H.group
-    cached = G._gen_cache.get(H.key)
-    if cached is not None:
-        return cached
     data = G._data
     gens = []
     gens_data = []
@@ -650,23 +654,24 @@ def generating_ids(H: Subgroup) -> tuple:
         if x not in closure:
             gens.append(x)
             _dimino_add(G, closure, gens_data, data[x], target)
-    result = tuple(gens)
-    G._gen_cache.setdefault(H.key, result)
-    return result
+    H._gens = tuple(gens)
+    return H._gens
 
 
-def _conjugation_action(H: Subgroup, gens: tuple) -> list:
-    """The conjugation action y -> s y s^-1 of each generator s in ``gens``
-    on H, as one integer permutation per generator: an ``array('i')``
-    over the positions in ``H.key`` (for the whole group, positions are
-    ids).  It costs 2 products per element per generator, once per
-    subgroup and generating set; every orbit walk after that is integer
-    indexing."""
+def _conjugation_action(H: Subgroup) -> tuple:
+    """The pair (gens, perms): ``gens = generating_ids(H)``, and the
+    conjugation action y -> s y s^-1 of each generator s on H as one
+    integer permutation per generator, an ``array('i')`` over the
+    positions in ``H.key`` (for the whole group, positions are ids).  It
+    costs 2 products per element per generator and is kept on the
+    subgroup, so it is built once; every orbit walk after that is integer
+    indexing.  Callers take the generators from this pair, so a
+    transversal is always formed from the generators the permutations
+    were built from."""
+    if H._action is not None:
+        return H._action
+    gens = generating_ids(H)
     G = H.group
-    ck = (H.key, gens)
-    cached = G._action_cache.get(ck)
-    if cached is not None:
-        return cached
     data = G._data
     inv = G._inv
     mul_data = G._mul_data
@@ -683,8 +688,8 @@ def _conjugation_action(H: Subgroup, gens: tuple) -> list:
         gdi = data[inv[g]]
         action.append(array("i", [where[mul_data(mul_data(gd, y), gdi)]
                                   for y in points]))
-    G._action_cache.setdefault(ck, action)
-    return G._action_cache[ck]
+    H._action = (gens, action)
+    return H._action
 
 
 def conjugacy_classes(H: Subgroup) -> ClassData:
@@ -695,10 +700,8 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     once the action is built; an abelian H is split into singletons
     without building it.  Seeds ascend, so each class representative is
     its minimal id."""
-    G = H.group
-    cached = G._class_cache.get(H.key)
-    if cached is not None:
-        return cached
+    if H._classes is not None:
+        return H._classes
     key = H.key
     classes = []
     class_of = {}
@@ -707,7 +710,7 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
             classes.append(ConjugacyClass(h, 1, (h,)))
             class_of[h] = ci
     else:
-        action = _conjugation_action(H, generating_ids(H))
+        action = _conjugation_action(H)[1]
         label = [-1] * len(key)
         for seed, seen in enumerate(label):
             if seen >= 0:
@@ -725,9 +728,8 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
             for m in members:
                 class_of[m] = ci
             classes.append(ConjugacyClass(key[seed], len(orbit), tuple(sorted(members))))
-    cd = ClassData(H, classes, class_of)
-    G._class_cache.setdefault(H.key, cd)
-    return G._class_cache[H.key]
+    H._classes = ClassData(H, classes, class_of)
+    return H._classes
 
 
 def centralizer(H: Subgroup, x) -> Subgroup:
@@ -753,15 +755,12 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     G = H.group
     if x not in H.member_ids:
         raise InputError(f"element {x} is not a member of the subgroup")
-    ck = (H.key, x)
-    cached = G._cent_cache.get(ck)
-    if cached is not None:
-        return cached
-    if G._abelian_cache.get(H.key):
-        G._cent_cache.setdefault(ck, H)
-        return G._cent_cache[ck]
-    gens = generating_ids(H)
-    action = _conjugation_action(H, gens)
+    Z = H._centralizers.get(x)
+    if Z is not None:
+        return Z
+    if H._abelian:
+        return H
+    gens, action = _conjugation_action(H)
 
     # orbit of x's position; point i was first reached from point up[i]
     # by generator via[i]
@@ -823,21 +822,18 @@ def centralizer(H: Subgroup, x) -> Subgroup:
                 f"Schreier closure reached order {len(closure)}, expected {target}"
             )
         Z = Subgroup(G, closure, _validate=False)
-    G._cent_cache.setdefault(ck, Z)
-    return G._cent_cache[ck]
+    H._centralizers[x] = Z
+    return Z
 
 
 def is_abelian(H: Subgroup) -> bool:
-    G = H.group
-    cached = G._abelian_cache.get(H.key)
-    if cached is not None:
-        return cached
-    gens = generating_ids(H)
-    result = all(
-        G.mul(a, b) == G.mul(b, a) for a in gens for b in gens
-    )
-    G._abelian_cache.setdefault(H.key, result)
-    return result
+    if H._abelian is None:
+        G = H.group
+        gens = generating_ids(H)
+        H._abelian = all(
+            G.mul(a, b) == G.mul(b, a) for a in gens for b in gens
+        )
+    return H._abelian
 
 
 def center(H: Subgroup) -> Subgroup:
@@ -934,7 +930,7 @@ def z_classes(H: Subgroup) -> list:
     if is_abelian(H):
         return [list(range(cd.k))]
     key = H.key
-    action = _conjugation_action(H, generating_ids(H))
+    action = _conjugation_action(H)[1]
     orbit_of = {}
     blocks = []
     for i, c in enumerate(cd.classes):

@@ -78,11 +78,13 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
 
 
 def _count_tuples(cents, n: int) -> int:
-    """|G^(n)| for n >= 1 from the centralizer table of G."""
+    """|G^(n)| for n >= 0 from the centralizer table of G."""
 
     def count(C, m):
         if m == 1:
             return len(C)
+        if m == 0:
+            return 1
         return sum(count(C & cents[x], m - 1) for x in C)
 
     return count(frozenset(range(len(cents))), n)
@@ -105,8 +107,8 @@ def simultaneous_classes_count(
 ) -> TupleOrbitReport:
     """c_G(n) by explicit orbit partition of the commuting n-tuples under
     coordinatewise conjugation, cross-checked by Burnside's lemma."""
-    if n < 1:
-        raise InputError("n must be positive")
+    if n < 0:
+        raise InputError("n must be nonnegative")
     _check_preparation_budget(G, budget)
     cents = _centralizer_sets(G)
     k = _class_count(cents)
@@ -175,6 +177,8 @@ def simultaneous_classes_count(
     def count_within(C, m):
         if m == 1:
             return len(C)
+        if m == 0:
+            return 1
         key = (C, m)
         val = within_cache.get(key)
         if val is None:

@@ -102,8 +102,9 @@ def mul_z_classes(H):
 
 
 def fresh_build(desc):
-    """A newly built catalog group, bypassing the build cache, so that its
-    class, centralizer and action caches start empty."""
+    """A newly built catalog group, bypassing the build cache, so that no
+    subgroup of it has generators, an action, classes or centralizers
+    computed yet."""
     from commprob import catalog
 
     return catalog._build_uncached(catalog.parse(desc))

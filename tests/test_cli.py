@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 
 from commprob.branching import build_branching
 from commprob.catalog import build
-from commprob.cli import cache_load, cache_store, main
+from commprob.cli import _cache_path, cache_load, cache_store, main
 
 
 @pytest.fixture
@@ -86,6 +87,14 @@ def test_ctuples_with_oracle(capsys):
     assert payload["value"] == "22"
     assert payload["oracle"]["orbit_count"] == "22"
     assert payload["oracle_match"] is True
+
+
+def test_ctuples_n0_with_oracle(capsys):
+    # one empty tuple, one orbit, by the engine and by the oracle
+    code, out, _ = run(capsys, "ctuples", "Q8", "--n", "0", "--oracle")
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+    assert "oracle orbits: 1 " in out
 
 
 def test_feitfine_oracle(capsys):
@@ -174,6 +183,18 @@ def test_cache_corrupted_file_recovers(cache_env, capsys):
     assert code == 0
     assert "warning" in err
     assert json.loads(out)["from_cache"] is False
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"'])
+def test_cache_non_object_record_recovers(cache_env, capsys, text):
+    # valid JSON that is not an object is as invalid as any other record
+    cache_env.mkdir(parents=True)
+    (cache_env / os.path.basename(_cache_path("S(3)"))).write_text(
+        text, encoding="utf-8")
+    code, out, err = run(capsys, "branching", "S(3)")
+    assert code == 0
+    assert "warning: ignoring invalid cache file" in err
+    assert "from cache:   no" in out
 
 
 def test_cache_wrong_order_rejected(cache_env, capsys):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -165,8 +166,12 @@ def test_size_cap_enforced():
 
 def test_subgroup_validation():
     G = s3()
+    bad = [0, G.id_of((1, 0, 2)), G.id_of((2, 1, 0))]  # not closed
     with pytest.raises(InputError):
-        G.subgroup([0, G.id_of((1, 0, 2)), G.id_of((2, 1, 0))])  # not closed
+        G.subgroup(bad)
+    # a set that failed validation was not interned, so it fails again
+    with pytest.raises(InputError):
+        G.subgroup(bad)
     H = G.subgroup([0, G.id_of((1, 0, 2))])
     assert H.order == 2
 
@@ -176,6 +181,38 @@ def test_subgroup_key_equality():
     a = G.subgroup([0, 1], validate=False)
     b = G.subgroup([1, 0], validate=False)
     assert a == b and a.key == b.key
+    assert a is b
+
+
+def test_subgroup_interning_across_threads():
+    # verify runs jobs on threads: every racing construction of one id set
+    # must get the object that was entered first
+    rounds = [fresh_build("S(4)") for _ in range(40)]
+    sets = [scan_centralizer(rounds[0].full(), x) for x in range(24)]
+    results = [[] for _ in range(4)]
+    barrier = threading.Barrier(len(results), timeout=10)
+
+    def construct(out):
+        for G in rounds:
+            barrier.wait()
+            out.append([G.subgroup(ids, validate=False) for ids in sets])
+
+    threads = [threading.Thread(target=construct, args=(out,))
+               for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == len(rounds) for out in results)
+    for per_round in zip(*results):
+        for objs in zip(*per_round):
+            assert all(o is objs[0] for o in objs)
 
 
 # -- conjugacy classes --
@@ -244,7 +281,7 @@ def test_abelian_subgroup_builds_no_action():
         z_classes(H)
         for c in cd.classes:
             assert centralizer(H, c.rep).key == scan_centralizer(H, c.rep)
-        built = any(k[0] == H.key for k in G._action_cache)
+        built = H._action is not None
         assert built == (not st.abelian), st.key
 
 
@@ -291,6 +328,7 @@ def test_centralizer_matches_scan_on_catalog_states():
                 for x in {c.rep, c.members[-1]}:
                     Z = centralizer(H, x)
                     assert Z.key == scan_centralizer(H, x), (desc, st.key, x)
+                    assert Z is G.subgroup(Z.key, validate=False)
                     assert Z.order * c.size == H.order, (desc, st.key, x)
 
 
@@ -304,17 +342,13 @@ def test_centralizer_of_central_element_is_the_subgroup_itself():
 def test_centralizer_order_check_raises(monkeypatch):
     # generators of a proper subgroup make the Schreier closure fall short
     # of |H| / |x^H|, which must raise even under python -O
-    G = build("S(4)")
+    G = fresh_build("S(4)")
     H = G.full()
     gens = generating_ids(H)
     x = next(y for y in H.key if G.conj(gens[0], y) != y)
     monkeypatch.setattr(groups, "generating_ids", lambda _H: gens[:1])
-    G._cent_cache.clear()
-    try:
-        with pytest.raises(InternalError):
-            centralizer(H, x)
-    finally:
-        G._cent_cache.clear()
+    with pytest.raises(InternalError):
+        centralizer(H, x)
 
 
 def test_centralizer_order_check_raises_under_optimize():

@@ -6,7 +6,7 @@ from conftest import ORACLE_GRID, count_products, fresh_build
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
-from commprob.errors import BudgetError
+from commprob.errors import BudgetError, InputError
 from commprob.oracle import (
     commuting_pairs_matrix_algebra,
     commuting_tuples_count,
@@ -32,6 +32,16 @@ def test_trivial_cases():
     G = build("S(3)")
     assert commuting_tuples_count(G, 0) == 1
     assert commuting_tuples_count(G, 1) == 6
+
+
+def test_orbit_count_n0_is_one():
+    report = simultaneous_classes_count(build("Q8"), 0)
+    assert (report.tuple_count, report.orbit_count, report.burnside_count) == (1, 1, 1)
+
+
+def test_negative_n_rejected():
+    with pytest.raises(InputError):
+        simultaneous_classes_count(build("Q8"), -1)
 
 
 def test_budget_guard():

@@ -2,8 +2,10 @@
 
 The centralizer kernel is checked against the full scan, and the three
 counting methods against each other.  Branching and Lescot share the
-group's class and centralizer caches, so a kernel defect would hit both;
-the oracle's element-level counts and Burnside's lemma do not use them.
+classes and centralizers kept on each subgroup, so a kernel defect would
+hit both; the oracle's element-level counts and Burnside's lemma do not
+use them.  The same group rebuilt from its multiplication table must give
+the same results through the kernel as the permutation group.
 """
 
 from fractions import Fraction
@@ -57,3 +59,29 @@ def test_branching_lescot_oracle_burnside_agree(G):
         assert c_tuples(B, n - 1) == report.orbit_count
         expected = Fraction(report.orbit_count, G.order ** (n - 1))
         assert cp_via_branching(G, n) == cp_via_lescot(G, n) == expected
+
+
+@PROPERTY_SETTINGS
+@given(G=permutation_groups())
+def test_table_group_matches_permutation_group(G):
+    assume(G.order <= ORACLE_ORDER_CAP)
+    ids = range(G.order)
+    T = Group.from_table([[G.mul(a, b) for b in ids] for a in ids])
+    assert [T.data_of(i) for i in ids] == list(ids)
+    BG = build_branching(G)
+    BT = build_branching(T)
+    assert [st.key for st in BT.states] == [st.key for st in BG.states]
+    assert BT == BG
+    for st in BT.states:
+        HG = G.subgroup(st.key, validate=False)
+        HT = T.subgroup(st.key, validate=False)
+        classes = conjugacy_classes(HT).classes
+        assert [(c.rep, c.size, c.members) for c in classes] == \
+            [(c.rep, c.size, c.members) for c in conjugacy_classes(HG).classes]
+        for c in classes:
+            Z = centralizer(HT, c.rep)
+            assert Z.key == scan_centralizer(HT, c.rep)
+            assert Z.key == centralizer(HG, c.rep).key
+    for n in (2, 3):
+        expected = cp_via_branching(G, n)
+        assert cp_via_branching(T, n) == cp_via_lescot(T, n) == expected
