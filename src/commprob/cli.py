@@ -329,7 +329,7 @@ def _cmd_feitfine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows, ok = verify_suite(args.grid, threads=args.threads)
+    rows, ok = verify_suite(args.grid)
     if args.json_path:
         text = report_json(rows)
         if args.json_path == "-":
@@ -397,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=("default", "full"), default="default")
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the JSON report to PATH ('-' for stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the grid runs on one thread")
     p.set_defaults(func=_cmd_verify)
 
     return top

@@ -30,7 +30,6 @@ separately and both comparisons appear in the verification report.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -592,7 +591,7 @@ def _sort_key(row):
             row["n"] if row["n"] is not None else -1)
 
 
-def verify_suite(grid: str = "default", threads: int = 1):
+def verify_suite(grid: str = "default"):
     """Run the verification grid; returns (rows, all_ok).
 
     Every row carries both engine values where applicable, the registry
@@ -602,13 +601,8 @@ def verify_suite(grid: str = "default", threads: int = 1):
     Sp2 table (see :func:`is_known_erratum_row`); the ``erratum:Sp2``
     rows show the same engine values agreeing with the corrected form.
     """
-    jobs = _jobs(grid)
-    if threads <= 1:
-        results = [_run_job(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_job, jobs))
-    rows = sorted((r for rs in results for r in rs), key=_sort_key)
+    rows = sorted((r for job in _jobs(grid) for r in _run_job(job)),
+                  key=_sort_key)
     ok = all(r["match"] for r in rows)
     return rows, ok
 

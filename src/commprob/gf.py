@@ -207,15 +207,6 @@ class FieldSpec:
 
     # -- index-level arithmetic --
 
-    def add_index(self, a: int, b: int) -> int:
-        return self.index_of(self._add_coeffs(self.coeffs_of(a), self.coeffs_of(b)))
-
-    def mul_index(self, a: int, b: int) -> int:
-        return self.index_of(self._mul_coeffs(self.coeffs_of(a), self.coeffs_of(b)))
-
-    def neg_index(self, a: int) -> int:
-        return self.index_of(self._neg_coeffs(self.coeffs_of(a)))
-
     def inv_index(self, a: int) -> int:
         return self.index_of(self._inv_coeffs(self.coeffs_of(a)))
 

@@ -174,6 +174,10 @@ def _perm_ops(n: int):
 
 def _table_ops(table):
     n = len(table)
+    if any(len(row) != n for row in table):
+        raise InputError(f"multiplication table is not {n} x {n}")
+    if not all(isinstance(v, int) and 0 <= v < n for row in table for v in row):
+        raise InputError(f"multiplication table entries must be ints in range({n})")
 
     def mul_data(a, b):
         return table[a][b]
@@ -195,9 +199,54 @@ def _table_ops(table):
     return mul_data, inv_data, identity
 
 
+def _table_generators(mul_data, identity, n):
+    """Table indices in ascending order, each outside the left-multiplication
+    closure of those before it.  Each one at least doubles the subgroup
+    generated so far, so a group of order n never needs more than
+    floor(log2 n) of them; a table that does is rejected."""
+    gens = []
+    reached = {identity}
+    for g in range(n):
+        if g in reached:
+            continue
+        if len(gens) == n.bit_length() - 1:
+            raise InputError("multiplication table is not a group: it needs "
+                             "more than log2(n) generators")
+        gens.append(g)
+        reached = _bfs_closure(mul_data, identity, gens)[1]
+    return gens
+
+
+def _light_test(table, gens):
+    """Raise unless ``table`` (entries index its own rows) is associative.
+
+    Light's test: when every element is a product of ``gens``, it is
+    enough that (x s) y = x (s y) for each s in ``gens`` and all x, y,
+    because the s that satisfy this are closed under products.  Costs
+    len(gens) * n^2 lookups."""
+    for s in gens:
+        row_s = table[s]
+        for row_x in table:
+            if table[row_x[s]] != tuple(row_x[v] for v in row_s):
+                raise InputError("multiplication table is not associative")
+
+
 # ---------------------------------------------------------------------------
 # Group
 # ---------------------------------------------------------------------------
+
+def _closure_pairs(elements):
+    """The pairs a closure check multiplies: all of them for a small
+    element list, otherwise a fixed seeded sample."""
+    n = len(elements)
+    if n <= _EXHAUSTIVE_CHECK_LIMIT:
+        return ((a, b) for a in elements for b in elements)
+    rng = random.Random(_CHECK_SEED)
+    return (
+        (elements[rng.randrange(n)], elements[rng.randrange(n)])
+        for _ in range(_SAMPLE_CHECKS)
+    )
+
 
 def _bfs_closure(mul_data, identity, gens, cap=GROUP_SIZE_CAP):
     data = [identity]
@@ -263,15 +312,7 @@ class Group:
         mul_data = self._mul_data
         ids = self._ids
         data = self._data
-        if n <= _EXHAUSTIVE_CHECK_LIMIT:
-            pairs = ((a, b) for a in data for b in data)
-        else:
-            rng = random.Random(_CHECK_SEED)
-            pairs = (
-                (data[rng.randrange(n)], data[rng.randrange(n)])
-                for _ in range(_SAMPLE_CHECKS)
-            )
-        for a, b in pairs:
+        for a, b in _closure_pairs(data):
             if mul_data(a, b) not in ids:
                 raise InputError("element set is not closed under multiplication")
         e = data[0]
@@ -319,10 +360,19 @@ class Group:
     @classmethod
     def from_table(cls, table, descriptor="", generators=None):
         """Group over a full multiplication table; with ``generators``
-        (table indices), the subgroup they generate."""
-        table = tuple(tuple(row) for row in table)
+        (table indices), the subgroup they generate.
+
+        The table must be n x n with int entries in ``range(n)``.  The
+        group (or the generated subset, which must be closed) is checked
+        exactly: a two-sided identity, associativity by Light's test, and
+        inverses; a table that fails raises :class:`InputError`."""
+        try:
+            table = tuple(tuple(row) for row in table)
+        except TypeError:
+            raise InputError("multiplication table rows must be sequences") from None
         mul_data, inv_data, identity = _table_ops(table)
         if generators is None:
+            _light_test(table, _table_generators(mul_data, identity, len(table)))
             data = _identity_first(list(range(len(table))), identity)
             return cls("table", mul_data, inv_data, identity, data,
                        descriptor=descriptor)
@@ -332,7 +382,12 @@ class Group:
             if not 0 <= g < len(table):
                 raise InputError(f"generator index {g} out of table range")
             gens.append(g)
-        data, _ = _bfs_closure(mul_data, identity, gens)
+        data, ids = _bfs_closure(mul_data, identity, gens)
+        # the generated subset as a table of its own positions
+        sub = tuple(tuple(ids.get(mul_data(a, b)) for b in data) for a in data)
+        if any(None in row for row in sub):
+            raise InputError("generated subset is not closed under multiplication")
+        _light_test(sub, [ids[g] for g in gens])
         return cls("table", mul_data, inv_data, identity, data,
                    descriptor=descriptor, generators_data=gens)
 
@@ -526,7 +581,8 @@ class Subgroup:
             H._centralizers = {}
         if _validate:
             H._validate()
-        # two threads building the same subgroup both get the first entry
+        # callers may build subgroups from their own threads: two threads
+        # building the same subgroup both get the first entry
         return group._subgroups.setdefault(key, H)
 
     def _validate(self):
@@ -539,17 +595,7 @@ class Subgroup:
                 raise InputError(f"member id {i} out of range")
             if G.inv(i) not in mem:
                 raise InputError("member set is not closed under inversion")
-        n = len(mem)
-        key = self.key
-        if n <= _EXHAUSTIVE_CHECK_LIMIT:
-            pairs = ((a, b) for a in key for b in key)
-        else:
-            rng = random.Random(_CHECK_SEED)
-            pairs = (
-                (key[rng.randrange(n)], key[rng.randrange(n)])
-                for _ in range(_SAMPLE_CHECKS)
-            )
-        for a, b in pairs:
+        for a, b in _closure_pairs(self.key):
             if G.mul(a, b) not in mem:
                 raise InputError("member set is not closed under multiplication")
 

@@ -1,11 +1,13 @@
 import json
 import os
+import threading
 
 import pytest
 
 from commprob.branching import build_branching
 from commprob.catalog import build
 from commprob.cli import _cache_path, cache_load, cache_store, main
+from commprob.formulas import verify_suite
 
 
 @pytest.fixture
@@ -141,10 +143,25 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     ("feitfine", "--d", "2", "--q", "2"),
 ])
 def test_threads_flag_only_on_verify(command):
-    # only verify runs a worker pool; the other commands reject the flag
+    # only verify accepts the flag (and ignores it); the other commands
+    # reject it
     with pytest.raises(SystemExit) as exc:
         main([*command, "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # --threads is accepted and ignored: the grid runs on the calling thread
+    def refuse(self):
+        raise RuntimeError("verify started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--grid", "default", "--threads", "2",
+                     "--json", str(path))
+    assert code == 1
+    rows, _ = verify_suite("default")
+    assert json.loads(path.read_text(encoding="utf-8")) == rows
 
 
 # -- cache behavior --

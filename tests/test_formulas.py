@@ -173,7 +173,7 @@ def test_groups_above_three_fortieths_are_solvable_or_a5():
 # -- verify suite plumbing --
 
 def test_verify_rows_sorted_and_schema():
-    rows, ok = verify_suite("default", threads=2)
+    rows, ok = verify_suite("default")
     keys = [(r["key"], r["q"] if r["q"] is not None else -1,
              r["n"] if r["n"] is not None else -1) for r in rows]
     assert keys == sorted(keys)

@@ -147,6 +147,78 @@ def test_group_from_table_klein():
     assert is_abelian(G.full())
 
 
+# order-5 loop: a two-sided identity, every row and column a permutation,
+# but 36 non-associative triples
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def test_group_from_table_rejects_loop():
+    with pytest.raises(InputError, match="not associative"):
+        Group.from_table(LOOP5)
+    # 1 and 2 each generate an associative order-2 subset; together the loop
+    with pytest.raises(InputError, match="not associative"):
+        Group.from_table(LOOP5, generators=[1, 2])
+    assert Group.from_table(LOOP5, generators=[1]).order == 2
+
+
+def test_group_from_table_rejects_ragged_table():
+    with pytest.raises(InputError, match="not 2 x 2"):
+        Group.from_table([[0, 1], [1]])
+    with pytest.raises(InputError):
+        Group.from_table([0, 1])
+
+
+@pytest.mark.parametrize("value, match", [
+    (256, "range"), (7, "not associative"), ("5", "range"),
+])
+def test_group_from_table_rejects_one_bad_entry(value, match):
+    # above 200 elements the construction check only samples closure, so
+    # the table check must be exact
+    table = _cyclic_table(256)
+    table[3][5] = value
+    with pytest.raises(InputError, match=match):
+        Group.from_table(table)
+    assert Group.from_table(_cyclic_table(256)).order == 256
+
+
+def test_group_from_table_rejects_unclosed_generated_subset():
+    # 1 generates {0, 1, 2} by left multiplication, but 2 * 2 = 3
+    table = [
+        [0, 1, 2, 3],
+        [1, 2, 0, 3],
+        [2, 0, 3, 1],
+        [3, 3, 1, 0],
+    ]
+    with pytest.raises(InputError, match="not closed"):
+        Group.from_table(table, generators=[1])
+
+
+def test_group_from_table_rejects_monoids():
+    # {0, 1} under max is associative with identity 0, but 1 has no inverse;
+    # C(2)^3 with its 3 generators is a group
+    with pytest.raises(InputError, match="no inverse"):
+        Group.from_table([[0, 1], [1, 1]])
+    elementary = [[a ^ b for b in range(8)] for a in range(8)]
+    assert Group.from_table(elementary).order == 8
+    # a left-zero row for every non-identity element: each one generates
+    # only itself, so the table needs n - 1 > log2(n) generators
+    left_zero = [list(range(4))] + [[a] * 4 for a in range(1, 4)]
+    for a in range(1, 4):
+        left_zero[a][0] = a
+    with pytest.raises(InputError, match="generators"):
+        Group.from_table(left_zero)
+
+
 def test_closure_inside_table_group():
     table = [
         [0, 1, 2, 3],
@@ -185,8 +257,8 @@ def test_subgroup_key_equality():
 
 
 def test_subgroup_interning_across_threads():
-    # verify runs jobs on threads: every racing construction of one id set
-    # must get the object that was entered first
+    # Subgroup is public and may be built from several threads: every racing
+    # construction of one id set must get the object that was entered first
     rounds = [fresh_build("S(4)") for _ in range(40)]
     sets = [scan_centralizer(rounds[0].full(), x) for x in range(24)]
     results = [[] for _ in range(4)]

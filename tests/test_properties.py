@@ -5,7 +5,9 @@ counting methods against each other.  Branching and Lescot share the
 classes and centralizers kept on each subgroup, so a kernel defect would
 hit both; the oracle's element-level counts and Burnside's lemma do not
 use them.  The same group rebuilt from its multiplication table must give
-the same results through the kernel as the permutation group.
+the same results through the kernel as the permutation group, and a
+table with one entry overwritten must be accepted exactly when it is
+still a group.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import scan_centralizer
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching, cp_via_lescot
+from commprob.errors import InputError
 from commprob.groups import Group, centralizer, conjugacy_classes
 from commprob.oracle import simultaneous_classes_count
 
@@ -85,3 +88,36 @@ def test_table_group_matches_permutation_group(G):
     for n in (2, 3):
         expected = cp_via_branching(G, n)
         assert cp_via_branching(T, n) == cp_via_lescot(T, n) == expected
+
+
+def brute_force_is_group(table):
+    """A two-sided identity, two-sided inverses and all n^3 triples
+    associative, checked directly."""
+    n = len(table)
+    idents = [e for e in range(n)
+              if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not idents:
+        return False
+    e = idents[0]
+    if not all(any(table[a][b] == e == table[b][a] for b in range(n))
+               for a in range(n)):
+        return False
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@PROPERTY_SETTINGS
+@given(G=permutation_groups(max_points=4), data=st.data())
+def test_from_table_accepts_exactly_groups(G, data):
+    n = G.order
+    table = [[G.mul(a, b) for b in range(n)] for a in range(n)]
+    if data.draw(st.booleans(), label="overwrite"):
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(0, n - 1), label="b")
+        table[a][b] = data.draw(st.integers(0, n - 1), label="value")
+    try:
+        Group.from_table(table)
+        accepted = True
+    except InputError:
+        accepted = False
+    assert accepted == brute_force_is_group(table)
