@@ -243,6 +243,15 @@ def metadata(desc) -> GroupMeta:
         simple = True
     if fam == "PSL" and ps[1] >= 4:
         simple = True
+    # these matrix groups have a trivial centre, so they equal PSL(d,q):
+    # SL(2,q) = Sp(2,q) for even q >= 4, SL(3,q) when gcd(3, q-1) = 1,
+    # and GL(3,2) = SL(3,2)
+    if fam in ("SL", "Sp") and ps[0] == 2 and ps[1] % 2 == 0 and ps[1] >= 4:
+        simple = True
+    if fam == "SL" and ps[0] == 3 and math.gcd(3, ps[1] - 1) == 1:
+        simple = True
+    if fam == "GL" and ps == (3, 2):
+        simple = True
 
     solvable: Optional[bool]
     if abelian or fam in ("D", "Q8", "UT") or p_group is not None:
@@ -398,7 +407,19 @@ def _build_sp2(q, descriptor):
 
 def _build_unitary(d, q, descriptor):
     """Matrices over GF(q^2) with orthonormal columns for the Hermitian
-    form with identity Gram matrix (conjugation x -> x^q)."""
+    form <u, v> = sum conj(u_i) v_i (identity Gram matrix, conjugation
+    x -> x^q).
+
+    The unit vectors (<v, v> = 1) are listed once, in lexicographic order
+    of their entry indices, and form the vertices of an orthogonality
+    graph: ``orth[i]`` is the set of unit vectors orthogonal to unit i.
+    A frame of chosen columns keeps its candidate list, the unit vectors
+    orthogonal to every chosen column, in ascending index order; choosing
+    column c narrows it to the candidates in ``orth[c]``.  The first
+    column ranges over all unit vectors and each later one over the
+    candidates, so the matrices come out in the order of a scan that
+    tests every unit vector against every chosen column, without any
+    form evaluation after the graph is built."""
     p, k = prime_power(q)
     ext = field(p, 2 * k)
     add = ext.add_table()
@@ -414,18 +435,20 @@ def _build_unitary(d, q, descriptor):
 
     vectors = list(itertools.product(range(ext.q), repeat=d))
     unit = [v for v in vectors if herm(v, v) == one]
+    orth = [frozenset(j for j, v in enumerate(unit) if herm(u, v) == 0)
+            for u in unit]
 
     mats = []
 
-    def extend(cols):
+    def extend(cols, candidates):
         if len(cols) == d:
-            mats.append(tuple(cols[j][i] for i in range(d) for j in range(d)))
+            mats.append(tuple(unit[cols[j]][i] for i in range(d) for j in range(d)))
             return
-        for v in unit:
-            if all(herm(c, v) == 0 for c in cols):
-                extend(cols + [v])
+        for c in candidates:
+            oc = orth[c]
+            extend(cols + [c], [j for j in candidates if j in oc])
 
-    extend([])
+    extend([], range(len(unit)))
     return Group.from_matrix_list(ext, d, mats, descriptor)
 
 

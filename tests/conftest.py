@@ -25,6 +25,44 @@ def scan_centralizer(H, x):
     )
 
 
+def nested_unitary_frames(d, q):
+    """Reference U(d,q) matrices: the flattened d x d matrices over
+    GF(q^2) with orthonormal columns for <u, v> = sum u_i^q v_i, by
+    testing every unit vector against every chosen column (the builder's
+    former nested scan), in the order that scan finds them."""
+    import itertools
+
+    from commprob.gf import field, prime_power
+
+    p, k = prime_power(q)
+    ext = field(p, 2 * k)
+    add = ext.add_table()
+    mul = ext.mul_table()
+    conj = [ext.frobenius_index(i, k) for i in range(ext.q)]
+    one = ext.one_index
+
+    def herm(u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add[acc][mul[conj[a]][b]]
+        return acc
+
+    vectors = list(itertools.product(range(ext.q), repeat=d))
+    unit = [v for v in vectors if herm(v, v) == one]
+    mats = []
+
+    def extend(cols):
+        if len(cols) == d:
+            mats.append(tuple(cols[j][i] for i in range(d) for j in range(d)))
+            return
+        for v in unit:
+            if all(herm(c, v) == 0 for c in cols):
+                extend(cols + [v])
+
+    extend([])
+    return mats
+
+
 def schoolbook_mat_mul(fld, d, A, B):
     """Reference d x d matrix product over the field tables, by the
     triple loop the straight-line kernels replaced."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from commprob.branching import cp2_classcount
@@ -11,6 +13,7 @@ from commprob.catalog import (
 )
 from commprob.errors import InputError, SizeCapError
 from commprob.groups import conjugacy_classes, is_abelian, is_solvable
+from conftest import nested_unitary_frames
 
 
 def test_parse_roundtrip():
@@ -135,7 +138,8 @@ def test_simple_flag_no_class_closed_normal_subgroup():
     # a class generates a normal subgroup (the generating set is closed
     # under conjugation); in a simple group every non-identity class
     # must generate everything
-    for text in ("A(5)", "PSL(2,5)", "PSL(2,7)", "PSL(2,9)"):
+    for text in ("A(5)", "PSL(2,5)", "PSL(2,7)", "PSL(2,9)",
+                 "GL(3,2)", "SL(3,2)", "SL(2,4)", "Sp(2,4)", "SL(2,8)"):
         meta = metadata(text)
         assert meta.simple
         G = build(text)
@@ -146,6 +150,31 @@ def test_simple_flag_no_class_closed_normal_subgroup():
                 continue
             generated = _subgroup_generated_by(G, c.members)
             assert len(generated) == G.order, (text, c.rep)
+
+
+def test_simple_flag_matrix_families():
+    # SL(2,q) for even q >= 4, SL(3,q) with gcd(3, q-1) = 1 and GL(3,2)
+    # have a trivial centre, so they are PSL(d,q) and simple
+    for text in ("GL(3,2)", "SL(3,2)", "SL(3,3)", "SL(3,5)",
+                 "SL(2,4)", "Sp(2,4)", "SL(2,8)", "Sp(2,16)"):
+        meta = metadata(text)
+        assert meta.simple and meta.solvable is False, text
+    # a non-trivial centre, or a small solvable case
+    for text in ("GL(2,2)", "GL(2,3)", "GL(2,4)", "GL(3,3)", "SL(2,2)",
+                 "SL(2,3)", "SL(2,5)", "Sp(2,2)", "SL(3,4)", "SL(3,7)"):
+        assert not metadata(text).simple, text
+
+
+def test_non_simple_group_has_class_generating_proper_subgroup():
+    # the negative of the check above: a class generates a proper
+    # normal subgroup
+    for text in ("GL(2,3)", "S(4)", "SL(2,5)"):
+        assert not metadata(text).simple
+        G = build(text)
+        assert any(
+            len(_subgroup_generated_by(G, c.members)) < G.order
+            for c in conjugacy_classes(G.full()).classes if c.rep != 0
+        ), text
 
 
 def _subgroup_generated_by(G, gen_ids):
@@ -165,3 +194,58 @@ def _subgroup_generated_by(G, gen_ids):
 
 def test_builds_are_cached():
     assert build("S(4)") is build("S(4)")
+
+
+# sha256 of repr(build("U(3,3)")._data), the ordered element list, as
+# built by the nested scan (conftest.nested_unitary_frames) before the
+# orthogonality-graph builder replaced it; the scan itself takes seconds
+U33_ELEMENTS_SHA256 = (
+    "14d041fc496888a5cfb7874db8ae9b8386c24c21a4fc68c63f00957715d994cb"
+)
+
+
+@pytest.mark.parametrize("text", ["U(2,2)", "U(2,3)", "U(2,4)", "U(2,5)", "U(3,2)"])
+def test_unitary_builder_matches_nested_scan(text):
+    # same matrices in the same order, so the same ids
+    d, q = parse(text).params
+    ref = nested_unitary_frames(d, q)
+    data = build(text)._data
+    e = data[0]
+    assert data == [e] + [m for m in ref if m != e]
+
+
+def test_unitary_u33_element_list_unchanged():
+    data = build("U(3,3)")._data
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == U33_ELEMENTS_SHA256
+
+
+@pytest.mark.parametrize(
+    "text", ["U(2,2)", "U(2,3)", "U(2,4)", "U(2,5)", "U(3,2)", "U(3,3)"])
+def test_unitary_elements_preserve_the_form(text):
+    # A^H A = I over the GF(q^2) tables, with conjugation x -> x^q taken
+    # by repeated multiplication; the elements are distinct and as many
+    # as the order formula says
+    G = build(text)
+    d, q = parse(text).params
+    fld = G.field
+    assert fld.q == q * q and G.dim == d
+    add = fld.add_table()
+    mul = fld.mul_table()
+    one = fld.one_index
+    conj = []
+    for x in range(fld.q):
+        y = one
+        for _ in range(q):
+            y = mul[y][x]
+        conj.append(y)
+    ident = [one if i == j else 0 for i in range(d) for j in range(d)]
+    for A in G._data:
+        gram = []
+        for i in range(d):
+            for j in range(d):
+                acc = 0
+                for l in range(d):
+                    acc = add[acc][mul[conj[A[l * d + i]]][A[l * d + j]]]
+                gram.append(acc)
+        assert gram == ident, A
+    assert len(set(G._data)) == len(G._data) == order_formula(text)
