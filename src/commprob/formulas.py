@@ -406,7 +406,7 @@ def _matrix_formula_cp(mf: MatrixFormula, q: int, n: int) -> Fraction:
         raise InputError("n must be at least 2")
     counts = _evaluate_matrix_formula(mf, q)
     c = count_via_matrix(counts, 0, n - 1)
-    order = ORDER_POLYS[mf.family](q)
+    order = mf.order(q)
     if order.denominator != 1:
         raise InternalError(f"{mf.family} group order is not an integer at q={q}")
     return Fraction(c, order.numerator ** (n - 1))

@@ -271,14 +271,13 @@ class Group:
     """An enumerated finite group with deterministic integer ids."""
 
     __slots__ = (
-        "kind", "descriptor", "degree", "field", "dim",
+        "kind", "descriptor", "field", "dim",
         "_data", "_ids", "_inv", "_mul_data", "_inv_data",
-        "generator_ids", "_subgroups", "_full", "_branching", "_lescot_memo",
+        "_subgroups", "_full", "_branching", "_lescot_memo",
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
-                 descriptor="", generators_data=(), degree=None,
-                 fld=None, dim=None):
+                 descriptor="", fld=None, dim=None):
         if len(data) > GROUP_SIZE_CAP:
             raise SizeCapError(
                 f"group of order {len(data)} exceeds the size cap {GROUP_SIZE_CAP}"
@@ -287,7 +286,6 @@ class Group:
             raise InputError("element list must start with the identity")
         self.kind = kind
         self.descriptor = descriptor
-        self.degree = degree
         self.field = fld
         self.dim = dim
         self._mul_data = mul_data
@@ -300,7 +298,6 @@ class Group:
             self._inv = [self._ids[inv_data(d)] for d in self._data]
         except KeyError:
             raise InputError("element set is not closed under inversion") from None
-        self.generator_ids = tuple(self._ids[g] for g in generators_data)
         self._subgroups = {}
         self._full = None
         self._branching = None
@@ -329,7 +326,7 @@ class Group:
         identity = tuple(range(n))
         data, _ = _bfs_closure(mul_data, identity, gens)
         return cls("perm", mul_data, inv_data, identity, data,
-                   descriptor=descriptor, generators_data=gens, degree=n)
+                   descriptor=descriptor)
 
     @classmethod
     def from_permutation_list(cls, n, elements, descriptor=""):
@@ -337,7 +334,7 @@ class Group:
         identity = tuple(range(n))
         data = _identity_first(elements, identity)
         return cls("perm", mul_data, inv_data, identity, data,
-                   descriptor=descriptor, degree=n)
+                   descriptor=descriptor)
 
     @classmethod
     def from_matrix_generators(cls, fld, d, generators, descriptor=""):
@@ -348,7 +345,7 @@ class Group:
                 raise InputError("generator matrix is not invertible")
         data, _ = _bfs_closure(ops.mul, ops.identity, gens)
         return cls("matrix", ops.mul, ops.inv, ops.identity, data,
-                   descriptor=descriptor, generators_data=gens, fld=fld, dim=d)
+                   descriptor=descriptor, fld=fld, dim=d)
 
     @classmethod
     def from_matrix_list(cls, fld, d, elements, descriptor=""):
@@ -389,7 +386,7 @@ class Group:
             raise InputError("generated subset is not closed under multiplication")
         _light_test(sub, [ids[g] for g in gens])
         return cls("table", mul_data, inv_data, identity, data,
-                   descriptor=descriptor, generators_data=gens)
+                   descriptor=descriptor)
 
     # -- core accessors --
 

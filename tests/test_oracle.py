@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from conftest import ORACLE_GRID, count_products, fresh_build
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
-from commprob.errors import BudgetError, InputError
+from commprob import oracle
+from commprob.errors import BudgetError, InputError, InternalError
 from commprob.oracle import (
     commuting_pairs_matrix_algebra,
     commuting_tuples_count,
@@ -119,3 +121,32 @@ def test_pair_orbits_build_one_centralizer_table(monkeypatch):
     report = simultaneous_classes_count(G, 2)
     assert products[0] <= 4882, products[0]
     assert report.tuple_count == commuting_tuples_count(G, 2)
+
+
+def test_oracle_leaves_no_reference_cycles():
+    # nothing the oracle builds (counter memo, enumeration, visited set)
+    # may wait for the cyclic collector to be freed
+    G = build("GL(2,3)")
+    gc.collect()
+    gc.disable()
+    try:
+        simultaneous_classes_count(G, 3)
+        assert gc.collect() == 0
+        commuting_tuples_count(G, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("perm, message", [
+    # every map the identity: each of the 18 commuting pairs of S(3) is
+    # its own orbit, but Burnside counts 8 classes
+    ([0, 1, 2, 3, 4, 5], "Burnside count 8 != orbit partition count 18"),
+    # swapping ids 1 and 2 alone is no automorphism of S(3): the walk
+    # leaves the commuting pairs
+    ([0, 2, 1, 3, 4, 5], "reached 20 tuples, counted 18"),
+])
+def test_wrong_conjugation_action_fails_a_check(monkeypatch, perm, message):
+    monkeypatch.setattr(oracle, "_conjugation_action", lambda H: ((1,), [perm]))
+    with pytest.raises(InternalError, match=message):
+        simultaneous_classes_count(fresh_build("S(3)"), 2)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "commprob"
 
@@ -16,3 +17,21 @@ def test_src_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py")), SRC
     assert not found, "assert statements in src/commprob: " + ", ".join(found)
+
+
+def test_src_imports_only_the_standard_library():
+    # pyproject.toml declares dependencies = []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert list(SRC.glob("*.py")), SRC
+    assert not found, "non-stdlib imports in src/commprob: " + ", ".join(found)
