@@ -330,16 +330,20 @@ def _cmd_feitfine(args) -> int:
 
 def _cmd_verify(args) -> int:
     rows, ok = verify_suite(args.grid)
+    # with the report on stdout, the table and summary go to stderr so
+    # that stdout stays one JSON document
+    out = sys.stdout
     if args.json_path:
         text = report_json(rows)
         if args.json_path == "-":
             sys.stdout.write(text)
+            out = sys.stderr
         else:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    sys.stdout.write(render_table(rows))
+    out.write(render_table(rows))
     mismatches = sum(1 for r in rows if not r["match"])
-    print(f"rows: {len(rows)}  mismatches: {mismatches}")
+    print(f"rows: {len(rows)}  mismatches: {mismatches}", file=out)
     return 0 if ok else 1
 
 
@@ -396,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification grid")
     p.add_argument("--grid", choices=("default", "full"), default="default")
     p.add_argument("--json", dest="json_path", metavar="PATH",
-                   help="write the JSON report to PATH ('-' for stdout)")
+                   help="write the JSON report to PATH ('-' for stdout, which "
+                        "moves the table to stderr)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: the grid runs on one thread")
     p.set_defaults(func=_cmd_verify)

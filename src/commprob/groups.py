@@ -16,9 +16,12 @@ centralizers) is kept on that object.  Matrix products are straight-line
 code over the field's add and mul tables for d = 1, 2, 3.
 
 A non-abelian subgroup H gets, on its first class or centralizer call,
-the conjugation action of its small generating set as integer
+the conjugation action of a small generating set as integer
 permutations of the positions in ``H.key``, built once at 2 products per
-element per generator and kept on the subgroup.  Conjugacy classes,
+element per generator and kept on the subgroup.  That set is the greedy
+one of ``generating_ids`` unless a bounded search over a few seeded
+random pairs finds two elements that generate H, so the action has at
+most as many generators as greedy and usually two.  Conjugacy classes,
 centralizer orbits and z-classes are then breadth-first searches by
 integer indexing.  Centralizers are point stabilizers of that action:
 Schreier generators, formed from a lazily built transversal, closed by
@@ -45,6 +48,8 @@ GROUP_SIZE_CAP = 250_000
 _EXHAUSTIVE_CHECK_LIMIT = 200
 _SAMPLE_CHECKS = 512
 _CHECK_SEED = 0x5EED
+_PAIR_SEED = 0x9A12
+_PAIR_TRIALS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +658,15 @@ def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
     generators (Dimino).  With a ``target`` order known to be the new
     subgroup's, stops as soon as the closure has that many elements."""
     ids = G._ids
+    data = G._data
     mul_data = G._mul_data
     old = list(closure.values())
     gens.append(g)
 
     def add_coset(r):
         for k in old:
-            p = mul_data(k, r)
-            closure[ids[p]] = p
+            i = ids[mul_data(k, r)]
+            closure[i] = data[i]
             if len(closure) == target:
                 return True
         return False
@@ -682,7 +688,9 @@ def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
 
 def generating_ids(H: Subgroup) -> tuple:
     """A small generating set of H: greedy over ascending ids, so at most
-    log2 |H| generators."""
+    log2 |H| generators.  The abelian test, the center and the derived
+    subgroup use it as it is; the conjugation action replaces it by a
+    generating pair when ``_generating_pair`` finds one."""
     if H._gens is not None:
         return H._gens
     G = H.group
@@ -701,12 +709,44 @@ def generating_ids(H: Subgroup) -> tuple:
     return H._gens
 
 
+def _generating_pair(H: Subgroup):
+    """Two ids that generate H, or None: at most ``_PAIR_TRIALS`` pairs
+    drawn from ``H.key`` by a generator seeded with the integer
+    ``_PAIR_SEED``.  A commuting pair is rejected with 2 products.
+    Otherwise the pair's Dimino closure stops as soon as it holds more
+    than |H|/2 elements, which by Lagrange is all of H."""
+    G = H.group
+    data = G._data
+    mul_data = G._mul_data
+    key = H.key
+    half = len(key) // 2 + 1
+    rng = random.Random(_PAIR_SEED)
+    for _ in range(_PAIR_TRIALS):
+        a, b = sorted(rng.sample(key, 2))
+        ad = data[a]
+        bd = data[b]
+        if mul_data(ad, bd) == mul_data(bd, ad):
+            continue
+        # b is not in <a>, since it does not commute with a
+        closure = {0: data[0]}
+        gens = []
+        _dimino_add(G, closure, gens, ad)
+        _dimino_add(G, closure, gens, bd, half)
+        if len(closure) == half:
+            return (a, b)
+    return None
+
+
 def _conjugation_action(H: Subgroup) -> tuple:
-    """The pair (gens, perms): ``gens = generating_ids(H)``, and the
+    """The pair (gens, perms): ``gens`` generates H, and perms holds the
     conjugation action y -> s y s^-1 of each generator s on H as one
     integer permutation per generator, an ``array('i')`` over the
-    positions in ``H.key`` (for the whole group, positions are ids).  It
-    costs 2 products per element per generator and is kept on the
+    positions in ``H.key`` (for the whole group, positions are ids).
+
+    The action costs 2 products per element per generator, so when the
+    greedy ``generating_ids(H)`` has more than two generators,
+    ``_generating_pair`` looks for two that generate H, and the greedy
+    set is kept only when it finds none.  The action is kept on the
     subgroup, so it is built once; every orbit walk after that is integer
     indexing.  Callers take the generators from this pair, so a
     transversal is always formed from the generators the permutations
@@ -714,6 +754,8 @@ def _conjugation_action(H: Subgroup) -> tuple:
     if H._action is not None:
         return H._action
     gens = generating_ids(H)
+    if len(gens) > 2:
+        gens = _generating_pair(H) or gens
     G = H.group
     data = G._data
     inv = G._inv

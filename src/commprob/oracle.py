@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
@@ -123,6 +124,12 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     # each tuple not reached yet starts an orbit, walked under the
     # conjugation maps of the whole group's generators
     maps = [tuple(perm) for perm in _conjugation_action(G.full())[1]]
+    if n > 1:
+        getter = itemgetter
+    else:
+        # itemgetter of one index returns a scalar, and of none raises
+        def getter(*cur):
+            return lambda cm: tuple([cm[x] for x in cur])
     visited = set()
     enumerated = orbit_count = 0
     for t in _commuting_tuples(cents, n):
@@ -133,9 +140,7 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
         visited.add(t)
         stack = [t]
         while stack:
-            cur = stack.pop()
-            for cm in maps:
-                img = tuple([cm[x] for x in cur])
+            for img in map(getter(*stack.pop()), maps):
                 if img not in visited:
                     visited.add(img)
                     stack.append(img)

@@ -139,6 +139,29 @@ def mul_z_classes(H):
     return blocks
 
 
+def bfs_generated(G, gens):
+    """Reference closure: the sorted ids of the subgroup of G generated
+    by the ids ``gens``, by a breadth-first search with ``G.mul``."""
+    seen = {0}
+    queue = [0]
+    for y in queue:
+        for g in gens:
+            z = G.mul(g, y)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return tuple(sorted(seen))
+
+
+def greedy_action_generators(monkeypatch):
+    """Make every conjugation action built from now on use the greedy
+    generating set of ``generating_ids``, as it did before the
+    two-element search: the search finds no pair."""
+    from commprob import groups
+
+    monkeypatch.setattr(groups, "_generating_pair", lambda _H: None)
+
+
 def fresh_build(desc):
     """A newly built catalog group, bypassing the build cache, so that no
     subgroup of it has generators, an action, classes or centralizers

@@ -164,6 +164,15 @@ def test_verify_starts_no_thread(tmp_path, capsys, monkeypatch):
     assert json.loads(path.read_text(encoding="utf-8")) == rows
 
 
+def test_verify_json_on_stdout_is_one_document(capsys):
+    # with the report on stdout, the table and the summary go to stderr
+    code, out, err = run(capsys, "verify", "--grid", "default", "--json", "-")
+    assert code == 1
+    rows, _ = verify_suite("default")
+    assert json.loads(out) == rows
+    assert f"rows: {len(rows)}  mismatches:" in err
+
+
 # -- cache behavior --
 
 def test_cache_roundtrip(cache_env, capsys):

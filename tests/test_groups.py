@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,15 +9,17 @@ import pytest
 
 from conftest import (
     bfs_classes,
+    bfs_generated,
     count_products,
     fresh_build,
+    greedy_action_generators,
     mul_z_classes,
     scan_centralizer,
     schoolbook_mat_mul,
 )
 
 from commprob import groups
-from commprob.branching import build_branching
+from commprob.branching import build_branching, lump
 from commprob.catalog import SMALL_GROUPS, build
 from commprob.errors import InputError, InternalError, SizeCapError
 from commprob.gf import field
@@ -335,7 +338,10 @@ def test_z_classes_match_mul_reference():
         assert z_classes(H) == mul_z_classes(H), desc
 
 
-@pytest.mark.parametrize("desc, bound", [("GL(3,2)", 1777), ("U(3,2)", 12781)])
+@pytest.mark.parametrize("desc, bound", [
+    ("GL(3,2)", 1777), ("U(3,2)", 12781),
+    ("GL(3,3)", 90_000), ("U(3,3)", 250_000),
+])
 def test_branching_work_count(monkeypatch, desc, bound):
     # element products of a cold branching expansion: each conjugation
     # orbit is paid for once, by the integer action
@@ -478,6 +484,109 @@ def test_generating_ids_small():
     G = build("CxC(2,2,2)")
     gens = generating_ids(G.full())
     assert len(gens) == 3  # at most log2 |G|, and exactly 3 here
+
+
+# -- generating sets of the conjugation action --
+
+GENSET_GROUPS = SMALL_GROUPS + ("GL(3,2)", "U(3,2)", "GL(3,3)", "U(3,3)")
+
+
+def action_generators(G):
+    """(state key, action generators, greedy generators) for every
+    non-abelian state of G's branching matrix."""
+    out = []
+    for st in build_branching(G).states:
+        if not st.abelian:
+            H = G.subgroup(st.key, validate=False)
+            out.append((st.key, groups._conjugation_action(H)[0],
+                        generating_ids(H)))
+    return out
+
+
+def test_action_generators_generate_each_state():
+    kept_greedy = 0
+    for desc in GENSET_GROUPS:
+        G = build(desc)
+        for key, gens, greedy in action_generators(G):
+            assert bfs_generated(G, gens) == key, (desc, len(key))
+            assert len(gens) <= len(greedy), (desc, len(key))
+            kept_greedy += len(gens) > 2
+    # the search gives up on some state and keeps its greedy set
+    assert kept_greedy > 0
+
+
+@pytest.mark.parametrize("desc", ["GL(3,3)", "U(3,3)"])
+def test_root_action_has_two_generators(desc):
+    G = build(desc)
+    assert len(generating_ids(G.full())) > 2
+    assert len(groups._conjugation_action(G.full())[0]) == 2
+
+
+def test_generating_pair_falls_back_to_greedy():
+    # D(4) x C(2) is not generated by two elements
+    G = Group.from_permutation_generators(
+        6, [(1, 2, 3, 0, 4, 5), (2, 1, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4)])
+    H = G.full()
+    assert G.order == 16 and not is_abelian(H)
+    assert groups._generating_pair(H) is None
+    assert groups._conjugation_action(H)[0] == generating_ids(H)
+    assert len(generating_ids(H)) == 3
+
+
+def test_dimino_closure_keeps_the_group_data():
+    # the closure holds the group's own element tuples, not fresh products
+    G = build("GL(3,2)")
+    data = G._data
+    closure = {0: data[0]}
+    gens = []
+    for g in generating_ids(G.full()):
+        if g not in closure:
+            groups._dimino_add(G, closure, gens, data[g])
+    assert len(closure) == G.order
+    assert all(v is data[i] for i, v in closure.items())
+
+
+def test_action_generators_ignore_the_hash_seed():
+    script = (
+        "import hashlib, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from test_groups import GENSET_GROUPS, action_generators\n"
+        "from commprob.catalog import build\n"
+        "out = [(d, action_generators(build(d))) for d in GENSET_GROUPS]\n"
+        "print(hashlib.sha256(repr(out).encode()).hexdigest())\n"
+    )
+    here = [(d, action_generators(build(d))) for d in GENSET_GROUPS]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == hashlib.sha256(repr(here).encode()).hexdigest()
+
+
+def test_two_generator_action_matches_greedy_action(monkeypatch):
+    # everything the action feeds equals a run on a fresh copy whose
+    # actions use the greedy generating sets
+    for desc in GENSET_GROUPS:
+        G = build(desc)
+        with monkeypatch.context() as m:
+            greedy_action_generators(m)
+            R = fresh_build(desc)
+            bm, ref = build_branching(G), build_branching(R)
+            assert bm == ref, desc
+            assert [st.key for st in bm.states] == [st.key for st in ref.states]
+            assert lump(bm) == lump(ref), desc
+            for st in bm.states:
+                H = G.subgroup(st.key, validate=False)
+                K = R.subgroup(st.key, validate=False)
+                if not st.abelian:
+                    assert groups._conjugation_action(K)[0] == generating_ids(K)
+                cd, cr = conjugacy_classes(H), conjugacy_classes(K)
+                assert cd.classes == cr.classes, (desc, st.key)
+                assert cd.class_of == cr.class_of, (desc, st.key)
+                assert [centralizer(H, c.rep).key for c in cd.classes] == \
+                    [centralizer(K, c.rep).key for c in cr.classes]
+                assert z_classes(H) == z_classes(K), (desc, st.key)
 
 
 # -- z-classes --
