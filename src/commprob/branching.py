@@ -65,14 +65,6 @@ class BranchingMatrix:
         n = len(self.states)
         return [sum(self.counts[j][i] for j in range(n)) for i in range(n)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BranchingMatrix)
-            and self.states == other.states
-            and self.counts == other.counts
-            and self.root == other.root
-        )
-
 
 def count_via_matrix(counts, root: int, n: int) -> int:
     """1^T M^n e_root for a square nonnegative integer matrix, by

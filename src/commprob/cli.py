@@ -22,7 +22,7 @@ from .branching import (
     cp_via_lescot,
     lump,
 )
-from .catalog import build, metadata, parse
+from .catalog import build, metadata, order_formula, parse
 from .errors import (
     BudgetError,
     CacheError,
@@ -176,8 +176,10 @@ def _emit(payload: dict, as_json: bool, human_lines):
 
 def _cmd_info(args) -> int:
     desc = parse(args.descriptor)
-    meta = metadata(desc)
+    # build first: its size cap rejects a huge group before metadata
+    # trial-divides the order
     G = build(desc)
+    meta = metadata(desc)
     cd = conjugacy_classes(G.full())
     zc = len(z_classes(G.full()))
     payload = {
@@ -219,8 +221,6 @@ def _obtain_branching(desc, use_cache: bool):
     descriptor = str(desc)
     order = None
     if use_cache:
-        from .catalog import order_formula
-
         order = order_formula(desc)
         bm = cache_load(descriptor, order)
         if bm is not None:

@@ -15,20 +15,19 @@ generating set, abelian flag, conjugation action, classes and
 centralizers) is kept on that object.  Matrix products are straight-line
 code over the field's add and mul tables for d = 1, 2, 3.
 
-A non-abelian subgroup H gets, on its first class or centralizer call,
-the conjugation action of a small generating set as integer
-permutations of the positions in ``H.key``, built once at 2 products per
-element per generator and kept on the subgroup.  That set is the greedy
-one of ``generating_ids`` unless a bounded search over a few seeded
-random pairs finds two elements that generate H, so the action has at
-most as many generators as greedy and usually two.  Conjugacy classes,
-centralizer orbits and z-classes are then breadth-first searches by
-integer indexing.  Centralizers are point stabilizers of that action:
-Schreier generators, formed from a lazily built transversal, closed by
-an incremental Dimino closure that stops at the orbit–stabilizer order
-|H| / |x^H|.  Centers and derived series use direct scans and normal
-closures, which is the right trade-off at the scales this package
-targets (groups up to a few hundred thousand elements).
+Each subgroup has one generating set, ``generating_ids``: two elements
+that generate H when a bounded search over a few seeded random pairs
+finds them, which also shows that H is not abelian, and otherwise the
+greedy set.  A non-abelian subgroup H gets, on first use, the
+conjugation action of that set as integer permutations of the positions
+in ``H.key``, built once at 2 products per element per generator and
+kept on the subgroup.  It is the only place here that multiplies
+elements to conjugate them: conjugacy classes, centralizer orbits,
+z-classes, the center (the points every permutation fixes) and the
+normal closure behind the derived subgroup are then integer indexing.
+Centralizers are point stabilizers of that action: Schreier generators,
+formed from a lazily built transversal, closed by an incremental Dimino
+closure that stops at the orbit–stabilizer order |H| / |x^H|.
 """
 
 from __future__ import annotations
@@ -687,12 +686,21 @@ def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
 
 
 def generating_ids(H: Subgroup) -> tuple:
-    """A small generating set of H: greedy over ascending ids, so at most
-    log2 |H| generators.  The abelian test, the center and the derived
-    subgroup use it as it is; the conjugation action replaces it by a
-    generating pair when ``_generating_pair`` finds one."""
+    """The generating set of H, kept on it and used by the abelian test,
+    the conjugation action and the derived subgroup alike.
+
+    It is the pair of ``_generating_pair`` when that finds one, which
+    also settles that H is not abelian; otherwise it is greedy over
+    ascending ids, so at most log2 |H| generators.  A pair exists only
+    for a non-abelian H, where greedy needs at least two, so the set
+    never has more generators than greedy."""
     if H._gens is not None:
         return H._gens
+    pair = _generating_pair(H)
+    if pair is not None:
+        H._abelian = False
+        H._gens = pair
+        return pair
     G = H.group
     data = G._data
     gens = []
@@ -712,13 +720,17 @@ def generating_ids(H: Subgroup) -> tuple:
 def _generating_pair(H: Subgroup):
     """Two ids that generate H, or None: at most ``_PAIR_TRIALS`` pairs
     drawn from ``H.key`` by a generator seeded with the integer
-    ``_PAIR_SEED``.  A commuting pair is rejected with 2 products.
-    Otherwise the pair's Dimino closure stops as soon as it holds more
-    than |H|/2 elements, which by Lagrange is all of H."""
+    ``_PAIR_SEED``.  A commuting pair is rejected with 2 products, so an
+    abelian H costs at most 10.  Otherwise the pair's Dimino closure
+    stops as soon as it holds more than |H|/2 elements, which by
+    Lagrange is all of H.  Every group of order below 6 is abelian, so
+    those are not searched."""
+    key = H.key
+    if len(key) < 6:
+        return None
     G = H.group
     data = G._data
     mul_data = G._mul_data
-    key = H.key
     half = len(key) // 2 + 1
     rng = random.Random(_PAIR_SEED)
     for _ in range(_PAIR_TRIALS):
@@ -737,25 +749,18 @@ def _generating_pair(H: Subgroup):
     return None
 
 
-def _conjugation_action(H: Subgroup) -> tuple:
-    """The pair (gens, perms): ``gens`` generates H, and perms holds the
-    conjugation action y -> s y s^-1 of each generator s on H as one
-    integer permutation per generator, an ``array('i')`` over the
-    positions in ``H.key`` (for the whole group, positions are ids).
+def _conjugation_action(H: Subgroup) -> list:
+    """The conjugation action y -> s y s^-1 of each generator s in
+    ``generating_ids(H)`` on H, as one integer permutation per generator,
+    in the same order: an ``array('i')`` over the positions in ``H.key``
+    (for the whole group, positions are ids).
 
-    The action costs 2 products per element per generator, so when the
-    greedy ``generating_ids(H)`` has more than two generators,
-    ``_generating_pair`` looks for two that generate H, and the greedy
-    set is kept only when it finds none.  The action is kept on the
-    subgroup, so it is built once; every orbit walk after that is integer
-    indexing.  Callers take the generators from this pair, so a
-    transversal is always formed from the generators the permutations
-    were built from."""
+    This is the only place here that multiplies elements to conjugate
+    them.  It costs 2 products per element per generator and is kept on
+    the subgroup, so it is built once; every orbit walk after that is
+    integer indexing."""
     if H._action is not None:
         return H._action
-    gens = generating_ids(H)
-    if len(gens) > 2:
-        gens = _generating_pair(H) or gens
     G = H.group
     data = G._data
     inv = G._inv
@@ -768,23 +773,22 @@ def _conjugation_action(H: Subgroup) -> tuple:
         points = [data[h] for h in key]
         where = {y: i for i, y in enumerate(points)}
     action = []
-    for g in gens:
+    for g in generating_ids(H):
         gd = data[g]
         gdi = data[inv[g]]
         action.append(array("i", [where[mul_data(mul_data(gd, y), gdi)]
                                   for y in points]))
-    H._action = (gens, action)
-    return H._action
+    H._action = action
+    return action
 
 
 def conjugacy_classes(H: Subgroup) -> ClassData:
     """Partition H into conjugation orbits under H itself.
 
     The orbits are walked on positions in ``H.key`` through the integer
-    conjugation action of ``generating_ids(H)``, so no product is made
-    once the action is built; an abelian H is split into singletons
-    without building it.  Seeds ascend, so each class representative is
-    its minimal id."""
+    conjugation action, so no product is made once the action is built;
+    an abelian H is split into singletons without building it.  Seeds
+    ascend, so each class representative is its minimal id."""
     if H._classes is not None:
         return H._classes
     key = H.key
@@ -795,7 +799,7 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
             classes.append(ConjugacyClass(h, 1, (h,)))
             class_of[h] = ci
     else:
-        action = _conjugation_action(H)[1]
+        action = _conjugation_action(H)
         label = [-1] * len(key)
         for seed, seen in enumerate(label):
             if seen >= 0:
@@ -822,13 +826,14 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, §4.1).
 
-    A breadth-first search through the integer conjugation action of
-    ``generating_ids(H)`` finds the class x^H with parent pointers
-    (orbit index, generator index), making no product.  Every non-tree
-    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y, which
-    commutes with x; the transversal element t_y (t_y x t_y^-1 = y) is
-    formed from the parent pointers only when a Schreier generator needs
-    it, and kept.  The Schreier generators are added one at a time by an
+    A breadth-first search through the integer conjugation action finds
+    the class x^H with parent pointers (orbit index, generator index),
+    making no product.  Generator i of ``generating_ids(H)`` is
+    permutation i of the action.  Every non-tree edge y -> s y s^-1 = z
+    gives a Schreier generator t_z^-1 s t_y, which commutes with x; the
+    transversal element t_y (t_y x t_y^-1 = y) is formed from the parent
+    pointers only when a Schreier generator needs it, and kept.  The
+    Schreier generators are added one at a time by an
     incremental Dimino closure, which stops as soon as the closure
     reaches the known order |H| / |x^H|, so most of them and most
     transversal elements are never formed.  A class of size 1 gives H
@@ -845,7 +850,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         return Z
     if H._abelian:
         return H
-    gens, action = _conjugation_action(H)
+    gens = generating_ids(H)
+    action = _conjugation_action(H)
 
     # orbit of x's position; point i was first reached from point up[i]
     # by generator via[i]
@@ -915,56 +921,52 @@ def is_abelian(H: Subgroup) -> bool:
     if H._abelian is None:
         G = H.group
         gens = generating_ids(H)
-        H._abelian = all(
-            G.mul(a, b) == G.mul(b, a) for a in gens for b in gens
-        )
+        # a generating pair has settled it already
+        if H._abelian is None:
+            H._abelian = all(
+                G.mul(a, b) == G.mul(b, a) for a in gens for b in gens
+            )
     return H._abelian
 
 
 def center(H: Subgroup) -> Subgroup:
-    G = H.group
-    gens = generating_ids(H)
-    data = G._data
-    mul_data = G._mul_data
-    gd = [data[g] for g in gens]
-    members = [
-        h for h in H.key
-        if all(mul_data(data[h], g) == mul_data(g, data[h]) for g in gd)
-    ]
-    return Subgroup(G, members, _validate=False)
+    """Z(H): H itself when H is abelian, otherwise the members at the
+    positions that every permutation of the conjugation action fixes,
+    found with no product."""
+    if is_abelian(H):
+        return H
+    action = _conjugation_action(H)
+    members = [h for i, h in enumerate(H.key)
+               if all(perm[i] == i for perm in action)]
+    return Subgroup(H.group, members, _validate=False)
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
-    """Derived subgroup: normal closure in H of generator commutators."""
+    """Derived subgroup: the trivial group when H is abelian, otherwise
+    the normal closure in H of the generators' commutators, whose members
+    are conjugated through the integer action."""
     G = H.group
+    if is_abelian(H):
+        return Subgroup(G, [0], _validate=False)
     gens = generating_ids(H)
+    action = _conjugation_action(H)
+    key = H.key
     inv = G.inv
     mul = G.mul
-    comms = set()
-    for a in gens:
-        for b in gens:
-            comms.add(mul(mul(inv(a), inv(b)), mul(a, b)))
-    comms.discard(0)
-    if not comms:
-        return Subgroup(G, [0], _validate=False)
-    seed = sorted(comms)
+    # non-empty: two of the generators do not commute
+    comms = {mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens}
     data = G._data
     genlist = []
     members = {0: data[0]}
-    pending = list(reversed(seed))
-    gpairs = [(g, inv(g)) for g in gens]
+    pending = sorted(comms - {0}, reverse=True)
     while pending:
         c = pending.pop()
         if c in members:
             continue
         _dimino_add(G, members, genlist, data[c])
-        new_conj = set()
-        for m in members:
-            for g, gi in gpairs:
-                w = mul(mul(g, m), gi)
-                if w not in members:
-                    new_conj.add(w)
-        pending.extend(sorted(new_conj, reverse=True))
+        points = [bisect_left(key, m) for m in members]
+        new_conj = {key[perm[y]] for y in points for perm in action}
+        pending.extend(sorted(new_conj - members.keys(), reverse=True))
     return Subgroup(G, members, _validate=False)
 
 
@@ -1009,13 +1011,13 @@ def z_classes(H: Subgroup) -> list:
 
     Centralizers are conjugated as sorted tuples of positions in
     ``H.key`` (positions ascend with ids, so a subgroup key maps to a
-    sorted position tuple) through the integer conjugation action of
-    ``generating_ids(H)``; an abelian H is a single block."""
+    sorted position tuple) through the integer conjugation action; an
+    abelian H is a single block."""
     cd = conjugacy_classes(H)
     if is_abelian(H):
         return [list(range(cd.k))]
     key = H.key
-    action = _conjugation_action(H)[1]
+    action = _conjugation_action(H)
     orbit_of = {}
     blocks = []
     for i, c in enumerate(cd.classes):

@@ -123,7 +123,7 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
 
     # each tuple not reached yet starts an orbit, walked under the
     # conjugation maps of the whole group's generators
-    maps = [tuple(perm) for perm in _conjugation_action(G.full())[1]]
+    maps = [tuple(perm) for perm in _conjugation_action(G.full())]
     if n > 1:
         getter = itemgetter
     else:

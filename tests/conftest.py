@@ -153,10 +153,31 @@ def bfs_generated(G, gens):
     return tuple(sorted(seen))
 
 
+def scan_center(H):
+    """Reference center: the sorted ids of H commuting with every member
+    of H, by testing every pair with ``G.mul``."""
+    G = H.group
+    return tuple(
+        z for z in H.key
+        if all(G.mul(z, h) == G.mul(h, z) for h in H.key)
+    )
+
+
+def commutator_closure(H):
+    """Reference derived subgroup: the sorted ids of the subgroup
+    generated by the commutators a^-1 b^-1 a b of all members a, b of H,
+    by ``bfs_generated``."""
+    G = H.group
+    mul = G.mul
+    comms = {mul(mul(G.inv(a), G.inv(b)), mul(a, b))
+             for a in H.key for b in H.key}
+    return bfs_generated(G, sorted(comms))
+
+
 def greedy_action_generators(monkeypatch):
-    """Make every conjugation action built from now on use the greedy
-    generating set of ``generating_ids``, as it did before the
-    two-element search: the search finds no pair."""
+    """Make every generating set computed from now on the greedy one of
+    ``generating_ids``, as before the two-element search, and so every
+    conjugation action built from it: the search finds no pair."""
     from commprob import groups
 
     monkeypatch.setattr(groups, "_generating_pair", lambda _H: None)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -8,6 +10,8 @@ from commprob.branching import build_branching
 from commprob.catalog import build
 from commprob.cli import _cache_path, cache_load, cache_store, main
 from commprob.formulas import verify_suite
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 @pytest.fixture
@@ -117,6 +121,18 @@ def test_invalid_descriptor_exit_2(capsys):
 def test_size_cap_exit_3(capsys):
     code, _, err = run(capsys, "info", "GL(3,5)")
     assert code == 3
+
+
+def test_info_rejects_a_huge_cyclic_group_at_once():
+    # the order 2^61 - 1 is prime: trial division of it would run for
+    # hours, so the size cap must reject the group before anything
+    # factors the order
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "commprob", "info", "C(2305843009213693951)"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert "size cap" in proc.stderr
 
 
 def test_budget_exit_3(capsys):

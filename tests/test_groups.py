@@ -10,10 +10,12 @@ import pytest
 from conftest import (
     bfs_classes,
     bfs_generated,
+    commutator_closure,
     count_products,
     fresh_build,
     greedy_action_generators,
     mul_z_classes,
+    scan_center,
     scan_centralizer,
     schoolbook_mat_mul,
 )
@@ -340,7 +342,7 @@ def test_z_classes_match_mul_reference():
 
 @pytest.mark.parametrize("desc, bound", [
     ("GL(3,2)", 1777), ("U(3,2)", 12781),
-    ("GL(3,3)", 90_000), ("U(3,3)", 250_000),
+    ("GL(3,3)", 65_000), ("U(3,3)", 215_000),
 ])
 def test_branching_work_count(monkeypatch, desc, bound):
     # element products of a cold branching expansion: each conjugation
@@ -456,6 +458,15 @@ def test_center_q8():
     assert center(build("Q8").full()).order == 2
 
 
+def test_center_and_derived_subgroup_match_references():
+    # the fixed points of the action and the normal closure through it,
+    # against a scan of all pairs and the closure of all commutators
+    for desc in SMALL_GROUPS + ("GL(3,2)",):
+        H = build(desc).full()
+        assert center(H).key == scan_center(H), desc
+        assert commutator_subgroup(H).key == commutator_closure(H), desc
+
+
 def test_derived_series_s3():
     G = s3()
     series = derived_series(G.full())
@@ -492,34 +503,52 @@ GENSET_GROUPS = SMALL_GROUPS + ("GL(3,2)", "U(3,2)", "GL(3,3)", "U(3,3)")
 
 
 def action_generators(G):
-    """(state key, action generators, greedy generators) for every
-    non-abelian state of G's branching matrix."""
+    """(state key, generating set) for every non-abelian state of G's
+    branching matrix: the set its conjugation action is built from."""
     out = []
     for st in build_branching(G).states:
         if not st.abelian:
             H = G.subgroup(st.key, validate=False)
-            out.append((st.key, groups._conjugation_action(H)[0],
-                        generating_ids(H)))
+            out.append((st.key, generating_ids(H)))
     return out
 
 
-def test_action_generators_generate_each_state():
+@pytest.fixture(scope="module")
+def greedy():
+    """Per group of GENSET_GROUPS, a fresh build whose generating sets
+    are all greedy: its branching matrix, its ``state_data`` and its
+    generating sets by state key."""
+    out = {}
+    with pytest.MonkeyPatch.context() as m:
+        greedy_action_generators(m)
+        for desc in GENSET_GROUPS:
+            R = fresh_build(desc)
+            out[desc] = (build_branching(R), state_data(R),
+                         dict(action_generators(R)))
+    return out
+
+
+def test_action_generators_generate_each_state(greedy):
     kept_greedy = 0
     for desc in GENSET_GROUPS:
         G = build(desc)
-        for key, gens, greedy in action_generators(G):
+        greedy_gens = greedy[desc][2]
+        for key, gens in action_generators(G):
+            H = G.subgroup(key, validate=False)
             assert bfs_generated(G, gens) == key, (desc, len(key))
-            assert len(gens) <= len(greedy), (desc, len(key))
+            assert len(gens) <= len(greedy_gens[key]), (desc, len(key))
+            assert len(groups._conjugation_action(H)) == len(gens)
             kept_greedy += len(gens) > 2
     # the search gives up on some state and keeps its greedy set
     assert kept_greedy > 0
 
 
 @pytest.mark.parametrize("desc", ["GL(3,3)", "U(3,3)"])
-def test_root_action_has_two_generators(desc):
-    G = build(desc)
-    assert len(generating_ids(G.full())) > 2
-    assert len(groups._conjugation_action(G.full())[0]) == 2
+def test_root_action_has_two_generators(desc, greedy):
+    root = build(desc).full()
+    assert len(greedy[desc][2][root.key]) > 2
+    assert len(generating_ids(root)) == 2
+    assert len(groups._conjugation_action(root)) == 2
 
 
 def test_generating_pair_falls_back_to_greedy():
@@ -529,8 +558,8 @@ def test_generating_pair_falls_back_to_greedy():
     H = G.full()
     assert G.order == 16 and not is_abelian(H)
     assert groups._generating_pair(H) is None
-    assert groups._conjugation_action(H)[0] == generating_ids(H)
     assert len(generating_ids(H)) == 3
+    assert len(groups._conjugation_action(H)) == 3
 
 
 def test_dimino_closure_keeps_the_group_data():
@@ -565,34 +594,28 @@ def test_action_generators_ignore_the_hash_seed():
 
 def state_data(G):
     """Per state of G's branching matrix: its key, class data, class_of,
-    the class representatives' centralizer keys and z-classes."""
+    the class representatives' centralizer keys, z-classes, and the keys
+    of its center and derived subgroup."""
     out = []
     for st in build_branching(G).states:
         H = G.subgroup(st.key, validate=False)
         cd = conjugacy_classes(H)
         out.append((st.key, cd.classes, cd.class_of,
                     [centralizer(H, c.rep).key for c in cd.classes],
-                    z_classes(H)))
+                    z_classes(H), center(H).key, commutator_subgroup(H).key))
     return out
 
 
-def test_two_generator_action_matches_greedy_action(monkeypatch):
+def test_two_generator_action_matches_greedy_action(greedy):
     # everything the action feeds equals a run on a fresh copy whose
-    # actions use the greedy generating sets
+    # generating sets, and so actions, are the greedy ones
     for desc in GENSET_GROUPS:
         G = build(desc)
         bm = build_branching(G)
-        got = state_data(G)
-        with monkeypatch.context() as m:
-            greedy_action_generators(m)
-            R = fresh_build(desc)
-            ref = build_branching(R)
-            want = state_data(R)
-            for key, gens, greedy in action_generators(R):
-                assert gens == greedy, (desc, len(key))
+        ref, want, _ = greedy[desc]
         assert bm == ref, desc
         assert lump(bm) == lump(ref), desc
-        assert got == want, desc
+        assert state_data(G) == want, desc
 
 
 # -- z-classes --

@@ -147,6 +147,6 @@ def test_oracle_leaves_no_reference_cycles():
     ([0, 2, 1, 3, 4, 5], "reached 20 tuples, counted 18"),
 ])
 def test_wrong_conjugation_action_fails_a_check(monkeypatch, perm, message):
-    monkeypatch.setattr(oracle, "_conjugation_action", lambda H: ((1,), [perm]))
+    monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         simultaneous_classes_count(fresh_build("S(3)"), 2)
