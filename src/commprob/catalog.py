@@ -16,25 +16,28 @@ Descriptors follow a small grammar:
     M(d,q)          d x d matrix algebra; parseable, but a monoid: it is
                     only a target for brute-force pair counts, not build()
 
-Each build is checked against the registered closed-form order and comes
-with metadata flags (abelian / simple / solvable where known).
+Each family is one row of the table ``_FAMILIES``: its parameter rule,
+its closed-form order and its builder.  Parsing, validation, the order
+formula and construction all look the family up there, so a family is
+added or changed in that one row.  Each build is checked against the
+row's order and comes with metadata flags (abelian / simple / solvable
+where known).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InputError, InternalError, SizeCapError
-from .gf import field, prime_power, is_prime
+from .gf import field, is_prime, is_prime_power, prime_power
 from .groups import GROUP_SIZE_CAP, Group, matrix_operations
 
 _ENUMERATION_CAP = 300_000
-
-_FAMILIES = ("C", "CxC", "S", "A", "D", "Q8", "UT", "GL", "SL", "Sp", "U", "PSL", "M")
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,10 @@ def parse(text: str) -> GroupDescriptor:
     if name is None:
         err(0, f"unknown family in {text!r}")
     i = len(name)
-    if name == "Q8":
+    if _FAMILIES[name].arity == 0:
         if i != len(stripped):
-            err(i, "Q8 takes no parameters")
-        return GroupDescriptor("Q8", ())
+            err(i, f"{name} takes no parameters")
+        return GroupDescriptor(name, ())
     if i >= len(stripped) or stripped[i] != "(":
         err(i, "expected '('")
     i += 1
@@ -116,56 +119,23 @@ def parse(text: str) -> GroupDescriptor:
     return desc
 
 
-def _require_prime_power(q, desc):
-    if prime_power(q) is None:
-        raise InputError(f"{desc}: q = {q} is not a prime power")
-
-
 def _validate(desc: GroupDescriptor):
-    fam, ps = desc.family, desc.params
-    if fam == "C":
-        if len(ps) != 1 or ps[0] < 1:
-            raise InputError(f"{desc}: C(n) needs one positive integer")
-    elif fam == "CxC":
-        if len(ps) < 1 or any(n < 1 for n in ps):
-            raise InputError(f"{desc}: CxC needs positive integers")
-    elif fam in ("S", "A"):
-        if len(ps) != 1 or ps[0] < 1:
-            raise InputError(f"{desc}: {fam}(n) needs one positive integer")
-    elif fam == "D":
-        if len(ps) != 1 or ps[0] < 1:
-            raise InputError(f"{desc}: D(n) needs one positive integer")
-    elif fam == "Q8":
-        pass
-    elif fam == "UT":
-        if len(ps) != 2 or ps[0] != 3:
-            raise InputError(f"{desc}: only UT(3,p) is supported")
-        if not is_prime(ps[1]):
-            raise InputError(f"{desc}: p = {ps[1]} is not prime")
-    elif fam in ("GL", "SL", "M"):
-        if len(ps) != 2:
-            raise InputError(f"{desc}: {fam}(d,q) needs two parameters")
+    """Raise InputError unless ``desc`` names a row of ``_FAMILIES`` and
+    meets its parameter rule."""
+    fam = _FAMILIES.get(desc.family)
+    if fam is None:
+        raise InputError(f"unknown family {desc.family!r}")
+    ps = desc.params
+    arity_ok = len(ps) >= 1 if fam.arity is None else len(ps) == fam.arity
+    if not arity_ok or any(n < 1 for n in ps):
+        raise InputError(f"{desc}: expected {fam.form} with positive integers")
+    if fam.degrees:
         d, q = ps
-        if not 1 <= d <= 3:
-            raise InputError(f"{desc}: unsupported degree {d} (need 1..3)")
-        _require_prime_power(q, desc)
-    elif fam == "Sp":
-        if len(ps) != 2 or ps[0] != 2:
-            raise InputError(f"{desc}: only Sp(2,q) is supported")
-        _require_prime_power(ps[1], desc)
-    elif fam == "U":
-        if len(ps) != 2:
-            raise InputError(f"{desc}: U(d,q) needs two parameters")
-        d, q = ps
-        if d not in (2, 3):
-            raise InputError(f"{desc}: unsupported degree {d} (need 2 or 3)")
-        _require_prime_power(q, desc)
-    elif fam == "PSL":
-        if len(ps) != 2 or ps[0] != 2:
-            raise InputError(f"{desc}: only PSL(2,q) is supported")
-        _require_prime_power(ps[1], desc)
-    else:  # pragma: no cover
-        raise InputError(f"unknown family {fam!r}")
+        if d not in fam.degrees:
+            raise InputError(f"{desc}: unsupported degree {d} (need "
+                             f"{' or '.join(str(k) for k in fam.degrees)})")
+        if not (is_prime(q) if fam.field == "prime" else is_prime_power(q)):
+            raise InputError(f"{desc}: q = {q} is not a {fam.field}")
 
 
 def _as_descriptor(desc) -> GroupDescriptor:
@@ -181,41 +151,7 @@ def _as_descriptor(desc) -> GroupDescriptor:
 
 def order_formula(desc) -> int:
     desc = _as_descriptor(desc)
-    fam, ps = desc.family, desc.params
-    if fam == "C":
-        return ps[0]
-    if fam == "CxC":
-        return math.prod(ps)
-    if fam == "S":
-        return math.factorial(ps[0])
-    if fam == "A":
-        n = ps[0]
-        return 1 if n < 3 else math.factorial(n) // 2
-    if fam == "D":
-        return 2 * ps[0]
-    if fam == "Q8":
-        return 8
-    if fam == "UT":
-        return ps[1] ** 3
-    if fam in ("GL", "SL"):
-        d, q = ps
-        gl = math.prod(q ** d - q ** i for i in range(d))
-        return gl if fam == "GL" else gl // (q - 1)
-    if fam == "M":
-        d, q = ps
-        return q ** (d * d)
-    if fam == "Sp":
-        q = ps[1]
-        return q * (q * q - 1)
-    if fam == "U":
-        d, q = ps
-        if d == 2:
-            return q * (q + 1) * (q * q - 1)
-        return q ** 3 * (q + 1) * (q * q - 1) * (q ** 3 + 1)
-    if fam == "PSL":
-        q = ps[1]
-        return q * (q * q - 1) // math.gcd(2, q - 1)
-    raise InputError(f"unknown family {fam!r}")  # pragma: no cover
+    return _FAMILIES[desc.family].order(*desc.params)
 
 
 def metadata(desc) -> GroupMeta:
@@ -274,7 +210,7 @@ def metadata(desc) -> GroupMeta:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each takes the descriptor text and the family's parameters
 # ---------------------------------------------------------------------------
 
 def _rotation(n, offset=0, degree=None):
@@ -285,12 +221,9 @@ def _rotation(n, offset=0, degree=None):
     return tuple(img)
 
 
-def _build_cyclic(n, descriptor):
-    gens = [] if n == 1 else [_rotation(n)]
-    return Group.from_permutation_generators(n, gens, descriptor)
-
-
-def _build_product_cyclic(ns, descriptor):
+def _build_product_cyclic(descriptor, *ns):
+    """C(n) and CxC(n1,...,nr): one rotation per factor n > 1, each on
+    its own block of points."""
     degree = sum(ns)
     gens = []
     offset = 0
@@ -301,7 +234,7 @@ def _build_product_cyclic(ns, descriptor):
     return Group.from_permutation_generators(degree, gens, descriptor)
 
 
-def _build_symmetric(n, descriptor):
+def _build_symmetric(descriptor, n):
     if n == 1:
         gens = []
     elif n == 2:
@@ -312,7 +245,7 @@ def _build_symmetric(n, descriptor):
     return Group.from_permutation_generators(n, gens, descriptor)
 
 
-def _build_alternating(n, descriptor):
+def _build_alternating(descriptor, n):
     if n <= 2:
         return Group.from_permutation_generators(n, [], descriptor)
     three_cycle = (1, 2, 0) + tuple(range(3, n))
@@ -326,7 +259,7 @@ def _build_alternating(n, descriptor):
     return Group.from_permutation_generators(n, gens, descriptor)
 
 
-def _build_dihedral(n, descriptor):
+def _build_dihedral(descriptor, n):
     if n == 1:
         return Group.from_permutation_generators(2, [(1, 0)], descriptor)
     if n == 2:
@@ -343,69 +276,56 @@ def _build_q8(descriptor):
         F3, 2, [[[0, 2], [1, 0]], [[1, 1], [1, 2]]], descriptor)
 
 
-def _build_ut3(p, descriptor):
+def _build_ut3(descriptor, d, p):
     F = field(p)
     e12 = (1, 1, 0, 0, 1, 0, 0, 0, 1)
     e23 = (1, 0, 0, 0, 1, 1, 0, 0, 1)
     return Group.from_matrix_generators(F, 3, [e12, e23], descriptor)
 
 
-def _check_cap(desc, order):
-    if order > GROUP_SIZE_CAP:
+def _linear_matrices(d, q, det_one):
+    """The d x d matrices over GF(q) with nonzero determinant, or with
+    determinant one when ``det_one``, in lexicographic order of their
+    flattened entry indices; and the field's matrix operations."""
+    fld = field(*prime_power(q))
+    if q ** (d * d) > _ENUMERATION_CAP:
         raise SizeCapError(
-            f"{desc}: order {order} exceeds the size cap {GROUP_SIZE_CAP}"
-        )
-
-
-def _enumerate_invertible(fld, d, keep):
-    """All invertible d x d matrices over fld passing ``keep``, in
-    lexicographic order of flattened entry indices."""
-    if fld.q ** (d * d) > _ENUMERATION_CAP:
-        raise SizeCapError(
-            f"matrix enumeration of size {fld.q ** (d * d)} exceeds "
+            f"matrix enumeration of size {q ** (d * d)} exceeds "
             f"the cap {_ENUMERATION_CAP}"
         )
     ops = matrix_operations(fld, d)
     det = ops.det
-    out = []
-    for flat in itertools.product(range(fld.q), repeat=d * d):
-        dt = det(flat)
-        if dt != 0 and keep(flat, dt):
-            out.append(flat)
-    return out, ops
+    entries = itertools.product(range(q), repeat=d * d)
+    if det_one:
+        one = fld.one_index
+        mats = [m for m in entries if det(m) == one]
+    else:
+        mats = [m for m in entries if det(m) != 0]
+    return mats, ops
 
 
-def _build_gl(d, q, descriptor):
-    p, k = prime_power(q)
-    fld = field(p, k)
-    mats, _ = _enumerate_invertible(fld, d, lambda m, dt: True)
-    return Group.from_matrix_list(fld, d, mats, descriptor)
+def _build_linear(descriptor, d, q, det_one=False):
+    """GL(d,q), or SL(d,q) when ``det_one``."""
+    mats, ops = _linear_matrices(d, q, det_one)
+    return Group.from_matrix_list(ops.field, d, mats, descriptor)
 
 
-def _build_sl(d, q, descriptor):
-    p, k = prime_power(q)
-    fld = field(p, k)
+def _build_sp2(descriptor, d, q):
+    """SL(2,q)'s matrices, each checked to preserve the symplectic form."""
+    mats, ops = _linear_matrices(d, q, det_one=True)
+    # A^T J A == J with J = [[0,1],[-1,0]]
+    fld = ops.field
     one = fld.one_index
-    mats, _ = _enumerate_invertible(fld, d, lambda m, dt: dt == one)
-    return Group.from_matrix_list(fld, d, mats, descriptor)
-
-
-def _build_sp2(q, descriptor):
-    p, k = prime_power(q)
-    fld = field(p, k)
-    one = fld.one_index
-    mats, ops = _enumerate_invertible(fld, 2, lambda m, dt: dt == one)
-    # form preservation sanity: A^T J A == J with J = [[0,1],[-1,0]]
     J = (0, one, fld.neg_table()[one], 0)
     mm = ops.mul
     tr = ops.transpose
     for A in mats:
         if mm(mm(tr(A), J), A) != J:
             raise InternalError(f"{descriptor}: matrix does not preserve the form")
-    return Group.from_matrix_list(fld, 2, mats, descriptor)
+    return Group.from_matrix_list(fld, d, mats, descriptor)
 
 
-def _build_unitary(d, q, descriptor):
+def _build_unitary(descriptor, d, q):
     """Matrices over GF(q^2) with orthonormal columns for the Hermitian
     form <u, v> = sum conj(u_i) v_i (identity Gram matrix, conjugation
     x -> x^q).
@@ -452,12 +372,12 @@ def _build_unitary(d, q, descriptor):
     return Group.from_matrix_list(ext, d, mats, descriptor)
 
 
-def _build_psl2(q, descriptor):
-    p, k = prime_power(q)
-    fld = field(p, k)
+def _build_psl2(descriptor, d, q):
+    """SL(2,q) acting on the q+1 points of the projective line, one
+    permutation per pair of matrices +-A, in order of first appearance."""
+    mats, ops = _linear_matrices(d, q, det_one=True)
+    fld = ops.field
     one = fld.one_index
-    mats, ops = _enumerate_invertible(fld, 2, lambda m, dt: dt == one)
-    mats = [ops.identity] + [m for m in mats if m != ops.identity]
     mul = fld.mul_table()
     add = fld.add_table()
     inv_t = fld.inv_table()
@@ -482,6 +402,65 @@ def _build_psl2(q, descriptor):
     return Group.from_permutation_list(len(points), perms, descriptor)
 
 
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+def _gl_order(d, q):
+    return math.prod(q ** d - q ** i for i in range(d))
+
+
+def _unitary_order(d, q):
+    if d == 2:
+        return q * (q + 1) * (q * q - 1)
+    return q ** 3 * (q + 1) * (q * q - 1) * (q ** 3 + 1)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One catalog family.
+
+    Parameter rule: ``arity`` positive integers (``None``: one or more).
+    A matrix family has ``degrees``, the allowed first parameter d, and
+    its last parameter must be a ``field`` size: a "prime" or a "prime
+    power".  ``order`` and ``build`` take the parameters (``build`` after
+    the descriptor text); a family without ``build`` is parse-only."""
+    form: str
+    order: Callable[..., int]
+    build: Optional[Callable[..., Group]]
+    arity: Optional[int] = 2
+    degrees: tuple = ()
+    field: str = "prime power"
+
+
+_FAMILIES = {
+    "C": _Family("C(n)", lambda n: n, _build_product_cyclic, arity=1),
+    "CxC": _Family("CxC(n1,...,nr)", lambda *ns: math.prod(ns),
+                   _build_product_cyclic, arity=None),
+    "S": _Family("S(n)", math.factorial, _build_symmetric, arity=1),
+    "A": _Family("A(n)", lambda n: 1 if n < 3 else math.factorial(n) // 2,
+                 _build_alternating, arity=1),
+    "D": _Family("D(n)", lambda n: 2 * n, _build_dihedral, arity=1),
+    "Q8": _Family("Q8", lambda: 8, _build_q8, arity=0),
+    "UT": _Family("UT(3,p)", lambda d, p: p ** 3, _build_ut3,
+                  degrees=(3,), field="prime"),
+    "GL": _Family("GL(d,q)", _gl_order, _build_linear, degrees=(1, 2, 3)),
+    "SL": _Family("SL(d,q)", lambda d, q: _gl_order(d, q) // (q - 1),
+                  functools.partial(_build_linear, det_one=True),
+                  degrees=(1, 2, 3)),
+    "Sp": _Family("Sp(2,q)", lambda d, q: q * (q * q - 1), _build_sp2,
+                  degrees=(2,)),
+    "U": _Family("U(d,q)", _unitary_order, _build_unitary, degrees=(2, 3)),
+    "PSL": _Family("PSL(2,q)", lambda d, q: q * (q * q - 1) // math.gcd(2, q - 1),
+                   _build_psl2, degrees=(2,)),
+    "M": _Family("M(d,q)", lambda d, q: q ** (d * d), None, degrees=(1, 2, 3)),
+}
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
 _BUILD_CACHE: dict = {}
 _BUILD_LOCK = threading.Lock()
 
@@ -500,41 +479,19 @@ def build(desc) -> Group:
 
 
 def _build_uncached(desc: GroupDescriptor) -> Group:
-    fam, ps = desc.family, desc.params
+    fam = _FAMILIES[desc.family]
     text = str(desc)
-    if fam == "M":
+    if fam.build is None:
         raise InputError(
             f"{text}: the matrix algebra is a monoid, not a group; it is "
             "only a target for brute-force commuting-pair counts"
         )
-    expected = order_formula(desc)
-    _check_cap(text, expected)
-    if fam == "C":
-        G = _build_cyclic(ps[0], text)
-    elif fam == "CxC":
-        G = _build_product_cyclic(ps, text)
-    elif fam == "S":
-        G = _build_symmetric(ps[0], text)
-    elif fam == "A":
-        G = _build_alternating(ps[0], text)
-    elif fam == "D":
-        G = _build_dihedral(ps[0], text)
-    elif fam == "Q8":
-        G = _build_q8(text)
-    elif fam == "UT":
-        G = _build_ut3(ps[1], text)
-    elif fam == "GL":
-        G = _build_gl(ps[0], ps[1], text)
-    elif fam == "SL":
-        G = _build_sl(ps[0], ps[1], text)
-    elif fam == "Sp":
-        G = _build_sp2(ps[1], text)
-    elif fam == "U":
-        G = _build_unitary(ps[0], ps[1], text)
-    elif fam == "PSL":
-        G = _build_psl2(ps[1], text)
-    else:  # pragma: no cover
-        raise InputError(f"unknown family {fam!r}")
+    expected = fam.order(*desc.params)
+    if expected > GROUP_SIZE_CAP:
+        raise SizeCapError(
+            f"{text}: order {expected} exceeds the size cap {GROUP_SIZE_CAP}"
+        )
+    G = fam.build(text, *desc.params)
     if G.order != expected:
         raise InternalError(
             f"{text}: constructed order {G.order} != formula {expected}"

@@ -22,7 +22,7 @@ from .branching import (
     cp_via_lescot,
     lump,
 )
-from .catalog import build, metadata, order_formula, parse
+from .catalog import build, order_formula, parse
 from .errors import (
     BudgetError,
     CacheError,
@@ -176,23 +176,21 @@ def _emit(payload: dict, as_json: bool, human_lines):
 
 def _cmd_info(args) -> int:
     desc = parse(args.descriptor)
-    # build first: its size cap rejects a huge group before metadata
-    # trial-divides the order
     G = build(desc)
-    meta = metadata(desc)
     cd = conjugacy_classes(G.full())
     zc = len(z_classes(G.full()))
+    abelian = cd.k == G.order
     payload = {
         "descriptor": str(desc),
         "order": G.order,
-        "abelian": meta.abelian,
+        "abelian": abelian,
         "class_count": cd.k,
         "z_class_count": zc,
     }
     _emit(payload, args.json, [
         f"descriptor:    {desc}",
         f"order:         {G.order}",
-        f"abelian:       {'yes' if meta.abelian else 'no'}",
+        f"abelian:       {'yes' if abelian else 'no'}",
         f"classes:       {cd.k}",
         f"z-classes:     {zc}",
     ])

@@ -26,38 +26,75 @@ FIELD_SIZE_CAP = 1 << 16
 _TABLE_SIZE_CAP = 1 << 12
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+# the first thirteen primes; as Miller-Rabin bases they decide primality
+# exactly below the smallest strong pseudoprime to all of them,
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of an odd n > 41, exact below _MILLER_RABIN_LIMIT."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise InputError(
+            f"{n} is too large to test for primality exactly "
+            f"(limit {_MILLER_RABIN_LIMIT})"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def prime_power(q: int):
-    """Return (p, k) with q = p**k and p prime, or None."""
+    """Return (p, k) with q = p**k and p prime, or None.
+
+    A prime factor up to 41 is divided out.  Otherwise every prime factor
+    exceeds 2**5, so q = p**k needs k <= log2(q) / 5; the largest k with
+    an exact k-th root gives the only candidate p, which deterministic
+    Miller-Rabin then decides.  Raises InputError when that p is beyond
+    the test's exact range."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
+    for p in _SMALL_PRIMES:
         if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    for k in range(q.bit_length() // 5, 1, -1):
+        p = _iroot(q, k)
+        if p ** k == q:
             break
-        p += 1
     else:
-        return (q, 1)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+        p, k = q, 1
+    return (p, k) if _miller_rabin(p) else None
+
+
+def is_prime(n: int) -> bool:
+    return prime_power(n) == (n, 1)
 
 
 def is_prime_power(q: int) -> bool:

@@ -173,7 +173,7 @@ def _perm_ops(n: int):
             out[a[i]] = i
         return tuple(out)
 
-    return mul_data, inv_data, idx
+    return mul_data, inv_data
 
 
 def _table_ops(table):
@@ -252,7 +252,7 @@ def _closure_pairs(elements):
     )
 
 
-def _bfs_closure(mul_data, identity, gens, cap=GROUP_SIZE_CAP):
+def _bfs_closure(mul_data, identity, gens):
     data = [identity]
     ids = {identity: 0}
     i = 0
@@ -262,9 +262,9 @@ def _bfs_closure(mul_data, identity, gens, cap=GROUP_SIZE_CAP):
         for g in gens:
             nd = mul_data(g, cur)
             if nd not in ids:
-                if len(data) >= cap:
+                if len(data) >= GROUP_SIZE_CAP:
                     raise SizeCapError(
-                        f"generated group exceeds the size cap {cap}"
+                        f"generated group exceeds the size cap {GROUP_SIZE_CAP}"
                     )
                 ids[nd] = len(data)
                 data.append(nd)
@@ -326,7 +326,7 @@ class Group:
     @classmethod
     def from_permutation_generators(cls, n, generators, descriptor=""):
         gens = [_as_perm(g, n) for g in generators]
-        mul_data, inv_data, _ = _perm_ops(n)
+        mul_data, inv_data = _perm_ops(n)
         identity = tuple(range(n))
         data, _ = _bfs_closure(mul_data, identity, gens)
         return cls("perm", mul_data, inv_data, identity, data,
@@ -334,7 +334,7 @@ class Group:
 
     @classmethod
     def from_permutation_list(cls, n, elements, descriptor=""):
-        mul_data, inv_data, _ = _perm_ops(n)
+        mul_data, inv_data = _perm_ops(n)
         identity = tuple(range(n))
         data = _identity_first(elements, identity)
         return cls("perm", mul_data, inv_data, identity, data,

@@ -47,6 +47,14 @@ def test_parse_rejects_bad_parameters():
         parse("C(0)")
     with pytest.raises(InputError):
         parse("Sp(4,3)")
+    # one descriptor per rule of the family table
+    for text in ("C(0)", "CxC(2,0)", "S(0)", "A(0)", "D(0)", "UT(2,3)",
+                 "UT(3,4)", "GL(4,2)", "SL(2,6)", "M(4,2)", "Sp(4,3)",
+                 "U(1,2)", "U(4,2)", "PSL(3,2)", "PSL(2,6)"):
+        with pytest.raises(InputError):
+            parse(text)
+    with pytest.raises(InputError):
+        order_formula(GroupDescriptor("X", (5,)))
 
 
 def test_orders_match_formulas():
@@ -71,6 +79,21 @@ def test_orders_match_formulas():
     for text, order in expected.items():
         assert order_formula(text) == order
         assert build(text).order == order
+    # orders of groups that are too large to build, or not built here
+    formula_only = {
+        "GL(3,5)": 1488000,
+        "U(3,4)": 312000,
+        "SL(3,4)": 60480,
+        "PSL(2,9)": 360,
+        "Sp(2,9)": 720,
+        "U(2,16)": 69360,
+        "UT(3,7)": 343,
+        "M(2,3)": 81,
+        "S(9)": 362880,
+        "A(2)": 1,
+    }
+    for text, order in formula_only.items():
+        assert order_formula(text) == order
 
 
 def test_u22_order_18():

@@ -135,6 +135,17 @@ def test_info_rejects_a_huge_cyclic_group_at_once():
     assert "size cap" in proc.stderr
 
 
+def test_info_rejects_a_huge_prime_field_at_once():
+    # q = 2^61 - 1 is prime: parsing must decide that within the timeout,
+    # and the size cap then rejects GL(2,q)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "commprob", "info", "GL(2,2305843009213693951)"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "size cap" in proc.stderr
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run(capsys, "feitfine", "--d", "3", "--q", "3", "--oracle")
     assert code == 3

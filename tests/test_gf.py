@@ -32,6 +32,46 @@ def test_prime_power():
     assert prime_power(1) is None
 
 
+def _prime_power_by_trial_division(q):
+    if q < 2:
+        return None
+    p = next((f for f in range(2, q + 1) if q % f == 0))
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(10 ** 4):
+        assert prime_power(q) == _prime_power_by_trial_division(q), q
+        assert is_prime(q) == (_prime_power_by_trial_division(q) == (q, 1)), q
+
+
+def test_prime_power_of_large_numbers():
+    m61 = 2 ** 61 - 1  # a Mersenne prime
+    assert prime_power(m61) == (m61, 1) and is_prime(m61)
+    assert prime_power(m61 ** 2) == (m61, 2)
+    assert prime_power(2 ** 89) == (2, 89)
+    assert prime_power(43 ** 40) == (43, 40)
+    assert prime_power(43 * 47) is None
+    # Carmichael numbers, then strong pseudoprimes to the bases 2..23 and
+    # 2..37: each is composite
+    for n in (561, 1105, 1729, 41041, 825265, 321197185,
+              3825123056546413051, 318665857834031151167461):
+        assert prime_power(n) is None and not is_prime(n), n
+
+
+def test_prime_power_refuses_beyond_the_exact_range():
+    # the smallest strong pseudoprime to all of the bases 2..41: deciding
+    # it would need another base, so the test refuses instead of guessing
+    with pytest.raises(InputError):
+        prime_power(3317044064679887385961981)
+    with pytest.raises(InputError):
+        is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
 def test_field_rejects_bad_parameters():
     with pytest.raises(InputError):
         field(4, 1)

@@ -2,9 +2,13 @@
 
 import ast
 import pathlib
+import re
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "commprob"
+from commprob import catalog
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "commprob"
 
 
 def test_src_has_no_assert_statements():
@@ -35,3 +39,13 @@ def test_src_imports_only_the_standard_library():
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert list(SRC.glob("*.py")), SRC
     assert not found, "non-stdlib imports in src/commprob: " + ", ".join(found)
+
+
+def test_readme_lists_the_catalog_families():
+    # the README's descriptor table and the catalog's family table name
+    # the same families, with the same parameter forms
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Group descriptors\n", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` +\|", section, re.M)
+    forms = [family.form for family in catalog._FAMILIES.values()]
+    assert sorted(documented) == sorted(forms)
