@@ -28,7 +28,6 @@ from typing import Optional
 from .errors import InputError, InternalError, SizeCapError
 from .groups import (
     Group,
-    Subgroup,
     centralizer,
     conjugacy_classes,
     is_abelian,
@@ -140,7 +139,11 @@ def build_branching(G: Group) -> BranchingMatrix:
 
 
 def _validate_matrix(bm: BranchingMatrix):
+    """Raise InternalError unless the entries are nonnegative, column i
+    sums to k of state i, and every abelian state is absorbing."""
     size = len(bm.states)
+    if any(c < 0 for row in bm.counts for c in row):
+        raise InternalError("the matrix has a negative entry")
     sums = bm.column_sums()
     for i, st in enumerate(bm.states):
         if sums[i] != st.class_count:
@@ -172,31 +175,45 @@ def cp_via_branching(G: Group, n: int) -> Fraction:
 
 def cp_via_lescot(G: Group, n: int) -> Fraction:
     """cp_n(G) through Lescot's recurrence over centralizer subgroups,
-    memoized by (subgroup, m)."""
+
+        cp_m(H) = sum over classes c of H of cp_{m-1}(C_H(c)) / |c|^(m-2) / |H|,
+
+    with cp_1 = 1 and cp_m(H) = 1 for abelian H, memoized by (subgroup, m).
+
+    A central class centralizes to H itself, so a recursion would be as
+    deep as n.  Instead the states that level m needs are collected from
+    m = n down, then valued from m = 2 up."""
     if n < 2:
         raise InputError("commuting probability needs n >= 2")
     memo = G._lescot_memo
+    branches = {}
 
-    def rec(H: Subgroup, m: int) -> Fraction:
-        if m <= 1:
-            return Fraction(1)
-        mkey = (H, m)
-        val = memo.get(mkey)
-        if val is not None:
-            return val
-        if is_abelian(H):
-            val = Fraction(1)
-        else:
-            cd = conjugacy_classes(H)
+    def branch(H):
+        """(centralizer, size) of each class of H; empty if H is abelian."""
+        if H not in branches:
+            branches[H] = () if is_abelian(H) else [
+                (centralizer(H, c.rep), c.size)
+                for c in conjugacy_classes(H).classes
+            ]
+        return branches[H]
+
+    needed = {n: {G.full()}}
+    for m in range(n, 2, -1):
+        needed[m - 1] = {Z for H in needed[m] if (H, m) not in memo
+                         for Z, _ in branch(H)}
+    for m in range(2, n + 1):
+        for H in needed[m]:
+            if (H, m) in memo:
+                continue
+            if not branch(H):
+                memo[(H, m)] = Fraction(1)
+                continue
             total = Fraction(0)
-            for c in cd.classes:
-                Z = centralizer(H, c.rep)
-                total += rec(Z, m - 1) / c.size ** (m - 2)
-            val = total / H.order
-        memo[mkey] = val
-        return val
-
-    return rec(G.full(), n)
+            for Z, size in branch(H):
+                below = memo[(Z, m - 1)] if m > 2 else 1
+                total += Fraction(below, size ** (m - 2))
+            memo[(H, m)] = total / H.order
+    return memo[(G.full(), n)]
 
 
 def cp2_classcount(G: Group) -> Fraction:

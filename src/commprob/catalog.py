@@ -126,6 +126,9 @@ def _validate(desc: GroupDescriptor):
     if fam is None:
         raise InputError(f"unknown family {desc.family!r}")
     ps = desc.params
+    if not isinstance(ps, tuple) or any(type(p) is not int for p in ps):
+        raise InputError(f"{desc.family}: parameters {ps!r} are not a tuple "
+                         "of integers")
     arity_ok = len(ps) >= 1 if fam.arity is None else len(ps) == fam.arity
     if not arity_ok or any(n < 1 for n in ps):
         raise InputError(f"{desc}: expected {fam.form} with positive integers")

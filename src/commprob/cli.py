@@ -11,11 +11,13 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .branching import (
     BranchingMatrix,
     StateInfo,
+    _validate_matrix,
     build_branching,
     c_tuples,
     cp_via_branching,
@@ -32,7 +34,7 @@ from .errors import (
     SizeCapError,
 )
 from .feitfine import feit_fine_pairs
-from .formulas import render_table, report_json, verify_suite
+from .formulas import GRIDS, render_table, report_json, verify_suite
 from .groups import centralizer, conjugacy_classes, z_classes
 from .oracle import (
     commuting_pairs_matrix_algebra,
@@ -62,21 +64,21 @@ def _cache_path(descriptor: str) -> str:
     return os.path.join(cache_dir(), f"bm-v{CACHE_FORMAT_VERSION}-{digest}.json")
 
 
+def _state_dicts(bm: BranchingMatrix) -> list:
+    return [
+        {"label": st.label, "order": st.order,
+         "class_count": st.class_count, "abelian": st.abelian}
+        for st in bm.states
+    ]
+
+
 def _matrix_record(descriptor: str, order: int, bm: BranchingMatrix) -> dict:
     return {
         "version": CACHE_FORMAT_VERSION,
         "descriptor": descriptor,
         "order": order,
         "root_index": bm.root,
-        "states": [
-            {
-                "label": st.label,
-                "order": st.order,
-                "class_count": st.class_count,
-                "abelian": st.abelian,
-            }
-            for st in bm.states
-        ],
+        "states": _state_dicts(bm),
         "matrix": [str(c) for row in bm.counts for c in row],
     }
 
@@ -104,14 +106,10 @@ def _record_matrix(record: dict) -> BranchingMatrix:
     if states[root].order != int(record["order"]):
         raise CacheError("cache root order disagrees with the group order")
     bm = BranchingMatrix(states=states, counts=counts, root=root)
-    sums = bm.column_sums()
-    for i, st in enumerate(states):
-        if any(c < 0 for c in counts[i]):
-            raise CacheError("cache matrix has negative entries")
-        if sums[i] != st.class_count:
-            raise CacheError("cache column sums disagree with class counts")
-        if st.abelian and counts[i][i] != st.order:
-            raise CacheError("cache abelian state is not absorbing")
+    try:
+        _validate_matrix(bm)
+    except InternalError as exc:
+        raise CacheError(f"cache matrix fails validation: {exc}") from exc
     return bm
 
 
@@ -240,11 +238,7 @@ def _cmd_branching(args) -> int:
         "class_count": bm.class_count,
         "column_sums": bm.column_sums(),
         "from_cache": from_cache,
-        "states": [
-            {"label": st.label, "order": st.order,
-             "class_count": st.class_count, "abelian": st.abelian}
-            for st in bm.states
-        ],
+        "states": _state_dicts(bm),
     }
     lines = [
         f"descriptor:   {desc}",
@@ -396,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_feitfine)
 
     p = sub.add_parser("verify", help="run the verification grid")
-    p.add_argument("--grid", choices=("default", "full"), default="default")
+    p.add_argument("--grid", choices=GRIDS, default="default")
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the JSON report to PATH ('-' for stdout, which "
                         "moves the table to stderr)")
@@ -424,6 +418,11 @@ def main(argv=None) -> int:
     except CommProbError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other exception is a defect too, not a mismatch (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

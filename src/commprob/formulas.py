@@ -25,6 +25,14 @@ enumeration):
 
 The registry keeps the printed forms; corrected variants are registered
 separately and both comparisons appear in the verification report.
+
+Each published family is one row of ``FAMILIES``: its catalog
+descriptor, validity, order polynomial, the q of each verify grid, its
+printed table, its printed matrix if any, and its erratum patch if any.
+``REGISTRY``, ``MATRICES`` and the corrected variants are read off those
+rows.  Each verify check is one function returning report rows;
+``_jobs`` binds each check to its family row and q, and ``_run_job``
+calls one such job.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
+from typing import Optional
 
 from .branching import count_via_matrix, cp_via_branching, cp_via_lescot
 from .catalog import build
@@ -206,78 +216,8 @@ class RegistryEntry:
 
 
 def _rf(num, den, validity=VALID_PRIME_POWER):
-    num = num if isinstance(num, Poly) else Poly.const(num)
-    den = den if isinstance(den, Poly) else Poly.const(den)
-    return RationalFunction(num, den, validity)
+    return RationalFunction(Poly._coerce(num), Poly._coerce(den), validity)
 
-
-# cp_n tables exactly as printed
-_TABLES = {
-    ("GL2", 2): _rf(1, X**2 - X),
-    ("GL2", 3): _rf(X**2 + X + 2, X**6 - 2 * X**4 + X**2),
-    ("GL2", 4): _rf(X**3 + X**2 + 4 * X + 1, X**9 - 3 * X**7 + 3 * X**5 - X**3),
-    ("GL2", 5): _rf(X**4 + X**3 + 7 * X**2 + X + 2,
-                    X**12 - 4 * X**10 + 6 * X**8 - 4 * X**6 + X**4),
-    ("U2", 2): _rf(1, X**2 - X),
-    ("U2", 3): _rf(X**2 + X + 2, X**6 - 2 * X**4 + X**2),
-    ("U2", 4): _rf(X**3 + X**2 + 4 * X + 1, X**9 - 3 * X**7 + 3 * X**5 - X**3),
-    ("U2", 5): _rf(X**4 + X**3 + 7 * X**2 + X + 2,
-                   X**12 - 4 * X**10 + 6 * X**8 - 4 * X**6 + X**4),
-    ("Sp2", 2): _rf(X + 4, X**3 - X, VALID_ODD_PRIME_POWER),
-    ("Sp2", 3): _rf(X**2 + 8 * X + 9, X**5 - 2 * X**3 + X, VALID_ODD_PRIME_POWER),
-    ("Sp2", 4): _rf(X**3 + 16 * X**2 + 19 * X + 16,
-                    X**7 - 3 * X**5 + 3 * X**3 - X, VALID_ODD_PRIME_POWER),
-    ("Sp2", 5): _rf(X**4 + 32 * X**3 + 38 * X**2 + 32 * X + 33,
-                    X**9 - 4 * X**7 + 6 * X**5 - 4 * X**3 + X,
-                    VALID_ODD_PRIME_POWER),
-    ("GL3", 2): _rf(1, (X - 1)**2 * X**2 * (X**2 + X + 1)),
-    ("GL3", 3): _rf(X**4 + X**3 + X**2 + 4,
-                    (X + 1)**2 * (X - 1)**4 * X**6 * (X**2 + X + 1)**2),
-    ("GL3", 4): _rf(X**6 + X**5 + 2 * X**4 + X**3 + 8 * X**2 + 4 * X + 1,
-                    (X + 1)**3 * (X - 1)**6 * X**9 * (X**2 + X + 1)**3),
-    ("GL3", 5): _rf(X**8 + X**7 + 4 * X**6 + 23 * X**4 - 2 * X**3 + 13 * X**2 - X + 4,
-                    (X + 1)**4 * (X - 1)**8 * X**12 * (X**2 + X + 1)**4),
-    ("U3", 2): _rf(X**2 + X + 2, (X - 1) * (X + 1)**2 * X**3 * (X**2 - X + 1)),
-    ("U3", 3): _rf(X**4 + X**3 + 5 * X**2 + 4 * X + 2,
-                   (X - 1)**2 * (X + 1)**4 * X**6 * (X**2 - X + 1)**2),
-    ("U3", 4): _rf(X**6 + X**5 + 8 * X**4 + 9 * X**3 + 14 * X**2 + 4 * X + 1,
-                   (X - 1)**3 * (X + 1)**6 * X**9 * (X**2 - X + 1)**3),
-    ("U3", 5): _rf(X**8 + X**7 + 12 * X**6 + 16 * X**5 + 37 * X**4 + 20 * X**3
-                   + 17 * X**2 + 5 * X + 2,
-                   (X - 1)**4 * (X + 1)**8 * X**12 * (X**2 - X + 1)**4),
-}
-
-REGISTRY = {
-    key: RegistryEntry(key=key, formula=rf,
-                       source=f"published cp_{key[1]} table for {key[0]} over F_q")
-    for key, rf in _TABLES.items()
-}
-
-# class count and cp_2 of PSL2 over F_q, odd q
-K_PSL2 = _rf(X + 5, 2, VALID_ODD_PRIME_POWER)
-CP2_PSL2 = _rf(X + 5, (X + 1) * X * (X - 1), VALID_ODD_PRIME_POWER)
-
-# corrected Sp2 entries: the printed numerators are the tuple-class counts
-# c(n-1), so the denominator must be |Sp2|^(n-1) = (q^3 - q)^(n-1)
-SP2_CORRECTED = {
-    n: RationalFunction(_TABLES[("Sp2", n)].num, (X**3 - X)**(n - 1),
-                        VALID_ODD_PRIME_POWER)
-    for n in (2, 3, 4, 5)
-}
-
-# group orders as polynomials in q
-ORDER_POLYS = {
-    "GL2": (X**2 - 1) * (X**2 - X),
-    "U2": X * (X + 1) * (X**2 - 1),
-    "Sp2": X**3 - X,
-    "GL3": (X**3 - 1) * (X**3 - X) * (X**3 - X**2),
-    "U3": X**3 * (X + 1) * (X**2 - 1) * (X**3 + 1),
-}
-
-
-# ---------------------------------------------------------------------------
-# the four published branching matrices, polynomial entries as printed
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MatrixFormula:
@@ -291,36 +231,110 @@ class MatrixFormula:
         return len(self.entries)
 
 
+# ---------------------------------------------------------------------------
+# the published families, one row each
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One published family over F_q, as printed.
+
+    ``descriptor`` is the catalog descriptor with ``{q}`` for the field
+    size, ``order`` the group order, ``qs`` the q that each verify grid
+    checks, ``table`` maps n to the printed cp_n as (numerator,
+    denominator), and ``matrix`` is the printed branching matrix (rows of
+    polynomial entries, column 1 the whole group) when one is printed.
+    An erratum is a patch of the printed data: ``table_fix`` maps n to
+    the corrected denominator, ``matrix_fix`` maps a 0-based (row,
+    column) to the corrected entry."""
+    name: str
+    descriptor: str
+    order: Poly
+    qs: dict
+    table: dict
+    validity: str = VALID_PRIME_POWER
+    matrix: Optional[tuple] = None
+    table_fix: Optional[dict] = None
+    matrix_fix: Optional[dict] = None
+
+    def corrected_table(self) -> dict:
+        """n -> cp_n, with ``table_fix``'s denominators where it has one."""
+        return {n: _rf(num, self.table_fix.get(n, den), self.validity)
+                for n, (num, den) in self.table.items()}
+
+    def corrected_matrix(self) -> MatrixFormula:
+        """The printed matrix, with ``matrix_fix``'s entries in place."""
+        entries = tuple(
+            tuple(self.matrix_fix.get((i, j), poly) for j, poly in enumerate(row))
+            for i, row in enumerate(self.matrix)
+        )
+        return MatrixFormula(self.name, entries, self.order, self.validity)
+
+
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 
-MATRICES = {
-    "U2": MatrixFormula(
-        family="U2",
-        entries=(
+# GL2 and U2 have the same printed cp_n table
+_GL2_U2_TABLE = {
+    2: (1, X**2 - X),
+    3: (X**2 + X + 2, X**6 - 2 * X**4 + X**2),
+    4: (X**3 + X**2 + 4 * X + 1, X**9 - 3 * X**7 + 3 * X**5 - X**3),
+    5: (X**4 + X**3 + 7 * X**2 + X + 2,
+        X**12 - 4 * X**10 + 6 * X**8 - 4 * X**6 + X**4),
+}
+
+FAMILIES = {fam.name: fam for fam in (
+    Family(
+        "GL2", "GL(2,{q})", (X**2 - 1) * (X**2 - X),
+        qs={"default": (2, 3, 4, 5), "full": (2, 3, 4, 5, 7)},
+        table=_GL2_U2_TABLE,
+    ),
+    Family(
+        "U2", "U(2,{q})", X * (X + 1) * (X**2 - 1),
+        qs={"default": (2, 3, 4, 5), "full": (2, 3, 4, 5, 7)},
+        table=_GL2_U2_TABLE,
+        matrix=(
             (X + 1, Poly(), Poly(), Poly()),
             (X + 1, X * (X + 1), Poly(), Poly()),
             ((X + 1) * X * _HALF, Poly(), (X + 1)**2, Poly()),
             ((X**2 - X - 2) * _HALF, Poly(), Poly(), X**2 - 1),
         ),
-        order=ORDER_POLYS["U2"],
-        validity=VALID_PRIME_POWER,
     ),
-    "Sp2": MatrixFormula(
-        family="Sp2",
-        entries=(
+    Family(
+        "Sp2", "Sp(2,{q})", X**3 - X,
+        qs={"default": (3, 5, 7), "full": (3, 5, 7, 9)},
+        validity=VALID_ODD_PRIME_POWER,
+        table={
+            2: (X + 4, X**3 - X),
+            3: (X**2 + 8 * X + 9, X**5 - 2 * X**3 + X),
+            4: (X**3 + 16 * X**2 + 19 * X + 16, X**7 - 3 * X**5 + 3 * X**3 - X),
+            5: (X**4 + 32 * X**3 + 38 * X**2 + 32 * X + 33,
+                X**9 - 4 * X**7 + 6 * X**5 - 4 * X**3 + X),
+        },
+        matrix=(
             (Poly.const(2), Poly(), Poly(), Poly(), Poly()),
             (Poly.const(2), 2 * X, Poly(), Poly(), Poly()),
             (Poly.const(2), Poly(), 2 * X, Poly(), Poly()),
             ((X - 3) * _HALF, Poly(), Poly(), X - 1, Poly()),
             ((X - 1) * _HALF, Poly(), Poly(), Poly(), X + 1),
         ),
-        order=ORDER_POLYS["Sp2"],
-        validity=VALID_ODD_PRIME_POWER,
+        # the printed numerators are the tuple-class counts c(n-1), so the
+        # denominator must be |Sp2|^(n-1) = (q^3 - q)^(n-1)
+        table_fix={n: (X**3 - X)**(n - 1) for n in (3, 4, 5)},
     ),
-    "GL3": MatrixFormula(
-        family="GL3",
-        entries=(
+    Family(
+        "GL3", "GL(3,{q})", (X**3 - 1) * (X**3 - X) * (X**3 - X**2),
+        qs={"default": (2, 3), "full": (2, 3)},
+        table={
+            2: (1, (X - 1)**2 * X**2 * (X**2 + X + 1)),
+            3: (X**4 + X**3 + X**2 + 4,
+                (X + 1)**2 * (X - 1)**4 * X**6 * (X**2 + X + 1)**2),
+            4: (X**6 + X**5 + 2 * X**4 + X**3 + 8 * X**2 + 4 * X + 1,
+                (X + 1)**3 * (X - 1)**6 * X**9 * (X**2 + X + 1)**3),
+            5: (X**8 + X**7 + 4 * X**6 + 23 * X**4 - 2 * X**3 + 13 * X**2 - X + 4,
+                (X + 1)**4 * (X - 1)**8 * X**12 * (X**2 + X + 1)**4),
+        },
+        matrix=(
             (X - 1, Poly(), Poly(), Poly(), Poly(), Poly(), Poly(), Poly()),
             (X - 1, X * (X - 1), Poly(), Poly(), Poly(), Poly(), Poly(), Poly()),
             ((X - 1) * (X - 2), Poly(), (X - 1)**2, Poly(), Poly(), Poly(), Poly(), Poly()),
@@ -334,12 +348,21 @@ MATRICES = {
             ((X**3 - X) * _THIRD, Poly(), Poly(), Poly(), Poly(), Poly(), Poly(),
              X**3 - 1),
         ),
-        order=ORDER_POLYS["GL3"],
-        validity=VALID_PRIME_POWER,
     ),
-    "U3": MatrixFormula(
-        family="U3",
-        entries=(
+    Family(
+        "U3", "U(3,{q})", X**3 * (X + 1) * (X**2 - 1) * (X**3 + 1),
+        qs={"default": (2,), "full": (2, 3)},
+        table={
+            2: (X**2 + X + 2, (X - 1) * (X + 1)**2 * X**3 * (X**2 - X + 1)),
+            3: (X**4 + X**3 + 5 * X**2 + 4 * X + 2,
+                (X - 1)**2 * (X + 1)**4 * X**6 * (X**2 - X + 1)**2),
+            4: (X**6 + X**5 + 8 * X**4 + 9 * X**3 + 14 * X**2 + 4 * X + 1,
+                (X - 1)**3 * (X + 1)**6 * X**9 * (X**2 - X + 1)**3),
+            5: (X**8 + X**7 + 12 * X**6 + 16 * X**5 + 37 * X**4 + 20 * X**3
+                + 17 * X**2 + 5 * X + 2,
+                (X - 1)**4 * (X + 1)**8 * X**12 * (X**2 - X + 1)**4),
+        },
+        matrix=(
             (X + 1, Poly(), Poly(), Poly(), Poly(), Poly(), Poly(), Poly()),
             (X + 1, X * (X + 1), Poly(), Poly(), Poly(), Poly(), Poly(), Poly()),
             (X * (X + 1), Poly(), (X + 1)**2, Poly(), Poly(), Poly(), Poly(), Poly()),
@@ -354,26 +377,32 @@ MATRICES = {
             ((X**3 - X) * _THIRD, Poly(), Poly(), Poly(), Poly(), Poly(), Poly(),
              X**3 + 1),
         ),
-        order=ORDER_POLYS["U3"],
-        validity=VALID_PRIME_POWER,
+        # the fifth diagonal entry is printed q^2(q+1); the state's order
+        # is q(q+1)^2, the mirror of the GL3 matrix's q(q-1)^2
+        matrix_fix={(4, 4): X * (X + 1)**2},
     ),
+)}
+
+# cp_n tables exactly as printed
+REGISTRY = {
+    (fam.name, n): RegistryEntry(
+        key=(fam.name, n), formula=_rf(num, den, fam.validity),
+        source=f"published cp_{n} table for {fam.name} over F_q")
+    for fam in FAMILIES.values() for n, (num, den) in fam.table.items()
 }
 
+# the four published branching matrices, polynomial entries as printed
+MATRICES = {
+    fam.name: MatrixFormula(fam.name, fam.matrix, fam.order, fam.validity)
+    for fam in FAMILIES.values() if fam.matrix
+}
 
-# corrected U3 matrix: fifth diagonal entry q(q+1)^2 instead of the
-# printed q^2(q+1)
-U3_MATRIX_CORRECTED = MatrixFormula(
-    family="U3",
-    entries=tuple(
-        tuple(
-            X * (X + 1)**2 if (i, j) == (4, 4) else poly
-            for j, poly in enumerate(row)
-        )
-        for i, row in enumerate(MATRICES["U3"].entries)
-    ),
-    order=ORDER_POLYS["U3"],
-    validity=VALID_PRIME_POWER,
-)
+SP2_CORRECTED = FAMILIES["Sp2"].corrected_table()
+U3_MATRIX_CORRECTED = FAMILIES["U3"].corrected_matrix()
+
+# class count and cp_2 of PSL2 over F_q, odd q
+K_PSL2 = _rf(X + 5, 2, VALID_ODD_PRIME_POWER)
+CP2_PSL2 = _rf(X + 5, (X + 1) * X * (X - 1), VALID_ODD_PRIME_POWER)
 
 
 def _evaluate_matrix_formula(mf: MatrixFormula, q: int):
@@ -426,23 +455,7 @@ def matrix_column1_sum(family: str, q: int) -> int:
 # verification harness
 # ---------------------------------------------------------------------------
 
-_TABLE_GRID_DEFAULT = (
-    ("GL2", (2, 3, 4, 5)),
-    ("U2", (2, 3, 4, 5)),
-    ("Sp2", (3, 5, 7)),
-    ("GL3", (2, 3)),
-    ("U3", (2,)),
-)
-
-_TABLE_GRID_FULL = (
-    ("GL2", (2, 3, 4, 5, 7)),
-    ("U2", (2, 3, 4, 5, 7)),
-    ("Sp2", (3, 5, 7, 9)),
-    ("GL3", (2, 3)),
-    ("U3", (2, 3)),
-)
-
-_MATRIX_FAMILIES = ("U2", "Sp2", "GL3", "U3")
+GRIDS = ("default", "full")
 
 _CONSTANTS = (
     ("Q8", Fraction(5, 8)),
@@ -451,48 +464,8 @@ _CONSTANTS = (
     ("PSL(2,3)", Fraction(1, 3)),
 )
 
-_DESCRIPTOR_OF = {
-    "GL2": "GL(2,{q})",
-    "U2": "U(2,{q})",
-    "Sp2": "Sp(2,{q})",
-    "GL3": "GL(3,{q})",
-    "U3": "U(3,{q})",
-}
-
 _PROP32_NS = (2, 3, 4, 5, 6)
-_TABLE_NS = (2, 3, 4, 5)
 _PSL_QS = (5, 7, 9)
-
-
-def _jobs(grid: str):
-    if grid == "default":
-        table_grid = _TABLE_GRID_DEFAULT
-        prop32_qs = (2, 3, 4, 5)
-    elif grid == "full":
-        table_grid = _TABLE_GRID_FULL
-        prop32_qs = (2, 3, 4, 5, 7)
-    else:
-        raise InputError(f"unknown grid {grid!r} (use 'default' or 'full')")
-    jobs = []
-    for fam, qs in table_grid:
-        for q in qs:
-            jobs.append(("table", fam, q))
-            if fam in _MATRIX_FAMILIES:
-                jobs.append(("consistency", fam, q))
-                jobs.append(("colsum", fam, q))
-            if fam == "Sp2":
-                jobs.append(("erratum-sp2-table", fam, q))
-            if fam == "U3":
-                jobs.append(("erratum-u3-matrix", fam, q))
-    for q in prop32_qs:
-        jobs.append(("prop32", None, q))
-    jobs.append(("sp2-q2-exclusion", None, 2))
-    for q in _PSL_QS:
-        jobs.append(("kpsl", None, q))
-        jobs.append(("cp2psl", None, q))
-    for name, _ in _CONSTANTS:
-        jobs.append(("const", name, None))
-    return jobs
 
 
 def _frac_str(v) -> str:
@@ -513,77 +486,120 @@ def _row(key, q, n, engine_branching, engine_lescot, registry, match):
     }
 
 
-def _run_job(job):
-    kind, fam, q = job
+def _cp_row(key, G, q, n, expected, *, lescot=True, shown=True):
+    """Compare cp_n(G) by branching, and by Lescot unless ``lescot`` is
+    False, with ``expected``, which the registry column shows unless
+    ``shown`` is False."""
+    eb = cp_via_branching(G, n)
+    el = cp_via_lescot(G, n) if lescot else None
+    return _row(key, q, n, eb, el, expected if shown else None,
+                eb == expected and (el is None or el == expected))
+
+
+def _k_row(key, G, q, expected):
+    """Compare the class count k(G) with ``expected``."""
+    k = conjugacy_classes(G.full()).k
+    return _row(key, q, 1, k, None, expected, k == expected)
+
+
+def _matrix_rows(key, fam, mf, q):
+    """Compare cp_n derived from the matrix ``mf`` with fam's printed table."""
     rows = []
-    if kind == "table":
-        G = build(_DESCRIPTOR_OF[fam].format(q=q))
-        for n in _TABLE_NS:
-            eb = cp_via_branching(G, n)
-            el = cp_via_lescot(G, n)
-            reg = REGISTRY[(fam, n)].formula.evaluate(q)
-            rows.append(_row(f"cp:{fam}", q, n, eb, el, reg,
-                             eb == el == reg))
-    elif kind == "consistency":
-        for n in _TABLE_NS:
-            derived = matrix_cp(fam, q, n)
-            reg = REGISTRY[(fam, n)].formula.evaluate(q)
-            rows.append(_row(f"consistency:{fam}", q, n, derived, None, reg,
-                             derived == reg))
-    elif kind == "colsum":
-        G = build(_DESCRIPTOR_OF[fam].format(q=q))
-        k_engine = conjugacy_classes(G.full()).k
-        k_matrix = matrix_column1_sum(fam, q)
-        rows.append(_row(f"colsum:{fam}", q, 1, k_engine, None, k_matrix,
-                         k_engine == k_matrix))
-    elif kind == "erratum-sp2-table":
-        G = build(_DESCRIPTOR_OF[fam].format(q=q))
-        for n in (3, 4, 5):
-            eb = cp_via_branching(G, n)
-            corrected = SP2_CORRECTED[n].evaluate(q)
-            rows.append(_row("erratum:Sp2-table", q, n, eb, None, corrected,
-                             eb == corrected))
-    elif kind == "erratum-u3-matrix":
-        for n in _TABLE_NS:
-            derived = _matrix_formula_cp(U3_MATRIX_CORRECTED, q, n)
-            reg = REGISTRY[("U3", n)].formula.evaluate(q)
-            rows.append(_row("erratum:U3-matrix", q, n, derived, None, reg,
-                             derived == reg))
-    elif kind == "prop32":
-        GL = build(f"GL(2,{q})")
-        U = build(f"U(2,{q})")
-        for n in _PROP32_NS:
-            a = cp_via_branching(GL, n)
-            b = cp_via_branching(U, n)
-            rows.append(_row("prop32:GL2-U2", q, n, a, b, None, a == b))
-    elif kind == "sp2-q2-exclusion":
-        G = build("Sp(2,2)")
-        eb = cp_via_branching(G, 2)
-        el = cp_via_lescot(G, 2)
-        rows.append(_row("exclusion:Sp2", 2, 2, eb, el, None,
-                         eb == el == Fraction(1, 2)))
-    elif kind == "kpsl":
-        G = build(f"PSL(2,{q})")
-        k_engine = conjugacy_classes(G.full()).k
-        reg = K_PSL2.evaluate(q)
-        rows.append(_row("k:PSL2", q, 1, k_engine, None, reg,
-                         Fraction(k_engine) == reg))
-    elif kind == "cp2psl":
-        G = build(f"PSL(2,{q})")
-        eb = cp_via_branching(G, 2)
-        el = cp_via_lescot(G, 2)
-        reg = CP2_PSL2.evaluate(q)
-        rows.append(_row("cp2:PSL2", q, 2, eb, el, reg, eb == el == reg))
-    elif kind == "const":
-        G = build(fam)
-        eb = cp_via_branching(G, 2)
-        el = cp_via_lescot(G, 2)
-        reg = dict(_CONSTANTS)[fam]
-        rows.append(_row(f"const:{fam}", None, 2, eb, el, reg,
-                         eb == el == reg))
-    else:  # pragma: no cover
-        raise InputError(f"unknown job kind {kind!r}")
+    for n in fam.table:
+        derived = _matrix_formula_cp(mf, q, n)
+        reg = REGISTRY[(fam.name, n)].formula.evaluate(q)
+        rows.append(_row(key, q, n, derived, None, reg, derived == reg))
     return rows
+
+
+# one function per check; each returns its report rows
+
+def _check_table(fam, q):
+    G = build(fam.descriptor.format(q=q))
+    return [_cp_row(f"cp:{fam.name}", G, q, n,
+                    REGISTRY[(fam.name, n)].formula.evaluate(q))
+            for n in fam.table]
+
+
+def _check_consistency(fam, q):
+    return _matrix_rows(f"consistency:{fam.name}", fam, MATRICES[fam.name], q)
+
+
+def _check_colsum(fam, q):
+    G = build(fam.descriptor.format(q=q))
+    return [_k_row(f"colsum:{fam.name}", G, q, matrix_column1_sum(fam.name, q))]
+
+
+def _check_table_erratum(fam, q):
+    G = build(fam.descriptor.format(q=q))
+    corrected = fam.corrected_table()
+    return [_cp_row(f"erratum:{fam.name}-table", G, q, n,
+                    corrected[n].evaluate(q), lescot=False)
+            for n in sorted(fam.table_fix)]
+
+
+def _check_matrix_erratum(fam, q):
+    return _matrix_rows(f"erratum:{fam.name}-matrix", fam,
+                        fam.corrected_matrix(), q)
+
+
+def _check_prop32(q):
+    GL = build(f"GL(2,{q})")
+    U = build(f"U(2,{q})")
+    rows = []
+    for n in _PROP32_NS:
+        a = cp_via_branching(GL, n)
+        b = cp_via_branching(U, n)
+        rows.append(_row("prop32:GL2-U2", q, n, a, b, None, a == b))
+    return rows
+
+
+def _check_sp2_exclusion():
+    # the Sp2 formulas hold for odd q only; Sp(2,2) is S(3)
+    return [_cp_row("exclusion:Sp2", build("Sp(2,2)"), 2, 2, Fraction(1, 2),
+                    shown=False)]
+
+
+def _check_k_psl2(q):
+    return [_k_row("k:PSL2", build(f"PSL(2,{q})"), q, K_PSL2.evaluate(q))]
+
+
+def _check_cp2_psl2(q):
+    return [_cp_row("cp2:PSL2", build(f"PSL(2,{q})"), q, 2, CP2_PSL2.evaluate(q))]
+
+
+def _check_const(name, value):
+    return [_cp_row(f"const:{name}", build(name), None, 2, value)]
+
+
+def _jobs(grid: str):
+    """The grid's checks, each a call with its family and q bound."""
+    if grid not in GRIDS:
+        raise InputError(f"unknown grid {grid!r} (use 'default' or 'full')")
+    jobs = []
+    for fam in FAMILIES.values():
+        for q in fam.qs[grid]:
+            jobs.append(partial(_check_table, fam, q))
+            if fam.matrix:
+                jobs.append(partial(_check_consistency, fam, q))
+                jobs.append(partial(_check_colsum, fam, q))
+            if fam.table_fix:
+                jobs.append(partial(_check_table_erratum, fam, q))
+            if fam.matrix_fix:
+                jobs.append(partial(_check_matrix_erratum, fam, q))
+    # cp_n(GL2) = cp_n(U2) is checked at the q of the GL2 table
+    jobs += [partial(_check_prop32, q) for q in FAMILIES["GL2"].qs[grid]]
+    jobs.append(_check_sp2_exclusion)
+    for q in _PSL_QS:
+        jobs.append(partial(_check_k_psl2, q))
+        jobs.append(partial(_check_cp2_psl2, q))
+    jobs += [partial(_check_const, name, value) for name, value in _CONSTANTS]
+    return jobs
+
+
+def _run_job(job):
+    """Run one grid job; returns its report rows."""
+    return job()
 
 
 def _sort_key(row):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from commprob.branching import (
+    BranchingMatrix,
+    _validate_matrix,
     build_branching,
     c_tuples,
     count_via_matrix,
@@ -12,7 +14,7 @@ from commprob.branching import (
     lump,
 )
 from commprob.catalog import SMALL_GROUPS, build
-from commprob.errors import InputError
+from commprob.errors import InputError, InternalError
 
 
 def test_cyclic_is_single_absorbing_state():
@@ -81,6 +83,25 @@ def test_cp_via_lescot_values():
     assert cp_via_lescot(build("C(30)"), 4) == Fraction(1)
     # corrected denominator |G|^3; the published table misprints it
     assert cp_via_lescot(build("Sp(2,3)"), 4) == Fraction(244, 24 ** 3)
+
+
+def test_cp_via_lescot_large_n_without_deep_recursion():
+    # Q8's centre centralizes to Q8 itself at every level, so a recursive
+    # evaluation would be 1500 calls deep
+    G = build("Q8")
+    assert cp_via_lescot(G, 1500) == cp_via_branching(G, 1500)
+
+
+def test_validate_matrix_rejects_a_negative_entry():
+    B = build_branching(build("Q8"))
+    counts = [row[:] for row in B.counts]
+    # set one entry of the root column to -1 and add the difference to
+    # the diagonal: the column still sums to k(Q8)
+    other = 1 if B.root == 0 else 0
+    counts[B.root][B.root] += counts[other][B.root] + 1
+    counts[other][B.root] = -1
+    with pytest.raises(InternalError, match="negative"):
+        _validate_matrix(BranchingMatrix(B.states, counts, B.root))
 
 
 def test_cp_rejects_small_n():

@@ -57,6 +57,16 @@ def test_parse_rejects_bad_parameters():
         order_formula(GroupDescriptor("X", (5,)))
 
 
+@pytest.mark.parametrize("desc", [
+    GroupDescriptor("C", ("a",)),
+    GroupDescriptor("GL", (2.0, 3)),
+    GroupDescriptor("C", 5),
+])
+def test_hand_built_descriptor_needs_a_tuple_of_ints(desc):
+    with pytest.raises(InputError, match="not a tuple of integers"):
+        order_formula(desc)
+
+
 def test_orders_match_formulas():
     expected = {
         "C(6)": 6,

@@ -164,6 +164,29 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert "internal error: invariant failed" in err
 
 
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    # an exception outside the package's error classes is a defect: exit 4
+    # with the traceback, not exit 1 (a verification mismatch)
+    from commprob import cli
+
+    def broken(*_args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cp_via_branching", broken)
+    code, _, err = run(capsys, "cp", "S(3)", "--n", "2")
+    assert code == 4
+    assert "internal error: RuntimeError: unexpected" in err
+    assert "Traceback" in err
+
+
+def test_cp_lescot_large_n(capsys):
+    code, lescot, _ = run(capsys, "cp", "Q8", "--n", "1500", "--method", "lescot")
+    assert code == 0
+    code, branching, _ = run(capsys, "cp", "Q8", "--n", "1500")
+    assert code == 0
+    assert lescot == branching
+
+
 @pytest.mark.parametrize("command", [
     ("info", "S(3)"), ("classes", "S(3)"), ("branching", "S(3)"),
     ("cp", "S(3)", "--n", "2"), ("ctuples", "S(3)", "--n", "2"),
@@ -267,6 +290,24 @@ def test_cache_tampered_matrix_rejected(cache_env, capsys):
     files[0].write_text(json.dumps(record))
     assert cache_load("Q8", 8) is None
     _ = capsys.readouterr()
+
+
+def test_cache_negative_entry_rejected(cache_env, capsys):
+    # the column sums still match k, but one entry is negative
+    G = build("Q8")
+    bm = build_branching(G)
+    cache_store("Q8", 8, bm)
+    path = _cache_path("Q8")
+    record = json.loads(open(path, encoding="utf-8").read())
+    size, root = bm.dimension, bm.root
+    other = 1 if root == 0 else 0
+    record["matrix"][other * size + root] = "-1"
+    record["matrix"][root * size + root] = str(
+        bm.counts[root][root] + bm.counts[other][root] + 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    assert cache_load("Q8", 8) is None
+    assert "negative" in capsys.readouterr().err
 
 
 def test_cache_unwritable_degrades(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from commprob.errors import InputError
-from commprob.feitfine import f, feit_fine_pairs, partitions
+from commprob.errors import BudgetError, InputError
+from commprob.feitfine import PARTITIONS_MAX_D, f, feit_fine_pairs, partitions
 from commprob.oracle import commuting_pairs_matrix_algebra
 
 
@@ -75,3 +79,21 @@ def test_matches_brute_force_d3():
 def test_rejects_non_prime_power():
     with pytest.raises(InputError):
         feit_fine_pairs(2, 6)
+
+
+def test_partitions_up_to_the_bound():
+    assert len(partitions(PARTITIONS_MAX_D)) == 5604
+    with pytest.raises(BudgetError):
+        partitions(PARTITIONS_MAX_D + 1)
+
+
+def test_feitfine_large_d_exits_3_at_once():
+    # d = 200 has about 4e12 partitions; the bound refuses it before
+    # enumerating any
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "commprob", "feitfine", "--d", "200", "--q", "2"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "bound" in proc.stderr

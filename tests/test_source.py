@@ -49,3 +49,23 @@ def test_readme_lists_the_catalog_families():
     documented = re.findall(r"^\| `([^`]+)` +\|", section, re.M)
     forms = [family.form for family in catalog._FAMILIES.values()]
     assert sorted(documented) == sorted(forms)
+
+
+def test_readme_lists_the_verify_row_kinds():
+    # the README's row-kind table and the default report name the same
+    # keys: FAM and DESC stand for any family or group descriptor
+    from commprob.formulas import verify_suite
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Verify report schema\n", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` +\|", section, re.M)
+    patterns = {kind: re.compile(re.escape(kind).replace("FAM", ".+")
+                                 .replace("DESC", ".+"))
+                for kind in documented}
+    keys = {row["key"] for row in verify_suite("default")[0]}
+    matched = {kind for kind, pattern in patterns.items()
+               for key in keys if pattern.fullmatch(key)}
+    undocumented = {key for key in keys
+                    if not any(p.fullmatch(key) for p in patterns.values())}
+    assert not undocumented
+    assert matched == set(documented)
