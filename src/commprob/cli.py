@@ -1,7 +1,8 @@
 """Command-line front end and the on-disk branching-matrix cache.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 work or size budget exceeded, 4 internal error.
+3 work or size budget exceeded, 4 internal error, 141 stdout closed by
+its reader.
 """
 
 from __future__ import annotations
@@ -405,7 +406,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe must show here, not in the
+        # interpreter's final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``commprob ... | head``): no defect.
+        # Point stdout at devnull so the interpreter's final flush of what
+        # is still buffered cannot fail again, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (SizeCapError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

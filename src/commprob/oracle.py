@@ -7,6 +7,14 @@ a second time through Burnside's lemma.  The orbit walk moves tuples with
 the engine's integer conjugation action of the whole group; Burnside's
 sum and the tuple counts use only this module's own centralizer table,
 so a wrong action fails a check instead of agreeing with the engine.
+
+Conjugation moves each entry of a tuple only inside its conjugacy class,
+so no orbit leaves the block of tuples whose first entries share a class.
+The walk takes one block at a time, with a visited set that is freed
+before the next block, so only the largest block is ever held in memory,
+and the memory guard is checked against that block's size.  The classes
+are the orbits of single ids under the same conjugation maps, and the
+block sizes are sums of the centralizer-table counts.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ DEFAULT_PAIR_SCAN_BUDGET = 300_000
 
 def _centralizer_sets(G: Group, n: int, budget: int):
     """Z(x) as a set of ids for every id x, after checking the budget for
-    the |G|^2 products that build them and for the n-tuple backtracking."""
+    the |G|^2 pairs that build them and for the n-tuple backtracking.
+    Since h is in Z(x) exactly when x is in Z(h), each pair x < h is
+    tested once (2 products) and the diagonal not at all: |G|(|G|-1)
+    products."""
     order = G.order
     if order * order > budget:
         raise BudgetError(
@@ -34,13 +45,16 @@ def _centralizer_sets(G: Group, n: int, budget: int):
         )
     data = G._data
     mul_data = G._mul_data
-    cents = []
+    sets = [{x} for x in range(order)]
     for x in range(order):
         xd = data[x]
-        cents.append(frozenset(
-            h for h in range(order)
-            if mul_data(data[h], xd) == mul_data(xd, data[h])
-        ))
+        zx = sets[x]
+        for h in range(x + 1, order):
+            hd = data[h]
+            if mul_data(hd, xd) == mul_data(xd, hd):
+                zx.add(h)
+                sets[h].add(x)
+    cents = [frozenset(s) for s in sets]
     # k(G) by the n=1 Burnside count: sum of centralizer sizes over |G|
     total = sum(len(s) for s in cents)
     if total % order:
@@ -67,13 +81,20 @@ def _count(cents, memo: dict, C: frozenset, m: int) -> int:
     return val
 
 
-def _commuting_tuples(cents, n: int):
+def _commuting_tuples(cents, n: int, firsts=None):
     """Yield every commuting n-tuple of ids in lexicographic order: pick
-    g1, then g2 in Z(g1), then g3 in Z(g1) & Z(g2), and so on."""
+    g1, then g2 in Z(g1), then g3 in Z(g1) & Z(g2), and so on.  With
+    ``firsts``, a set of ids, only the tuples whose first entry is in it."""
     if n == 0:
         yield ()
         return
-    stack = [((), frozenset(range(len(cents))))]
+    if firsts is None:
+        firsts = range(len(cents))
+    if n == 1:
+        for x in sorted(firsts):
+            yield (x,)
+        return
+    stack = [((x,), cents[x]) for x in sorted(firsts, reverse=True)]
     while stack:
         prefix, C = stack.pop()
         if len(prefix) == n - 1:
@@ -95,6 +116,54 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
     return _count(cents, {}, frozenset(range(G.order)), n)
 
 
+def _first_entry_blocks(cents, memo: dict, maps, n: int) -> list:
+    """The commuting n-tuples split by the class of their first entry, as
+    (set of first entries, number of tuples) pairs, in the order of each
+    class's smallest id.  The classes are the orbits of single ids under
+    the conjugation ``maps``, so no orbit of tuples under them crosses
+    from one block to another; the counts are ``_count`` sums."""
+    if n == 0:
+        return [(None, 1)]  # the empty tuple has no first entry
+    order = len(cents)
+    seen = bytearray(order)
+    blocks = []
+    for seed in range(order):
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        orbit = [seed]
+        for y in orbit:
+            for perm in maps:
+                z = perm[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        size = sum(_count(cents, memo, cents[x], n - 1) for x in orbit)
+        blocks.append((frozenset(orbit), size))
+    return blocks
+
+
+def _walk_orbits(tuples, maps, getter):
+    """(tuples enumerated, orbits, tuples reached) of a walk that starts
+    an orbit at each tuple of ``tuples`` not reached yet and follows it
+    under the ``maps``; the visited set is freed on return."""
+    visited = set()
+    enumerated = orbit_count = 0
+    for t in tuples:
+        enumerated += 1
+        if t in visited:
+            continue
+        orbit_count += 1
+        visited.add(t)
+        stack = [t]
+        while stack:
+            for img in map(getter(*stack.pop()), maps):
+                if img not in visited:
+                    visited.add(img)
+                    stack.append(img)
+    return enumerated, orbit_count, len(visited)
+
+
 @dataclass(frozen=True)
 class TupleOrbitReport:
     descriptor: str
@@ -113,45 +182,48 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     cents = _centralizer_sets(G, n, DEFAULT_BUDGET)
     memo = {}
     total = _count(cents, memo, frozenset(range(G.order)), n)
-    # rough per-tuple estimate for the visited set: an n-tuple of small
-    # ints plus its set slot
-    if total * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
+
+    # the orbits are walked under the conjugation maps of the whole
+    # group's generators, one block of first-entry classes at a time
+    maps = [tuple(perm) for perm in _conjugation_action(G.full())]
+    blocks = _first_entry_blocks(cents, memo, maps, n)
+    largest = max(size for _, size in blocks)
+    # rough per-tuple estimate for a block's visited set: an n-tuple of
+    # small ints plus its set slot
+    if largest * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
         raise BudgetError(
-            f"{total} tuples would exceed the {DEFAULT_MEMORY_BYTES}-byte "
-            f"memory cap"
+            f"a block of {largest} tuples would exceed the "
+            f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
         )
 
-    # each tuple not reached yet starts an orbit, walked under the
-    # conjugation maps of the whole group's generators
-    maps = [tuple(perm) for perm in _conjugation_action(G.full())]
     if n > 1:
         getter = itemgetter
     else:
         # itemgetter of one index returns a scalar, and of none raises
         def getter(*cur):
             return lambda cm: tuple([cm[x] for x in cur])
-    visited = set()
     enumerated = orbit_count = 0
-    for t in _commuting_tuples(cents, n):
-        enumerated += 1
-        if t in visited:
-            continue
-        orbit_count += 1
-        visited.add(t)
-        stack = [t]
-        while stack:
-            for img in map(getter(*stack.pop()), maps):
-                if img not in visited:
-                    visited.add(img)
-                    stack.append(img)
+    reached = []
+    for firsts, _ in blocks:
+        listed, orbits, got = _walk_orbits(
+            _commuting_tuples(cents, n, firsts), maps, getter)
+        enumerated += listed
+        orbit_count += orbits
+        reached.append(got)
     if enumerated != total:
         raise InternalError(
             f"enumerated {enumerated} commuting tuples, counted {total}"
         )
-    if len(visited) != total:
+    if sum(reached) != total:
         raise InternalError(
-            f"orbit walk reached {len(visited)} tuples, counted {total}"
+            f"orbit walk reached {sum(reached)} tuples, counted {total}"
         )
+    for i, ((_, size), got) in enumerate(zip(blocks, reached)):
+        if got != size:
+            raise InternalError(
+                f"orbit walk reached {got} tuples in first-entry block {i}, "
+                f"counted {size}"
+            )
 
     # Burnside: orbits = average number of fixed tuples, and the tuples
     # fixed by conjugation by g are the commuting n-tuples inside Z(g)

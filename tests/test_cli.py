@@ -146,6 +146,23 @@ def test_info_rejects_a_huge_prime_field_at_once():
     assert "size cap" in proc.stderr
 
 
+def test_closed_stdout_pipe_exits_141_quietly():
+    # a reader that closes the pipe (``commprob ... | head``) is no defect:
+    # no traceback, nothing on stderr, exit 128 + SIGPIPE
+    env = dict(os.environ, PYTHONPATH=SRC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "commprob", "cp", "Q8", "--n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=30)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run(capsys, "feitfine", "--d", "3", "--q", "3", "--oracle")
     assert code == 3

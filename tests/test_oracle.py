@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,12 +115,13 @@ def test_matrix_algebra_budget():
 
 
 def test_pair_orbits_build_one_centralizer_table(monkeypatch):
-    # one |G|^2 centralizer table (4,608 products for GL(2,3)) plus the
-    # generators' conjugation maps; the tuple count reuses the table
+    # one centralizer table over unordered pairs (|G|(|G|-1) = 2,256
+    # products for GL(2,3)) plus the generators' conjugation maps; the
+    # tuple count reuses the table
     G = fresh_build("GL(2,3)")
     products = count_products(monkeypatch, G)
     report = simultaneous_classes_count(G, 2)
-    assert products[0] <= 4882, products[0]
+    assert products[0] <= 2530, products[0]
     assert report.tuple_count == commuting_tuples_count(G, 2)
 
 
@@ -150,3 +152,70 @@ def test_wrong_conjugation_action_fails_a_check(monkeypatch, perm, message):
     monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         simultaneous_classes_count(fresh_build("S(3)"), 2)
+
+
+def test_centralizer_table_matches_a_full_scan():
+    for desc in ("S(4)", "GL(2,3)", "D(8)", "Q8"):
+        G = build(desc)
+        cents = oracle._centralizer_sets(G, 1, oracle.DEFAULT_BUDGET)
+        for x in range(G.order):
+            assert cents[x] == frozenset(
+                h for h in range(G.order) if G.mul(h, x) == G.mul(x, h)
+            ), (desc, x)
+
+
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)"])
+def test_first_entry_blocks_split_the_commuting_tuples(desc):
+    G = build(desc)
+    cents = oracle._centralizer_sets(G, 3, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    memo = {}
+    for n in (1, 2, 3):
+        blocks = oracle._first_entry_blocks(cents, memo, maps, n)
+        listed = []
+        for firsts, size in blocks:
+            block = list(oracle._commuting_tuples(cents, n, firsts))
+            assert block == sorted(block), (desc, n)
+            assert {t[0] for t in block} <= firsts, (desc, n)
+            assert len(block) == size, (desc, n)
+            listed += block
+        assert len(set(listed)) == len(listed), (desc, n)
+        assert sorted(listed) == list(oracle._commuting_tuples(cents, n)), (desc, n)
+    # the first-entry classes are the conjugacy classes
+    from commprob.groups import conjugacy_classes
+
+    assert sorted(sorted(firsts) for firsts, _ in blocks) == sorted(
+        list(c.members) for c in conjugacy_classes(G.full()).classes
+    )
+
+
+def test_memory_guard_counts_the_largest_block(monkeypatch):
+    G = build("GL(2,3)")
+    n = 3
+    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    sizes = [size for _, size in oracle._first_entry_blocks(cents, {}, maps, n)]
+    per_tuple = n * 28 + 80
+    assert max(sizes) < sum(sizes)
+    # room for the largest block but not for every tuple at once
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", max(sizes) * per_tuple)
+    assert simultaneous_classes_count(G, n).tuple_count == sum(sizes)
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES",
+                        max(sizes) * per_tuple - 1)
+    with pytest.raises(BudgetError):
+        simultaneous_classes_count(G, n)
+
+
+def test_oracle_holds_one_block_at_a_time():
+    # 18,816 commuting 4-tuples of GL(2,3): held in one visited set they
+    # peak near 1.8 MB; held one first-entry block at a time, under 0.4 MB
+    G = build("GL(2,3)")
+    simultaneous_classes_count(G, 4)  # the conjugation action, built once
+    tracemalloc.start()
+    try:
+        report = simultaneous_classes_count(G, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tuple_count == 18816
+    assert peak <= 1_000_000, peak
