@@ -9,12 +9,20 @@ sum and the tuple counts use only this module's own centralizer table,
 so a wrong action fails a check instead of agreeing with the engine.
 
 Conjugation moves each entry of a tuple only inside its conjugacy class,
-so no orbit leaves the block of tuples whose first entries share a class.
-The walk takes one block at a time, with a visited set that is freed
-before the next block, so only the largest block is ever held in memory,
-and the memory guard is checked against that block's size.  The classes
-are the orbits of single ids under the same conjugation maps, and the
-block sizes are sums of the centralizer-table counts.
+so no orbit leaves the block of tuples whose first entries share a class
+K, and every orbit in that block meets the tuples that start with K's
+smallest id x.  The orbits of the whole group on the block therefore
+correspond one to one to the orbits of the stabilizer of x on the tuples
+(x, t2, ..., tn), whose entries all lie in Z(x).  The classes are the
+orbits of single ids under the conjugation maps; walking each class also
+records a transversal, and Schreier's lemma turns it into the
+stabilizer's maps on Z(x), compositions of the same id maps with no new
+multiplication.  Only the tuples that start with x are enumerated and
+walked, one class at a time; a class whose stabilizer maps are all the
+identity holds no visited set, since each of its tuples is its own
+orbit, and the memory guard is checked against the largest walk that
+does hold one.  The tuple counts check that every member of a class
+heads as many tuples as x does.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
@@ -84,7 +93,8 @@ def _count(cents, memo: dict, C: frozenset, m: int) -> int:
 def _commuting_tuples(cents, n: int, firsts=None):
     """Yield every commuting n-tuple of ids in lexicographic order: pick
     g1, then g2 in Z(g1), then g3 in Z(g1) & Z(g2), and so on.  With
-    ``firsts``, a set of ids, only the tuples whose first entry is in it."""
+    ``firsts``, a collection of ids, only the tuples whose first entry is
+    in it."""
     if n == 0:
         yield ()
         return
@@ -116,37 +126,98 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
     return _count(cents, {}, frozenset(range(G.order)), n)
 
 
+class _Block(NamedTuple):
+    """One first-entry class K of the commuting n-tuples, walked from
+    its smallest id x under the stabilizer of x."""
+    rep: int            # x, the class's smallest id
+    members: frozenset  # K
+    count: int          # commuting n-tuples (x, ...), the same for every member
+    maps: list          # stabilizer maps: id maps that fix x and permute Z(x)
+
+
+def _stabilizer_maps(cents, maps, x: int):
+    """The class of x, as its orbit under the conjugation ``maps``, and
+    the stabilizer's maps on Z(x) from Schreier's lemma.
+
+    Walking the orbit records for each member y a transversal map u_y
+    with u_y(x) = y, a composition of ``maps`` kept only on Z(x).  The
+    maps u_{s(y)}^-1 s u_y, for y in the orbit and s in ``maps``, fix x
+    and generate the stabilizer's action on Z(x) (Holt-Eick-O'Brien,
+    *Handbook of Computational Group Theory*, §4.1); those that act as
+    the identity and repeats are dropped.  Each is returned as an id
+    map that fixes every id outside Z(x).  No element is multiplied."""
+    zx = sorted(cents[x])
+    images = {x: zx}  # u_y as the list of images of zx
+    orbit = [x]
+    for y in orbit:
+        uy = images[y]
+        for s in maps:
+            z = s[y]
+            if z not in images:
+                images[z] = [s[w] for w in uy]
+                orbit.append(z)
+    where = {y: {w: i for i, w in enumerate(uy)} for y, uy in images.items()}
+    home = zx.index(x)
+    identity = tuple(range(len(zx)))
+    found = {}
+    for y in orbit:
+        uy = images[y]
+        for s in maps:
+            back = where[s[y]]
+            local = tuple([back.get(s[w], -1) for w in uy])
+            if local[home] != home or -1 in local:
+                raise InternalError(
+                    f"a stabilizer map of {x} moves it or leaves Z({x})")
+            if local != identity:
+                found[local] = None
+    stab = []
+    for local in found:
+        perm = list(range(len(cents)))
+        for i, j in enumerate(local):
+            perm[zx[i]] = zx[j]
+        stab.append(tuple(perm))
+    return orbit, stab
+
+
 def _first_entry_blocks(cents, memo: dict, maps, n: int) -> list:
-    """The commuting n-tuples split by the class of their first entry, as
-    (set of first entries, number of tuples) pairs, in the order of each
-    class's smallest id.  The classes are the orbits of single ids under
-    the conjugation ``maps``, so no orbit of tuples under them crosses
-    from one block to another; the counts are ``_count`` sums."""
-    if n == 0:
-        return [(None, 1)]  # the empty tuple has no first entry
-    order = len(cents)
-    seen = bytearray(order)
+    """The commuting n-tuples (n >= 1) split by the class of their first
+    entry, as one ``_Block`` per class in the order of its smallest id.
+    The classes are the orbits of single ids under the conjugation
+    ``maps``, so no orbit of tuples under them crosses from one block to
+    another, and every orbit in a block meets the tuples that start with
+    its smallest id.  Every member of a class heads the same number of
+    tuples, which is checked with the ``_count`` sums."""
+    seen = bytearray(len(cents))
     blocks = []
-    for seed in range(order):
-        if seen[seed]:
+    for x in range(len(cents)):
+        if seen[x]:
             continue
-        seen[seed] = 1
-        orbit = [seed]
+        orbit, stab = _stabilizer_maps(cents, maps, x)
         for y in orbit:
-            for perm in maps:
-                z = perm[y]
-                if not seen[z]:
-                    seen[z] = 1
-                    orbit.append(z)
-        size = sum(_count(cents, memo, cents[x], n - 1) for x in orbit)
-        blocks.append((frozenset(orbit), size))
+            seen[y] = 1
+        count = _count(cents, memo, cents[x], n - 1)
+        heads = sum(_count(cents, memo, cents[y], n - 1) for y in orbit)
+        if heads != len(orbit) * count:
+            raise InternalError(
+                f"block of {x}: {heads} tuples != {len(orbit)} x {count}"
+            )
+        blocks.append(_Block(x, frozenset(orbit), count, stab))
     return blocks
 
 
-def _walk_orbits(tuples, maps, getter):
-    """(tuples enumerated, orbits, tuples reached) of a walk that starts
-    an orbit at each tuple of ``tuples`` not reached yet and follows it
-    under the ``maps``; the visited set is freed on return."""
+def _block_orbits(cents, n: int, block: _Block):
+    """(tuples enumerated, orbits, tuples reached) among the commuting
+    n-tuples that start with ``block.rep``, under its stabilizer maps:
+    a walk that starts an orbit at each tuple not reached yet, with a
+    visited set freed on return.  With no maps each tuple is its own
+    orbit and nothing is held; (x,) is fixed by every map."""
+    if n == 1:
+        return 1, 1, 1
+    tuples = _commuting_tuples(cents, n, (block.rep,))
+    maps = block.maps
+    if not maps:
+        listed = sum(1 for _ in tuples)
+        return listed, listed, listed
     visited = set()
     enumerated = orbit_count = 0
     for t in tuples:
@@ -157,7 +228,7 @@ def _walk_orbits(tuples, maps, getter):
         visited.add(t)
         stack = [t]
         while stack:
-            for img in map(getter(*stack.pop()), maps):
+            for img in map(itemgetter(*stack.pop()), maps):
                 if img not in visited:
                     visited.add(img)
                     stack.append(img)
@@ -183,47 +254,42 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     memo = {}
     total = _count(cents, memo, frozenset(range(G.order)), n)
 
-    # the orbits are walked under the conjugation maps of the whole
-    # group's generators, one block of first-entry classes at a time
-    maps = [tuple(perm) for perm in _conjugation_action(G.full())]
-    blocks = _first_entry_blocks(cents, memo, maps, n)
-    largest = max(size for _, size in blocks)
-    # rough per-tuple estimate for a block's visited set: an n-tuple of
-    # small ints plus its set slot
-    if largest * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
-        raise BudgetError(
-            f"a block of {largest} tuples would exceed the "
-            f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
-        )
-
-    if n > 1:
-        getter = itemgetter
+    if n == 0:
+        orbit_count = 1  # the empty tuple
     else:
-        # itemgetter of one index returns a scalar, and of none raises
-        def getter(*cur):
-            return lambda cm: tuple([cm[x] for x in cur])
-    enumerated = orbit_count = 0
-    reached = []
-    for firsts, _ in blocks:
-        listed, orbits, got = _walk_orbits(
-            _commuting_tuples(cents, n, firsts), maps, getter)
-        enumerated += listed
-        orbit_count += orbits
-        reached.append(got)
-    if enumerated != total:
-        raise InternalError(
-            f"enumerated {enumerated} commuting tuples, counted {total}"
-        )
-    if sum(reached) != total:
-        raise InternalError(
-            f"orbit walk reached {sum(reached)} tuples, counted {total}"
-        )
-    for i, ((_, size), got) in enumerate(zip(blocks, reached)):
-        if got != size:
-            raise InternalError(
-                f"orbit walk reached {got} tuples in first-entry block {i}, "
-                f"counted {size}"
+        # each first-entry class is walked from its smallest id, under
+        # the stabilizer maps derived from the conjugation maps of the
+        # whole group's generators
+        maps = [tuple(perm) for perm in _conjugation_action(G.full())]
+        blocks = _first_entry_blocks(cents, memo, maps, n)
+        held = max((b.count for b in blocks if b.maps and n > 1), default=0)
+        # rough per-tuple estimate for a walk's visited set: an n-tuple
+        # of small ints plus its set slot
+        if held * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
+            raise BudgetError(
+                f"a walk over {held} tuples would exceed the "
+                f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
             )
+        listed = sum(len(b.members) * b.count for b in blocks)
+        if listed != total:
+            raise InternalError(
+                f"first-entry blocks hold {listed} commuting tuples, "
+                f"counted {total}"
+            )
+        orbit_count = 0
+        for b in blocks:
+            enumerated, orbits, reached = _block_orbits(cents, n, b)
+            if enumerated != b.count:
+                raise InternalError(
+                    f"enumerated {enumerated} commuting tuples starting "
+                    f"with {b.rep}, counted {b.count}"
+                )
+            if reached != b.count:
+                raise InternalError(
+                    f"orbit walk from {b.rep} reached {reached} tuples, "
+                    f"counted {b.count}"
+                )
+            orbit_count += orbits
 
     # Burnside: orbits = average number of fixed tuples, and the tuples
     # fixed by conjugation by g are the commuting n-tuples inside Z(g)

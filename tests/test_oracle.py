@@ -1,4 +1,8 @@
 import gc
+import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,11 +14,37 @@ from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
 from commprob import oracle
 from commprob.errors import BudgetError, InputError, InternalError
+from commprob.groups import conjugacy_classes
 from commprob.oracle import (
     commuting_pairs_matrix_algebra,
     commuting_tuples_count,
     simultaneous_classes_count,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def whole_block_orbits(cents, maps, n, members):
+    """(orbits, tuples reached) of the whole group on the commuting
+    n-tuples whose first entry is in ``members``: every tuple of the
+    class block walked under the whole group's conjugation maps (the
+    oracle's walk before it took one representative per class)."""
+    visited = set()
+    orbits = 0
+    for t in oracle._commuting_tuples(cents, n, members):
+        if t in visited:
+            continue
+        orbits += 1
+        visited.add(t)
+        stack = [t]
+        while stack:
+            cur = stack.pop()
+            for perm in maps:
+                img = tuple(perm[v] for v in cur)
+                if img not in visited:
+                    visited.add(img)
+                    stack.append(img)
+    return orbits, len(visited)
 
 
 def test_abelian_counts_are_powers():
@@ -144,14 +174,68 @@ def test_oracle_leaves_no_reference_cycles():
     # every map the identity: each of the 18 commuting pairs of S(3) is
     # its own orbit, but Burnside counts 8 classes
     ([0, 1, 2, 3, 4, 5], "Burnside count 8 != orbit partition count 18"),
-    # swapping ids 1 and 2 alone is no automorphism of S(3): the walk
-    # leaves the commuting pairs
-    ([0, 2, 1, 3, 4, 5], "reached 20 tuples, counted 18"),
+    # swapping ids 1 and 2 alone is no automorphism of S(3): it puts a
+    # transposition (2 pairs) and a 3-cycle (3 pairs) in one class
+    ([0, 2, 1, 3, 4, 5], "block of 1: 5 tuples != 2 x 2"),
+    # id 4 sent to id 3 as well: the transposition 3 falls into two
+    # classes, so the blocks hold its 2 pairs twice
+    ([0, 1, 2, 3, 3, 5],
+     "first-entry blocks hold 20 commuting tuples, counted 18"),
 ])
 def test_wrong_conjugation_action_fails_a_check(monkeypatch, perm, message):
     monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         simultaneous_classes_count(fresh_build("S(3)"), 2)
+
+
+@pytest.mark.parametrize("n, perm, message", [
+    # the rotation 1 swapped with the reflection 2: the rotation 6 is
+    # fixed, but its centralizer is not
+    (2, [0, 2, 1, 3, 4, 5, 6, 7],
+     "a stabilizer map of 6 moves it or leaves Z\\(6\\)"),
+    # a map that keeps every centralizer but not commutation: the walk
+    # from the identity leaves the commuting triples
+    (3, [0, 2, 1, 3, 7, 6, 5, 4],
+     "orbit walk from 0 reached 46 tuples, counted 40"),
+], ids=["centralizer-moved", "commutation-broken"])
+def test_wrong_action_on_d4_fails_a_check(monkeypatch, n, perm, message):
+    monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
+    with pytest.raises(InternalError, match=message):
+        simultaneous_classes_count(fresh_build("D(4)"), n)
+
+
+def test_a_missed_tuple_fails_the_enumeration_check(monkeypatch):
+    # an enumeration that skips the first tuple of every representative
+    listed = oracle._commuting_tuples
+    monkeypatch.setattr(
+        oracle, "_commuting_tuples",
+        lambda cents, n, firsts=None: itertools.islice(
+            listed(cents, n, firsts), 1, None))
+    with pytest.raises(InternalError, match="enumerated 5 commuting tuples "
+                       "starting with 0, counted 6"):
+        simultaneous_classes_count(build("S(3)"), 2)
+
+
+def test_wrong_action_fails_under_optimize():
+    # the swapped-ids action above in a python -O interpreter, where an
+    # assert would be stripped
+    script = (
+        "from commprob import catalog, oracle\n"
+        "from commprob.errors import InternalError\n"
+        "print('debug', __debug__)\n"
+        "oracle._conjugation_action = lambda H: [[0, 2, 1, 3, 4, 5]]\n"
+        "try:\n"
+        "    oracle.simultaneous_classes_count(catalog.build('S(3)'), 2)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "InternalError block of 1: 5 tuples != 2 x 2"
+    ], proc.stdout
 
 
 def test_centralizer_table_matches_a_full_scan():
@@ -172,43 +256,94 @@ def test_first_entry_blocks_split_the_commuting_tuples(desc):
     memo = {}
     for n in (1, 2, 3):
         blocks = oracle._first_entry_blocks(cents, memo, maps, n)
-        listed = []
-        for firsts, size in blocks:
-            block = list(oracle._commuting_tuples(cents, n, firsts))
-            assert block == sorted(block), (desc, n)
-            assert {t[0] for t in block} <= firsts, (desc, n)
-            assert len(block) == size, (desc, n)
-            listed += block
-        assert len(set(listed)) == len(listed), (desc, n)
-        assert sorted(listed) == list(oracle._commuting_tuples(cents, n)), (desc, n)
+        for block in blocks:
+            x = block.rep
+            assert x == min(block.members), (desc, n)
+            tuples = list(oracle._commuting_tuples(cents, n, (x,)))
+            assert tuples == sorted(tuples), (desc, n)
+            assert {t[0] for t in tuples} == {x}, (desc, n)
+            assert len(tuples) == block.count == \
+                oracle._count(cents, memo, cents[x], n - 1), (desc, n, x)
+        assert sum(len(b.members) * b.count for b in blocks) == \
+            sum(1 for _ in oracle._commuting_tuples(cents, n)), (desc, n)
     # the first-entry classes are the conjugacy classes
-    from commprob.groups import conjugacy_classes
-
-    assert sorted(sorted(firsts) for firsts, _ in blocks) == sorted(
+    assert sorted(sorted(b.members) for b in blocks) == sorted(
         list(c.members) for c in conjugacy_classes(G.full()).classes
     )
 
 
+@pytest.mark.parametrize("desc", ["S(4)", "Q8", "D(16)", "GL(2,3)", "PSL(2,7)"])
+def test_representative_walk_matches_the_whole_block_walk(desc):
+    # the orbits of x's stabilizer on the tuples that start with x are
+    # the orbits of the whole group on x's class block
+    G = build(desc)
+    cents = oracle._centralizer_sets(G, 3, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    memo = {}
+    for n in (1, 2, 3):
+        for block in oracle._first_entry_blocks(cents, memo, maps, n):
+            orbits, reached = whole_block_orbits(cents, maps, n, block.members)
+            assert reached == len(block.members) * block.count, (desc, n)
+            assert oracle._block_orbits(cents, n, block) == \
+                (block.count, orbits, block.count), (desc, n, block.rep)
+
+
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)", "PSL(2,7)"])
+def test_stabilizer_maps_generate_the_centralizer_action(desc):
+    # on Z(x), the maps close to conjugation by every g in Z(x), computed
+    # here with G.mul
+    G = build(desc)
+    cents = oracle._centralizer_sets(G, 1, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    for cls in conjugacy_classes(G.full()).classes:
+        x = min(cls.members)
+        orbit, stab = oracle._stabilizer_maps(cents, maps, x)
+        assert sorted(orbit) == list(cls.members), (desc, x)
+        zx = tuple(sorted(cents[x]))
+        on_zx = [tuple(m[z] for z in zx) for m in stab]
+        assert zx not in on_zx, (desc, x)
+        assert len(set(on_zx)) == len(on_zx), (desc, x)
+        for m, images in zip(stab, on_zx):
+            assert m[x] == x, (desc, x)
+            assert sorted(images) == list(zx), (desc, x)
+        closure = {zx}
+        frontier = [zx]
+        while frontier:
+            images = frontier.pop()
+            for m in stab:
+                img = tuple(m[y] for y in images)
+                if img not in closure:
+                    closure.add(img)
+                    frontier.append(img)
+        assert closure == {
+            tuple(G.mul(G.mul(g, z), G.inv(g)) for z in zx) for g in zx
+        }, (desc, x)
+
+
 def test_memory_guard_counts_the_largest_block(monkeypatch):
-    G = build("GL(2,3)")
-    n = 3
+    # D(16) at n = 5: the largest class block has 131,072 tuples, but
+    # only the central classes have stabilizer maps, and a walk from one
+    # of them holds 67,456
+    G = build("D(16)")
+    n = 5
     cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
     maps = oracle._conjugation_action(G.full())
-    sizes = [size for _, size in oracle._first_entry_blocks(cents, {}, maps, n)]
+    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    held = max(b.count for b in blocks if b.maps)
+    assert held == 67456
+    assert max(len(b.members) * b.count for b in blocks) == 131072
     per_tuple = n * 28 + 80
-    assert max(sizes) < sum(sizes)
-    # room for the largest block but not for every tuple at once
-    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", max(sizes) * per_tuple)
-    assert simultaneous_classes_count(G, n).tuple_count == sum(sizes)
-    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES",
-                        max(sizes) * per_tuple - 1)
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", held * per_tuple)
+    assert simultaneous_classes_count(G, n).tuple_count == 1056512
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", held * per_tuple - 1)
     with pytest.raises(BudgetError):
         simultaneous_classes_count(G, n)
 
 
 def test_oracle_holds_one_block_at_a_time():
     # 18,816 commuting 4-tuples of GL(2,3): held in one visited set they
-    # peak near 1.8 MB; held one first-entry block at a time, under 0.4 MB
+    # peak near 1.8 MB; walked one first-entry class at a time from its
+    # representative, near 0.3 MB
     G = build("GL(2,3)")
     simultaneous_classes_count(G, 4)  # the conjugation action, built once
     tracemalloc.start()
