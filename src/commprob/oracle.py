@@ -21,15 +21,22 @@ multiplication.  Only the tuples that start with x are enumerated and
 walked, one class at a time; a class whose stabilizer maps are all the
 identity holds no visited set, since each of its tuples is its own
 orbit, and the memory guard is checked against the largest walk that
-does hold one.  The tuple counts check that every member of a class
+does hold one.  The tails of the tuples (x, t2, ..., tn) depend only on
+Z(x), and the maps fix x, so two classes with the same Z(x) and the same
+stabilizer maps (the central elements, for one) have the same walk,
+which runs once.  The tuple counts check that every member of a class
 heads as many tuples as x does.
+
+The pair scan over the full matrix algebra forms products through row
+tables: for every matrix M, the product v.M of every row vector v, with
+row vectors coded as integers, so row i of AB is one lookup in B's table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
@@ -210,7 +217,9 @@ def _block_orbits(cents, n: int, block: _Block):
     n-tuples that start with ``block.rep``, under its stabilizer maps:
     a walk that starts an orbit at each tuple not reached yet, with a
     visited set freed on return.  With no maps each tuple is its own
-    orbit and nothing is held; (x,) is fixed by every map."""
+    orbit and nothing is held; (x,) is fixed by every map.  The numbers
+    depend only on Z(x) and the maps, so the caller walks each distinct
+    (Z(x), maps) once and reuses the result for an equal pair."""
     if n == 1:
         return 1, 1, 1
     tuples = _commuting_tuples(cents, n, (block.rep,))
@@ -277,8 +286,16 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
                 f"counted {total}"
             )
         orbit_count = 0
+        walks = {}  # (Z(x), stabilizer maps) -> that walk's three numbers
         for b in blocks:
-            enumerated, orbits, reached = _block_orbits(cents, n, b)
+            if b.maps:
+                key = (cents[b.rep], tuple(b.maps))
+                walk = walks.get(key)
+                if walk is None:
+                    walk = walks[key] = _block_orbits(cents, n, b)
+            else:
+                walk = _block_orbits(cents, n, b)
+            enumerated, orbits, reached = walk
             if enumerated != b.count:
                 raise InternalError(
                     f"enumerated {enumerated} commuting tuples starting "
@@ -310,9 +327,48 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     )
 
 
+def _row_tables(fld, d: int):
+    """The rows of every d x d matrix over ``fld`` and its row table.
+
+    A row vector (v1, ..., vd) is coded as the integer with base-q digits
+    v1 ... vd.  Returns (vectors, rows, tables): ``vectors[v]`` is the
+    row vector coded v, ``rows[m]`` the row codes of the m-th matrix M in
+    ``itertools.product(range(q), repeat=d * d)`` order, and
+    ``tables[m][v]`` the code of v.M, the sum of v_k times row k of M.
+    Row i of AB is then ``tables[B][rows[A][i]]``."""
+    q = fld.q
+    add = fld.add_table()
+    mul = fld.mul_table()
+    # u + w and a.v on codes, built one coordinate at a time from the
+    # zero space: the code of (a, rest) is a * size + the code of rest
+    vadd, multiples = [[0]], [[0] * q]
+    for _ in range(d):
+        size = len(vadd)
+        vadd = [[s * size + x for s in add[a] for x in sub]
+                for a in range(q) for sub in vadd]
+        multiples = [[row[a] * size + m for row, m in zip(mul, sub)]
+                     for a in range(q) for sub in multiples]
+    rows = list(itertools.product(range(len(vadd)), repeat=d))
+    tables = []
+    for mrows in rows:
+        table = [0]
+        for r in mrows:
+            table = [vadd[c][m] for c in table for m in multiples[r]]
+        tables.append(table)
+    return list(itertools.product(range(q), repeat=d)), rows, tables
+
+
 def commuting_pairs_matrix_algebra(d: int, q: int) -> int:
     """Ordered commuting pairs (A, B) with AB = BA over all d x d
-    matrices (the full matrix algebra, not just invertible ones)."""
+    matrices (the full matrix algebra, not just invertible ones).
+
+    Products go through the row tables of ``_row_tables``: for each
+    unordered pair, row i of AB is B's table at row i of A and row i of
+    BA is A's table at row i of B, compared row by row up to the first
+    row that differs.  The tables hold q^(d^2) * q^d <= q^(2 d^2)
+    entries, within the pair budget.  Each table is first checked on
+    its own matrix: the tabled A.A must equal the product that
+    ``matrix_operations`` forms, or ``InternalError`` is raised."""
     if d < 1 or d > 3:
         raise InputError("d must be in 1..3")
     pp = prime_power(q)
@@ -325,14 +381,30 @@ def commuting_pairs_matrix_algebra(d: int, q: int) -> int:
             f"{DEFAULT_PAIR_SCAN_BUDGET}"
         )
     fld = field(*pp)
-    ops = matrix_operations(fld, d)
-    mul = ops.mul
-    mats = list(itertools.product(range(q), repeat=d * d))
-    total = len(mats)  # (A, A) always commutes
-    for i in range(len(mats)):
-        A = mats[i]
-        for j in range(i + 1, len(mats)):
-            B = mats[j]
-            if mul(A, B) == mul(B, A):
+    vectors, rows, tables = _row_tables(fld, d)
+
+    def entries(codes):
+        return tuple(itertools.chain.from_iterable(vectors[c] for c in codes))
+
+    mul = matrix_operations(fld, d).mul
+    for ra, ta in zip(rows, tables):
+        A = entries(ra)
+        if entries(ta[r] for r in ra) != mul(A, A):
+            raise InternalError(f"the row table of {A} over GF({q}) "
+                                f"gives a wrong square")
+    count = len(rows)
+    firsts = [ra[0] for ra in rows]
+    total = count  # (A, A) always commutes
+    for a, (ra, ta) in enumerate(zip(rows, tables)):
+        # row 0 of AB and of BA for every later B in one pass, then the
+        # other rows only for the pairs that agree there
+        same = map(eq, map(itemgetter(ra[0]), tables[a + 1:]),
+                   map(ta.__getitem__, firsts[a + 1:]))
+        for b in itertools.compress(range(a + 1, count), same):
+            tb = tables[b]
+            for i, j in zip(ra[1:], rows[b][1:]):
+                if tb[i] != ta[j]:
+                    break
+            else:
                 total += 2
     return total

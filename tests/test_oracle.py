@@ -14,7 +14,9 @@ from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
 from commprob import oracle
 from commprob.errors import BudgetError, InputError, InternalError
-from commprob.groups import conjugacy_classes
+from commprob.feitfine import feit_fine_pairs
+from commprob.gf import field, prime_power
+from commprob.groups import conjugacy_classes, matrix_operations
 from commprob.oracle import (
     commuting_pairs_matrix_algebra,
     commuting_tuples_count,
@@ -45,6 +47,29 @@ def whole_block_orbits(cents, maps, n, members):
                     visited.add(img)
                     stack.append(img)
     return orbits, len(visited)
+
+
+def walk_every_block(G, n):
+    """The orbit count of the commuting n-tuples (n >= 1) with every
+    first-entry class walked on its own, none reused."""
+    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    return sum(oracle._block_orbits(cents, n, b)[1] for b in blocks)
+
+
+def straight_line_pairs(d, q):
+    """Ordered commuting pairs of d x d matrices over GF(q), with both
+    products of every unordered pair formed by ``matrix_operations`` (the
+    pair scan before it took row tables)."""
+    mul = matrix_operations(field(*prime_power(q)), d).mul
+    mats = list(itertools.product(range(q), repeat=d * d))
+    total = len(mats)
+    for i, A in enumerate(mats):
+        for B in mats[i + 1:]:
+            if mul(A, B) == mul(B, A):
+                total += 2
+    return total
 
 
 def test_abelian_counts_are_powers():
@@ -354,3 +379,90 @@ def test_oracle_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert report.tuple_count == 18816
     assert peak <= 1_000_000, peak
+
+
+WALK_REUSE_CASES = [(desc, n) for desc in ORACLE_GRID for n in (1, 2, 3)] + [
+    ("D(16)", 4), ("D(16)", 5), ("GL(2,5)", 3)]
+
+
+@pytest.mark.parametrize("desc, n", WALK_REUSE_CASES)
+def test_walk_reuse_matches_walking_every_block(desc, n):
+    G = build(desc)
+    assert simultaneous_classes_count(G, n).orbit_count == \
+        walk_every_block(G, n), (desc, n)
+
+
+@pytest.mark.parametrize("desc, n, central", [
+    ("D(16)", 5, 2), ("GL(2,5)", 3, 4)])
+def test_central_classes_share_one_walk(monkeypatch, desc, n, central):
+    # every class with stabilizer maps is central here, and all of them
+    # have the identity's walk
+    G = build(desc)
+    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
+    maps = oracle._conjugation_action(G.full())
+    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    assert [len(b.members) for b in blocks if b.maps] == [1] * central
+    walked = []
+    block_orbits = oracle._block_orbits
+
+    def counted(cents, n, block):
+        if block.maps:
+            walked.append(block.rep)
+        return block_orbits(cents, n, block)
+
+    monkeypatch.setattr(oracle, "_block_orbits", counted)
+    simultaneous_classes_count(G, n)
+    assert walked == [0]
+
+
+@pytest.mark.parametrize("d, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_row_table_scan_matches_the_straight_line_scan(d, q):
+    pairs = commuting_pairs_matrix_algebra(d, q)
+    assert pairs == straight_line_pairs(d, q) == feit_fine_pairs(d, q)
+
+
+def corrupt_one_square(row_tables):
+    """``_row_tables`` with one entry of the last matrix's table off by
+    one: the entry that forms row 0 of that matrix's square."""
+    def corrupted(fld, d):
+        vectors, rows, tables = row_tables(fld, d)
+        last = rows[-1][0]
+        tables[-1][last] = (tables[-1][last] + 1) % len(vectors)
+        return vectors, rows, tables
+    return corrupted
+
+
+def test_a_corrupted_row_table_fails_the_square_check(monkeypatch):
+    monkeypatch.setattr(oracle, "_row_tables",
+                        corrupt_one_square(oracle._row_tables))
+    with pytest.raises(InternalError, match=r"the row table of \(2, 2, 2, 2\) "
+                       r"over GF\(3\) gives a wrong square"):
+        commuting_pairs_matrix_algebra(2, 3)
+
+
+def test_a_corrupted_row_table_fails_under_optimize():
+    # the same corruption at d = 3, q = 2 in a python -O interpreter
+    script = (
+        "from commprob import oracle\n"
+        "from commprob.errors import InternalError\n"
+        "print('debug', __debug__)\n"
+        "row_tables = oracle._row_tables\n"
+        "def corrupted(fld, d):\n"
+        "    vectors, rows, tables = row_tables(fld, d)\n"
+        "    last = rows[-1][0]\n"
+        "    tables[-1][last] = (tables[-1][last] + 1) % len(vectors)\n"
+        "    return vectors, rows, tables\n"
+        "oracle._row_tables = corrupted\n"
+        "try:\n"
+        "    oracle.commuting_pairs_matrix_algebra(3, 2)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "InternalError the row table of (1, 1, 1, 1, 1, 1, "
+        "1, 1, 1) over GF(2) gives a wrong square"], proc.stdout
