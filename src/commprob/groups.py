@@ -22,12 +22,16 @@ greedy set.  A non-abelian subgroup H gets, on first use, the
 conjugation action of that set as integer permutations of the positions
 in ``H.key``, built once at 2 products per element per generator and
 kept on the subgroup.  It is the only place here that multiplies
-elements to conjugate them: conjugacy classes, centralizer orbits,
-z-classes, the center (the points every permutation fixes) and the
-normal closure behind the derived subgroup are then integer indexing.
-Centralizers are point stabilizers of that action: Schreier generators,
-formed from a lazily built transversal, closed by an incremental Dimino
-closure that stops at the orbit–stabilizer order |H| / |x^H|.
+elements to conjugate them; after it, everything is integer indexing.
+The center is the set of points every permutation fixes, and every orbit
+is grown by one kernel, ``_orbit_tree``: a breadth-first tree of a
+seed's orbit with parent pointers.  Conjugacy classes are its orbits.
+Centralizers are the point stabilizers: Schreier generators from its
+non-tree edges, formed from a lazily built transversal, closed by an
+incremental Dimino closure that stops at the orbit–stabilizer order
+|H| / |x^H|.  z-classes carry a centralizer's positions along its tree
+paths, the derived subgroup is generated by the classes of the
+commutators, and the oracle's stabilizer maps come from the same tree.
 """
 
 from __future__ import annotations
@@ -749,6 +753,33 @@ def _generating_pair(H: Subgroup):
     return None
 
 
+def _orbit_tree(perms, seed) -> tuple:
+    """The orbit of ``seed`` under the integer permutations ``perms`` as
+    a breadth-first tree ``(orbit, index, up, via)``: ``orbit`` lists the
+    points in the order they are reached, ``index`` maps each point to
+    its position there, and for i > 0 point ``orbit[i]`` was first
+    reached as ``perms[via[i]][orbit[up[i]]]``, with ``up[i] < i``.
+
+    This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
+    *Handbook of Computational Group Theory*, §4.1): conjugacy classes,
+    centralizers, z-classes and the oracle's stabilizer maps all read
+    their orbits from it.  It makes no product."""
+    orbit = [seed]
+    index = {seed: 0}
+    up = [-1]
+    via = [-1]
+    edges = list(enumerate(perms))
+    for i, y in enumerate(orbit):
+        for s, perm in edges:
+            z = perm[y]
+            if z not in index:
+                index[z] = len(orbit)
+                orbit.append(z)
+                up.append(i)
+                via.append(s)
+    return orbit, index, up, via
+
+
 def _conjugation_action(H: Subgroup) -> list:
     """The conjugation action y -> s y s^-1 of each generator s in
     ``generating_ids(H)`` on H, as one integer permutation per generator,
@@ -785,10 +816,11 @@ def _conjugation_action(H: Subgroup) -> list:
 def conjugacy_classes(H: Subgroup) -> ClassData:
     """Partition H into conjugation orbits under H itself.
 
-    The orbits are walked on positions in ``H.key`` through the integer
-    conjugation action, so no product is made once the action is built;
-    an abelian H is split into singletons without building it.  Seeds
-    ascend, so each class representative is its minimal id."""
+    Each class is the ``_orbit_tree`` of a position in ``H.key`` that no
+    class holds yet, under the integer conjugation action, so no product
+    is made once the action is built; an abelian H is split into
+    singletons without building it.  Seeds ascend, so each class
+    representative is its minimal id."""
     if H._classes is not None:
         return H._classes
     key = H.key
@@ -800,23 +832,13 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
             class_of[h] = ci
     else:
         action = _conjugation_action(H)
-        label = [-1] * len(key)
-        for seed, seen in enumerate(label):
-            if seen >= 0:
+        for seed, h in enumerate(key):
+            if h in class_of:
                 continue
-            ci = len(classes)
-            label[seed] = ci
-            orbit = [seed]
-            for y in orbit:
-                for perm in action:
-                    z = perm[y]
-                    if label[z] < 0:
-                        label[z] = ci
-                        orbit.append(z)
-            members = [key[y] for y in orbit]
+            members = [key[y] for y in _orbit_tree(action, seed)[0]]
             for m in members:
-                class_of[m] = ci
-            classes.append(ConjugacyClass(key[seed], len(orbit), tuple(sorted(members))))
+                class_of[m] = len(classes)
+            classes.append(ConjugacyClass(h, len(members), tuple(sorted(members))))
     H._classes = ClassData(H, classes, class_of)
     return H._classes
 
@@ -826,19 +848,18 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, §4.1).
 
-    A breadth-first search through the integer conjugation action finds
-    the class x^H with parent pointers (orbit index, generator index),
-    making no product.  Generator i of ``generating_ids(H)`` is
-    permutation i of the action.  Every non-tree edge y -> s y s^-1 = z
-    gives a Schreier generator t_z^-1 s t_y, which commutes with x; the
-    transversal element t_y (t_y x t_y^-1 = y) is formed from the parent
-    pointers only when a Schreier generator needs it, and kept.  The
-    Schreier generators are added one at a time by an
-    incremental Dimino closure, which stops as soon as the closure
-    reaches the known order |H| / |x^H|, so most of them and most
-    transversal elements are never formed.  A class of size 1 gives H
-    itself, and so does an H already known to be abelian, without
-    building the action.
+    The class x^H is the ``_orbit_tree`` of x's position under the
+    integer conjugation action, found with no product; generator i of
+    ``generating_ids(H)`` is permutation i of the action.  Every non-tree
+    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y,
+    which commutes with x; the transversal element t_y
+    (t_y x t_y^-1 = y) is formed from the tree's parent pointers only
+    when a Schreier generator needs it, and kept.  The Schreier
+    generators are added one at a time by an incremental Dimino closure,
+    which stops as soon as the closure reaches the known order
+    |H| / |x^H|, so most of them and most transversal elements are never
+    formed.  A class of size 1 gives H itself, and so does an H already
+    known to be abelian, without building the action.
     """
     if isinstance(x, Element):
         x = x.id
@@ -852,21 +873,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         return H
     gens = generating_ids(H)
     action = _conjugation_action(H)
-
-    # orbit of x's position; point i was first reached from point up[i]
-    # by generator via[i]
-    orbit = [bisect_left(H.key, x)]
-    index = {orbit[0]: 0}
-    up = [-1]
-    via = [-1]
-    for yi, y in enumerate(orbit):
-        for si, perm in enumerate(action):
-            z = perm[y]
-            if z not in index:
-                index[z] = len(orbit)
-                orbit.append(z)
-                up.append(yi)
-                via.append(si)
+    orbit, index, up, via = _orbit_tree(action, bisect_left(H.key, x))
 
     if len(orbit) == 1:
         Z = H
@@ -943,30 +950,24 @@ def center(H: Subgroup) -> Subgroup:
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
     """Derived subgroup: the trivial group when H is abelian, otherwise
-    the normal closure in H of the generators' commutators, whose members
-    are conjugated through the integer action."""
+    the normal closure in H of the generators' commutators, which is the
+    subgroup generated by their conjugacy classes, read from
+    ``conjugacy_classes`` (one ``_orbit_tree`` per class)."""
     G = H.group
     if is_abelian(H):
         return Subgroup(G, [0], _validate=False)
     gens = generating_ids(H)
-    action = _conjugation_action(H)
-    key = H.key
+    cd = conjugacy_classes(H)
     inv = G.inv
     mul = G.mul
-    # non-empty: two of the generators do not commute
     comms = {mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens}
     data = G._data
     genlist = []
     members = {0: data[0]}
-    pending = sorted(comms - {0}, reverse=True)
-    while pending:
-        c = pending.pop()
-        if c in members:
-            continue
-        _dimino_add(G, members, genlist, data[c])
-        points = [bisect_left(key, m) for m in members]
-        new_conj = {key[perm[y]] for y in points for perm in action}
-        pending.extend(sorted(new_conj - members.keys(), reverse=True))
+    conjugates = {m for c in comms for m in cd.classes[cd.class_of[c]].members}
+    for g in sorted(conjugates):
+        if g not in members:
+            _dimino_add(G, members, genlist, data[g])
     return Subgroup(G, members, _validate=False)
 
 
@@ -1009,10 +1010,11 @@ def z_classes(H: Subgroup) -> list:
     conjugate subgroups of H.  Returns a partition as a list of sorted
     index lists, ordered by smallest class index.
 
-    Centralizers are conjugated as sorted tuples of positions in
-    ``H.key`` (positions ascend with ids, so a subgroup key maps to a
-    sorted position tuple) through the integer conjugation action; an
-    abelian H is a single block."""
+    Centralizers are compared as sorted tuples of positions in ``H.key``
+    (positions ascend with ids, so a subgroup key maps to a sorted
+    position tuple).  The conjugates of Z(x) are the Z(y) for y in x's
+    class, so they are Z(x)'s positions carried along the paths of x's
+    ``_orbit_tree``, with no product; an abelian H is a single block."""
     cd = conjugacy_classes(H)
     if is_abelian(H):
         return [list(range(cd.k))]
@@ -1027,15 +1029,11 @@ def z_classes(H: Subgroup) -> list:
         if found is not None:
             blocks[found].append(i)
             continue
-        oi = len(blocks)
+        _, _, up, via = _orbit_tree(action, bisect_left(key, c.rep))
+        carried = [start]
+        for j, s in zip(up[1:], via[1:]):
+            carried.append(array("i", map(action[s].__getitem__, carried[j])))
+        for images in carried:
+            orbit_of[tuple(sorted(images))] = len(blocks)
         blocks.append([i])
-        orbit_of[start] = oi
-        queue = [start]
-        while queue:
-            k = queue.pop()
-            for perm in action:
-                ck = tuple(sorted([perm[z] for z in k]))
-                if ck not in orbit_of:
-                    orbit_of[ck] = oi
-                    queue.append(ck)
     return blocks

@@ -14,8 +14,9 @@ K, and every orbit in that block meets the tuples that start with K's
 smallest id x.  The orbits of the whole group on the block therefore
 correspond one to one to the orbits of the stabilizer of x on the tuples
 (x, t2, ..., tn), whose entries all lie in Z(x).  The classes are the
-orbits of single ids under the conjugation maps; walking each class also
-records a transversal, and Schreier's lemma turns it into the
+orbits of single ids under the conjugation maps, each grown by the
+engine's orbit kernel ``groups._orbit_tree``; carrying Z(x) along that
+tree gives a transversal, and Schreier's lemma turns its edges into the
 stabilizer's maps on Z(x), compositions of the same id maps with no new
 multiplication.  Only the tuples that start with x are enumerated and
 walked, one class at a time; a class whose stabilizer maps are all the
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import Group, _conjugation_action, matrix_operations
+from .groups import Group, _conjugation_action, _orbit_tree, matrix_operations
 
 DEFAULT_BUDGET = 50_000_000
 DEFAULT_MEMORY_BYTES = 2 << 30
@@ -143,35 +144,30 @@ class _Block(NamedTuple):
 
 
 def _stabilizer_maps(cents, maps, x: int):
-    """The class of x, as its orbit under the conjugation ``maps``, and
-    the stabilizer's maps on Z(x) from Schreier's lemma.
+    """The class of x, as its ``_orbit_tree`` under the conjugation
+    ``maps``, and the stabilizer's maps on Z(x) from Schreier's lemma.
 
-    Walking the orbit records for each member y a transversal map u_y
-    with u_y(x) = y, a composition of ``maps`` kept only on Z(x).  The
-    maps u_{s(y)}^-1 s u_y, for y in the orbit and s in ``maps``, fix x
-    and generate the stabilizer's action on Z(x) (Holt-Eick-O'Brien,
-    *Handbook of Computational Group Theory*, §4.1); those that act as
-    the identity and repeats are dropped.  Each is returned as an id
-    map that fixes every id outside Z(x).  No element is multiplied."""
+    Carrying Z(x) along the tree's paths gives for each member y a
+    transversal map u_y with u_y(x) = y, a composition of ``maps`` kept
+    only on Z(x).  The maps u_{s(y)}^-1 s u_y, for y in the orbit and s
+    in ``maps``, fix x and generate the stabilizer's action on Z(x)
+    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, §4.1);
+    those that act as the identity and repeats are dropped.  Each is
+    returned as an id map that fixes every id outside Z(x).  No element
+    is multiplied."""
     zx = sorted(cents[x])
-    images = {x: zx}  # u_y as the list of images of zx
-    orbit = [x]
-    for y in orbit:
-        uy = images[y]
-        for s in maps:
-            z = s[y]
-            if z not in images:
-                images[z] = [s[w] for w in uy]
-                orbit.append(z)
-    where = {y: {w: i for i, w in enumerate(uy)} for y, uy in images.items()}
+    orbit, index, up, via = _orbit_tree(maps, x)
+    images = [zx]  # u_y as the list of images of zx
+    for i, s in zip(up[1:], via[1:]):
+        images.append(list(map(maps[s].__getitem__, images[i])))
+    where = [{w: i for i, w in enumerate(uy)} for uy in images]
     home = zx.index(x)
     identity = tuple(range(len(zx)))
     found = {}
-    for y in orbit:
-        uy = images[y]
+    for i, y in enumerate(orbit):
         for s in maps:
-            back = where[s[y]]
-            local = tuple([back.get(s[w], -1) for w in uy])
+            back = where[index[s[y]]]
+            local = tuple([back.get(s[w], -1) for w in images[i]])
             if local[home] != home or -1 in local:
                 raise InternalError(
                     f"a stabilizer map of {x} moves it or leaves Z({x})")

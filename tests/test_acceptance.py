@@ -311,6 +311,7 @@ def test_c11_determinism_across_runs_and_threads(tmp_path):
              "--json", str(out), "--threads", str(threads)],
             capture_output=True, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=120,
         )
         assert proc.returncode == 1, proc.stderr  # known-erratum rows mismatch
         reports.append(out.read_bytes())

@@ -292,6 +292,48 @@ def test_subgroup_interning_across_threads():
             assert all(o is objs[0] for o in objs)
 
 
+# -- orbit kernel --
+
+def brute_orbit(perms, seed):
+    """Reference orbit: the set of points reached from ``seed`` by the
+    integer permutations ``perms``, closed by repeated passes."""
+    orbit = {seed}
+    while True:
+        grown = orbit | {perm[y] for y in orbit for perm in perms}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
+def test_orbit_tree_on_every_state(monkeypatch, desc):
+    # on every branching state the points are positions in H.key, not ids
+    G = fresh_build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        perms = groups._conjugation_action(H)
+        for seed in range(len(H.key)):
+            orbit, index, up, via = groups._orbit_tree(perms, seed)
+            assert orbit[0] == seed
+            assert len(set(orbit)) == len(orbit)
+            assert set(orbit) == brute_orbit(perms, seed), (desc, st.key, seed)
+            assert index == {y: i for i, y in enumerate(orbit)}
+            for i in range(1, len(orbit)):
+                assert up[i] < i
+                assert perms[via[i]][orbit[up[i]]] == orbit[i]
+    # with the action and the centralizers in place, classes and
+    # z-classes are integer indexing alone
+    states = [G.subgroup(st.key, validate=False)
+              for st in build_branching(G).states]
+    for H in states:
+        z_classes(H)
+        H._classes = None
+    products = count_products(monkeypatch, G)
+    for H in states:
+        z_classes(H)
+    assert products[0] == 0, desc
+
+
 # -- conjugacy classes --
 
 def test_classes_q8():
@@ -334,10 +376,25 @@ def test_classes_match_bfs_reference_on_catalog_states():
             assert cd.class_of == class_of, (desc, st.key)
 
 
+def proper_states(descs):
+    """Every branching state of each group in ``descs`` other than the
+    group itself: subgroups whose positions in ``H.key`` are not ids."""
+    for desc in descs:
+        G = build(desc)
+        for st in build_branching(G).states:
+            if st.order < G.order:
+                yield G.subgroup(st.key, validate=False)
+
+
+PROPER_STATE_GROUPS = ("S(5)", "GL(3,2)", "U(3,2)")
+
+
 def test_z_classes_match_mul_reference():
     for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
         H = build(desc).full()
         assert z_classes(H) == mul_z_classes(H), desc
+    for H in proper_states(PROPER_STATE_GROUPS):
+        assert z_classes(H) == mul_z_classes(H), (H.group, H.key)
 
 
 @pytest.mark.parametrize("desc, bound", [
@@ -449,7 +506,7 @@ def test_centralizer_order_check_raises_under_optimize():
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InternalError"), proc.stdout
 
@@ -465,6 +522,10 @@ def test_center_and_derived_subgroup_match_references():
         H = build(desc).full()
         assert center(H).key == scan_center(H), desc
         assert commutator_subgroup(H).key == commutator_closure(H), desc
+    for H in proper_states(PROPER_STATE_GROUPS):
+        assert center(H).key == scan_center(H), (H.group, H.key)
+        assert commutator_subgroup(H).key == commutator_closure(H), \
+            (H.group, H.key)
 
 
 def test_derived_series_s3():
@@ -587,7 +648,7 @@ def test_action_generators_ignore_the_hash_seed():
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == hashlib.sha256(repr(here).encode()).hexdigest()
 
