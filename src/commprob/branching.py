@@ -91,32 +91,29 @@ def build_branching(G: Group) -> BranchingMatrix:
     if G._branching is not None:
         return G._branching
     full = G.full()
-    # subgroups are interned, so states are keyed by object; a state is
-    # entered (as None) when first reached and described when expanded
-    info = {full: None}
+    # subgroups are interned, so states are keyed by object; each state
+    # is described from the subgroup itself at finalization
+    reached = {full}
     edges = {}
     work = deque([full])
     while work:
         H = work.popleft()
         if is_abelian(H):
-            info[H] = (H.order, H.order, True)
             edges[(H, H)] = H.order
             continue
-        cd = conjugacy_classes(H)
-        info[H] = (H.order, cd.k, False)
-        for c in cd.classes:
+        for c in conjugacy_classes(H).classes:
             Z = centralizer(H, c.rep)
-            if Z not in info:
-                if len(info) >= STATE_COUNT_CAP:
+            if Z not in reached:
+                if len(reached) >= STATE_COUNT_CAP:
                     raise SizeCapError(
                         f"branching expansion exceeds {STATE_COUNT_CAP} states "
                         f"(offending state order {Z.order})"
                     )
-                info[Z] = None
+                reached.add(Z)
                 work.append(Z)
             pair = (Z, H)
             edges[pair] = edges.get(pair, 0) + 1
-    ordered = sorted(info, key=lambda H: H.key)
+    ordered = sorted(reached, key=lambda H: H.key)
     index = {H: i for i, H in enumerate(ordered)}
     size = len(ordered)
     counts = [[0] * size for _ in range(size)]
@@ -125,9 +122,9 @@ def build_branching(G: Group) -> BranchingMatrix:
     states = [
         StateInfo(
             label=f"s{i}",
-            order=info[H][0],
-            class_count=info[H][1],
-            abelian=info[H][2],
+            order=H.order,
+            class_count=H.order if is_abelian(H) else conjugacy_classes(H).k,
+            abelian=is_abelian(H),
             key=H.key,
         )
         for i, H in enumerate(ordered)

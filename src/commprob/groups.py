@@ -7,12 +7,13 @@ seen wins), so ids are reproducible across runs and platforms; groups
 built from an explicit element list keep the given order with the
 identity moved to id 0.
 
-Subgroups are id sets inside an ambient group; their canonical key is
-the sorted id tuple.  Subgroups are interned: constructing one whose key
-its group has seen before returns the same object, so subgroup identity
-is object identity, and everything computed about a subgroup (its
-generating set, abelian flag, conjugation action, classes and
-centralizers) is kept on that object.  Matrix products are straight-line
+Subgroups are id sets inside an ambient group, stored once, as the
+sorted id tuple ``key``: order is its length and membership a bisection
+of it.  Subgroups are interned: constructing one whose key its group
+has seen before returns the same object, so subgroup identity is object
+identity, and everything computed about a subgroup (its generating set,
+abelian flag, conjugation action, classes and centralizers) is kept on
+that object.  Matrix products are straight-line
 code over the field's add and mul tables for d = 1, 2, 3.
 
 Each subgroup has one generating set, ``generating_ids``: two elements
@@ -560,27 +561,26 @@ class Element:
 class Subgroup:
     """A subgroup of an ambient group, identified by its sorted id tuple.
 
+    ``key``, the sorted tuple of member ids, is the only id set the
+    subgroup stores: its order is ``len(key)``, membership is a bisection
+    of it, and every position-indexed action is over its positions.
     Construction interns: the group keeps one object per key, so a second
     construction of the same id set returns the first object, and equal
     subgroups are identical.  Validation, when asked, runs on every
     construction, before a new object is entered, so a set that fails it
-    is never interned.  The
-    slots after ``key`` hold what the subgroup algorithms compute about
-    it, each filled on first use."""
+    is never interned.  The slots after ``key`` hold what the subgroup
+    algorithms compute about it, each filled on first use."""
 
-    __slots__ = ("group", "member_ids", "key",
+    __slots__ = ("group", "key",
                  "_gens", "_abelian", "_action", "_classes", "_centralizers")
 
     def __new__(cls, group: Group, ids, _validate=True):
-        member_ids = frozenset(
-            i.id if isinstance(i, Element) else int(i) for i in ids
-        )
-        key = tuple(sorted(member_ids))
+        key = tuple(sorted({i.id if isinstance(i, Element) else int(i)
+                            for i in ids}))
         H = group._subgroups.get(key)
         if H is None:
             H = object.__new__(cls)
             H.group = group
-            H.member_ids = member_ids
             H.key = key
             H._gens = H._abelian = H._action = H._classes = None
             H._centralizers = {}
@@ -592,10 +592,10 @@ class Subgroup:
 
     def _validate(self):
         G = self.group
-        mem = self.member_ids
+        mem = set(self.key)
         if 0 not in mem:
             raise InputError("subgroup must contain the identity")
-        for i in mem:
+        for i in self.key:
             if not 0 <= i < len(G):
                 raise InputError(f"member id {i} out of range")
             if G.inv(i) not in mem:
@@ -606,22 +606,24 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.member_ids)
+        return len(self.key)
 
     def __len__(self):
-        return len(self.member_ids)
+        return len(self.key)
 
     def __contains__(self, x):
         if isinstance(x, Element):
             x = x.id
-        return x in self.member_ids
+        key = self.key
+        i = bisect_left(key, x)
+        return i < len(key) and key[i] == x
 
     def elements(self):
         for i in self.key:
             yield Element(self.group, i)
 
     def __repr__(self):
-        return f"Subgroup(order={len(self.member_ids)} of {self.group!r})"
+        return f"Subgroup(order={len(self.key)} of {self.group!r})"
 
 
 @dataclass(frozen=True)
@@ -710,7 +712,7 @@ def generating_ids(H: Subgroup) -> tuple:
     gens = []
     gens_data = []
     closure = {0: data[0]}
-    target = len(H.member_ids)
+    target = len(H.key)
     for x in H.key:
         if len(closure) == target:
             break
@@ -864,7 +866,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if isinstance(x, Element):
         x = x.id
     G = H.group
-    if x not in H.member_ids:
+    if x not in H:
         raise InputError(f"element {x} is not a member of the subgroup")
     Z = H._centralizers.get(x)
     if Z is not None:
@@ -878,10 +880,10 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if len(orbit) == 1:
         Z = H
     else:
-        target, rest = divmod(len(H.member_ids), len(orbit))
+        target, rest = divmod(len(H.key), len(orbit))
         if rest:
             raise InternalError(
-                f"class size {len(orbit)} does not divide |H| = {len(H.member_ids)}"
+                f"class size {len(orbit)} does not divide |H| = {len(H.key)}"
             )
         data = G._data
         ids = G._ids
@@ -1000,7 +1002,7 @@ def is_solvable(H: Subgroup) -> bool:
 def element_order(H: Subgroup, x) -> int:
     if isinstance(x, Element):
         x = x.id
-    if x not in H.member_ids:
+    if x not in H:
         raise InputError(f"element {x} is not a member of the subgroup")
     return H.group.element_order(x)
 

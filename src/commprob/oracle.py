@@ -24,9 +24,10 @@ identity holds no visited set, since each of its tuples is its own
 orbit, and the memory guard is checked against the largest walk that
 does hold one.  The tails of the tuples (x, t2, ..., tn) depend only on
 Z(x), and the maps fix x, so two classes with the same Z(x) and the same
-stabilizer maps (the central elements, for one) have the same walk,
-which runs once.  The tuple counts check that every member of a class
-heads as many tuples as x does.
+stabilizer maps, or with none, have the same walk, which runs once: the
+central elements share one, and so do the classes whose Z(x) is one
+abelian subgroup, which have no maps.  The tuple counts check that every
+member of a class heads as many tuples as x does.
 
 The pair scan over the full matrix algebra forms products through row
 tables: for every matrix M, the product v.M of every row vector v, with
@@ -284,13 +285,10 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
         orbit_count = 0
         walks = {}  # (Z(x), stabilizer maps) -> that walk's three numbers
         for b in blocks:
-            if b.maps:
-                key = (cents[b.rep], tuple(b.maps))
-                walk = walks.get(key)
-                if walk is None:
-                    walk = walks[key] = _block_orbits(cents, n, b)
-            else:
-                walk = _block_orbits(cents, n, b)
+            key = (cents[b.rep], tuple(b.maps))
+            walk = walks.get(key)
+            if walk is None:
+                walk = walks[key] = _block_orbits(cents, n, b)
             enumerated, orbits, reached = walk
             if enumerated != b.count:
                 raise InternalError(

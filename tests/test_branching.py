@@ -4,6 +4,7 @@ import pytest
 
 from commprob.branching import (
     BranchingMatrix,
+    StateInfo,
     _validate_matrix,
     build_branching,
     c_tuples,
@@ -155,6 +156,56 @@ def test_lump_partition_is_lumpable():
             for s in block:
                 sums.add(sum(B.counts[u][s] for u in tp.blocks[target_block]))
             assert len(sums) == 1
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def is_lumpable(counts, blocks):
+    return all(
+        len({sum(counts[u][s] for u in target) for s in block}) == 1
+        for block in blocks for target in blocks)
+
+
+def test_lump_splits_states_that_branch_apart():
+    # states 1 and 2 share (order 8, k 5) but send their three
+    # non-central classes to abelian states of different orders
+    states = [StateInfo("s0", 48, 3, False), StateInfo("s1", 8, 5, False),
+              StateInfo("s2", 8, 5, False), StateInfo("s3", 4, 4, True),
+              StateInfo("s4", 2, 2, True)]
+    counts = [[1, 0, 0, 0, 0],
+              [1, 2, 0, 0, 0],
+              [1, 0, 2, 0, 0],
+              [0, 3, 0, 4, 0],
+              [0, 0, 3, 0, 2]]
+    B = BranchingMatrix(states, counts, 0)
+    _validate_matrix(B)
+    tp = lump(B)
+    assert tp.block_of[1] != tp.block_of[2]
+    for bi, block in enumerate(tp.blocks):
+        for s in block:
+            for bj, target in enumerate(tp.blocks):
+                assert sum(counts[u][s] for u in target) == tp.quotient[bj][bi]
+    # coarsest: no two blocks share a signature, and every lumpable
+    # partition that keeps (order, class count) apart refines this one
+    signatures = {((states[b[0]].order, states[b[0]].class_count),
+                   tuple(row[bi] for row in tp.quotient))
+                  for bi, b in enumerate(tp.blocks)}
+    assert len(signatures) == tp.dimension
+    for partition in set_partitions(list(range(len(states)))):
+        if is_lumpable(counts, partition) and all(
+                len({(states[s].order, states[s].class_count) for s in b}) == 1
+                for b in partition):
+            assert all(len({tp.block_of[s] for s in b}) == 1
+                       for b in partition), partition
 
 
 def test_lump_preserves_counting_functional():

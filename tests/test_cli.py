@@ -240,6 +240,25 @@ def test_verify_json_on_stdout_is_one_document(capsys):
     assert f"rows: {len(rows)}  mismatches:" in err
 
 
+def test_branching_lump_json_and_text(capsys):
+    code, out, _ = run(capsys, "branching", "GL(3,2)", "--lump", "--no-cache",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    lumped = payload["lumped"]
+    assert lumped["dimension"] == 5
+    quotient = lumped["quotient"]
+    for i, block in enumerate(lumped["blocks"]):
+        column = sum(row[i] for row in quotient)
+        assert {payload["states"][s]["class_count"] for s in block} == {column}
+    assert sum(row[lumped["root_block"]] for row in quotient) == 6
+    code, out, _ = run(capsys, "branching", "GL(3,2)", "--lump", "--no-cache")
+    assert code == 0
+    assert "lumped dim:" in out
+    assert [line.split(":")[0].strip() for line in out.splitlines()
+            if "quotient[" in line] == [f"quotient[{j}]" for j in range(5)]
+
+
 # -- cache behavior --
 
 def test_cache_roundtrip(cache_env, capsys):
@@ -307,6 +326,47 @@ def test_cache_tampered_matrix_rejected(cache_env, capsys):
     files[0].write_text(json.dumps(record))
     assert cache_load("Q8", 8) is None
     _ = capsys.readouterr()
+
+
+def _tamper_version(record):
+    record["version"] += 1
+
+
+def _tamper_square(record):
+    record["matrix"].pop()
+
+
+def _tamper_root_index(record):
+    record["root_index"] = len(record["states"])
+
+
+def _tamper_root_order(record):
+    record["states"][record["root_index"]]["order"] += 1
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (_tamper_version, "different format version"),
+    (_tamper_square, "not square"),
+    (_tamper_root_index, "root index out of range"),
+    (_tamper_root_order, "root order disagrees"),
+])
+def test_cache_record_checks_reject(cache_env, capsys, tamper, reason):
+    G = build("Q8")
+    cache_store("Q8", G.order, build_branching(G))
+    path = _cache_path("Q8")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    tamper(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    assert cache_load("Q8", G.order) is None
+    err = capsys.readouterr().err
+    assert "warning: ignoring invalid cache file" in err
+    assert reason in err
+    code, out, err = run(capsys, "branching", "Q8")
+    assert code == 0
+    assert "warning: ignoring invalid cache file" in err
+    assert "from cache:   no" in out
 
 
 def test_cache_negative_entry_rejected(cache_env, capsys):

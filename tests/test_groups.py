@@ -454,6 +454,26 @@ def test_centralizer_rejects_non_member():
         centralizer(H, 1)
 
 
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
+def test_membership_on_every_state(desc):
+    # on every branching state, against the key as a set, for every id of
+    # G as an int and as an Element, and just outside the key's range
+    G = build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        members = set(H.key)
+        for x in range(G.order):
+            assert (x in H) == (x in members) == (G.element(x) in H), \
+                (desc, st.key, x)
+            if x not in members:
+                with pytest.raises(InputError):
+                    centralizer(H, x)
+                with pytest.raises(InputError):
+                    element_order(H, G.element(x))
+        for x in (H.key[0] - 1, H.key[-1] + 1, G.order):
+            assert x not in H, (desc, st.key, x)
+
+
 def test_centralizer_matches_scan_on_catalog_states():
     # every state of every small branching matrix, at each class
     # representative and one other member of each class
