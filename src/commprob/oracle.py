@@ -4,9 +4,20 @@ Everything here counts at the element level: commuting tuples by
 backtracking over nested centralizer intersections, simultaneous
 conjugacy classes by explicit orbit partition, and the same orbit count
 a second time through Burnside's lemma.  The orbit walk moves tuples with
-the engine's integer conjugation action of the whole group; Burnside's
-sum and the tuple counts use only this module's own centralizer table,
-so a wrong action fails a check instead of agreeing with the engine.
+the engine's integer conjugation action of the whole group, and the
+centralizer table rests on the same maps: Z(x) is found by products only
+for one representative x of each conjugacy class and carried to the rest
+of the class along the maps, since Z(s y s^-1) = s Z(y) s^-1.  So before
+anything is carried, every generator's map is recomputed with this
+module's own products, s y s^-1 for every id y, and a difference raises.
+The tuple counts and Burnside's sum read only that table, so a wrong
+action fails a check instead of agreeing with the engine.  An id that
+the maps never reach is scanned as its own representative, so a
+generating set that is too small still gives an exact table, and then
+Burnside's count and the walk disagree.  Since h is in Z(x) exactly
+when x is in Z(h), an id whose class came earlier is looked up instead
+of multiplied, so the table costs at most 2 products per element per
+class; it holds k(G) |G| ids, and k(G) |G| must stay within the budget.
 
 Conjugation moves each entry of a tuple only inside its conjugacy class,
 so no orbit leaves the block of tuples whose first entries share a class
@@ -21,13 +32,19 @@ stabilizer's maps on Z(x), compositions of the same id maps with no new
 multiplication.  Only the tuples that start with x are enumerated and
 walked, one class at a time; a class whose stabilizer maps are all the
 identity holds no visited set, since each of its tuples is its own
-orbit, and the memory guard is checked against the largest walk that
-does hold one.  The tails of the tuples (x, t2, ..., tn) depend only on
-Z(x), and the maps fix x, so two classes with the same Z(x) and the same
-stabilizer maps, or with none, have the same walk, which runs once: the
-central elements share one, and so do the classes whose Z(x) is one
-abelian subgroup, which have no maps.  The tuple counts check that every
-member of a class heads as many tuples as x does.
+orbit, and the memory guard is checked against the largest block that
+has maps.  The tails of the tuples (x, t2, ..., tn) depend only on Z(x),
+and the maps fix x, so two classes with the same Z(x) and the same
+stabilizer maps, or with none, have the same walk, which runs once.  The
+tuple counts check that every member of a class heads as many tuples as
+x does.
+
+A central z heads (z, t2, ..., tn) for every commuting (n-1)-tuple
+(t2, ..., tn), and dropping z commutes with conjugation, so the central
+classes contribute |Z(G)| c_G(n-1) orbits and are never walked.  The
+levels 1, ..., n are therefore computed bottom-up from c_G(0) = 1, each
+with all of its checks and its own Burnside count; the classes and their
+stabilizer maps do not depend on the level and are built once.
 
 The pair scan over the full matrix algebra forms products through row
 tables: for every matrix M, the product v.M of every row vector v, with
@@ -38,52 +55,97 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import Group, _conjugation_action, _orbit_tree, matrix_operations
+from .groups import (Group, _conjugation_action, _orbit_tree, generating_ids,
+                     matrix_operations)
 
 DEFAULT_BUDGET = 50_000_000
 DEFAULT_MEMORY_BYTES = 2 << 30
 DEFAULT_PAIR_SCAN_BUDGET = 300_000
 
 
-def _centralizer_sets(G: Group, n: int, budget: int):
-    """Z(x) as a set of ids for every id x, after checking the budget for
-    the |G|^2 pairs that build them and for the n-tuple backtracking.
-    Since h is in Z(x) exactly when x is in Z(h), each pair x < h is
-    tested once (2 products) and the diagonal not at all: |G|(|G|-1)
-    products."""
-    order = G.order
-    if order * order > budget:
-        raise BudgetError(
-            f"centralizer preparation for |G|={order} exceeds budget {budget}"
-        )
+def _checked_maps(G: Group) -> list:
+    """The conjugation maps of ``generating_ids(G.full())``, one id tuple
+    per generator s, after recomputing s y s^-1 for every id y with G's
+    products (2 per element per generator): ``InternalError`` unless
+    every map is the conjugation by its generator."""
+    H = G.full()
+    gens = generating_ids(H)
+    maps = [tuple(perm) for perm in _conjugation_action(H)]
+    if len(maps) != len(gens):
+        raise InternalError(
+            f"{len(maps)} conjugation maps for {len(gens)} generators")
     data = G._data
+    ids = G._ids
     mul_data = G._mul_data
-    sets = [{x} for x in range(order)]
+    for g, perm in zip(gens, maps):
+        gd = data[g]
+        gdi = data[G._inv[g]]
+        for y, yd in enumerate(data):
+            z = ids[mul_data(mul_data(gd, yd), gdi)]
+            if perm[y] != z:
+                raise InternalError(
+                    f"the conjugation map of {g} sends {y} to {perm[y]}, "
+                    f"products give {z}")
+    return maps
+
+
+def _centralizer_sets(G: Group, n: int, budget: int):
+    """Z(x) as a frozenset of ids for every id x, after checking the
+    budget for the table and for the n-tuple backtracking."""
+    return _centralizer_table(G, n, budget)[0]
+
+
+def _centralizer_table(G: Group, n: int, budget: int):
+    """(Z(x) as a frozenset of ids for every id x, the checked conjugation
+    maps) for ``_centralizer_sets``.
+
+    The classes are the ``_orbit_tree`` orbits of single ids under the
+    checked conjugation maps, so k(G) is known before any centralizer is
+    scanned; k(G) |G| must be within the budget.  Z(x) is then scanned
+    for each class's smallest id x, with 2 products for each id of x's
+    class or a later one, and carried along the paths of x's tree,
+    Z(s(y)) = s(Z(y)), with no product."""
+    order = G.order
+    maps = _checked_maps(G)
+    trees = []
+    seen = bytearray(order)
     for x in range(order):
-        xd = data[x]
-        zx = sets[x]
-        for h in range(x + 1, order):
-            hd = data[h]
-            if mul_data(hd, xd) == mul_data(xd, hd):
-                zx.add(h)
-                sets[h].add(x)
-    cents = [frozenset(s) for s in sets]
-    # k(G) by the n=1 Burnside count: sum of centralizer sizes over |G|
-    total = sum(len(s) for s in cents)
-    if total % order:
-        raise InternalError("centralizer sizes do not sum to a multiple of |G|")
-    work = order * ((total // order) ** max(n - 1, 0))
+        if not seen[x]:
+            trees.append(_orbit_tree(maps, x))
+            for y in trees[-1][0]:
+                seen[y] = 1
+    k = len(trees)
+    if k * order > budget:
+        raise BudgetError(
+            f"centralizer table for |G|={order} with {k} classes exceeds "
+            f"budget {budget}"
+        )
+    work = order * k ** max(n - 1, 0)
     if work > budget:
         raise BudgetError(
             f"estimated work {work} for |G|={order}, n={n} exceeds "
             f"budget {budget}"
         )
-    return cents
+    data = G._data
+    mul_data = G._mul_data
+    cents = [None] * order
+    for orbit, _, up, via in trees:
+        x = orbit[0]
+        xd = data[x]
+        # h is in Z(x) exactly when x is in Z(h), known for earlier classes
+        cents[x] = frozenset(
+            h for h, hd, zh in zip(range(order), data, cents)
+            if (x in zh if zh is not None
+                else mul_data(hd, xd) == mul_data(xd, hd)))
+        for y, i, s in zip(orbit[1:], up[1:], via[1:]):
+            cents[y] = frozenset(map(maps[s].__getitem__, cents[orbit[i]]))
+    return cents, maps
 
 
 def _count(cents, memo: dict, C: frozenset, m: int) -> int:
@@ -175,8 +237,9 @@ def _stabilizer_maps(cents, maps, x: int):
             if local != identity:
                 found[local] = None
     stab = []
+    fixed = list(range(len(cents)))  # copied, so the maps share its ints
     for local in found:
-        perm = list(range(len(cents)))
+        perm = fixed.copy()
         for i, j in enumerate(local):
             perm[zx[i]] = zx[j]
         stab.append(tuple(perm))
@@ -189,8 +252,7 @@ def _first_entry_blocks(cents, memo: dict, maps, n: int) -> list:
     The classes are the orbits of single ids under the conjugation
     ``maps``, so no orbit of tuples under them crosses from one block to
     another, and every orbit in a block meets the tuples that start with
-    its smallest id.  Every member of a class heads the same number of
-    tuples, which is checked with the ``_count`` sums."""
+    its smallest id."""
     seen = bytearray(len(cents))
     blocks = []
     for x in range(len(cents)):
@@ -199,14 +261,23 @@ def _first_entry_blocks(cents, memo: dict, maps, n: int) -> list:
         orbit, stab = _stabilizer_maps(cents, maps, x)
         for y in orbit:
             seen[y] = 1
-        count = _count(cents, memo, cents[x], n - 1)
-        heads = sum(_count(cents, memo, cents[y], n - 1) for y in orbit)
-        if heads != len(orbit) * count:
-            raise InternalError(
-                f"block of {x}: {heads} tuples != {len(orbit)} x {count}"
-            )
-        blocks.append(_Block(x, frozenset(orbit), count, stab))
+        block = _Block(x, frozenset(orbit), 0, stab)
+        blocks.append(_counted(cents, memo, block, n))
     return blocks
+
+
+def _counted(cents, memo: dict, block: _Block, n: int) -> _Block:
+    """``block`` with the count of the commuting n-tuples that start with
+    its representative, after checking with the ``_count`` sums that
+    every member of its class heads as many."""
+    count = _count(cents, memo, cents[block.rep], n - 1)
+    heads = sum(_count(cents, memo, cents[y], n - 1) for y in block.members)
+    if heads != len(block.members) * count:
+        raise InternalError(
+            f"block of {block.rep}: {heads} tuples != "
+            f"{len(block.members)} x {count}"
+        )
+    return block._replace(count=count)
 
 
 def _block_orbits(cents, n: int, block: _Block):
@@ -253,22 +324,22 @@ class TupleOrbitReport:
 
 def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     """c_G(n) by explicit orbit partition of the commuting n-tuples under
-    coordinatewise conjugation, cross-checked by Burnside's lemma."""
+    coordinatewise conjugation, cross-checked by Burnside's lemma.
+
+    The central classes contribute |Z(G)| c_G(n-1), so every level from
+    1 up to n is counted, each with its own checks; the Burnside checks
+    run last, from level n down."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    cents = _centralizer_sets(G, n, DEFAULT_BUDGET)
+    cents, maps = _centralizer_table(G, n, DEFAULT_BUDGET)
     memo = {}
-    total = _count(cents, memo, frozenset(range(G.order)), n)
-
-    if n == 0:
-        orbit_count = 1  # the empty tuple
-    else:
+    everything = frozenset(range(G.order))
+    orbit_counts = [1]  # c_G(0): the empty tuple
+    if n:
         # each first-entry class is walked from its smallest id, under
-        # the stabilizer maps derived from the conjugation maps of the
-        # whole group's generators
-        maps = [tuple(perm) for perm in _conjugation_action(G.full())]
-        blocks = _first_entry_blocks(cents, memo, maps, n)
-        held = max((b.count for b in blocks if b.maps and n > 1), default=0)
+        # the stabilizer maps derived from the checked conjugation maps
+        top = _first_entry_blocks(cents, memo, maps, n)
+        held = max((b.count for b in top if b.maps and n > 1), default=0)
         # rough per-tuple estimate for a walk's visited set: an n-tuple
         # of small ints plus its set slot
         if held * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
@@ -276,6 +347,9 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
                 f"a walk over {held} tuples would exceed the "
                 f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
             )
+    for m in range(1, n + 1):
+        blocks = top if m == n else [_counted(cents, memo, b, m) for b in top]
+        total = _count(cents, memo, everything, m)
         listed = sum(len(b.members) * b.count for b in blocks)
         if listed != total:
             raise InternalError(
@@ -285,10 +359,14 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
         orbit_count = 0
         walks = {}  # (Z(x), stabilizer maps) -> that walk's three numbers
         for b in blocks:
+            if len(cents[b.rep]) == G.order:
+                # (z, t2, ..., tm) -> (t2, ..., tm) for central z
+                orbit_count += orbit_counts[m - 1]
+                continue
             key = (cents[b.rep], tuple(b.maps))
             walk = walks.get(key)
             if walk is None:
-                walk = walks[key] = _block_orbits(cents, n, b)
+                walk = walks[key] = _block_orbits(cents, m, b)
             enumerated, orbits, reached = walk
             if enumerated != b.count:
                 raise InternalError(
@@ -301,23 +379,24 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
                     f"counted {b.count}"
                 )
             orbit_count += orbits
+        orbit_counts.append(orbit_count)
 
     # Burnside: orbits = average number of fixed tuples, and the tuples
-    # fixed by conjugation by g are the commuting n-tuples inside Z(g)
-    fixed_total = sum(_count(cents, memo, cents[g], n) for g in range(G.order))
-    if fixed_total % G.order != 0:
-        raise InternalError("Burnside sum is not divisible by |G|")
-    burnside = fixed_total // G.order
-    if burnside != orbit_count:
-        raise InternalError(
-            f"Burnside count {burnside} != orbit partition count {orbit_count}"
-        )
+    # fixed by conjugation by g are the commuting m-tuples inside Z(g)
+    burnside = [Fraction(sum(_count(cents, memo, c, m) for c in cents),
+                         G.order) for m in range(n + 1)]
+    for m in range(n, -1, -1):
+        if burnside[m] != orbit_counts[m]:
+            raise InternalError(
+                f"Burnside count {burnside[m]} != orbit partition count "
+                f"{orbit_counts[m]}"
+            )
     return TupleOrbitReport(
         descriptor=G.descriptor,
         n=n,
-        tuple_count=total,
-        orbit_count=orbit_count,
-        burnside_count=burnside,
+        tuple_count=_count(cents, memo, everything, n),
+        orbit_count=orbit_counts[n],
+        burnside_count=int(burnside[n]),
     )
 
 

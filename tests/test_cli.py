@@ -95,6 +95,21 @@ def test_ctuples_with_oracle(capsys):
     assert payload["oracle_match"] is True
 
 
+def test_oracle_runs_on_a_degree3_group(capsys):
+    # GL(3,3) (order 11,232, 24 classes) is within the oracle's k(G)|G|
+    # table budget, which its |G|^2 pair scan was not
+    code, out, _ = run(capsys, "ctuples", "GL(3,3)", "--n", "2", "--oracle",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"]["orbit_count"] == "484"
+    assert payload["oracle_match"] is True
+    code, out, _ = run(capsys, "cp", "GL(3,3)", "--n", "2", "--method",
+                       "oracle")
+    assert code == 0
+    assert out.strip() == "1/468"
+
+
 def test_ctuples_n0_with_oracle(capsys):
     # one empty tuple, one orbit, by the engine and by the oracle
     code, out, _ = run(capsys, "ctuples", "Q8", "--n", "0", "--oracle")

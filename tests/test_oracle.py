@@ -49,6 +49,23 @@ def whole_block_orbits(cents, maps, n, members):
     return orbits, len(visited)
 
 
+def pair_scan_centralizers(G):
+    """Reference centralizer table: Z(x) as a frozenset of ids for every
+    id x, by testing each unordered pair x < h once with two products
+    (the oracle's table before it scanned class representatives only)."""
+    data = G._data
+    mul_data = G._mul_data
+    sets = [{x} for x in range(G.order)]
+    for x in range(G.order):
+        xd = data[x]
+        for h in range(x + 1, G.order):
+            hd = data[h]
+            if mul_data(hd, xd) == mul_data(xd, hd):
+                sets[x].add(h)
+                sets[h].add(x)
+    return [frozenset(c) for c in sets]
+
+
 def walk_every_block(G, n):
     """The orbit count of the commuting n-tuples (n >= 1) with every
     first-entry class walked on its own, none reused."""
@@ -105,6 +122,21 @@ def test_negative_n_rejected():
 def test_budget_guard():
     with pytest.raises(BudgetError):
         commuting_tuples_count(build("S(5)"), 6, budget=1000)
+
+
+def test_table_estimate_is_checked_before_any_scan(monkeypatch):
+    # S(5) has 7 classes, so its table is estimated at 7 x 120 = 840;
+    # one below that raises after the generators' maps are checked (2
+    # products per element each) and before any centralizer is scanned
+    G = fresh_build("S(5)")
+    gens = oracle.generating_ids(G.full())
+    oracle._conjugation_action(G.full())
+    products = count_products(monkeypatch, G)
+    with pytest.raises(BudgetError, match="centralizer table for "
+                       r"\|G\|=120 with 7 classes exceeds budget 839"):
+        oracle._centralizer_sets(G, 1, 839)
+    assert products[0] == 2 * G.order * len(gens)
+    assert len(oracle._centralizer_sets(G, 1, 840)) == G.order
 
 
 def test_orbit_count_n1_is_class_count():
@@ -170,14 +202,25 @@ def test_matrix_algebra_budget():
 
 
 def test_pair_orbits_build_one_centralizer_table(monkeypatch):
-    # one centralizer table over unordered pairs (|G|(|G|-1) = 2,256
-    # products for GL(2,3)) plus the generators' conjugation maps; the
-    # tuple count reuses the table
+    # one centralizer table from the class representatives (at most
+    # 2 x 8 x 48 = 768 products for GL(2,3), where the pair scan took
+    # 2,256), the pair search and the conjugation maps of the two
+    # generators, and the same maps again by products to check them;
+    # the tuple count reuses the table
     G = fresh_build("GL(2,3)")
     products = count_products(monkeypatch, G)
     report = simultaneous_classes_count(G, 2)
-    assert products[0] <= 2530, products[0]
+    assert products[0] <= 839, products[0]
     assert report.tuple_count == commuting_tuples_count(G, 2)
+
+
+def test_gl25_table_from_class_representatives(monkeypatch):
+    # at most 2 x 24 x 480 = 23,040 products for the table of GL(2,5),
+    # where the pair scan took 229,920
+    G = fresh_build("GL(2,5)")
+    products = count_products(monkeypatch, G)
+    assert simultaneous_classes_count(G, 3).orbit_count == 10944
+    assert products[0] <= 15559, products[0]
 
 
 def test_oracle_leaves_no_reference_cycles():
@@ -196,48 +239,128 @@ def test_oracle_leaves_no_reference_cycles():
 
 
 @pytest.mark.parametrize("perm, message", [
-    # every map the identity: each of the 18 commuting pairs of S(3) is
-    # its own orbit, but Burnside counts 8 classes
+    # (0,) is a true but too small generating set: its map, the
+    # identity, passes the check, and the table is still exact (every id
+    # is scanned as its own class); each of the 18 commuting pairs of
+    # S(3) is then its own orbit, but Burnside counts 8 classes
     ([0, 1, 2, 3, 4, 5], "Burnside count 8 != orbit partition count 18"),
-    # swapping ids 1 and 2 alone is no automorphism of S(3): it puts a
-    # transposition (2 pairs) and a 3-cycle (3 pairs) in one class
-    ([0, 2, 1, 3, 4, 5], "block of 1: 5 tuples != 2 x 2"),
-    # id 4 sent to id 3 as well: the transposition 3 falls into two
-    # classes, so the blocks hold its 2 pairs twice
-    ([0, 1, 2, 3, 3, 5],
-     "first-entry blocks hold 20 commuting tuples, counted 18"),
+    # swapping ids 1 and 2 alone is no automorphism of S(3), let alone
+    # conjugation by the identity
+    pytest.param([0, 2, 1, 3, 4, 5], "the conjugation map of 0 sends 1 "
+                 "to 2, products give 1", id="swap-1-2"),
+    # id 4 sent to id 3 as well: no permutation at all
+    pytest.param([0, 1, 2, 3, 3, 5], "the conjugation map of 0 sends 4 "
+                 "to 3, products give 4", id="duplicate-3"),
 ])
 def test_wrong_conjugation_action_fails_a_check(monkeypatch, perm, message):
+    monkeypatch.setattr(oracle, "generating_ids", lambda H: (0,))
     monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         simultaneous_classes_count(fresh_build("S(3)"), 2)
 
 
 @pytest.mark.parametrize("n, perm, message", [
-    # the rotation 1 swapped with the reflection 2: the rotation 6 is
-    # fixed, but its centralizer is not
+    # the rotation 1 swapped with the reflection 2, given as the map of
+    # the generator 1, which fixes 1
     (2, [0, 2, 1, 3, 4, 5, 6, 7],
-     "a stabilizer map of 6 moves it or leaves Z\\(6\\)"),
-    # a map that keeps every centralizer but not commutation: the walk
-    # from the identity leaves the commuting triples
+     "the conjugation map of 1 sends 1 to 2, products give 1"),
+    # a map that keeps every centralizer but not commutation
     (3, [0, 2, 1, 3, 7, 6, 5, 4],
-     "orbit walk from 0 reached 46 tuples, counted 40"),
+     "the conjugation map of 1 sends 1 to 2, products give 1"),
 ], ids=["centralizer-moved", "commutation-broken"])
 def test_wrong_action_on_d4_fails_a_check(monkeypatch, n, perm, message):
+    monkeypatch.setattr(oracle, "generating_ids", lambda H: (1,))
     monkeypatch.setattr(oracle, "_conjugation_action", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         simultaneous_classes_count(fresh_build("D(4)"), n)
 
 
+def test_one_map_per_generator(monkeypatch):
+    # S(3) has two generators; a single map, even a true one, leaves the
+    # other unchecked
+    monkeypatch.setattr(oracle, "_conjugation_action",
+                        lambda H: [[0, 1, 2, 3, 4, 5]])
+    with pytest.raises(InternalError,
+                       match="1 conjugation maps for 2 generators"):
+        simultaneous_classes_count(fresh_build("S(3)"), 2)
+
+
+@pytest.mark.parametrize("desc, perm, message", [
+    # swapping ids 1 and 2 alone puts a transposition (2 pairs) and a
+    # 3-cycle (3 pairs) in one class
+    ("S(3)", [0, 2, 1, 3, 4, 5], "block of 1: 5 tuples != 2 x 2"),
+    # the rotation 1 swapped with the reflection 2: the rotation 6 is
+    # fixed, but its centralizer is not
+    ("D(4)", [0, 2, 1, 3, 4, 5, 6, 7],
+     "a stabilizer map of 6 moves it or leaves Z\\(6\\)"),
+], ids=["heads", "stabilizer"])
+def test_blocks_under_wrong_maps_fail_a_check(desc, perm, message):
+    # the blocks checked on their own, with an exact table and maps that
+    # are no automorphism
+    G = build(desc)
+    cents = oracle._centralizer_sets(G, 2, oracle.DEFAULT_BUDGET)
+    with pytest.raises(InternalError, match=message):
+        oracle._first_entry_blocks(cents, {}, [perm], 2)
+
+
+def test_a_block_listed_twice_fails_the_listing_check(monkeypatch):
+    # the class of the transposition 1 (3 members) listed twice
+    blocks = oracle._first_entry_blocks
+
+    def twice(cents, memo, maps, n):
+        found = blocks(cents, memo, maps, n)
+        return found + found[1:2]
+
+    monkeypatch.setattr(oracle, "_first_entry_blocks", twice)
+    with pytest.raises(InternalError, match="first-entry blocks hold 9 "
+                       "commuting tuples, counted 6"):
+        simultaneous_classes_count(build("S(3)"), 2)
+
+
+def test_a_walk_that_leaves_its_block_fails_the_reach_check(monkeypatch):
+    # the transposition 1 walked under the whole group's maps, which do
+    # not fix it, reaches its whole class block: 3 x 2 pairs
+    blocks = oracle._first_entry_blocks
+
+    def unfixed(cents, memo, maps, n):
+        found = blocks(cents, memo, maps, n)
+        found[1] = found[1]._replace(maps=list(maps))
+        return found
+
+    monkeypatch.setattr(oracle, "_first_entry_blocks", unfixed)
+    with pytest.raises(InternalError, match="orbit walk from 1 reached 6 "
+                       "tuples, counted 2"):
+        simultaneous_classes_count(build("S(3)"), 2)
+
+
 def test_a_missed_tuple_fails_the_enumeration_check(monkeypatch):
-    # an enumeration that skips the first tuple of every representative
+    # an enumeration that skips the first tuple of every representative;
+    # the first one walked is the transposition 1
     listed = oracle._commuting_tuples
     monkeypatch.setattr(
         oracle, "_commuting_tuples",
         lambda cents, n, firsts=None: itertools.islice(
             listed(cents, n, firsts), 1, None))
-    with pytest.raises(InternalError, match="enumerated 5 commuting tuples "
-                       "starting with 0, counted 6"):
+    with pytest.raises(InternalError, match="enumerated 1 commuting tuples "
+                       "starting with 1, counted 2"):
+        simultaneous_classes_count(build("S(3)"), 2)
+
+
+def test_each_level_has_its_own_burnside_check(monkeypatch):
+    # one orbit too many at level 1 and one too few at level 2: the
+    # central identity carries level 1's extra orbit up, so c_G(2) comes
+    # out right, and only level 1's own Burnside count sees the fault
+    block_orbits = oracle._block_orbits
+
+    def skewed(cents, m, block):
+        enumerated, orbits, reached = block_orbits(cents, m, block)
+        if block.rep == 1:
+            orbits += 1 if m == 1 else -1
+        return enumerated, orbits, reached
+
+    monkeypatch.setattr(oracle, "_block_orbits", skewed)
+    with pytest.raises(InternalError, match="Burnside count 3 != orbit "
+                       "partition count 4"):
         simultaneous_classes_count(build("S(3)"), 2)
 
 
@@ -248,6 +371,7 @@ def test_wrong_action_fails_under_optimize():
         "from commprob import catalog, oracle\n"
         "from commprob.errors import InternalError\n"
         "print('debug', __debug__)\n"
+        "oracle.generating_ids = lambda H: (0,)\n"
         "oracle._conjugation_action = lambda H: [[0, 2, 1, 3, 4, 5]]\n"
         "try:\n"
         "    oracle.simultaneous_classes_count(catalog.build('S(3)'), 2)\n"
@@ -259,18 +383,18 @@ def test_wrong_action_fails_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "debug False", "InternalError block of 1: 5 tuples != 2 x 2"
+        "debug False", "InternalError the conjugation map of 0 sends 1 to 2, "
+        "products give 1"
     ], proc.stdout
 
 
 def test_centralizer_table_matches_a_full_scan():
-    for desc in ("S(4)", "GL(2,3)", "D(8)", "Q8"):
+    # the table carried along the classes by the conjugation maps equals
+    # the scan of every pair
+    for desc in ORACLE_GRID + ("GL(2,5)", "SL(2,5)", "PSL(2,7)", "D(16)"):
         G = build(desc)
         cents = oracle._centralizer_sets(G, 1, oracle.DEFAULT_BUDGET)
-        for x in range(G.order):
-            assert cents[x] == frozenset(
-                h for h in range(G.order) if G.mul(h, x) == G.mul(x, h)
-            ), (desc, x)
+        assert cents == pair_scan_centralizers(G), desc
 
 
 @pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)"])
@@ -394,25 +518,31 @@ def test_walk_reuse_matches_walking_every_block(desc, n):
 
 @pytest.mark.parametrize("desc, n, central", [
     ("D(16)", 5, 2), ("GL(2,5)", 3, 4)])
-def test_central_classes_share_one_walk(monkeypatch, desc, n, central):
-    # every class with stabilizer maps is central here, and all of them
-    # have the identity's walk
+def test_central_classes_are_never_walked(monkeypatch, desc, n, central):
+    # every class with stabilizer maps is central here, and a central
+    # class counts c_G(m-1) orbits at each level m instead of a walk
     G = build(desc)
     cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
     maps = oracle._conjugation_action(G.full())
     blocks = oracle._first_entry_blocks(cents, {}, maps, n)
     assert [len(b.members) for b in blocks if b.maps] == [1] * central
+    assert [b.rep for b in blocks if len(cents[b.rep]) == G.order] == \
+        [b.rep for b in blocks if b.maps]
+    expected = walk_every_block(G, n)
+    levels = []
     walked = []
     block_orbits = oracle._block_orbits
 
-    def counted(cents, n, block):
-        if block.maps:
-            walked.append(block.rep)
-        return block_orbits(cents, n, block)
+    def counted(cents, m, block):
+        levels.append(m)
+        if len(cents[block.rep]) == G.order:
+            walked.append((m, block.rep))
+        return block_orbits(cents, m, block)
 
     monkeypatch.setattr(oracle, "_block_orbits", counted)
-    simultaneous_classes_count(G, n)
-    assert walked == [0]
+    assert simultaneous_classes_count(G, n).orbit_count == expected
+    assert walked == []
+    assert sorted(set(levels)) == list(range(1, n + 1))
 
 
 @pytest.mark.parametrize("d, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
