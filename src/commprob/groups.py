@@ -5,7 +5,10 @@ deterministic integer ids.  Groups built by generator closure assign ids
 by breadth-first search from the identity (left multiplication, first
 seen wins), so ids are reproducible across runs and platforms; groups
 built from an explicit element list keep the given order with the
-identity moved to id 0.
+identity moved to id 0.  Construction computes one inverse per pair
+{x, x^-1} and checks the set closed under products with
+``_is_closed``, which is exact up to 200 elements at n |T| products for
+a greedy generating set T.
 
 Subgroups are id sets inside an ambient group, stored once, as the
 sorted id tuple ``key``: order is its length and membership a bisection
@@ -21,7 +24,7 @@ that generate H when a bounded search over a few seeded random pairs
 finds them, which also shows that H is not abelian, and otherwise the
 greedy set.  A non-abelian subgroup H gets, on first use, the
 conjugation action of that set as integer permutations of the positions
-in ``H.key``, built once at 2 products per element per generator and
+in ``H.key``, built once at 1 product per element per generator and
 kept on the subgroup.  It is the only place here that multiplies
 elements to conjugate them; after it, everything is integer indexing.
 The center is the set of points every permutation fixes, and every orbit
@@ -49,7 +52,7 @@ from .gf import FieldElement, FieldSpec
 
 GROUP_SIZE_CAP = 250_000
 
-_EXHAUSTIVE_CHECK_LIMIT = 200
+_EXACT_CHECK_LIMIT = 200
 _SAMPLE_CHECKS = 512
 _CHECK_SEED = 0x5EED
 _PAIR_SEED = 0x9A12
@@ -245,16 +248,51 @@ def _light_test(table, gens):
 # ---------------------------------------------------------------------------
 
 def _closure_pairs(elements):
-    """The pairs a closure check multiplies: all of them for a small
-    element list, otherwise a fixed seeded sample."""
+    """The pairs ``_is_closed`` multiplies for a set too large for its
+    exact test: ``_SAMPLE_CHECKS`` pairs drawn by a generator seeded
+    with the integer ``_CHECK_SEED``."""
     n = len(elements)
-    if n <= _EXHAUSTIVE_CHECK_LIMIT:
-        return ((a, b) for a in elements for b in elements)
     rng = random.Random(_CHECK_SEED)
     return (
         (elements[rng.randrange(n)], elements[rng.randrange(n)])
         for _ in range(_SAMPLE_CHECKS)
     )
+
+
+def _is_closed(elements, mul, member) -> bool:
+    """Whether the set ``elements``, identity first, is closed under the
+    associative product ``mul``; ``member`` tests membership.
+
+    Up to ``_EXACT_CHECK_LIMIT`` elements the answer is exact.  Generators
+    T are picked greedily by ascending index, each outside the closure of
+    those picked before, and every element reached from the identity is
+    multiplied on the right by every generator, failing as soon as a
+    product leaves the set.  When it passes, S T is inside S and T
+    generates S from the identity, so S S is inside S by associativity.
+    It costs n |T| products, and |T| <= log2 n, since each generator at
+    least doubles the subgroup reached.  Above the limit it tests the
+    seeded sample of ``_closure_pairs``."""
+    if len(elements) > _EXACT_CHECK_LIMIT:
+        return all(member(mul(a, b)) for a, b in _closure_pairs(elements))
+    reached = [elements[0]]
+    seen = {elements[0]}
+    gens = []
+    for g in elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        # the elements reached before g are closed under the earlier
+        # generators already, so they are multiplied by g alone
+        start = len(reached)
+        for i, r in enumerate(reached):
+            for s in (gens if i >= start else (g,)):
+                t = mul(r, s)
+                if t not in seen:
+                    if not member(t):
+                        return False
+                    seen.add(t)
+                    reached.append(t)
+    return True
 
 
 def _bfs_closure(mul_data, identity, gens):
@@ -303,10 +341,18 @@ class Group:
         self._ids = {d: i for i, d in enumerate(self._data)}
         if len(self._ids) != len(self._data):
             raise InputError("element list contains duplicates")
-        try:
-            self._inv = [self._ids[inv_data(d)] for d in self._data]
-        except KeyError:
-            raise InputError("element set is not closed under inversion") from None
+        # one inverse per pair {x, x^-1}: an id whose inverse is known
+        # already is skipped.  The ids come from the values of _ids, so
+        # the table shares their int objects instead of holding its own.
+        inv = [None] * len(self._data)
+        for d, x in self._ids.items():
+            if inv[x] is None:
+                y = self._ids.get(inv_data(d))
+                if y is None:
+                    raise InputError("element set is not closed under inversion")
+                inv[x] = y
+                inv[y] = x
+        self._inv = inv
         self._subgroups = {}
         self._full = None
         self._branching = None
@@ -316,11 +362,9 @@ class Group:
     def _spot_check(self):
         n = len(self._data)
         mul_data = self._mul_data
-        ids = self._ids
         data = self._data
-        for a, b in _closure_pairs(data):
-            if mul_data(a, b) not in ids:
-                raise InputError("element set is not closed under multiplication")
+        if not _is_closed(data, mul_data, self._ids.__contains__):
+            raise InputError("element set is not closed under multiplication")
         e = data[0]
         for i in range(min(n, 64)):
             if mul_data(e, data[i]) != data[i] or mul_data(data[i], e) != data[i]:
@@ -600,9 +644,8 @@ class Subgroup:
                 raise InputError(f"member id {i} out of range")
             if G.inv(i) not in mem:
                 raise InputError("member set is not closed under inversion")
-        for a, b in _closure_pairs(self.key):
-            if G.mul(a, b) not in mem:
-                raise InputError("member set is not closed under multiplication")
+        if not _is_closed(self.key, G.mul, mem.__contains__):
+            raise InputError("member set is not closed under multiplication")
 
     @property
     def order(self) -> int:
@@ -789,8 +832,11 @@ def _conjugation_action(H: Subgroup) -> list:
     (for the whole group, positions are ids).
 
     This is the only place here that multiplies elements to conjugate
-    them.  It costs 2 products per element per generator and is kept on
-    the subgroup, so it is built once; every orbit walk after that is
+    them.  It costs 1 product per element per generator s: the right
+    multiplication R(y) = y s^-1 over the points, from which, since
+    s z = (z^-1 s^-1)^-1, the conjugation is y -> inv(R(inv(R(y)))),
+    with inv the points' inversion as positions.  It is kept on the
+    subgroup, so it is built once; every orbit walk after that is
     integer indexing."""
     if H._action is not None:
         return H._action
@@ -802,15 +848,17 @@ def _conjugation_action(H: Subgroup) -> list:
     if len(key) == len(data):
         points = data
         where = G._ids
+        pinv = inv
     else:
         points = [data[h] for h in key]
         where = {y: i for i, y in enumerate(points)}
+        pinv = array("i", [bisect_left(key, inv[h]) for h in key])
     action = []
     for g in generating_ids(H):
-        gd = data[g]
         gdi = data[inv[g]]
-        action.append(array("i", [where[mul_data(mul_data(gd, y), gdi)]
-                                  for y in points]))
+        R = array("i", [where[mul_data(y, gdi)] for y in points])
+        action.append(array("i", map(pinv.__getitem__, map(
+            R.__getitem__, map(pinv.__getitem__, R)))))
     H._action = action
     return action
 

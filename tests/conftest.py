@@ -192,6 +192,32 @@ def fresh_build(desc):
     return catalog._build_uncached(catalog.parse(desc))
 
 
+def count_construction_products(monkeypatch):
+    """Count the element products every ``Group`` constructor call makes
+    from now on: returns a one-item list holding the running count."""
+    from commprob.groups import Group
+
+    count = [0]
+    init = Group.__init__
+
+    def counted_init(self, kind, mul_data, *args, **kwargs):
+        def counted(a, b):
+            count[0] += 1
+            return mul_data(a, b)
+
+        init(self, kind, counted, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "__init__", counted_init)
+    return count
+
+
+def pair_closed(elements, mul, member):
+    """Reference closure test: whether ``member`` holds for the product
+    of every ordered pair of ``elements``, by testing all n^2 of them
+    (the construction check's former exhaustive loop)."""
+    return all(member(mul(a, b)) for a in elements for b in elements)
+
+
 def count_products(monkeypatch, G):
     """Count element products of G from now on: returns a one-item list
     holding the running count."""

@@ -43,6 +43,8 @@ from commprob.oracle import (
     simultaneous_classes_count,
 )
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
 
 def _report(criterion, message):
     print(f"ACCEPTANCE {criterion} PASS: {message}")
@@ -300,7 +302,7 @@ def test_c10_registry_consistency_u3_as_printed():
 
 
 def test_c11_determinism_across_runs_and_threads(tmp_path):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=SRC)
     env["PYTHONHASHSEED"] = "random"
     reports = []
     for i, threads in enumerate((1, 8, 8)):
@@ -314,6 +316,7 @@ def test_c11_determinism_across_runs_and_threads(tmp_path):
             timeout=120,
         )
         assert proc.returncode == 1, proc.stderr  # known-erratum rows mismatch
+        assert out.exists(), proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
     rows = json.loads(reports[0])

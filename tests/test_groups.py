@@ -11,6 +11,7 @@ from conftest import (
     bfs_classes,
     bfs_generated,
     commutator_closure,
+    count_construction_products,
     count_products,
     fresh_build,
     greedy_action_generators,
@@ -253,6 +254,62 @@ def test_subgroup_validation():
     assert H.order == 2
 
 
+# -- construction checks --
+
+NOT_CLOSED = "^element set is not closed under multiplication$"
+NO_INVERSE = "^element set is not closed under inversion$"
+
+
+def _a5_with_a_transposition():
+    """A(5) with the 3-cycle (0 1 2) and its inverse replaced by the
+    transposition (0 1): 59 permutations, closed under inversion."""
+    A = build("A(5)")
+    dropped = {(1, 2, 0, 3, 4), (2, 0, 1, 3, 4)}
+    perms = [A.data_of(i) for i in range(A.order)
+             if A.data_of(i) not in dropped]
+    assert len(perms) == 58
+    return perms + [(1, 0, 2, 3, 4)]
+
+
+def test_permutation_list_not_closed_under_multiplication():
+    # S(3)'s e, (0 1) and (1 2): (0 1)(1 2) is a 3-cycle
+    with pytest.raises(InputError, match=NOT_CLOSED):
+        Group.from_permutation_list(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+    with pytest.raises(InputError, match=NOT_CLOSED):
+        Group.from_permutation_list(5, _a5_with_a_transposition())
+
+
+def test_matrix_list_not_closed_under_multiplication():
+    # SL(2,3) and one involution of determinant -1
+    S = build("SL(2,3)")
+    mats = [S.data_of(i) for i in range(S.order)]
+    assert Group.from_matrix_list(S.field, 2, mats).order == 24
+    flip = (S.field.one_index, 0, 0, S.field.neg_table()[S.field.one_index])
+    with pytest.raises(InputError, match=NOT_CLOSED):
+        Group.from_matrix_list(S.field, 2, mats + [flip])
+
+
+def test_list_missing_an_inverse_is_rejected():
+    # GL(2,3) without one element of order 3, whose inverse stays
+    G = build("GL(2,3)")
+    x = next(i for i in range(G.order) if G.element_order(i) == 3)
+    mats = [G.data_of(i) for i in range(G.order) if i != x]
+    with pytest.raises(InputError, match=NO_INVERSE):
+        Group.from_matrix_list(G.field, 2, mats)
+    # C(3) without the square of its generator
+    with pytest.raises(InputError, match=NO_INVERSE):
+        Group.from_permutation_list(3, [(0, 1, 2), (1, 2, 0)])
+
+
+@pytest.mark.parametrize("desc", ["GL(3,2)", "PSL(2,7)", "GL(2,4)"])
+def test_construction_work_count(monkeypatch, desc):
+    # element products of building a group from its element list: the
+    # closure test costs n |T| for its generators T, not n^2
+    products = count_construction_products(monkeypatch)
+    fresh_build(desc)
+    assert products[0] <= 1000, products[0]
+
+
 def test_subgroup_key_equality():
     G = s3()
     a = G.subgroup([0, 1], validate=False)
@@ -376,6 +433,31 @@ def test_classes_match_bfs_reference_on_catalog_states():
             assert cd.class_of == class_of, (desc, st.key)
 
 
+def test_conjugation_action_matches_conj_on_catalog_states():
+    # each permutation is y -> s y s^-1 for its generator s, as G.conj
+    # computes it with 2 products; the engine builds no action on an
+    # abelian state
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        G = build(desc)
+        for st in build_branching(G).states:
+            if st.abelian:
+                continue
+            H = G.subgroup(st.key, validate=False)
+            key = H.key
+            action = groups._conjugation_action(H)
+            for s, perm in zip(generating_ids(H), action):
+                assert [key[y] for y in perm] == [G.conj(s, h) for h in key], \
+                    (desc, st.key, s)
+
+
+def test_inverse_table_matches_inv_data():
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        G = build(desc)
+        inv = G._inv
+        assert inv == [G.id_of(G._inv_data(d)) for d in G._data], desc
+        assert all(inv[inv[x]] == x for x in range(G.order)), desc
+
+
 def proper_states(descs):
     """Every branching state of each group in ``descs`` other than the
     group itself: subgroups whose positions in ``H.key`` are not ids."""
@@ -398,8 +480,8 @@ def test_z_classes_match_mul_reference():
 
 
 @pytest.mark.parametrize("desc, bound", [
-    ("GL(3,2)", 1777), ("U(3,2)", 12781),
-    ("GL(3,3)", 65_000), ("U(3,3)", 215_000),
+    ("GL(3,2)", 697), ("U(3,2)", 8080),
+    ("GL(3,3)", 37_533), ("U(3,3)", 147_452),
 ])
 def test_branching_work_count(monkeypatch, desc, bound):
     # element products of a cold branching expansion: each conjugation

@@ -7,7 +7,8 @@ hit both; the oracle's element-level counts and Burnside's lemma do not
 use them.  The same group rebuilt from its multiplication table must give
 the same results through the kernel as the permutation group, and a
 table with one entry overwritten must be accepted exactly when it is
-still a group.
+still a group.  An inversion-closed subset of S(5) must be accepted as a
+subgroup and as a group exactly when all its pairs multiply inside it.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import scan_centralizer
+from conftest import bfs_generated, pair_closed, scan_centralizer
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching, cp_via_lescot
 from commprob.errors import InputError
@@ -121,3 +122,45 @@ def test_from_table_accepts_exactly_groups(G, data):
     except InputError:
         accepted = False
     assert accepted == brute_force_is_group(table)
+
+
+S5_GENERATORS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+
+
+@st.composite
+def s5_inversion_closed_subsets(draw):
+    """(S(5), sorted ids): the subgroup generated by up to two drawn ids,
+    with up to three drawn pairs {x, x^-1} toggled in or out."""
+    G = Group.from_permutation_generators(5, S5_GENERATORS)
+    gens = draw(st.lists(st.integers(0, G.order - 1), max_size=2), label="gens")
+    members = set(bfs_generated(G, gens))
+    toggles = draw(st.lists(st.integers(1, G.order - 1), max_size=3),
+                   label="toggles")
+    for x in toggles:
+        members ^= {x, G.inv(x)}
+    return G, sorted(members)
+
+
+@PROPERTY_SETTINGS
+@given(subset=s5_inversion_closed_subsets(), rnd=st.randoms())
+def test_closure_check_matches_pair_test(subset, rnd):
+    G, members = subset
+    expected = pair_closed(members, G.mul, set(members).__contains__)
+    # as a subgroup its generators are picked by ascending id; as an
+    # element list, in a shuffled order
+    try:
+        G.subgroup(members)
+        accepted = True
+    except InputError as e:
+        assert str(e) == "member set is not closed under multiplication"
+        accepted = False
+    assert accepted == expected
+    perms = [G.data_of(i) for i in members]
+    rnd.shuffle(perms)
+    try:
+        Group.from_permutation_list(5, perms)
+        accepted = True
+    except InputError as e:
+        assert str(e) == "element set is not closed under multiplication"
+        accepted = False
+    assert accepted == expected
