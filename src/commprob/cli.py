@@ -36,7 +36,7 @@ from .errors import (
 )
 from .feitfine import feit_fine_pairs
 from .formulas import GRIDS, render_table, report_json, verify_suite
-from .groups import centralizer, conjugacy_classes, z_classes
+from .groups import conjugacy_classes, z_classes
 from .oracle import (
     commuting_pairs_matrix_algebra,
     commuting_tuples_count,
@@ -199,12 +199,10 @@ def _cmd_info(args) -> int:
 def _cmd_classes(args) -> int:
     desc = parse(args.descriptor)
     G = build(desc)
-    full = G.full()
-    cd = conjugacy_classes(full)
+    # |Z(x)| = |G| / |x^G| by orbit–stabilizer
     rows = [
-        {"rep_id": c.rep, "size": c.size,
-         "centralizer_order": centralizer(full, c.rep).order}
-        for c in cd.classes
+        {"rep_id": c.rep, "size": c.size, "centralizer_order": G.order // c.size}
+        for c in conjugacy_classes(G.full()).classes
     ]
     payload = {"descriptor": str(desc), "order": G.order, "classes": rows}
     lines = [f"{'rep':>6}  {'size':>6}  {'|centralizer|':>13}"]
@@ -332,8 +330,12 @@ def _cmd_verify(args) -> int:
             sys.stdout.write(text)
             out = sys.stderr
         else:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.json_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write the report to {args.json_path}: "
+                                 f"{exc.strerror or exc}") from None
     out.write(render_table(rows))
     mismatches = sum(1 for r in rows if not r["match"])
     print(f"rows: {len(rows)}  mismatches: {mismatches}", file=out)

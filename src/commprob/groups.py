@@ -33,9 +33,10 @@ seed's orbit with parent pointers.  Conjugacy classes are its orbits.
 Centralizers are the point stabilizers: Schreier generators from its
 non-tree edges, formed from a lazily built transversal, closed by an
 incremental Dimino closure that stops at the orbit–stabilizer order
-|H| / |x^H|.  z-classes carry a centralizer's positions along its tree
-paths, the derived subgroup is generated by the classes of the
+|H| / |x^H|.  The derived subgroup is generated by the classes of the
 commutators, and the oracle's stabilizer maps come from the same tree.
+z-classes walk no orbit: the classes whose centralizer is Z(x) are those
+of the elements of the center of Z(x) with x's class size.
 """
 
 from __future__ import annotations
@@ -807,8 +808,8 @@ def _orbit_tree(perms, seed) -> tuple:
 
     This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
     *Handbook of Computational Group Theory*, §4.1): conjugacy classes,
-    centralizers, z-classes and the oracle's stabilizer maps all read
-    their orbits from it.  It makes no product."""
+    centralizers and the oracle's stabilizer maps all read their orbits
+    from it.  It makes no product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]
@@ -1060,30 +1061,21 @@ def z_classes(H: Subgroup) -> list:
     conjugate subgroups of H.  Returns a partition as a list of sorted
     index lists, ordered by smallest class index.
 
-    Centralizers are compared as sorted tuples of positions in ``H.key``
-    (positions ascend with ids, so a subgroup key maps to a sorted
-    position tuple).  The conjugates of Z(x) are the Z(y) for y in x's
-    class, so they are Z(x)'s positions carried along the paths of x's
-    ``_orbit_tree``, with no product; an abelian H is a single block."""
+    For x, y in H, Z(y) = Z(x) exactly when y is in the center of Z(x)
+    and |y^H| = |x^H|: such a y has Z(x) <= Z(y), and the two orders are
+    equal by orbit–stabilizer; conversely y lies in Z(y), which commutes
+    with y.  The conjugates of Z(x) are the Z(y) for y in x's class, so
+    the block of x's class is the set of classes of the elements of
+    ``center(centralizer(H, x))`` whose class has x's size.  It is read
+    once, from its smallest class index, with no product once both
+    subgroups' actions are built."""
     cd = conjugacy_classes(H)
-    if is_abelian(H):
-        return [list(range(cd.k))]
-    key = H.key
-    action = _conjugation_action(H)
-    orbit_of = {}
+    done = set()
     blocks = []
     for i, c in enumerate(cd.classes):
-        Z = centralizer(H, c.rep)
-        start = tuple(bisect_left(key, z) for z in Z.key)
-        found = orbit_of.get(start)
-        if found is not None:
-            blocks[found].append(i)
-            continue
-        _, _, up, via = _orbit_tree(action, bisect_left(key, c.rep))
-        carried = [start]
-        for j, s in zip(up[1:], via[1:]):
-            carried.append(array("i", map(action[s].__getitem__, carried[j])))
-        for images in carried:
-            orbit_of[tuple(sorted(images))] = len(blocks)
-        blocks.append([i])
+        if i not in done:
+            block = {cd.class_of[y] for y in center(centralizer(H, c.rep)).key}
+            block = sorted(j for j in block if cd.classes[j].size == c.size)
+            done.update(block)
+            blocks.append(block)
     return blocks

@@ -163,10 +163,36 @@ def scan_center(H):
     )
 
 
+def greedy_generators(H):
+    """Reference generating set of H: the ids of H in ascending order,
+    each outside the ``bfs_generated`` closure of those before it."""
+    gens = []
+    reached = {0}
+    for h in H.key:
+        if h not in reached:
+            gens.append(h)
+            reached = set(bfs_generated(H.group, gens))
+    return gens
+
+
 def commutator_closure(H):
-    """Reference derived subgroup: the sorted ids of the subgroup
-    generated by the commutators a^-1 b^-1 a b of all members a, b of H,
-    by ``bfs_generated``."""
+    """Reference derived subgroup: the sorted ids of the subgroup N
+    generated by the commutators [a, t] = a^-1 t^-1 a t of every member a
+    of H with every t in ``greedy_generators(H)``, by ``bfs_generated``.
+
+    N is H': since [xy, t] = y^-1 [x, t] y [y, t], N is normal in H, and
+    every t is central modulo N, so H / N is abelian."""
+    G = H.group
+    mul = G.mul
+    gens = greedy_generators(H)
+    comms = {mul(mul(G.inv(a), G.inv(t)), mul(a, t))
+             for a in H.key for t in gens}
+    return bfs_generated(G, sorted(comms))
+
+
+def pair_commutator_closure(H):
+    """Reference derived subgroup by all |H|^2 commutators a^-1 b^-1 a b
+    of members a, b of H, closed by ``bfs_generated``."""
     G = H.group
     mul = G.mul
     comms = {mul(mul(G.inv(a), G.inv(b)), mul(a, b))

@@ -10,6 +10,7 @@ from commprob.branching import build_branching
 from commprob.catalog import build
 from commprob.cli import _cache_path, cache_load, cache_store, main
 from commprob.formulas import verify_suite
+from commprob.groups import centralizer, conjugacy_classes
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -84,6 +85,16 @@ def test_classes(capsys):
     assert sizes == [1, 2, 3]
     for r in payload["classes"]:
         assert r["size"] * r["centralizer_order"] == 6
+
+
+def test_classes_centralizer_orders_match_centralizers(capsys):
+    code, out, _ = run(capsys, "classes", "GL(2,3)", "--json")
+    assert code == 0
+    full = build("GL(2,3)").full()
+    rows = json.loads(out)["classes"]
+    assert [r["centralizer_order"] for r in rows] == [
+        centralizer(full, c.rep).order for c in conjugacy_classes(full).classes
+    ]
 
 
 def test_ctuples_with_oracle(capsys):
@@ -426,3 +437,14 @@ def test_verify_default_grid(tmp_path, capsys):
     bad = [r for r in rows if not r["match"]]
     assert bad and all(is_known_erratum_row(r) for r in bad)
     assert "mismatches:" in out
+
+
+def test_verify_report_under_a_missing_directory_exits_2(tmp_path, capsys):
+    # an unwritable report path is invalid input, not an internal error
+    path = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "verify", "--grid", "default", "--json", str(path))
+    assert code == 2
+    assert not path.parent.exists()
+    assert err.startswith("error: cannot write the report to ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ from conftest import (
     fresh_build,
     greedy_action_generators,
     mul_z_classes,
+    pair_commutator_closure,
     scan_center,
     scan_centralizer,
     schoolbook_mat_mul,
@@ -472,11 +473,36 @@ PROPER_STATE_GROUPS = ("S(5)", "GL(3,2)", "U(3,2)")
 
 
 def test_z_classes_match_mul_reference():
-    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)", "GL(3,3)"):
         H = build(desc).full()
         assert z_classes(H) == mul_z_classes(H), desc
     for H in proper_states(PROPER_STATE_GROUPS):
         assert z_classes(H) == mul_z_classes(H), (H.group, H.key)
+    assert len(z_classes(build("GL(3,3)").full())) == 7
+
+
+def lemma_states():
+    """Every branching state of S(4) and GL(2,3), then every proper
+    state of the ``PROPER_STATE_GROUPS``."""
+    for desc in ("S(4)", "GL(2,3)"):
+        G = build(desc)
+        for st in build_branching(G).states:
+            yield G.subgroup(st.key, validate=False)
+    yield from proper_states(PROPER_STATE_GROUPS)
+
+
+def test_equal_centralizers_are_the_center_elements_of_equal_class_size():
+    # the lemma behind z_classes: Z(y) = Z(x) exactly when y is in the
+    # center of Z(x) and |y^H| = |x^H|
+    for H in lemma_states():
+        cd = conjugacy_classes(H)
+        for c in cd.classes:
+            Zx = centralizer(H, c.rep)
+            ZZx = center(Zx)
+            for y in H.key:
+                same_size = cd.classes[cd.class_of[y]].size == c.size
+                assert (centralizer(H, y) is Zx) == (y in ZZx and same_size), \
+                    (H.group, H.key, c.rep, y)
 
 
 @pytest.mark.parametrize("desc, bound", [
@@ -619,8 +645,9 @@ def test_center_q8():
 
 def test_center_and_derived_subgroup_match_references():
     # the fixed points of the action and the normal closure through it,
-    # against a scan of all pairs and the closure of all commutators
-    for desc in SMALL_GROUPS + ("GL(3,2)",):
+    # against a scan of all pairs and the closure of the commutators of
+    # members with a generating set
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
         H = build(desc).full()
         assert center(H).key == scan_center(H), desc
         assert commutator_subgroup(H).key == commutator_closure(H), desc
@@ -628,6 +655,17 @@ def test_center_and_derived_subgroup_match_references():
         assert center(H).key == scan_center(H), (H.group, H.key)
         assert commutator_subgroup(H).key == commutator_closure(H), \
             (H.group, H.key)
+
+
+def test_commutator_reference_matches_all_pairs():
+    # the commutators of members with a generating set close to the
+    # same subgroup as the commutators of all pairs
+    for desc in SMALL_GROUPS:
+        G = build(desc)
+        for st in build_branching(G).states:
+            H = G.subgroup(st.key, validate=False)
+            assert commutator_closure(H) == pair_commutator_closure(H), \
+                (desc, st.key)
 
 
 def test_derived_series_s3():
