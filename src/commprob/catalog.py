@@ -340,9 +340,10 @@ def _build_unitary(descriptor, d, q):
     orthogonal to every chosen column, in ascending index order; choosing
     column c narrows it to the candidates in ``orth[c]``.  The first
     column ranges over all unit vectors and each later one over the
-    candidates, so the matrices come out in the order of a scan that
-    tests every unit vector against every chosen column, without any
-    form evaluation after the graph is built."""
+    candidates, the last one without narrowing them further, so the
+    matrices come out in the order of a scan that tests every unit
+    vector against every chosen column, without any form evaluation
+    after the graph is built."""
     p, k = prime_power(q)
     ext = field(p, 2 * k)
     add = ext.add_table()
@@ -358,14 +359,29 @@ def _build_unitary(descriptor, d, q):
 
     vectors = list(itertools.product(range(ext.q), repeat=d))
     unit = [v for v in vectors if herm(v, v) == one]
-    orth = [frozenset(j for j, v in enumerate(unit) if herm(u, v) == 0)
-            for u in unit]
+    # <u, v> with u's rows mul[conj[u_i]] looked up once per coordinate,
+    # then one straight-line sum per v
+    orth = []
+    for u in unit:
+        rows = [mul[conj[a]] for a in u]
+        if d == 2:
+            r0, r1 = rows
+            orth.append(frozenset(j for j, (a, b) in enumerate(unit)
+                                  if add[r0[a]][r1[b]] == 0))
+        else:
+            r0, r1, r2 = rows
+            orth.append(frozenset(j for j, (a, b, c) in enumerate(unit)
+                                  if add[add[r0[a]][r1[b]]][r2[c]] == 0))
 
     mats = []
 
     def extend(cols, candidates):
-        if len(cols) == d:
-            mats.append(tuple(unit[cols[j]][i] for i in range(d) for j in range(d)))
+        if len(cols) == d - 1:
+            # every candidate completes a frame; zip reads off its rows
+            chosen = [unit[c] for c in cols]
+            for c in candidates:
+                mats.append(tuple(itertools.chain.from_iterable(
+                    zip(*chosen, unit[c]))))
             return
         for c in candidates:
             oc = orth[c]

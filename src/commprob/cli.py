@@ -8,6 +8,7 @@ its reader.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -320,22 +321,33 @@ def _cmd_feitfine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows, ok = verify_suite(args.grid)
-    # with the report on stdout, the table and summary go to stderr so
-    # that stdout stays one JSON document
-    out = sys.stdout
-    if args.json_path:
-        text = report_json(rows)
-        if args.json_path == "-":
-            sys.stdout.write(text)
+    path = args.json_path
+
+    def cannot_write(exc):
+        return InputError(f"cannot write the report to {path}: "
+                          f"{exc.strerror or exc}")
+
+    # a report file is opened before the grid runs, so a path that cannot
+    # be written is reported at once
+    report = None
+    if path and path != "-":
+        try:
+            report = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise cannot_write(exc) from None
+    with report or contextlib.nullcontext():
+        rows, ok = verify_suite(args.grid)
+        # with the report on stdout, the table and summary go to stderr so
+        # that stdout stays one JSON document
+        out = sys.stdout
+        if path == "-":
+            sys.stdout.write(report_json(rows))
             out = sys.stderr
-        else:
+        elif report is not None:
             try:
-                with open(args.json_path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                report.write(report_json(rows))
             except OSError as exc:
-                raise InputError(f"cannot write the report to {args.json_path}: "
-                                 f"{exc.strerror or exc}") from None
+                raise cannot_write(exc) from None
     out.write(render_table(rows))
     mismatches = sum(1 for r in rows if not r["match"])
     print(f"rows: {len(rows)}  mismatches: {mismatches}", file=out)

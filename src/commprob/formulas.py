@@ -55,13 +55,23 @@ from .groups import conjugacy_classes
 # dense polynomials in one variable q
 # ---------------------------------------------------------------------------
 
+def _coefficient(c):
+    """An integral coefficient as an int, any other as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """Dense polynomial with exact rational coefficients, low degree first."""
+    """Dense polynomial with exact rational coefficients, low degree
+    first: integral ones are kept as ints, which keeps building the
+    registry cheap, and the others as Fractions."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -118,7 +128,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -140,10 +150,10 @@ class Poly:
         return result
 
     def __call__(self, q) -> Fraction:
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        return acc
+        return Fraction(acc)
 
     def __eq__(self, other):
         other = Poly._coerce(other)

@@ -6,9 +6,13 @@ by breadth-first search from the identity (left multiplication, first
 seen wins), so ids are reproducible across runs and platforms; groups
 built from an explicit element list keep the given order with the
 identity moved to id 0.  Construction computes one inverse per pair
-{x, x^-1} and checks the set closed under products with
-``_is_closed``, which is exact up to 200 elements at n |T| products for
-a greedy generating set T.
+{x, x^-1} and checks the set closed under products exactly, at any size,
+with ``_right_walk``: from the identity it multiplies every element it
+reaches on the right by every generator, fails as soon as a product
+leaves the set, and by associativity proves the set closed when it
+reaches every element.  Its generators are a seeded pair when one
+reaches every element, at 2 products per element, and otherwise the
+greedy set, at n |T| products.
 
 Subgroups are id sets inside an ambient group, stored once, as the
 sorted id tuple ``key``: order is its length and membership a bisection
@@ -16,17 +20,20 @@ of it.  Subgroups are interned: constructing one whose key its group
 has seen before returns the same object, so subgroup identity is object
 identity, and everything computed about a subgroup (its generating set,
 abelian flag, conjugation action, classes and centralizers) is kept on
-that object.  Matrix products are straight-line
-code over the field's add and mul tables for d = 1, 2, 3.
+that object.  Matrix products, determinants and inverses are
+straight-line code over the field's tables for d = 1, 2, 3.
 
-Each subgroup has one generating set, ``generating_ids``: two elements
-that generate H when a bounded search over a few seeded random pairs
-finds them, which also shows that H is not abelian, and otherwise the
-greedy set.  A non-abelian subgroup H gets, on first use, the
-conjugation action of that set as integer permutations of the positions
-in ``H.key``, built once at 1 product per element per generator and
-kept on the subgroup.  It is the only place here that multiplies
-elements to conjugate them; after it, everything is integer indexing.
+Each subgroup has one generating set, ``generating_ids``, with the maps
+y -> y s its walk recorded: the walk that checked the group closed for
+the whole group, and for another subgroup the same walk on first use.
+It is two elements that generate H when a bounded search over a few
+seeded random pairs finds them, which also shows that H is not abelian,
+and otherwise the greedy set, whose maps show whether it commutes.  A
+non-abelian subgroup H gets, on first use, the conjugation action of
+that set as integer permutations of the positions in ``H.key``, read
+from the maps with no product and kept on the subgroup: the walk's are
+the only products the action needs, and after it every orbit walk is
+integer indexing.
 The center is the set of points every permutation fixes, and every orbit
 is grown by one kernel, ``_orbit_tree``: a breadth-first tree of a
 seed's orbit with parent pointers.  Conjugacy classes are its orbits.
@@ -45,7 +52,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -53,9 +60,6 @@ from .gf import FieldElement, FieldSpec
 
 GROUP_SIZE_CAP = 250_000
 
-_EXACT_CHECK_LIMIT = 200
-_SAMPLE_CHECKS = 512
-_CHECK_SEED = 0x5EED
 _PAIR_SEED = 0x9A12
 _PAIR_TRIALS = 5
 
@@ -87,12 +91,23 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
     inv_t = fld.inv_table()
     one = fld.one_index
     rng = range(d)
+    # x - y as one lookup
+    sub = [[add[x][neg[y]] for y in range(fld.q)] for x in range(fld.q)]
 
-    # straight-line products: one row lookup mul[a] per entry of A, then
-    # plain indexing, with no loop and no list building
+    # straight-line products, determinants and inverses, chosen once per
+    # d: one row lookup mul[a] per entry, then plain indexing, with no
+    # loop and no list building
     if d == 1:
         def mat_mul(A, B):
             return (mul[A[0]][B[0]],)
+
+        def det(A):
+            return A[0]
+
+        def mat_inv(A):
+            if A[0] == 0:
+                raise InputError("matrix is not invertible")
+            return (inv_t[A[0]],)
     elif d == 2:
         def mat_mul(A, B):
             a0, a1, a2, a3 = A
@@ -105,6 +120,18 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
                 add[m0[b0]][m1[b2]], add[m0[b1]][m1[b3]],
                 add[m2[b0]][m3[b2]], add[m2[b1]][m3[b3]],
             )
+
+        def det(A):
+            a, b, c, e = A
+            return sub[mul[a][e]][mul[b][c]]
+
+        def mat_inv(A):
+            a, b, c, e = A
+            dt = sub[mul[a][e]][mul[b][c]]
+            if dt == 0:
+                raise InputError("matrix is not invertible")
+            m = mul[inv_t[dt]]
+            return (m[e], m[neg[b]], m[neg[c]], m[a])
     else:
         def mat_mul(A, B):
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
@@ -130,37 +157,36 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
                 add[add[m6[b2]][m7[b5]]][m8[b8]],
             )
 
-    def sub(x, y):
-        return add[x][neg[y]]
+        def det(A):
+            a, b, c, e, f, g, h, i, j = A
+            me = mul[e]
+            mf = mul[f]
+            mg = mul[g]
+            return add[add[mul[a][sub[mf[j]][mg[i]]]][
+                mul[b][sub[mg[h]][me[j]]]]][mul[c][sub[me[i]][mf[h]]]]
 
-    def det(A):
-        if d == 1:
-            return A[0]
-        if d == 2:
-            return sub(mul[A[0]][A[3]], mul[A[1]][A[2]])
-        a, b, c, e, f, g, h, i, j = A
-        m1 = mul[a][sub(mul[f][j], mul[g][i])]
-        m2 = mul[b][sub(mul[e][j], mul[g][h])]
-        m3 = mul[c][sub(mul[e][i], mul[f][h])]
-        return add[sub(m1, m2)][m3]
-
-    def mat_inv(A):
-        dt = det(A)
-        if dt == 0:
-            raise InputError("matrix is not invertible")
-        di = inv_t[dt]
-        if d == 1:
-            return (di,)
-        if d == 2:
-            a, b, c, e = A
-            return (mul[di][e], mul[di][neg[b]], mul[di][neg[c]], mul[di][a])
-        a, b, c, e, f, g, h, i, j = A
-        adj = (
-            sub(mul[f][j], mul[g][i]), sub(mul[c][i], mul[b][j]), sub(mul[b][g], mul[c][f]),
-            sub(mul[g][h], mul[e][j]), sub(mul[a][j], mul[c][h]), sub(mul[c][e], mul[a][g]),
-            sub(mul[e][i], mul[f][h]), sub(mul[b][h], mul[a][i]), sub(mul[a][f], mul[b][e]),
-        )
-        return tuple(mul[di][x] for x in adj)
+        def mat_inv(A):
+            # the adjugate over the determinant: the adjugate's first
+            # column holds the cofactors the determinant expands by
+            a, b, c, e, f, g, h, i, j = A
+            ma = mul[a]
+            mb = mul[b]
+            mc = mul[c]
+            me = mul[e]
+            mf = mul[f]
+            mg = mul[g]
+            c0 = sub[mf[j]][mg[i]]
+            c3 = sub[mg[h]][me[j]]
+            c6 = sub[me[i]][mf[h]]
+            dt = add[add[ma[c0]][mb[c3]]][mc[c6]]
+            if dt == 0:
+                raise InputError("matrix is not invertible")
+            m = mul[inv_t[dt]]
+            return (
+                m[c0], m[sub[mc[i]][mb[j]]], m[sub[mb[g]][mc[f]]],
+                m[c3], m[sub[ma[j]][mc[h]]], m[sub[mc[e]][ma[g]]],
+                m[c6], m[sub[mb[h]][ma[i]]], m[sub[ma[f]][mb[e]]],
+            )
 
     def transpose(A):
         return tuple(A[j * d + i] for i in rng for j in rng)
@@ -248,52 +274,64 @@ def _light_test(table, gens):
 # Group
 # ---------------------------------------------------------------------------
 
-def _closure_pairs(elements):
-    """The pairs ``_is_closed`` multiplies for a set too large for its
-    exact test: ``_SAMPLE_CHECKS`` pairs drawn by a generator seeded
-    with the integer ``_CHECK_SEED``."""
-    n = len(elements)
-    rng = random.Random(_CHECK_SEED)
-    return (
-        (elements[rng.randrange(n)], elements[rng.randrange(n)])
-        for _ in range(_SAMPLE_CHECKS)
-    )
+def _right_walk(points, where, mul, gens=()):
+    """Right multiplication by generators over ``points``, walked from
+    the identity ``points[0]``: ``(gens, maps)``, where ``maps[i][y]`` is
+    the position of ``points[y] * points[gens[i]]`` (generators are
+    positions too, and ``where`` maps a point to its position), or None
+    as soon as a product falls outside the points.
 
+    With ``gens`` given the walk is by them alone, and it is None also
+    when they reach fewer than all the points.  Without, generators are
+    picked greedily by ascending position, each one not reached by those
+    before it; the points reached before a new generator are closed
+    under the earlier ones already, so they are multiplied by it alone.
+    Either way each point is multiplied by each generator once, n |T|
+    products, and greedily |T| <= log2 n, since each generator at least
+    doubles the subgroup reached.
 
-def _is_closed(elements, mul, member) -> bool:
-    """Whether the set ``elements``, identity first, is closed under the
-    associative product ``mul``; ``member`` tests membership.
+    A walk that reaches every point proves the set S a group: S T is
+    inside S and T generates S from the identity, so S S is inside S by
+    associativity (Holt–Eick–O'Brien, *Handbook of Computational Group
+    Theory*, §4.1)."""
+    n = len(points)
+    get = where.get
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    maps = [array("i", [0]) * n for _ in gens]
+    steps = [(points[s], m) for s, m in zip(gens, maps)]
 
-    Up to ``_EXACT_CHECK_LIMIT`` elements the answer is exact.  Generators
-    T are picked greedily by ascending index, each outside the closure of
-    those picked before, and every element reached from the identity is
-    multiplied on the right by every generator, failing as soon as a
-    product leaves the set.  When it passes, S T is inside S and T
-    generates S from the identity, so S S is inside S by associativity.
-    It costs n |T| products, and |T| <= log2 n, since each generator at
-    least doubles the subgroup reached.  Above the limit it tests the
-    seeded sample of ``_closure_pairs``."""
-    if len(elements) > _EXACT_CHECK_LIMIT:
-        return all(member(mul(a, b)) for a, b in _closure_pairs(elements))
-    reached = [elements[0]]
-    seen = {elements[0]}
+    def walk(ys, by):
+        for y in ys:
+            yd = points[y]
+            for sd, m in by:
+                z = get(mul(yd, sd))
+                if z is None:
+                    return False
+                m[y] = z
+                if not seen[z]:
+                    seen[z] = 1
+                    reached.append(z)
+        return True
+
+    if gens:
+        if walk(reached, steps) and len(reached) == n:
+            return gens, maps
+        return None
     gens = []
-    for g in elements:
-        if g in seen:
-            continue
-        gens.append(g)
-        # the elements reached before g are closed under the earlier
-        # generators already, so they are multiplied by g alone
-        start = len(reached)
-        for i, r in enumerate(reached):
-            for s in (gens if i >= start else (g,)):
-                t = mul(r, s)
-                if t not in seen:
-                    if not member(t):
-                        return False
-                    seen.add(t)
-                    reached.append(t)
-    return True
+    for g in range(1, n):
+        if not seen[g]:
+            gens.append(g)
+            maps.append(array("i", [0]) * n)
+            steps.append((points[g], maps[-1]))
+            # the points reached so far need the new generator alone;
+            # those it reaches, all of them
+            start = len(reached)
+            if not (walk(reached[:start], steps[-1:])
+                    and walk(islice(reached, start, None), steps)):
+                return None
+    return gens, maps
 
 
 def _bfs_closure(mul_data, identity, gens):
@@ -355,19 +393,20 @@ class Group:
                 inv[y] = x
         self._inv = inv
         self._subgroups = {}
-        self._full = None
         self._branching = None
         self._lescot_memo = {}
+        self._full = Subgroup(self, range(len(self._data)), _validate=False)
         self._spot_check()
 
     def _spot_check(self):
-        n = len(self._data)
+        # the walk that proves the set closed gives the whole group its
+        # generating set and right multiplication maps
+        if not _find_generators(self._full):
+            raise InputError("element set is not closed under multiplication")
         mul_data = self._mul_data
         data = self._data
-        if not _is_closed(data, mul_data, self._ids.__contains__):
-            raise InputError("element set is not closed under multiplication")
         e = data[0]
-        for i in range(min(n, 64)):
+        for i in range(min(len(data), 64)):
             if mul_data(e, data[i]) != data[i] or mul_data(data[i], e) != data[i]:
                 raise InputError("identity element does not act as identity")
 
@@ -492,8 +531,6 @@ class Group:
         return o
 
     def full(self) -> "Subgroup":
-        if self._full is None:
-            self._full = Subgroup(self, range(len(self._data)), _validate=False)
         return self._full
 
     def subgroup(self, ids, validate=True) -> "Subgroup":
@@ -616,8 +653,8 @@ class Subgroup:
     is never interned.  The slots after ``key`` hold what the subgroup
     algorithms compute about it, each filled on first use."""
 
-    __slots__ = ("group", "key",
-                 "_gens", "_abelian", "_action", "_classes", "_centralizers")
+    __slots__ = ("group", "key", "_gens", "_right",
+                 "_abelian", "_action", "_classes", "_centralizers")
 
     def __new__(cls, group: Group, ids, _validate=True):
         key = tuple(sorted({i.id if isinstance(i, Element) else int(i)
@@ -627,7 +664,7 @@ class Subgroup:
             H = object.__new__(cls)
             H.group = group
             H.key = key
-            H._gens = H._abelian = H._action = H._classes = None
+            H._gens = H._right = H._abelian = H._action = H._classes = None
             H._centralizers = {}
         if _validate:
             H._validate()
@@ -645,7 +682,8 @@ class Subgroup:
                 raise InputError(f"member id {i} out of range")
             if G.inv(i) not in mem:
                 raise InputError("member set is not closed under inversion")
-        if not _is_closed(self.key, G.mul, mem.__contains__):
+        # a set that has its generating set was proven closed by its walk
+        if self._gens is None and not _find_generators(self):
             raise InputError("member set is not closed under multiplication")
 
     @property
@@ -735,67 +773,80 @@ def _dimino_add(G: Group, closure: dict, gens: list, g, target=None):
                     return
 
 
+def _points(H: Subgroup):
+    """The members of H as group data in ``H.key`` order, and the map from
+    each one to its position there; for the whole group, the group's own
+    element list and id map."""
+    G = H.group
+    if len(H.key) == len(G._data):
+        return G._data, G._ids
+    points = [G._data[h] for h in H.key]
+    return points, {y: i for i, y in enumerate(points)}
+
+
 def generating_ids(H: Subgroup) -> tuple:
     """The generating set of H, kept on it and used by the abelian test,
     the conjugation action and the derived subgroup alike.
 
     It is the pair of ``_generating_pair`` when that finds one, which
-    also settles that H is not abelian; otherwise it is greedy over
-    ascending ids, so at most log2 |H| generators.  A pair exists only
+    also settles that H is not abelian; otherwise it is the greedy set
+    of ``_right_walk``, at most log2 |H| generators.  A pair exists only
     for a non-abelian H, where greedy needs at least two, so the set
-    never has more generators than greedy."""
-    if H._gens is not None:
-        return H._gens
-    pair = _generating_pair(H)
-    if pair is not None:
-        H._abelian = False
-        H._gens = pair
-        return pair
-    G = H.group
-    data = G._data
-    gens = []
-    gens_data = []
-    closure = {0: data[0]}
-    target = len(H.key)
-    for x in H.key:
-        if len(closure) == target:
-            break
-        if x not in closure:
-            gens.append(x)
-            _dimino_add(G, closure, gens_data, data[x], target)
-    H._gens = tuple(gens)
+    never has more generators than greedy.  It is found once: for the
+    whole group by the walk that checks it closed at construction, for a
+    validated subgroup by its validation, and otherwise on first use."""
+    if H._gens is None and not _find_generators(H):
+        raise InputError("member set is not closed under multiplication")
     return H._gens
 
 
+def _find_generators(H: Subgroup) -> bool:
+    """Keep on H its generating set, the right multiplication maps by it
+    that its ``_right_walk`` recorded, and its abelian flag; False, with
+    nothing kept, when the walk finds H not closed under multiplication.
+    The greedy set's maps settle the flag with no product: generators s
+    and t commute exactly when s t and t s have the same position."""
+    found = _generating_pair(H)
+    if found is None:
+        points, where = _points(H)
+        found = _right_walk(points, where, H.group._mul_data)
+        if found is None:
+            return False
+        gens, maps = found
+        H._abelian = all(maps[j][s] == maps[i][t]
+                         for i, s in enumerate(gens)
+                         for j, t in enumerate(gens) if i < j)
+        found = tuple(H.key[g] for g in gens), maps
+    else:
+        H._abelian = False
+    # the generating set last: a thread that sees it sees the rest
+    H._right = found[1]
+    H._gens = found[0]
+    return True
+
+
 def _generating_pair(H: Subgroup):
-    """Two ids that generate H, or None: at most ``_PAIR_TRIALS`` pairs
-    drawn from ``H.key`` by a generator seeded with the integer
-    ``_PAIR_SEED``.  A commuting pair is rejected with 2 products, so an
-    abelian H costs at most 10.  Otherwise the pair's Dimino closure
-    stops as soon as it holds more than |H|/2 elements, which by
-    Lagrange is all of H.  Every group of order below 6 is abelian, so
-    those are not searched."""
+    """Two ids that generate H, with the right multiplication maps by
+    them, or None: at most ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by
+    a generator seeded with the integer ``_PAIR_SEED``.  A commuting pair
+    is rejected with 2 products, so an abelian H costs at most 10.  Any
+    other pair is kept when its ``_right_walk`` reaches every member, at
+    2 products per member it reaches; on a set not yet known to be a
+    group, that also proves it closed.  Every group of order below 6 is
+    abelian, so those are not searched."""
     key = H.key
     if len(key) < 6:
         return None
-    G = H.group
-    data = G._data
-    mul_data = G._mul_data
-    half = len(key) // 2 + 1
+    points, where = _points(H)
+    mul = H.group._mul_data
     rng = random.Random(_PAIR_SEED)
     for _ in range(_PAIR_TRIALS):
-        a, b = sorted(rng.sample(key, 2))
-        ad = data[a]
-        bd = data[b]
-        if mul_data(ad, bd) == mul_data(bd, ad):
+        a, b = sorted(rng.sample(range(len(key)), 2))
+        if mul(points[a], points[b]) == mul(points[b], points[a]):
             continue
-        # b is not in <a>, since it does not commute with a
-        closure = {0: data[0]}
-        gens = []
-        _dimino_add(G, closure, gens, ad)
-        _dimino_add(G, closure, gens, bd, half)
-        if len(closure) == half:
-            return (a, b)
+        walk = _right_walk(points, where, mul, (a, b))
+        if walk is not None:
+            return (key[a], key[b]), walk[1]
     return None
 
 
@@ -832,32 +883,26 @@ def _conjugation_action(H: Subgroup) -> list:
     in the same order: an ``array('i')`` over the positions in ``H.key``
     (for the whole group, positions are ids).
 
-    This is the only place here that multiplies elements to conjugate
-    them.  It costs 1 product per element per generator s: the right
-    multiplication R(y) = y s^-1 over the points, from which, since
-    s z = (z^-1 s^-1)^-1, the conjugation is y -> inv(R(inv(R(y)))),
-    with inv the points' inversion as positions.  It is kept on the
-    subgroup, so it is built once; every orbit walk after that is
-    integer indexing."""
+    It makes no product: the walk that found the generating set recorded
+    the right multiplication y -> y s, whose inverse permutation is
+    R(y) = y s^-1, and since s z = (z^-1 s^-1)^-1 the conjugation is
+    y -> inv(R(inv(R(y)))), with inv the points' inversion as positions.
+    It is kept on the subgroup, so it is built once; every orbit walk
+    after that is integer indexing."""
     if H._action is not None:
         return H._action
+    generating_ids(H)
     G = H.group
-    data = G._data
-    inv = G._inv
-    mul_data = G._mul_data
     key = H.key
-    if len(key) == len(data):
-        points = data
-        where = G._ids
-        pinv = inv
+    if len(key) == len(G._data):
+        pinv = G._inv
     else:
-        points = [data[h] for h in key]
-        where = {y: i for i, y in enumerate(points)}
-        pinv = array("i", [bisect_left(key, inv[h]) for h in key])
+        pinv = array("i", [bisect_left(key, G._inv[h]) for h in key])
     action = []
-    for g in generating_ids(H):
-        gdi = data[inv[g]]
-        R = array("i", [where[mul_data(y, gdi)] for y in points])
+    for right in H._right:
+        R = array("i", right)
+        for y, z in enumerate(right):
+            R[z] = y
         action.append(array("i", map(pinv.__getitem__, map(
             R.__getitem__, map(pinv.__getitem__, R)))))
     H._action = action
@@ -909,8 +954,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     generators are added one at a time by an incremental Dimino closure,
     which stops as soon as the closure reaches the known order
     |H| / |x^H|, so most of them and most transversal elements are never
-    formed.  A class of size 1 gives H itself, and so does an H already
-    known to be abelian, without building the action.
+    formed.  A class of size 1 gives H itself, and so does an abelian H,
+    without building the action.
     """
     if isinstance(x, Element):
         x = x.id
@@ -920,7 +965,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     Z = H._centralizers.get(x)
     if Z is not None:
         return Z
-    if H._abelian:
+    if is_abelian(H):
         return H
     gens = generating_ids(H)
     action = _conjugation_action(H)
@@ -976,14 +1021,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
 
 
 def is_abelian(H: Subgroup) -> bool:
-    if H._abelian is None:
-        G = H.group
-        gens = generating_ids(H)
-        # a generating pair has settled it already
-        if H._abelian is None:
-            H._abelian = all(
-                G.mul(a, b) == G.mul(b, a) for a in gens for b in gens
-            )
+    """Whether H is abelian, settled with its generating set."""
+    generating_ids(H)
     return H._abelian
 
 

@@ -78,6 +78,43 @@ def schoolbook_mat_mul(fld, d, A, B):
     return tuple(out)
 
 
+def cofactor_det(fld, d, A):
+    """Reference determinant of a flattened d x d matrix over the field
+    tables, by Laplace expansion along the first row."""
+    if d == 1:
+        return A[0]
+    add = fld.add_table()
+    mul = fld.mul_table()
+    neg = fld.neg_table()
+    acc = 0
+    for j in range(d):
+        minor = tuple(A[r * d + c] for r in range(1, d) for c in range(d)
+                      if c != j)
+        term = mul[A[j]][cofactor_det(fld, d - 1, minor)]
+        acc = add[acc][neg[term] if j % 2 else term]
+    return acc
+
+
+def cofactor_inverse(fld, d, A):
+    """Reference inverse of a flattened d x d matrix over the field
+    tables: the adjugate, entry (r, c) the signed minor of A without row
+    c and column r, over ``cofactor_det``; None when A is singular."""
+    det = cofactor_det(fld, d, A)
+    if det == 0:
+        return None
+    mul = fld.mul_table()
+    neg = fld.neg_table()
+    di = fld.inv_table()[det]
+    out = []
+    for r in range(d):
+        for c in range(d):
+            minor = tuple(A[i * d + j] for i in range(d) if i != c
+                          for j in range(d) if j != r)
+            m = cofactor_det(fld, d - 1, minor) if d > 1 else fld.one_index
+            out.append(mul[di][neg[m] if (r + c) % 2 else m])
+    return tuple(out)
+
+
 def bfs_classes(H):
     """Reference conjugacy classes of H: (rep, size, sorted members) per
     class and the id -> class index map, by a breadth-first search over
@@ -203,7 +240,8 @@ def pair_commutator_closure(H):
 def greedy_action_generators(monkeypatch):
     """Make every generating set computed from now on the greedy one of
     ``generating_ids``, as before the two-element search, and so every
-    conjugation action built from it: the search finds no pair."""
+    conjugation action built from it: the search finds no pair, neither
+    on a subgroup nor on the whole group while it is built."""
     from commprob import groups
 
     monkeypatch.setattr(groups, "_generating_pair", lambda _H: None)

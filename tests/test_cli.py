@@ -439,10 +439,26 @@ def test_verify_default_grid(tmp_path, capsys):
     assert "mismatches:" in out
 
 
-def test_verify_report_under_a_missing_directory_exits_2(tmp_path, capsys):
-    # an unwritable report path is invalid input, not an internal error
+def test_verify_report_under_a_missing_directory_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    # an unwritable report path is invalid input, not an internal error,
+    # and it is reported before the grid runs: no group is built
+    from commprob import catalog, cli, formulas
+
+    calls = []
+
+    def record(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return called
+
+    for module in (catalog, cli, formulas):
+        monkeypatch.setattr(module, "build", record("build"))
+    monkeypatch.setattr(cli, "verify_suite", record("verify_suite"))
     path = tmp_path / "missing" / "report.json"
     code, _, err = run(capsys, "verify", "--grid", "default", "--json", str(path))
+    assert calls == []
     assert code == 2
     assert not path.parent.exists()
     assert err.startswith("error: cannot write the report to ")

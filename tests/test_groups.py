@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     bfs_classes,
     bfs_generated,
+    cofactor_det,
+    cofactor_inverse,
     commutator_closure,
     count_construction_products,
     count_products,
@@ -77,6 +79,30 @@ def test_matrix_kernel_matches_schoolbook(p, k, d):
         invertible += 1
         assert ops.mul(ops.inv(A), A) == one, A
         assert ops.mul(A, ops.inv(A)) == one, A
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_det_and_inverse_match_cofactors(p, k, d):
+    fld = field(p, k)
+    ops = matrix_operations(fld, d)
+    rng = random.Random(2000 * d + fld.q)
+    zero = (0,) * (d * d)
+    singular = tuple(rng.randrange(fld.q) for _ in range(d)) * d  # equal rows
+    mats = [zero, singular, ops.identity]
+    mats += [tuple(rng.randrange(fld.q) for _ in range(d * d))
+             for _ in range(300)]
+    singular_seen = 0
+    for A in mats:
+        assert ops.det(A) == cofactor_det(fld, d, A), A
+        inv = cofactor_inverse(fld, d, A)
+        if inv is None:
+            singular_seen += 1
+            with pytest.raises(InputError, match="not invertible"):
+                ops.inv(A)
+        else:
+            assert ops.inv(A) == inv, A
+    assert singular_seen >= (1 if d == 1 else 2)
 
 
 def s3():
@@ -302,13 +328,69 @@ def test_list_missing_an_inverse_is_rejected():
         Group.from_permutation_list(3, [(0, 1, 2), (1, 2, 0)])
 
 
-@pytest.mark.parametrize("desc", ["GL(3,2)", "PSL(2,7)", "GL(2,4)"])
+def test_matrix_list_of_order_above_200_not_closed():
+    # SL(3,3) and one involution of determinant -1: 5,617 matrices closed
+    # under inversion but not under products, in both list constructors
+    S = build("SL(3,3)")
+    mats = [S.data_of(i) for i in range(S.order)]
+    one = S.field.one_index
+    flip = (S.field.neg_table()[one], 0, 0, 0, one, 0, 0, 0, one)
+    with pytest.raises(InputError, match=NOT_CLOSED):
+        Group.from_matrix_list(S.field, 3, mats + [flip])
+    G = build("GL(3,3)")
+    with pytest.raises(InputError,
+                       match="^member set is not closed under multiplication$"):
+        G.subgroup([G.id_of(m) for m in mats + [flip]])
+
+
+# 2 products per element of each proper subgroup that a drawn pair
+# generates before the pair that generates the whole group
+FAILED_PAIR_PRODUCTS = {"GL(2,5)": 2 * (48 + 120 + 32), "PSL(2,9)": 2 * (60 + 6)}
+
+
+@pytest.mark.parametrize("desc", ["GL(3,2)", "PSL(2,7)", "GL(2,4)",
+                                  "GL(2,5)", "U(3,2)", "PSL(2,9)"])
 def test_construction_work_count(monkeypatch, desc):
     # element products of building a group from its element list: the
-    # closure test costs n |T| for its generators T, not n^2
+    # closure walk by a generating pair costs 2 per element, not n^2, plus
+    # 2 per commuting pair drawn and 2 per element of the first 64 for
+    # the identity check
     products = count_construction_products(monkeypatch)
-    fresh_build(desc)
-    assert products[0] <= 1000, products[0]
+    G = fresh_build(desc)
+    bound = (2 * G.order + 2 * groups._PAIR_TRIALS + 2 * 64
+             + FAILED_PAIR_PRODUCTS.get(desc, 0))
+    assert products[0] <= bound, (products[0], bound)
+
+
+@pytest.mark.parametrize("desc", ["GL(3,3)", "U(3,3)"])
+def test_construction_hands_its_walk_to_the_action(monkeypatch, desc):
+    # the walk that checks the element list closed finds the generating
+    # pair and records right multiplication by it, so the generating set
+    # and the action take no product; the oracle's check still recomputes
+    # every map with products of its own
+    from commprob import oracle
+
+    G = fresh_build(desc)
+    products = count_products(monkeypatch, G)
+    gens = generating_ids(G.full())
+    action = groups._conjugation_action(G.full())
+    assert products[0] == 0
+    assert len(gens) == len(action) == 2
+    oracle._checked_maps(G)
+    assert products[0] == 2 * len(gens) * G.order
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)"))
+def test_right_maps_are_right_multiplication(desc):
+    # on every branching state, map i sends each position in H.key to the
+    # position of its product with generator i
+    G = fresh_build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        gens = generating_ids(H)
+        assert len(H._right) == len(gens)
+        for g, right in zip(gens, H._right):
+            assert [H.key[z] for z in right] == [G.mul(h, g) for h in H.key]
 
 
 def test_subgroup_key_equality():
@@ -604,14 +686,15 @@ def test_centralizer_of_central_element_is_the_subgroup_itself():
             assert centralizer(H, c.rep) is H
 
 
-def test_centralizer_order_check_raises(monkeypatch):
+def test_centralizer_order_check_raises():
     # generators of a proper subgroup make the Schreier closure fall short
     # of |H| / |x^H|, which must raise even under python -O
     G = fresh_build("S(4)")
     H = G.full()
     gens = generating_ids(H)
     x = next(y for y in H.key if G.conj(gens[0], y) != y)
-    monkeypatch.setattr(groups, "generating_ids", lambda _H: gens[:1])
+    # the first generator alone, with its right multiplication map
+    H._gens, H._right = gens[:1], H._right[:1]
     with pytest.raises(InternalError):
         centralizer(H, x)
 
@@ -626,7 +709,7 @@ def test_centralizer_order_check_raises_under_optimize():
         "H = G.full()\n"
         "gens = groups.generating_ids(H)\n"
         "x = next(y for y in H.key if G.conj(gens[0], y) != y)\n"
-        "groups.generating_ids = lambda _H: gens[:1]\n"
+        "H._gens, H._right = gens[:1], H._right[:1]\n"
         "try:\n"
         "    groups.centralizer(H, x)\n"
         "except InternalError as exc:\n"
