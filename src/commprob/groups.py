@@ -31,19 +31,24 @@ seeded random pairs finds them, which also shows that H is not abelian,
 and otherwise the greedy set, whose maps show whether it commutes.  A
 non-abelian subgroup H gets, on first use, the conjugation action of
 that set as integer permutations of the positions in ``H.key``, read
-from the maps with no product and kept on the subgroup: the walk's are
-the only products the action needs, and after it every orbit walk is
-integer indexing.
+from the maps with no product and kept on the subgroup, which then
+drops the maps: the walk's are the only products the action needs, and
+after it every orbit walk is integer indexing.
 The center is the set of points every permutation fixes, and every orbit
 is grown by one kernel, ``_orbit_tree``: a breadth-first tree of a
-seed's orbit with parent pointers.  Conjugacy classes are its orbits.
-Centralizers are the point stabilizers: Schreier generators from its
-non-tree edges, formed from a lazily built transversal, closed by an
-incremental Dimino closure that stops at the orbit–stabilizer order
-|H| / |x^H|.  The derived subgroup is generated by the classes of the
-commutators, and the oracle's stabilizer maps come from the same tree.
-z-classes walk no orbit: the classes whose centralizer is Z(x) are those
-of the elements of the center of Z(x) with x's class size.
+seed's orbit with parent pointers, grown lazily, so that a caller can
+stop it.  Conjugacy classes are its whole orbits.  Centralizers are the
+point stabilizers: their order |H| / |x^H| is read from the classes,
+and the tree of x is grown only until the Schreier generators of its
+non-tree edges, formed from a lazily built transversal, close to that
+order in an incremental Dimino closure.  Those generators also settle
+whether Z(x) is abelian, so an abelian centralizer is never walked for
+generators.  Z(y) = Z(x) exactly when y is in the center of Z(x) and
+has x's class size, so one closure answers every such y: each distinct
+centralizer of a subgroup is closed once.  The same lemma gives the
+z-classes with no orbit walk.  The derived subgroup is generated by the
+classes of the commutators, and the oracle's stabilizer maps come from
+the same tree.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import combinations, islice
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -403,12 +409,15 @@ class Group:
         # generating set and right multiplication maps
         if not _find_generators(self._full):
             raise InputError("element set is not closed under multiplication")
+        # the walk reached every y as e s1 ... sk from e = data[0] by its
+        # generators, so e e = e and s e = s for each generator s give
+        # e y = y e = y by associativity, at 1 + |T| products
         mul_data = self._mul_data
         data = self._data
         e = data[0]
-        for i in range(min(len(data), 64)):
-            if mul_data(e, data[i]) != data[i] or mul_data(data[i], e) != data[i]:
-                raise InputError("identity element does not act as identity")
+        if mul_data(e, e) != e or any(mul_data(data[s], e) != data[s]
+                                      for s in self._full._gens):
+            raise InputError("identity element does not act as identity")
 
     # -- constructors --
 
@@ -802,10 +811,12 @@ def generating_ids(H: Subgroup) -> tuple:
 
 def _find_generators(H: Subgroup) -> bool:
     """Keep on H its generating set, the right multiplication maps by it
-    that its ``_right_walk`` recorded, and its abelian flag; False, with
-    nothing kept, when the walk finds H not closed under multiplication.
-    The greedy set's maps settle the flag with no product: generators s
-    and t commute exactly when s t and t s have the same position."""
+    that its ``_right_walk`` recorded (until ``_conjugation_action`` has
+    read them), and its abelian flag; False, with nothing kept, when the
+    walk finds H not closed under multiplication.  The greedy set's maps settle the flag with no product: generators s
+    and t commute exactly when s t and t s have the same position.  A
+    flag that a centralizer's closure set earlier must agree with the
+    walk's, or ``InternalError`` is raised."""
     found = _generating_pair(H)
     if found is None:
         points, where = _points(H)
@@ -813,12 +824,18 @@ def _find_generators(H: Subgroup) -> bool:
         if found is None:
             return False
         gens, maps = found
-        H._abelian = all(maps[j][s] == maps[i][t]
-                         for i, s in enumerate(gens)
-                         for j, t in enumerate(gens) if i < j)
+        abelian = all(maps[j][s] == maps[i][t]
+                      for i, s in enumerate(gens)
+                      for j, t in enumerate(gens) if i < j)
         found = tuple(H.key[g] for g in gens), maps
     else:
-        H._abelian = False
+        abelian = False
+    if H._abelian is not None and H._abelian != abelian:
+        raise InternalError(
+            f"the generator walk finds a subgroup of order {len(H.key)} "
+            f"{'' if abelian else 'not '}abelian, against its closure's flag"
+        )
+    H._abelian = abelian
     # the generating set last: a thread that sees it sees the rest
     H._right = found[1]
     H._gens = found[0]
@@ -850,31 +867,53 @@ def _generating_pair(H: Subgroup):
     return None
 
 
-def _orbit_tree(perms, seed) -> tuple:
-    """The orbit of ``seed`` under the integer permutations ``perms`` as
-    a breadth-first tree ``(orbit, index, up, via)``: ``orbit`` lists the
-    points in the order they are reached, ``index`` maps each point to
-    its position there, and for i > 0 point ``orbit[i]`` was first
-    reached as ``perms[via[i]][orbit[up[i]]]``, with ``up[i] < i``.
+def _orbit_tree(perms, seed):
+    """The orbit of ``seed`` under the integer permutations ``perms``,
+    grown as a breadth-first tree ``(orbit, index, up, via)``: ``orbit``
+    lists the points in the order they are reached, ``index`` maps each
+    point to its position there, and for i > 0 point ``orbit[i]`` was
+    first reached as ``perms[via[i]][orbit[up[i]]]``, with ``up[i] < i``.
+
+    It is a generator.  Its first item is the tree; it then extends the
+    tree's lists in place, point by point and permutation by permutation,
+    and yields each non-tree edge ``(i, s, j)``, where
+    ``perms[s][orbit[i]]`` is ``orbit[j]``, a point already in the tree,
+    as it meets it.  Run to the end (``_whole_orbit_tree``) it holds the
+    whole orbit; a caller that stops early holds the tree as far as it
+    has grown.
 
     This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
-    *Handbook of Computational Group Theory*, §4.1): conjugacy classes,
-    centralizers and the oracle's stabilizer maps all read their orbits
-    from it.  It makes no product."""
+    *Handbook of Computational Group Theory*, §4.1): conjugacy classes and
+    the oracle's stabilizer maps read whole orbits from it, and
+    ``centralizer`` reads its Schreier generators from the non-tree edges
+    and stops it once they have closed the stabilizer.  It makes no
+    product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]
     via = [-1]
+    yield orbit, index, up, via
     edges = list(enumerate(perms))
     for i, y in enumerate(orbit):
         for s, perm in edges:
             z = perm[y]
-            if z not in index:
+            j = index.get(z)
+            if j is None:
                 index[z] = len(orbit)
                 orbit.append(z)
                 up.append(i)
                 via.append(s)
-    return orbit, index, up, via
+            else:
+                yield i, s, j
+
+
+def _whole_orbit_tree(perms, seed) -> tuple:
+    """The tree ``(orbit, index, up, via)`` of ``_orbit_tree`` run to the
+    end: the whole orbit of ``seed``."""
+    walk = _orbit_tree(perms, seed)
+    tree = next(walk)
+    deque(walk, maxlen=0)
+    return tree
 
 
 def _conjugation_action(H: Subgroup) -> list:
@@ -888,10 +927,15 @@ def _conjugation_action(H: Subgroup) -> list:
     R(y) = y s^-1, and since s z = (z^-1 s^-1)^-1 the conjugation is
     y -> inv(R(inv(R(y)))), with inv the points' inversion as positions.
     It is kept on the subgroup, so it is built once; every orbit walk
-    after that is integer indexing."""
+    after that is integer indexing.  Nothing reads the maps after it, so
+    the subgroup drops them."""
     if H._action is not None:
         return H._action
     generating_ids(H)
+    rights = H._right
+    if rights is None:
+        # another thread built the action, then dropped the maps
+        return H._action
     G = H.group
     key = H.key
     if len(key) == len(G._data):
@@ -899,22 +943,23 @@ def _conjugation_action(H: Subgroup) -> list:
     else:
         pinv = array("i", [bisect_left(key, G._inv[h]) for h in key])
     action = []
-    for right in H._right:
+    for right in rights:
         R = array("i", right)
         for y, z in enumerate(right):
             R[z] = y
         action.append(array("i", map(pinv.__getitem__, map(
             R.__getitem__, map(pinv.__getitem__, R)))))
     H._action = action
+    H._right = None
     return action
 
 
 def conjugacy_classes(H: Subgroup) -> ClassData:
     """Partition H into conjugation orbits under H itself.
 
-    Each class is the ``_orbit_tree`` of a position in ``H.key`` that no
-    class holds yet, under the integer conjugation action, so no product
-    is made once the action is built; an abelian H is split into
+    Each class is the whole ``_orbit_tree`` of a position in ``H.key``
+    that no class holds yet, under the integer conjugation action, so no
+    product is made once the action is built; an abelian H is split into
     singletons without building it.  Seeds ascend, so each class
     representative is its minimal id."""
     if H._classes is not None:
@@ -931,7 +976,7 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
         for seed, h in enumerate(key):
             if h in class_of:
                 continue
-            members = [key[y] for y in _orbit_tree(action, seed)[0]]
+            members = [key[y] for y in _whole_orbit_tree(action, seed)[0]]
             for m in members:
                 class_of[m] = len(classes)
             classes.append(ConjugacyClass(h, len(members), tuple(sorted(members))))
@@ -944,18 +989,26 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, §4.1).
 
-    The class x^H is the ``_orbit_tree`` of x's position under the
-    integer conjugation action, found with no product; generator i of
+    The class size |x^H| is read from ``conjugacy_classes(H)``, so the
+    stabilizer's order |H| / |x^H| is known before any walk.  The class
+    is then grown as the ``_orbit_tree`` of x's position under the
+    integer conjugation action, with no product; generator i of
     ``generating_ids(H)`` is permutation i of the action.  Every non-tree
-    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y,
-    which commutes with x; the transversal element t_y
-    (t_y x t_y^-1 = y) is formed from the tree's parent pointers only
-    when a Schreier generator needs it, and kept.  The Schreier
-    generators are added one at a time by an incremental Dimino closure,
-    which stops as soon as the closure reaches the known order
-    |H| / |x^H|, so most of them and most transversal elements are never
-    formed.  A class of size 1 gives H itself, and so does an abelian H,
-    without building the action.
+    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y, which
+    commutes with x; the transversal element t_y (t_y x t_y^-1 = y) is
+    formed from the tree's parent pointers only when a Schreier generator
+    needs it, and kept.  The Schreier generators are added one at a time
+    by an incremental Dimino closure, and the walk stops as soon as the
+    closure reaches |H| / |x^H|, so most of the class is never grown and
+    most Schreier generators and transversal elements are never formed.
+    The closure's generators generate Z = Z(x), so Z is abelian exactly
+    when they commute pairwise; that flag is kept on Z, which then needs
+    no generator walk to be known abelian.
+
+    Z(y) = Z for every y in the center of Z whose class has x's size (the
+    lemma of ``z_classes``), x among them, so Z is kept for each of them,
+    and their centralizers take no closure.  A class of size 1 gives H itself, and
+    so does an abelian H, without building the action.
     """
     if isinstance(x, Element):
         x = x.id
@@ -967,62 +1020,66 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         return Z
     if is_abelian(H):
         return H
-    gens = generating_ids(H)
-    action = _conjugation_action(H)
-    orbit, index, up, via = _orbit_tree(action, bisect_left(H.key, x))
+    cd = conjugacy_classes(H)
+    size = cd.classes[cd.class_of[x]].size
+    if size == 1:
+        H._centralizers[x] = H
+        return H
+    target, rest = divmod(len(H.key), size)
+    if rest:
+        raise InternalError(
+            f"class size {size} does not divide |H| = {len(H.key)}"
+        )
+    data = G._data
+    ids = G._ids
+    inv = G._inv
+    mul_data = G._mul_data
+    gdata = [data[g] for g in generating_ids(H)]
+    walk = _orbit_tree(_conjugation_action(H), bisect_left(H.key, x))
+    _, _, up, via = next(walk)
+    trans = {0: data[0]}
 
-    if len(orbit) == 1:
-        Z = H
-    else:
-        target, rest = divmod(len(H.key), len(orbit))
-        if rest:
-            raise InternalError(
-                f"class size {len(orbit)} does not divide |H| = {len(H.key)}"
-            )
-        data = G._data
-        ids = G._ids
-        inv = G._inv
-        mul_data = G._mul_data
-        gdata = [data[g] for g in gens]
-        trans = {0: data[0]}
+    def transversal(i):
+        path = []
+        while i not in trans:
+            path.append(i)
+            i = up[i]
+        t = trans[i]
+        for j in reversed(path):
+            t = mul_data(gdata[via[j]], t)
+            trans[j] = t
+        return t
 
-        def transversal(i):
-            path = []
-            while i not in trans:
-                path.append(i)
-                i = up[i]
-            t = trans[i]
-            for j in reversed(path):
-                t = mul_data(gdata[via[j]], t)
-                trans[j] = t
-            return t
-
-        # Schreier generators of the non-tree edges in BFS order, formed
-        # only until the closure reaches the target order
-        closure = {0: data[0]}
-        found = []
-        for yi, si in product(range(len(orbit)), range(len(action))):
+    # Schreier generators of the non-tree edges in BFS order, formed only
+    # until the closure reaches the target order
+    closure = {0: data[0]}
+    found = []
+    for yi, si, zi in walk:
+        tz = transversal(zi)
+        g = mul_data(data[inv[ids[tz]]], mul_data(gdata[si], transversal(yi)))
+        if ids[g] not in closure:
+            _dimino_add(G, closure, found, g, target)
             if len(closure) == target:
                 break
-            zi = index[action[si][orbit[yi]]]
-            if up[zi] == yi and via[zi] == si:
-                continue
-            tz = transversal(zi)
-            g = mul_data(data[inv[ids[tz]]], mul_data(gdata[si], transversal(yi)))
-            if ids[g] not in closure:
-                _dimino_add(G, closure, found, g, target)
-        if len(closure) != target:
-            raise InternalError(
-                f"Schreier closure reached order {len(closure)}, expected {target}"
-            )
-        Z = Subgroup(G, closure, _validate=False)
-    H._centralizers[x] = Z
+    if len(closure) != target:
+        raise InternalError(
+            f"Schreier closure reached order {len(closure)}, expected {target}"
+        )
+    Z = Subgroup(G, closure, _validate=False)
+    if Z._abelian is None:
+        Z._abelian = all(mul_data(a, b) == mul_data(b, a)
+                         for a, b in combinations(found, 2))
+    for y in center(Z).key:
+        if cd.classes[cd.class_of[y]].size == size:
+            H._centralizers[y] = Z
     return Z
 
 
 def is_abelian(H: Subgroup) -> bool:
-    """Whether H is abelian, settled with its generating set."""
-    generating_ids(H)
+    """Whether H is abelian: the flag a centralizer's closure set, or
+    else the one its generating set settles."""
+    if H._abelian is None:
+        generating_ids(H)
     return H._abelian
 
 

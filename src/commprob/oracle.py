@@ -61,8 +61,8 @@ from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import (Group, _conjugation_action, _orbit_tree, generating_ids,
-                     matrix_operations)
+from .groups import (Group, _conjugation_action, _whole_orbit_tree,
+                     generating_ids, matrix_operations)
 
 DEFAULT_BUDGET = 50_000_000
 DEFAULT_MEMORY_BYTES = 2 << 30
@@ -105,9 +105,9 @@ def _centralizer_table(G: Group, n: int, budget: int):
     """(Z(x) as a frozenset of ids for every id x, the checked conjugation
     maps) for ``_centralizer_sets``.
 
-    The classes are the ``_orbit_tree`` orbits of single ids under the
-    checked conjugation maps, so k(G) is known before any centralizer is
-    scanned; k(G) |G| must be within the budget.  Z(x) is then scanned
+    The classes are the whole ``_orbit_tree`` orbits of single ids under
+    the checked conjugation maps, so k(G) is known before any centralizer
+    is scanned; k(G) |G| must be within the budget.  Z(x) is then scanned
     for each class's smallest id x, with 2 products for each id of x's
     class or a later one, and carried along the paths of x's tree,
     Z(s(y)) = s(Z(y)), with no product."""
@@ -117,7 +117,7 @@ def _centralizer_table(G: Group, n: int, budget: int):
     seen = bytearray(order)
     for x in range(order):
         if not seen[x]:
-            trees.append(_orbit_tree(maps, x))
+            trees.append(_whole_orbit_tree(maps, x))
             for y in trees[-1][0]:
                 seen[y] = 1
     k = len(trees)
@@ -207,7 +207,7 @@ class _Block(NamedTuple):
 
 
 def _stabilizer_maps(cents, maps, x: int):
-    """The class of x, as its ``_orbit_tree`` under the conjugation
+    """The class of x, as its whole ``_orbit_tree`` under the conjugation
     ``maps``, and the stabilizer's maps on Z(x) from Schreier's lemma.
 
     Carrying Z(x) along the tree's paths gives for each member y a
@@ -219,7 +219,7 @@ def _stabilizer_maps(cents, maps, x: int):
     returned as an id map that fixes every id outside Z(x).  No element
     is multiplied."""
     zx = sorted(cents[x])
-    orbit, index, up, via = _orbit_tree(maps, x)
+    orbit, index, up, via = _whole_orbit_tree(maps, x)
     images = [zx]  # u_y as the list of images of zx
     for i, s in zip(up[1:], via[1:]):
         images.append(list(map(maps[s].__getitem__, images[i])))

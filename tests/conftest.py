@@ -294,3 +294,22 @@ def count_products(monkeypatch, G):
 
     monkeypatch.setattr(G, "_mul_data", counted)
     return count
+
+
+def count_closures(monkeypatch):
+    """Count the Dimino closures started from now on: calls of
+    ``groups._dimino_add`` on a closure that holds the identity alone, one
+    per Schreier closure of a centralizer or normal closure of a derived
+    subgroup.  Returns a one-item list holding the running count."""
+    from commprob import groups
+
+    count = [0]
+    inner = groups._dimino_add
+
+    def counted(G, closure, gens, g, target=None):
+        if len(closure) == 1:
+            count[0] += 1
+        return inner(G, closure, gens, g, target)
+
+    monkeypatch.setattr(groups, "_dimino_add", counted)
+    return count

@@ -13,6 +13,7 @@ from conftest import (
     cofactor_det,
     cofactor_inverse,
     commutator_closure,
+    count_closures,
     count_construction_products,
     count_products,
     fresh_build,
@@ -343,6 +344,16 @@ def test_matrix_list_of_order_above_200_not_closed():
         G.subgroup([G.id_of(m) for m in mats + [flip]])
 
 
+def test_construction_rejects_an_element_that_is_not_the_identity():
+    # the identity check is exact, from the walk's generators: e e = e
+    # fails for 1 in Z/3, and s e = s fails for each s in the right-zero
+    # band y z = z, whose e e = e holds and whose set the walk finds closed
+    with pytest.raises(InputError, match="^identity element does not act"):
+        Group("table", lambda a, b: (a + b) % 3, lambda a: -a % 3, 1, [1, 0, 2])
+    with pytest.raises(InputError, match="^identity element does not act"):
+        Group("table", lambda a, b: b, lambda a: a, 0, [0, 1, 2])
+
+
 # 2 products per element of each proper subgroup that a drawn pair
 # generates before the pair that generates the whole group
 FAILED_PAIR_PRODUCTS = {"GL(2,5)": 2 * (48 + 120 + 32), "PSL(2,9)": 2 * (60 + 6)}
@@ -353,11 +364,12 @@ FAILED_PAIR_PRODUCTS = {"GL(2,5)": 2 * (48 + 120 + 32), "PSL(2,9)": 2 * (60 + 6)
 def test_construction_work_count(monkeypatch, desc):
     # element products of building a group from its element list: the
     # closure walk by a generating pair costs 2 per element, not n^2, plus
-    # 2 per commuting pair drawn and 2 per element of the first 64 for
-    # the identity check
+    # 2 per commuting pair drawn and 1 + |T| for the identity check, e e
+    # and s e for each generator s of the walk
     products = count_construction_products(monkeypatch)
     G = fresh_build(desc)
-    bound = (2 * G.order + 2 * groups._PAIR_TRIALS + 2 * 64
+    bound = (2 * G.order + 2 * groups._PAIR_TRIALS
+             + 1 + len(generating_ids(G.full()))
              + FAILED_PAIR_PRODUCTS.get(desc, 0))
     assert products[0] <= bound, (products[0], bound)
 
@@ -383,9 +395,12 @@ def test_construction_hands_its_walk_to_the_action(monkeypatch, desc):
 @pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)"))
 def test_right_maps_are_right_multiplication(desc):
     # on every branching state, map i sends each position in H.key to the
-    # position of its product with generator i
+    # position of its product with generator i.  The expansion releases
+    # the maps of every subgroup whose action it built, so they are read
+    # on a second build of the group, before any action is built
+    states = build_branching(fresh_build(desc)).states
     G = fresh_build(desc)
-    for st in build_branching(G).states:
+    for st in states:
         H = G.subgroup(st.key, validate=False)
         gens = generating_ids(H)
         assert len(H._right) == len(gens)
@@ -453,7 +468,27 @@ def test_orbit_tree_on_every_state(monkeypatch, desc):
         H = G.subgroup(st.key, validate=False)
         perms = groups._conjugation_action(H)
         for seed in range(len(H.key)):
-            orbit, index, up, via = groups._orbit_tree(perms, seed)
+            walk = groups._orbit_tree(perms, seed)
+            orbit, index, up, via = next(walk)
+            # the non-tree edges, met point by point and permutation by
+            # permutation; with the tree edges they are every edge once
+            edges = []
+            for i, s, j in walk:
+                assert perms[s][orbit[i]] == orbit[j], (desc, st.key, seed)
+                edges.append((i, s))
+            tree = set(zip(up[1:], via[1:]))
+            assert len(tree) == len(orbit) - 1
+            assert edges == [(i, s) for i in range(len(orbit))
+                             for s in range(len(perms)) if (i, s) not in tree]
+            assert groups._whole_orbit_tree(perms, seed) == (orbit, index, up, via)
+            # a walk stopped at its first non-tree edge holds a prefix of
+            # the whole tree
+            stopped = groups._orbit_tree(perms, seed)
+            part = next(stopped)
+            next(stopped, None)
+            n = len(part[0])
+            assert (part[0], part[2], part[3]) == (orbit[:n], up[:n], via[:n])
+            assert part[1] == {y: i for i, y in enumerate(orbit[:n])}
             assert orbit[0] == seed
             assert len(set(orbit)) == len(orbit)
             assert set(orbit) == brute_orbit(perms, seed), (desc, st.key, seed)
@@ -587,17 +622,112 @@ def test_equal_centralizers_are_the_center_elements_of_equal_class_size():
                     (H.group, H.key, c.rep, y)
 
 
-@pytest.mark.parametrize("desc, bound", [
-    ("GL(3,2)", 697), ("U(3,2)", 8080),
-    ("GL(3,3)", 37_533), ("U(3,3)", 147_452),
-])
-def test_branching_work_count(monkeypatch, desc, bound):
-    # element products of a cold branching expansion: each conjugation
-    # orbit is paid for once, by the integer action
+# element products of a cold branching expansion, as measured; the
+# test ids name the group alone, so a tighter bound keeps them
+BRANCHING_PRODUCTS = {
+    "GL(3,2)": 165, "U(3,2)": 2679, "GL(3,3)": 5373, "U(3,3)": 26_465,
+}
+
+
+@pytest.mark.parametrize("desc", BRANCHING_PRODUCTS)
+def test_branching_work_count(monkeypatch, desc):
+    # each conjugation orbit is paid for once, by the integer action, and
+    # each distinct centralizer is closed once, from the part of the class
+    # its closure needs
     G = fresh_build(desc)
     products = count_products(monkeypatch, G)
     build_branching(G)
-    assert products[0] <= bound, products[0]
+    assert products[0] <= BRANCHING_PRODUCTS[desc], products[0]
+
+
+@pytest.mark.parametrize("desc, closures", [("GL(3,3)", 54), ("U(3,3)", 111)])
+def test_each_distinct_centralizer_is_closed_once(monkeypatch, desc, closures):
+    # a cold expansion closes one Schreier closure per distinct non-central
+    # centralizer of a state: the classes whose centralizers are equal are
+    # answered from the first one's closure
+    G = fresh_build(desc)
+    count = count_closures(monkeypatch)
+    bm = build_branching(G)
+    closed = count[0]
+    distinct = set()
+    for st in bm.states:
+        H = G.subgroup(st.key, validate=False)
+        if not st.abelian:
+            distinct.update((H, centralizer(H, c.rep))
+                            for c in conjugacy_classes(H).classes)
+    assert closed == closures
+    assert closed == sum(1 for H, Z in distinct if Z is not H)
+
+
+FAST_PATH_GROUPS = SMALL_GROUPS + (
+    "GL(3,2)", "U(3,2)", "GL(2,5)", "PSL(2,7)", "GL(2,4)", "PSL(2,9)",
+    "U(2,4)", "U(2,5)", "Sp(2,7)",
+)
+
+
+@pytest.mark.parametrize("desc", FAST_PATH_GROUPS)
+def test_centralizer_fast_path_matches_scan(desc):
+    # after a cold expansion, on every state: each class representative's
+    # centralizer, closed or stored for an element of a closed one's
+    # center, against a scan of the state; and each proper state's abelian
+    # flag, which its closure set, against all pairs.  An abelian proper
+    # state was never walked for generators
+    G = fresh_build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        for c in conjugacy_classes(H).classes:
+            assert centralizer(H, c.rep).key == scan_centralizer(H, c.rep), \
+                (desc, st.key, c.rep)
+        if H is not G.full():
+            assert is_abelian(H) == (scan_center(H) == H.key), (desc, st.key)
+            assert (H._gens is None) == st.abelian, (desc, st.key)
+
+
+def _walk_with_wrong_flag(G):
+    """The generator walks of two subgroups of S(4) whose abelian flag was
+    set wrong before their first walk: C(x) of a double transposition, a
+    dihedral group of order 8, flagged abelian, and C(x) of a
+    transposition, of order 4, flagged not abelian."""
+    for perm, wrong in (((1, 0, 3, 2), True), ((1, 0, 2, 3), False)):
+        x = G.id_of(perm)
+        H = G.subgroup([h for h in range(G.order)
+                        if G.mul(h, x) == G.mul(x, h)], validate=False)
+        H._abelian = wrong
+        yield H
+
+
+def test_generator_walk_rejects_a_contradicting_flag():
+    # a flag set before the walk, as a centralizer's closure sets it, must
+    # agree with the walk's, in either direction
+    for H in _walk_with_wrong_flag(fresh_build("S(4)")):
+        with pytest.raises(InternalError, match="abelian"):
+            generating_ids(H)
+
+
+def test_generator_walk_rejects_a_contradicting_flag_under_optimize():
+    # the same failures in a python -O interpreter, where an assert would
+    # be stripped
+    script = (
+        "from commprob import catalog, groups\n"
+        "from commprob.errors import InternalError\n"
+        "G = catalog.build('S(4)')\n"
+        "for perm, wrong in (((1, 0, 3, 2), True), ((1, 0, 2, 3), False)):\n"
+        "    x = G.id_of(perm)\n"
+        "    H = G.subgroup([h for h in range(G.order)\n"
+        "                    if G.mul(h, x) == G.mul(x, h)], validate=False)\n"
+        "    H._abelian = wrong\n"
+        "    try:\n"
+        "        groups.generating_ids(H)\n"
+        "    except InternalError as exc:\n"
+        "        print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(line.startswith("InternalError") for line in lines), proc.stdout
 
 
 def test_abelian_subgroup_builds_no_action():
