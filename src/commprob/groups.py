@@ -813,10 +813,11 @@ def _find_generators(H: Subgroup) -> bool:
     """Keep on H its generating set, the right multiplication maps by it
     that its ``_right_walk`` recorded (until ``_conjugation_action`` has
     read them), and its abelian flag; False, with nothing kept, when the
-    walk finds H not closed under multiplication.  The greedy set's maps settle the flag with no product: generators s
-    and t commute exactly when s t and t s have the same position.  A
-    flag that a centralizer's closure set earlier must agree with the
-    walk's, or ``InternalError`` is raised."""
+    walk finds H not closed under multiplication.  The greedy set's maps
+    settle the flag with no product: generators s and t commute exactly
+    when s t and t s have the same position.  A flag that a centralizer's
+    closure set earlier must agree with the walk's, or ``InternalError``
+    is raised."""
     found = _generating_pair(H)
     if found is None:
         points, where = _points(H)
@@ -883,11 +884,11 @@ def _orbit_tree(perms, seed):
     has grown.
 
     This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
-    *Handbook of Computational Group Theory*, §4.1): conjugacy classes and
-    the oracle's stabilizer maps read whole orbits from it, and
-    ``centralizer`` reads its Schreier generators from the non-tree edges
-    and stops it once they have closed the stabilizer.  It makes no
-    product."""
+    *Handbook of Computational Group Theory*, §4.1): conjugacy classes
+    read whole orbits from it, the oracle reads each class once, with its
+    non-tree edges for the stabilizer maps, and ``centralizer`` reads its
+    Schreier generators from the non-tree edges and stops it once they
+    have closed the stabilizer.  It makes no product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]
@@ -1007,8 +1008,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
 
     Z(y) = Z for every y in the center of Z whose class has x's size (the
     lemma of ``z_classes``), x among them, so Z is kept for each of them,
-    and their centralizers take no closure.  A class of size 1 gives H itself, and
-    so does an abelian H, without building the action.
+    and their centralizers take no closure.  A class of size 1 gives H
+    itself, and so does an abelian H, without building the action.
     """
     if isinstance(x, Element):
         x = x.id

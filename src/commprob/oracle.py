@@ -17,7 +17,8 @@ generating set that is too small still gives an exact table, and then
 Burnside's count and the walk disagree.  Since h is in Z(x) exactly
 when x is in Z(h), an id whose class came earlier is looked up instead
 of multiplied, so the table costs at most 2 products per element per
-class; it holds k(G) |G| ids, and k(G) |G| must stay within the budget.
+class, and k(G) |G| must stay within the budget.  Equal centralizers
+share one set, so the table holds one set per distinct Z(x).
 
 Conjugation moves each entry of a tuple only inside its conjugacy class,
 so no orbit leaves the block of tuples whose first entries share a class
@@ -25,19 +26,21 @@ K, and every orbit in that block meets the tuples that start with K's
 smallest id x.  The orbits of the whole group on the block therefore
 correspond one to one to the orbits of the stabilizer of x on the tuples
 (x, t2, ..., tn), whose entries all lie in Z(x).  The classes are the
-orbits of single ids under the conjugation maps, each grown by the
-engine's orbit kernel ``groups._orbit_tree``; carrying Z(x) along that
-tree gives a transversal, and Schreier's lemma turns its edges into the
-stabilizer's maps on Z(x), compositions of the same id maps with no new
-multiplication.  Only the tuples that start with x are enumerated and
-walked, one class at a time; a class whose stabilizer maps are all the
-identity holds no visited set, since each of its tuples is its own
-orbit, and the memory guard is checked against the largest block that
-has maps.  The tails of the tuples (x, t2, ..., tn) depend only on Z(x),
-and the maps fix x, so two classes with the same Z(x) and the same
-stabilizer maps, or with none, have the same walk, which runs once.  The
-tuple counts check that every member of a class heads as many tuples as
-x does.
+orbits of single ids under the conjugation maps, each grown once by the
+engine's orbit kernel ``groups._orbit_tree``, and that one walk serves
+both the table and the tuple walks: carrying sorted Z(x) along its tree
+gives Z(y) and a transversal map for every member y, and Schreier's
+lemma turns its non-tree edges into the stabilizer's maps on Z(x), with
+no new multiplication.  Each map is kept as a tuple of positions in
+sorted Z(x) and becomes an id map only while its class is walked.  Only
+the tuples that start with x are enumerated and walked, one class at a
+time; a class whose stabilizer maps are all the identity holds no
+visited set, since each of its tuples is its own orbit, and the memory
+guard is checked against the largest block that has maps.  The tails of
+the tuples (x, t2, ..., tn) depend only on Z(x), and the maps fix x, so
+two classes with the same Z(x) and the same stabilizer maps, or with
+none, have the same walk, which runs once.  The tuple counts check that
+every member of a class heads as many tuples as x does.
 
 A central z heads (z, t2, ..., tn) for every commuting (n-1)-tuple
 (t2, ..., tn), and dropping z commutes with conjugation, so the central
@@ -61,7 +64,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import (Group, _conjugation_action, _whole_orbit_tree,
+from .groups import (Group, _conjugation_action, _orbit_tree,
                      generating_ids, matrix_operations)
 
 DEFAULT_BUDGET = 50_000_000
@@ -95,30 +98,45 @@ def _checked_maps(G: Group) -> list:
     return maps
 
 
-def _centralizer_sets(G: Group, n: int, budget: int):
-    """Z(x) as a frozenset of ids for every id x, after checking the
-    budget for the table and for the n-tuple backtracking."""
-    return _centralizer_table(G, n, budget)[0]
+class _Block(NamedTuple):
+    """One first-entry class K of the commuting n-tuples, walked from
+    its smallest id x under the stabilizer of x."""
+    rep: int            # x, the class's smallest id
+    members: frozenset  # K
+    count: int          # commuting n-tuples (x, ...), the same for every member
+    maps: list          # stabilizer maps on Z(x): tuples of positions in
+                        # sorted Z(x), each fixing x's position
 
 
 def _centralizer_table(G: Group, n: int, budget: int):
-    """(Z(x) as a frozenset of ids for every id x, the checked conjugation
-    maps) for ``_centralizer_sets``.
+    """(Z(x) as a frozenset of ids for every id x, one uncounted ``_Block``
+    per class), after checking the budget for the table and for the
+    n-tuple backtracking.
 
-    The classes are the whole ``_orbit_tree`` orbits of single ids under
-    the checked conjugation maps, so k(G) is known before any centralizer
-    is scanned; k(G) |G| must be within the budget.  Z(x) is then scanned
-    for each class's smallest id x, with 2 products for each id of x's
-    class or a later one, and carried along the paths of x's tree,
-    Z(s(y)) = s(Z(y)), with no product."""
+    Each class is grown once, as the whole ``_orbit_tree`` of its
+    smallest id x under the checked conjugation maps, with the walk's
+    non-tree edges kept, so k(G) is known before any centralizer is
+    scanned; k(G) |G| must be within the budget.  Z(x) is then scanned,
+    with 2 products for each id of x's class or a later one, and carried
+    in sorted order along the tree's paths, Z(s(y)) = s(Z(y)), with no
+    product; equal sets share one frozenset.  The carried lists u_y(Z(x))
+    give for each member y a transversal map u_y with u_y(x) = y, and each
+    non-tree edge y -> s(y) = z gives the map u_z^-1 s u_y on Z(x), which
+    fixes x; a tree edge gives the identity.  These maps generate the
+    stabilizer's action on Z(x) (Schreier's lemma; Holt-Eick-O'Brien,
+    *Handbook of Computational Group Theory*, §4.1), and each distinct one
+    that is not the identity is kept as a tuple of positions in sorted
+    Z(x)."""
     order = G.order
     maps = _checked_maps(G)
     trees = []
     seen = bytearray(order)
     for x in range(order):
         if not seen[x]:
-            trees.append(_whole_orbit_tree(maps, x))
-            for y in trees[-1][0]:
+            walk = _orbit_tree(maps, x)
+            orbit, _, up, via = next(walk)
+            trees.append((orbit, up, via, list(walk)))
+            for y in orbit:
                 seen[y] = 1
     k = len(trees)
     if k * order > budget:
@@ -135,17 +153,36 @@ def _centralizer_table(G: Group, n: int, budget: int):
     data = G._data
     mul_data = G._mul_data
     cents = [None] * order
-    for orbit, _, up, via in trees:
+    distinct = {}
+    classes = []
+    for orbit, up, via, edges in trees:
         x = orbit[0]
         xd = data[x]
         # h is in Z(x) exactly when x is in Z(h), known for earlier classes
-        cents[x] = frozenset(
-            h for h, hd, zh in zip(range(order), data, cents)
-            if (x in zh if zh is not None
-                else mul_data(hd, xd) == mul_data(xd, hd)))
-        for y, i, s in zip(orbit[1:], up[1:], via[1:]):
-            cents[y] = frozenset(map(maps[s].__getitem__, cents[orbit[i]]))
-    return cents, maps
+        zx = [h for h, hd, zh in zip(range(order), data, cents)
+              if (x in zh if zh is not None
+                  else mul_data(hd, xd) == mul_data(xd, hd))]
+        images = [zx]  # u_y(Z(x)), in the order of zx, for y in tree order
+        for i, s in zip(up[1:], via[1:]):
+            images.append(list(map(maps[s].__getitem__, images[i])))
+        for y, image in zip(orbit, images):
+            c = frozenset(image)
+            cents[y] = distinct.setdefault(c, c)
+        where = [{w: p for p, w in enumerate(image)} for image in images]
+        home = zx.index(x)
+        identity = tuple(range(len(zx)))
+        found = {}
+        for i, s, j in edges:
+            back = where[j]
+            perm = maps[s]
+            local = tuple([back.get(perm[w], -1) for w in images[i]])
+            if local[home] != home or -1 in local:
+                raise InternalError(
+                    f"a stabilizer map of {x} moves it or leaves Z({x})")
+            if local != identity:
+                found[local] = None
+        classes.append(_Block(x, frozenset(orbit), 0, list(found)))
+    return cents, classes
 
 
 def _count(cents, memo: dict, C: frozenset, m: int) -> int:
@@ -193,77 +230,18 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
         raise InputError("n must be nonnegative")
     if n <= 1:
         return G.order if n else 1
-    cents = _centralizer_sets(G, n, budget)
+    cents = _centralizer_table(G, n, budget)[0]
     return _count(cents, {}, frozenset(range(G.order)), n)
 
 
-class _Block(NamedTuple):
-    """One first-entry class K of the commuting n-tuples, walked from
-    its smallest id x under the stabilizer of x."""
-    rep: int            # x, the class's smallest id
-    members: frozenset  # K
-    count: int          # commuting n-tuples (x, ...), the same for every member
-    maps: list          # stabilizer maps: id maps that fix x and permute Z(x)
-
-
-def _stabilizer_maps(cents, maps, x: int):
-    """The class of x, as its whole ``_orbit_tree`` under the conjugation
-    ``maps``, and the stabilizer's maps on Z(x) from Schreier's lemma.
-
-    Carrying Z(x) along the tree's paths gives for each member y a
-    transversal map u_y with u_y(x) = y, a composition of ``maps`` kept
-    only on Z(x).  The maps u_{s(y)}^-1 s u_y, for y in the orbit and s
-    in ``maps``, fix x and generate the stabilizer's action on Z(x)
-    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, §4.1);
-    those that act as the identity and repeats are dropped.  Each is
-    returned as an id map that fixes every id outside Z(x).  No element
-    is multiplied."""
-    zx = sorted(cents[x])
-    orbit, index, up, via = _whole_orbit_tree(maps, x)
-    images = [zx]  # u_y as the list of images of zx
-    for i, s in zip(up[1:], via[1:]):
-        images.append(list(map(maps[s].__getitem__, images[i])))
-    where = [{w: i for i, w in enumerate(uy)} for uy in images]
-    home = zx.index(x)
-    identity = tuple(range(len(zx)))
-    found = {}
-    for i, y in enumerate(orbit):
-        for s in maps:
-            back = where[index[s[y]]]
-            local = tuple([back.get(s[w], -1) for w in images[i]])
-            if local[home] != home or -1 in local:
-                raise InternalError(
-                    f"a stabilizer map of {x} moves it or leaves Z({x})")
-            if local != identity:
-                found[local] = None
-    stab = []
-    fixed = list(range(len(cents)))  # copied, so the maps share its ints
-    for local in found:
-        perm = fixed.copy()
-        for i, j in enumerate(local):
-            perm[zx[i]] = zx[j]
-        stab.append(tuple(perm))
-    return orbit, stab
-
-
-def _first_entry_blocks(cents, memo: dict, maps, n: int) -> list:
+def _first_entry_blocks(cents, memo: dict, classes, n: int) -> list:
     """The commuting n-tuples (n >= 1) split by the class of their first
-    entry, as one ``_Block`` per class in the order of its smallest id.
-    The classes are the orbits of single ids under the conjugation
-    ``maps``, so no orbit of tuples under them crosses from one block to
-    another, and every orbit in a block meets the tuples that start with
-    its smallest id."""
-    seen = bytearray(len(cents))
-    blocks = []
-    for x in range(len(cents)):
-        if seen[x]:
-            continue
-        orbit, stab = _stabilizer_maps(cents, maps, x)
-        for y in orbit:
-            seen[y] = 1
-        block = _Block(x, frozenset(orbit), 0, stab)
-        blocks.append(_counted(cents, memo, block, n))
-    return blocks
+    entry: each of ``_centralizer_table``'s ``classes`` counted by
+    ``_counted``, in the order of its smallest id.  The classes are the
+    orbits of single ids under the conjugation maps, so no orbit of
+    tuples under them crosses from one block to another, and every orbit
+    in a block meets the tuples that start with its smallest id."""
+    return [_counted(cents, memo, b, n) for b in classes]
 
 
 def _counted(cents, memo: dict, block: _Block, n: int) -> _Block:
@@ -287,14 +265,22 @@ def _block_orbits(cents, n: int, block: _Block):
     visited set freed on return.  With no maps each tuple is its own
     orbit and nothing is held; (x,) is fixed by every map.  The numbers
     depend only on Z(x) and the maps, so the caller walks each distinct
-    (Z(x), maps) once and reuses the result for an equal pair."""
+    (Z(x), maps) once and reuses the result for an equal pair.  The
+    position maps become id maps for this walk only."""
     if n == 1:
         return 1, 1, 1
     tuples = _commuting_tuples(cents, n, (block.rep,))
-    maps = block.maps
-    if not maps:
+    if not block.maps:
         listed = sum(1 for _ in tuples)
         return listed, listed, listed
+    zx = sorted(cents[block.rep])
+    fixed = list(range(len(cents)))  # copied, so the maps share its ints
+    maps = []
+    for local in block.maps:
+        perm = fixed.copy()
+        for w, p in zip(zx, local):
+            perm[w] = zx[p]
+        maps.append(perm)
     visited = set()
     enumerated = orbit_count = 0
     for t in tuples:
@@ -331,14 +317,14 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     run last, from level n down."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    cents, maps = _centralizer_table(G, n, DEFAULT_BUDGET)
+    cents, classes = _centralizer_table(G, n, DEFAULT_BUDGET)
     memo = {}
     everything = frozenset(range(G.order))
     orbit_counts = [1]  # c_G(0): the empty tuple
     if n:
         # each first-entry class is walked from its smallest id, under
         # the stabilizer maps derived from the checked conjugation maps
-        top = _first_entry_blocks(cents, memo, maps, n)
+        top = _first_entry_blocks(cents, memo, classes, n)
         held = max((b.count for b in top if b.maps and n > 1), default=0)
         # rough per-tuple estimate for a walk's visited set: an n-tuple
         # of small ints plus its set slot

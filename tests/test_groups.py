@@ -216,8 +216,8 @@ def test_group_from_table_rejects_ragged_table():
     (256, "range"), (7, "not associative"), ("5", "range"),
 ])
 def test_group_from_table_rejects_one_bad_entry(value, match):
-    # above 200 elements the construction check only samples closure, so
-    # the table check must be exact
+    # one bad entry among 256 x 256 must be caught at every size: out of
+    # range by the table's entry check, a wrong product by Light's test
     table = _cyclic_table(256)
     table[3][5] = value
     with pytest.raises(InputError, match=match):

@@ -12,7 +12,7 @@ from conftest import ORACLE_GRID, count_products, fresh_build
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching
 from commprob.catalog import build
-from commprob import oracle
+from commprob import groups, oracle
 from commprob.errors import BudgetError, InputError, InternalError
 from commprob.feitfine import feit_fine_pairs
 from commprob.gf import field, prime_power
@@ -69,9 +69,8 @@ def pair_scan_centralizers(G):
 def walk_every_block(G, n):
     """The orbit count of the commuting n-tuples (n >= 1) with every
     first-entry class walked on its own, none reused."""
-    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
-    maps = oracle._conjugation_action(G.full())
-    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
+    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
     return sum(oracle._block_orbits(cents, n, b)[1] for b in blocks)
 
 
@@ -134,9 +133,9 @@ def test_table_estimate_is_checked_before_any_scan(monkeypatch):
     products = count_products(monkeypatch, G)
     with pytest.raises(BudgetError, match="centralizer table for "
                        r"\|G\|=120 with 7 classes exceeds budget 839"):
-        oracle._centralizer_sets(G, 1, 839)
+        oracle._centralizer_table(G, 1, 839)
     assert products[0] == 2 * G.order * len(gens)
-    assert len(oracle._centralizer_sets(G, 1, 840)) == G.order
+    assert len(oracle._centralizer_table(G, 1, 840)[0]) == G.order
 
 
 def test_orbit_count_n1_is_class_count():
@@ -289,26 +288,29 @@ def test_one_map_per_generator(monkeypatch):
     # swapping ids 1 and 2 alone puts a transposition (2 pairs) and a
     # 3-cycle (3 pairs) in one class
     ("S(3)", [0, 2, 1, 3, 4, 5], "block of 1: 5 tuples != 2 x 2"),
-    # the rotation 1 swapped with the reflection 2: the rotation 6 is
-    # fixed, but its centralizer is not
-    ("D(4)", [0, 2, 1, 3, 4, 5, 6, 7],
-     "a stabilizer map of 6 moves it or leaves Z\\(6\\)"),
+    # the rotation 6 swapped with the reflection 7: the rotation 1 is
+    # fixed, but its centralizer {0, 1, 3, 6} is not
+    ("D(4)", [0, 1, 2, 3, 4, 5, 7, 6],
+     "a stabilizer map of 1 moves it or leaves Z\\(1\\)"),
 ], ids=["heads", "stabilizer"])
-def test_blocks_under_wrong_maps_fail_a_check(desc, perm, message):
-    # the blocks checked on their own, with an exact table and maps that
-    # are no automorphism
+def test_blocks_under_wrong_maps_fail_a_check(monkeypatch, desc, perm,
+                                              message):
+    # the classes and their stabilizer maps grown under maps that are no
+    # automorphism, with the blocks counted on an exact table
     G = build(desc)
-    cents = oracle._centralizer_sets(G, 2, oracle.DEFAULT_BUDGET)
+    cents = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[0]
+    monkeypatch.setattr(oracle, "_checked_maps", lambda G: [perm])
     with pytest.raises(InternalError, match=message):
-        oracle._first_entry_blocks(cents, {}, [perm], 2)
+        classes = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[1]
+        oracle._first_entry_blocks(cents, {}, classes, 2)
 
 
 def test_a_block_listed_twice_fails_the_listing_check(monkeypatch):
     # the class of the transposition 1 (3 members) listed twice
     blocks = oracle._first_entry_blocks
 
-    def twice(cents, memo, maps, n):
-        found = blocks(cents, memo, maps, n)
+    def twice(cents, memo, classes, n):
+        found = blocks(cents, memo, classes, n)
         return found + found[1:2]
 
     monkeypatch.setattr(oracle, "_first_entry_blocks", twice)
@@ -318,17 +320,18 @@ def test_a_block_listed_twice_fails_the_listing_check(monkeypatch):
 
 
 def test_a_walk_that_leaves_its_block_fails_the_reach_check(monkeypatch):
-    # the transposition 1 walked under the whole group's maps, which do
-    # not fix it, reaches its whole class block: 3 x 2 pairs
+    # the transposition 1 walked under the swap of the two positions of
+    # Z(1) = {0, 1}, which moves it: (1, 0) and (1, 1) reach (0, 1) and
+    # (0, 0), outside its block
     blocks = oracle._first_entry_blocks
 
-    def unfixed(cents, memo, maps, n):
-        found = blocks(cents, memo, maps, n)
-        found[1] = found[1]._replace(maps=list(maps))
+    def unfixed(cents, memo, classes, n):
+        found = blocks(cents, memo, classes, n)
+        found[1] = found[1]._replace(maps=[(1, 0)])
         return found
 
     monkeypatch.setattr(oracle, "_first_entry_blocks", unfixed)
-    with pytest.raises(InternalError, match="orbit walk from 1 reached 6 "
+    with pytest.raises(InternalError, match="orbit walk from 1 reached 4 "
                        "tuples, counted 2"):
         simultaneous_classes_count(build("S(3)"), 2)
 
@@ -388,23 +391,103 @@ def test_wrong_action_fails_under_optimize():
     ], proc.stdout
 
 
+def test_wrong_stabilizer_map_fails_under_optimize():
+    # the D(4) map above that swaps the rotation 6 with the reflection 7,
+    # passed in for the checked maps, in a python -O interpreter
+    script = (
+        "from commprob import catalog, oracle\n"
+        "from commprob.errors import InternalError\n"
+        "print('debug', __debug__)\n"
+        "oracle._checked_maps = lambda G: [[0, 1, 2, 3, 4, 5, 7, 6]]\n"
+        "try:\n"
+        "    oracle.simultaneous_classes_count(catalog.build('D(4)'), 2)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "InternalError a stabilizer map of 1 moves it or "
+        "leaves Z(1)"], proc.stdout
+
+
+def test_each_class_is_grown_once(monkeypatch):
+    # one orbit walk per class serves the centralizer table and the
+    # stabilizer maps, for the orbit count and the tuple count alike
+    grown = []
+    orbit_tree = groups._orbit_tree
+
+    def counted(perms, seed):
+        grown.append(seed)
+        return orbit_tree(perms, seed)
+
+    monkeypatch.setattr(groups, "_orbit_tree", counted)
+    monkeypatch.setattr(oracle, "_orbit_tree", counted)
+    for desc, n in (("S(4)", 3), ("GL(2,3)", 2), ("D(16)", 4)):
+        G = build(desc)
+        k = conjugacy_classes(G.full()).k
+        for count in (simultaneous_classes_count, commuting_tuples_count):
+            grown.clear()
+            count(G, n)
+            assert len(grown) == k, (desc, count.__name__, grown)
+
+
+def test_equal_centralizers_share_one_set():
+    # GL(2,5): 480 ids, 24 classes and 32 distinct centralizers
+    G = build("GL(2,5)")
+    cents = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)[0]
+    assert len(cents) == 480
+    assert len(set(cents)) == len({id(c) for c in cents}) == 32
+
+
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)", "PSL(2,7)",
+                                  "GL(2,5)", "U(3,2)"])
+def test_stabilizer_maps_are_positions_in_the_centralizer(desc):
+    # each map is a tuple of positions in sorted Z(x), never an id map
+    G = build(desc)
+    cents, classes = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)
+    assert any(b.maps for b in classes), desc
+    for b in classes:
+        size = len(cents[b.rep])
+        for m in b.maps:
+            assert len(m) == size, (desc, b.rep)
+            assert sorted(m) == list(range(size)), (desc, b.rep)
+
+
+def test_oracle_memory_on_gl25():
+    # the table holds one set per distinct centralizer and each stabilizer
+    # map |Z(x)| positions, so GL(2,5) at n = 3 peaks near 0.4 MB, where
+    # a set per id and |G|-long maps held 1.2 MB
+    G = build("GL(2,5)")
+    simultaneous_classes_count(G, 3)  # the conjugation action, built once
+    tracemalloc.start()
+    try:
+        report = simultaneous_classes_count(G, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.orbit_count == 10944
+    assert peak <= 600_000, peak
+
+
 def test_centralizer_table_matches_a_full_scan():
     # the table carried along the classes by the conjugation maps equals
     # the scan of every pair
     for desc in ORACLE_GRID + ("GL(2,5)", "SL(2,5)", "PSL(2,7)", "D(16)"):
         G = build(desc)
-        cents = oracle._centralizer_sets(G, 1, oracle.DEFAULT_BUDGET)
+        cents = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)[0]
         assert cents == pair_scan_centralizers(G), desc
 
 
 @pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)"])
 def test_first_entry_blocks_split_the_commuting_tuples(desc):
     G = build(desc)
-    cents = oracle._centralizer_sets(G, 3, oracle.DEFAULT_BUDGET)
-    maps = oracle._conjugation_action(G.full())
+    cents, classes = oracle._centralizer_table(G, 3, oracle.DEFAULT_BUDGET)
     memo = {}
     for n in (1, 2, 3):
-        blocks = oracle._first_entry_blocks(cents, memo, maps, n)
+        blocks = oracle._first_entry_blocks(cents, memo, classes, n)
         for block in blocks:
             x = block.rep
             assert x == min(block.members), (desc, n)
@@ -426,11 +509,11 @@ def test_representative_walk_matches_the_whole_block_walk(desc):
     # the orbits of x's stabilizer on the tuples that start with x are
     # the orbits of the whole group on x's class block
     G = build(desc)
-    cents = oracle._centralizer_sets(G, 3, oracle.DEFAULT_BUDGET)
+    cents, classes = oracle._centralizer_table(G, 3, oracle.DEFAULT_BUDGET)
     maps = oracle._conjugation_action(G.full())
     memo = {}
     for n in (1, 2, 3):
-        for block in oracle._first_entry_blocks(cents, memo, maps, n):
+        for block in oracle._first_entry_blocks(cents, memo, classes, n):
             orbits, reached = whole_block_orbits(cents, maps, n, block.members)
             assert reached == len(block.members) * block.count, (desc, n)
             assert oracle._block_orbits(cents, n, block) == \
@@ -442,13 +525,14 @@ def test_stabilizer_maps_generate_the_centralizer_action(desc):
     # on Z(x), the maps close to conjugation by every g in Z(x), computed
     # here with G.mul
     G = build(desc)
-    cents = oracle._centralizer_sets(G, 1, oracle.DEFAULT_BUDGET)
-    maps = oracle._conjugation_action(G.full())
-    for cls in conjugacy_classes(G.full()).classes:
-        x = min(cls.members)
-        orbit, stab = oracle._stabilizer_maps(cents, maps, x)
-        assert sorted(orbit) == list(cls.members), (desc, x)
+    cents, classes = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)
+    assert [sorted(b.members) for b in classes] == [
+        list(cls.members) for cls in conjugacy_classes(G.full()).classes]
+    for block in classes:
+        x = block.rep
+        assert x == min(block.members), (desc, x)
         zx = tuple(sorted(cents[x]))
+        stab = [dict(zip(zx, map(zx.__getitem__, m))) for m in block.maps]
         on_zx = [tuple(m[z] for z in zx) for m in stab]
         assert zx not in on_zx, (desc, x)
         assert len(set(on_zx)) == len(on_zx), (desc, x)
@@ -475,9 +559,8 @@ def test_memory_guard_counts_the_largest_block(monkeypatch):
     # of them holds 67,456
     G = build("D(16)")
     n = 5
-    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
-    maps = oracle._conjugation_action(G.full())
-    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
+    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
     held = max(b.count for b in blocks if b.maps)
     assert held == 67456
     assert max(len(b.members) * b.count for b in blocks) == 131072
@@ -522,9 +605,8 @@ def test_central_classes_are_never_walked(monkeypatch, desc, n, central):
     # every class with stabilizer maps is central here, and a central
     # class counts c_G(m-1) orbits at each level m instead of a walk
     G = build(desc)
-    cents = oracle._centralizer_sets(G, n, oracle.DEFAULT_BUDGET)
-    maps = oracle._conjugation_action(G.full())
-    blocks = oracle._first_entry_blocks(cents, {}, maps, n)
+    cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
+    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
     assert [len(b.members) for b in blocks if b.maps] == [1] * central
     assert [b.rep for b in blocks if len(cents[b.rep]) == G.order] == \
         [b.rep for b in blocks if b.maps]
