@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import traceback
 from fractions import Fraction
 
@@ -117,17 +118,26 @@ def _record_matrix(record: dict) -> BranchingMatrix:
 
 def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
     """Persist a branching matrix; returns False (with a warning) when
-    the cache directory is unusable."""
+    the cache directory is unusable.  Each writer writes its own
+    temporary file in the cache directory and renames it into place, so
+    concurrent stores of one descriptor never share a file; the
+    temporary file is removed when the store fails."""
     path = _cache_path(descriptor)
+    tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                   prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
+        with open(fd, "w", encoding="utf-8") as fh:
             json.dump(_matrix_record(descriptor, order, bm), fh, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
         return True
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         print(f"warning: cache unavailable ({exc}); continuing without it",
               file=sys.stderr)
         return False

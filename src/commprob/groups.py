@@ -47,8 +47,8 @@ generators.  Z(y) = Z(x) exactly when y is in the center of Z(x) and
 has x's class size, so one closure answers every such y: each distinct
 centralizer of a subgroup is closed once.  The same lemma gives the
 z-classes with no orbit walk.  The derived subgroup is generated by the
-classes of the commutators, and the oracle's stabilizer maps come from
-the same tree.
+classes of the commutators.  The oracle reads the same action, of the
+whole group for its classes and of each centralizer it walks.
 """
 
 from __future__ import annotations
@@ -885,10 +885,10 @@ def _orbit_tree(perms, seed):
 
     This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
     *Handbook of Computational Group Theory*, §4.1): conjugacy classes
-    read whole orbits from it, the oracle reads each class once, with its
-    non-tree edges for the stabilizer maps, and ``centralizer`` reads its
-    Schreier generators from the non-tree edges and stops it once they
-    have closed the stabilizer.  It makes no product."""
+    read whole orbits from it, the oracle reads each class once for its
+    centralizer table, and ``centralizer`` reads its Schreier generators
+    from the non-tree edges and stops it once they have closed the
+    stabilizer.  It makes no product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]

@@ -3,51 +3,53 @@
 Everything here counts at the element level: commuting tuples by
 backtracking over nested centralizer intersections, simultaneous
 conjugacy classes by explicit orbit partition, and the same orbit count
-a second time through Burnside's lemma.  The orbit walk moves tuples with
-the engine's integer conjugation action of the whole group, and the
-centralizer table rests on the same maps: Z(x) is found by products only
-for one representative x of each conjugacy class and carried to the rest
-of the class along the maps, since Z(s y s^-1) = s Z(y) s^-1.  So before
-anything is carried, every generator's map is recomputed with this
-module's own products, s y s^-1 for every id y, and a difference raises.
-The tuple counts and Burnside's sum read only that table, so a wrong
-action fails a check instead of agreeing with the engine.  An id that
-the maps never reach is scanned as its own representative, so a
-generating set that is too small still gives an exact table, and then
-Burnside's count and the walk disagree.  Since h is in Z(x) exactly
-when x is in Z(h), an id whose class came earlier is looked up instead
-of multiplied, so the table costs at most 2 products per element per
-class, and k(G) |G| must stay within the budget.  Equal centralizers
-share one set, so the table holds one set per distinct Z(x).
+a second time through Burnside's lemma.  Every permutation the oracle
+uses is the engine's integer conjugation action of a subgroup H, read
+through ``_checked_maps``, which first recomputes s y s^-1 for every
+generator s and member y with this module's own products, and raises on
+any difference.  The centralizer table rests on the whole group's maps:
+Z(x) is found by products only for one representative x of each
+conjugacy class and carried to the rest of the class along the maps,
+since Z(s y s^-1) = s Z(y) s^-1.  The tuple counts and Burnside's sum
+read only that table, so a wrong action fails a check instead of
+agreeing with the engine.  An id that the maps never reach is scanned
+as its own representative, so a generating set that is too small still
+gives an exact table, and then Burnside's count and the walk disagree.
+Since h is in Z(x) exactly when x is in Z(h), an id whose class came
+earlier is looked up instead of multiplied, so the table costs at most
+2 products per element per class, and k(G) |G| must stay within the
+budget.  Equal centralizers share one set, so the table holds one set
+per distinct Z(x).
 
 Conjugation moves each entry of a tuple only inside its conjugacy class,
 so no orbit leaves the block of tuples whose first entries share a class
 K, and every orbit in that block meets the tuples that start with K's
 smallest id x.  The orbits of the whole group on the block therefore
 correspond one to one to the orbits of the stabilizer of x on the tuples
-(x, t2, ..., tn), whose entries all lie in Z(x).  The classes are the
-orbits of single ids under the conjugation maps, each grown once by the
-engine's orbit kernel ``groups._orbit_tree``, and that one walk serves
-both the table and the tuple walks: carrying sorted Z(x) along its tree
-gives Z(y) and a transversal map for every member y, and Schreier's
-lemma turns its non-tree edges into the stabilizer's maps on Z(x), with
-no new multiplication.  Each map is kept as a tuple of positions in
-sorted Z(x) and becomes an id map only while its class is walked.  Only
-the tuples that start with x are enumerated and walked, one class at a
-time; a class whose stabilizer maps are all the identity holds no
-visited set, since each of its tuples is its own orbit, and the memory
-guard is checked against the largest block that has maps.  The tails of
-the tuples (x, t2, ..., tn) depend only on Z(x), and the maps fix x, so
-two classes with the same Z(x) and the same stabilizer maps, or with
-none, have the same walk, which runs once.  The tuple counts check that
-every member of a class heads as many tuples as x does.
+(x, t2, ..., tn), whose entries all lie in Z(x); that stabilizer is Z(x)
+itself, acting on Z(x) by conjugation.  The classes are the orbits of
+single ids under the whole group's maps, each grown once by the engine's
+orbit kernel ``groups._whole_orbit_tree`` for the table, and each block
+is walked under the checked conjugation action of the subgroup Z(x), one
+map per generator of Z(x), kept as a tuple of positions in sorted Z(x)
+and made an id map only while it is walked.  The check proves each map
+a conjugation by an element of Z(x), so it fixes x and keeps Z(x).
+Only the tuples that start with x are enumerated and walked, one class
+at a time.  Z(x) is abelian exactly when it holds |Z(x)|^2 commuting
+pairs, a count that Burnside's sum makes anyway; then each tuple is its
+own orbit, the block is only listed and holds no visited set, and the
+memory guard is checked against the largest block whose Z(x) is not
+abelian.  The tails of the tuples (x, t2, ..., tn) depend only on Z(x),
+and the maps fix x, so classes with the same Z(x) share one walk, and
+each distinct Z(x) is checked once for all the levels.  The tuple counts
+check that every member of a class heads as many tuples as x does.
 
 A central z heads (z, t2, ..., tn) for every commuting (n-1)-tuple
 (t2, ..., tn), and dropping z commutes with conjugation, so the central
 classes contribute |Z(G)| c_G(n-1) orbits and are never walked.  The
 levels 1, ..., n are therefore computed bottom-up from c_G(0) = 1, each
-with all of its checks and its own Burnside count; the classes and their
-stabilizer maps do not depend on the level and are built once.
+with all of its checks and its own Burnside count; the classes and the
+walked maps do not depend on the level and are built once.
 
 The pair scan over the full matrix algebra forms products through row
 tables: for every matrix M, the product v.M of every row vector v, with
@@ -64,20 +66,23 @@ from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import (Group, _conjugation_action, _orbit_tree,
-                     generating_ids, matrix_operations)
+from .groups import (Group, Subgroup, _conjugation_action,
+                     _whole_orbit_tree, generating_ids, matrix_operations)
 
 DEFAULT_BUDGET = 50_000_000
 DEFAULT_MEMORY_BYTES = 2 << 30
 DEFAULT_PAIR_SCAN_BUDGET = 300_000
 
 
-def _checked_maps(G: Group) -> list:
-    """The conjugation maps of ``generating_ids(G.full())``, one id tuple
-    per generator s, after recomputing s y s^-1 for every id y with G's
-    products (2 per element per generator): ``InternalError`` unless
-    every map is the conjugation by its generator."""
-    H = G.full()
+def _checked_maps(H: Subgroup) -> list:
+    """The conjugation maps of ``generating_ids(H)`` on H, one tuple of
+    positions in ``H.key`` per generator s (for the whole group,
+    positions are ids), after recomputing s y s^-1 for every member y
+    with the group's products (2 per member per generator):
+    ``InternalError`` unless every map is the conjugation by its
+    generator.  This is the one check of every map the oracle uses."""
+    G = H.group
+    key = H.key
     gens = generating_ids(H)
     maps = [tuple(perm) for perm in _conjugation_action(H)]
     if len(maps) != len(gens):
@@ -89,12 +94,12 @@ def _checked_maps(G: Group) -> list:
     for g, perm in zip(gens, maps):
         gd = data[g]
         gdi = data[G._inv[g]]
-        for y, yd in enumerate(data):
-            z = ids[mul_data(mul_data(gd, yd), gdi)]
-            if perm[y] != z:
+        for p, y in enumerate(key):
+            z = ids[mul_data(mul_data(gd, data[y]), gdi)]
+            if key[perm[p]] != z:
                 raise InternalError(
-                    f"the conjugation map of {g} sends {y} to {perm[y]}, "
-                    f"products give {z}")
+                    f"the conjugation map of {g} sends {y} to "
+                    f"{key[perm[p]]}, products give {z}")
     return maps
 
 
@@ -104,8 +109,6 @@ class _Block(NamedTuple):
     rep: int            # x, the class's smallest id
     members: frozenset  # K
     count: int          # commuting n-tuples (x, ...), the same for every member
-    maps: list          # stabilizer maps on Z(x): tuples of positions in
-                        # sorted Z(x), each fixing x's position
 
 
 def _centralizer_table(G: Group, n: int, budget: int):
@@ -113,30 +116,22 @@ def _centralizer_table(G: Group, n: int, budget: int):
     per class), after checking the budget for the table and for the
     n-tuple backtracking.
 
-    Each class is grown once, as the whole ``_orbit_tree`` of its
-    smallest id x under the checked conjugation maps, with the walk's
-    non-tree edges kept, so k(G) is known before any centralizer is
-    scanned; k(G) |G| must be within the budget.  Z(x) is then scanned,
-    with 2 products for each id of x's class or a later one, and carried
-    in sorted order along the tree's paths, Z(s(y)) = s(Z(y)), with no
-    product; equal sets share one frozenset.  The carried lists u_y(Z(x))
-    give for each member y a transversal map u_y with u_y(x) = y, and each
-    non-tree edge y -> s(y) = z gives the map u_z^-1 s u_y on Z(x), which
-    fixes x; a tree edge gives the identity.  These maps generate the
-    stabilizer's action on Z(x) (Schreier's lemma; Holt-Eick-O'Brien,
-    *Handbook of Computational Group Theory*, §4.1), and each distinct one
-    that is not the identity is kept as a tuple of positions in sorted
-    Z(x)."""
+    Each class is grown once, as the ``_whole_orbit_tree`` of its
+    smallest id x under the checked conjugation maps of the whole group,
+    so k(G) is known before any centralizer is scanned; k(G) |G| must be
+    within the budget.  Z(x) is then scanned, with 2 products for each id
+    of x's class or a later one, and carried along the tree's paths,
+    Z(s(y)) = s(Z(y)), with no product; equal sets share one
+    frozenset."""
     order = G.order
-    maps = _checked_maps(G)
+    maps = _checked_maps(G.full())
     trees = []
     seen = bytearray(order)
     for x in range(order):
         if not seen[x]:
-            walk = _orbit_tree(maps, x)
-            orbit, _, up, via = next(walk)
-            trees.append((orbit, up, via, list(walk)))
-            for y in orbit:
+            tree = _whole_orbit_tree(maps, x)
+            trees.append(tree)
+            for y in tree[0]:
                 seen[y] = 1
     k = len(trees)
     if k * order > budget:
@@ -155,33 +150,20 @@ def _centralizer_table(G: Group, n: int, budget: int):
     cents = [None] * order
     distinct = {}
     classes = []
-    for orbit, up, via, edges in trees:
+    for orbit, _, up, via in trees:
         x = orbit[0]
         xd = data[x]
         # h is in Z(x) exactly when x is in Z(h), known for earlier classes
         zx = [h for h, hd, zh in zip(range(order), data, cents)
               if (x in zh if zh is not None
                   else mul_data(hd, xd) == mul_data(xd, hd))]
-        images = [zx]  # u_y(Z(x)), in the order of zx, for y in tree order
+        images = [zx]  # Z(y) for y in tree order
         for i, s in zip(up[1:], via[1:]):
             images.append(list(map(maps[s].__getitem__, images[i])))
         for y, image in zip(orbit, images):
             c = frozenset(image)
             cents[y] = distinct.setdefault(c, c)
-        where = [{w: p for p, w in enumerate(image)} for image in images]
-        home = zx.index(x)
-        identity = tuple(range(len(zx)))
-        found = {}
-        for i, s, j in edges:
-            back = where[j]
-            perm = maps[s]
-            local = tuple([back.get(perm[w], -1) for w in images[i]])
-            if local[home] != home or -1 in local:
-                raise InternalError(
-                    f"a stabilizer map of {x} moves it or leaves Z({x})")
-            if local != identity:
-                found[local] = None
-        classes.append(_Block(x, frozenset(orbit), 0, list(found)))
+        classes.append(_Block(x, frozenset(orbit), 0))
     return cents, classes
 
 
@@ -258,29 +240,31 @@ def _counted(cents, memo: dict, block: _Block, n: int) -> _Block:
     return block._replace(count=count)
 
 
-def _block_orbits(cents, n: int, block: _Block):
+def _block_orbits(cents, n: int, x: int, maps):
     """(tuples enumerated, orbits, tuples reached) among the commuting
-    n-tuples that start with ``block.rep``, under its stabilizer maps:
-    a walk that starts an orbit at each tuple not reached yet, with a
-    visited set freed on return.  With no maps each tuple is its own
-    orbit and nothing is held; (x,) is fixed by every map.  The numbers
-    depend only on Z(x) and the maps, so the caller walks each distinct
-    (Z(x), maps) once and reuses the result for an equal pair.  The
-    position maps become id maps for this walk only."""
+    n-tuples that start with x, under x's stabilizer, Z(x) acting on
+    Z(x) by conjugation: ``maps`` are the action of its generators from
+    ``_checked_maps``, as tuples of positions in sorted Z(x), and empty
+    when Z(x) is abelian, where each tuple is its own orbit and nothing
+    is held.  Otherwise it is a walk that starts an orbit at each tuple
+    not reached yet, with a visited set freed on return; (x,) is fixed
+    by every map.  The numbers depend only on Z(x), so the caller walks
+    each distinct Z(x) once and reuses the result.  The position maps
+    become id maps for this walk only."""
     if n == 1:
         return 1, 1, 1
-    tuples = _commuting_tuples(cents, n, (block.rep,))
-    if not block.maps:
+    tuples = _commuting_tuples(cents, n, (x,))
+    if not maps:
         listed = sum(1 for _ in tuples)
         return listed, listed, listed
-    zx = sorted(cents[block.rep])
+    zx = sorted(cents[x])
     fixed = list(range(len(cents)))  # copied, so the maps share its ints
-    maps = []
-    for local in block.maps:
+    id_maps = []
+    for local in maps:
         perm = fixed.copy()
         for w, p in zip(zx, local):
             perm[w] = zx[p]
-        maps.append(perm)
+        id_maps.append(perm)
     visited = set()
     enumerated = orbit_count = 0
     for t in tuples:
@@ -291,7 +275,7 @@ def _block_orbits(cents, n: int, block: _Block):
         visited.add(t)
         stack = [t]
         while stack:
-            for img in map(itemgetter(*stack.pop()), maps):
+            for img in map(itemgetter(*stack.pop()), id_maps):
                 if img not in visited:
                     visited.add(img)
                     stack.append(img)
@@ -321,11 +305,16 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     memo = {}
     everything = frozenset(range(G.order))
     orbit_counts = [1]  # c_G(0): the empty tuple
+    walked = {}  # each walked Z(x) -> its checked maps
     if n:
-        # each first-entry class is walked from its smallest id, under
-        # the stabilizer maps derived from the checked conjugation maps
         top = _first_entry_blocks(cents, memo, classes, n)
-        held = max((b.count for b in top if b.maps and n > 1), default=0)
+    if n > 1:
+        # Z(x) is abelian exactly when all |Z(x)|^2 of its pairs commute,
+        # a count Burnside's level-2 sum makes anyway; then each tuple
+        # (x, ...) is its own orbit and its walk holds no visited set
+        moved = [b for b in top if _count(cents, memo, cents[b.rep], 2)
+                 != len(cents[b.rep]) ** 2]
+        held = max((b.count for b in moved), default=0)
         # rough per-tuple estimate for a walk's visited set: an n-tuple
         # of small ints plus its set slot
         if held * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
@@ -333,6 +322,10 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
                 f"a walk over {held} tuples would exceed the "
                 f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
             )
+        for b in moved:
+            zx = cents[b.rep]
+            if len(zx) < G.order and zx not in walked:
+                walked[zx] = _checked_maps(G.subgroup(zx, validate=False))
     for m in range(1, n + 1):
         blocks = top if m == n else [_counted(cents, memo, b, m) for b in top]
         total = _count(cents, memo, everything, m)
@@ -343,16 +336,17 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
                 f"counted {total}"
             )
         orbit_count = 0
-        walks = {}  # (Z(x), stabilizer maps) -> that walk's three numbers
+        walks = {}  # Z(x) -> that walk's three numbers
         for b in blocks:
-            if len(cents[b.rep]) == G.order:
+            zx = cents[b.rep]
+            if len(zx) == G.order:
                 # (z, t2, ..., tm) -> (t2, ..., tm) for central z
                 orbit_count += orbit_counts[m - 1]
                 continue
-            key = (cents[b.rep], tuple(b.maps))
-            walk = walks.get(key)
+            walk = walks.get(zx)
             if walk is None:
-                walk = walks[key] = _block_orbits(cents, m, b)
+                walk = walks[zx] = _block_orbits(cents, m, b.rep,
+                                                 walked.get(zx, ()))
             enumerated, orbits, reached = walk
             if enumerated != b.count:
                 raise InternalError(

@@ -422,6 +422,44 @@ def test_cache_unwritable_degrades(tmp_path, monkeypatch, capsys):
     assert "warning" in err
 
 
+def test_interleaved_stores_both_succeed(cache_env, monkeypatch, capsys):
+    # a second store of the same descriptor runs to the end while the
+    # first is renaming its temporary file into place; with one shared
+    # temporary file the first rename found it gone
+    G = build("Q8")
+    bm = build_branching(G)
+    replace = os.replace
+    inner = []
+
+    def nested(src, dst):
+        if not inner:
+            inner.append(None)
+            inner[0] = cache_store("Q8", G.order, bm)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", nested)
+    assert cache_store("Q8", G.order, bm)
+    assert inner == [True]
+    assert capsys.readouterr().err == ""
+    assert [p.name for p in cache_env.iterdir()] == [
+        os.path.basename(_cache_path("Q8"))]
+    assert cache_load("Q8", G.order) == bm
+
+
+def test_failed_store_removes_its_temporary_file(cache_env, monkeypatch,
+                                                 capsys):
+    G = build("Q8")
+
+    def refused(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refused)
+    assert not cache_store("Q8", G.order, build_branching(G))
+    assert "warning: cache unavailable (rename refused)" in \
+        capsys.readouterr().err
+    assert list(cache_env.iterdir()) == []
+
+
 # -- verify command --
 
 def test_verify_default_grid(tmp_path, capsys):

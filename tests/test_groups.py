@@ -388,7 +388,7 @@ def test_construction_hands_its_walk_to_the_action(monkeypatch, desc):
     action = groups._conjugation_action(G.full())
     assert products[0] == 0
     assert len(gens) == len(action) == 2
-    oracle._checked_maps(G)
+    oracle._checked_maps(G.full())
     assert products[0] == 2 * len(gens) * G.order
 
 

@@ -66,12 +66,22 @@ def pair_scan_centralizers(G):
     return [frozenset(c) for c in sets]
 
 
+def walk_maps(G, cents, x):
+    """The maps the tuples (x, ...) are walked under: none when Z(x) is
+    abelian, and otherwise the checked conjugation action of Z(x) on
+    itself, for a central x too, whose block the oracle never walks."""
+    Z = G.subgroup(cents[x], validate=False)
+    return () if groups.is_abelian(Z) else oracle._checked_maps(Z)
+
+
 def walk_every_block(G, n):
     """The orbit count of the commuting n-tuples (n >= 1) with every
     first-entry class walked on its own, none reused."""
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
     blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    return sum(oracle._block_orbits(cents, n, b)[1] for b in blocks)
+    return sum(oracle._block_orbits(cents, n, b.rep,
+                                    walk_maps(G, cents, b.rep))[1]
+               for b in blocks)
 
 
 def straight_line_pairs(d, q):
@@ -288,18 +298,14 @@ def test_one_map_per_generator(monkeypatch):
     # swapping ids 1 and 2 alone puts a transposition (2 pairs) and a
     # 3-cycle (3 pairs) in one class
     ("S(3)", [0, 2, 1, 3, 4, 5], "block of 1: 5 tuples != 2 x 2"),
-    # the rotation 6 swapped with the reflection 7: the rotation 1 is
-    # fixed, but its centralizer {0, 1, 3, 6} is not
-    ("D(4)", [0, 1, 2, 3, 4, 5, 7, 6],
-     "a stabilizer map of 1 moves it or leaves Z\\(1\\)"),
-], ids=["heads", "stabilizer"])
+], ids=["heads"])
 def test_blocks_under_wrong_maps_fail_a_check(monkeypatch, desc, perm,
                                               message):
-    # the classes and their stabilizer maps grown under maps that are no
-    # automorphism, with the blocks counted on an exact table
+    # the classes grown under maps that are no automorphism, with the
+    # blocks counted on an exact table
     G = build(desc)
     cents = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[0]
-    monkeypatch.setattr(oracle, "_checked_maps", lambda G: [perm])
+    monkeypatch.setattr(oracle, "_checked_maps", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         classes = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[1]
         oracle._first_entry_blocks(cents, {}, classes, 2)
@@ -320,20 +326,20 @@ def test_a_block_listed_twice_fails_the_listing_check(monkeypatch):
 
 
 def test_a_walk_that_leaves_its_block_fails_the_reach_check(monkeypatch):
-    # the transposition 1 walked under the swap of the two positions of
-    # Z(1) = {0, 1}, which moves it: (1, 0) and (1, 1) reach (0, 1) and
-    # (0, 0), outside its block
-    blocks = oracle._first_entry_blocks
+    # in S(4), the double transposition 5 has the walked centralizer
+    # Z(5) = {0, 2, 5, 10, 12, 17, 18, 23}, a dihedral group of order 8.
+    # Walked under the swap of the positions of 0 and 5, which moves 5,
+    # each of its 8 pairs (5, t) reaches (0, t'), outside its block
+    G = build("S(4)")
+    checked = oracle._checked_maps
 
-    def unfixed(cents, memo, classes, n):
-        found = blocks(cents, memo, classes, n)
-        found[1] = found[1]._replace(maps=[(1, 0)])
-        return found
+    def unfixed(H):
+        return checked(H) if len(H) == G.order else [(2, 1, 0, 3, 4, 5, 6, 7)]
 
-    monkeypatch.setattr(oracle, "_first_entry_blocks", unfixed)
-    with pytest.raises(InternalError, match="orbit walk from 1 reached 4 "
-                       "tuples, counted 2"):
-        simultaneous_classes_count(build("S(3)"), 2)
+    monkeypatch.setattr(oracle, "_checked_maps", unfixed)
+    with pytest.raises(InternalError, match="orbit walk from 5 reached 16 "
+                       "tuples, counted 8"):
+        simultaneous_classes_count(G, 2)
 
 
 def test_a_missed_tuple_fails_the_enumeration_check(monkeypatch):
@@ -355,9 +361,9 @@ def test_each_level_has_its_own_burnside_check(monkeypatch):
     # out right, and only level 1's own Burnside count sees the fault
     block_orbits = oracle._block_orbits
 
-    def skewed(cents, m, block):
-        enumerated, orbits, reached = block_orbits(cents, m, block)
-        if block.rep == 1:
+    def skewed(cents, m, x, maps):
+        enumerated, orbits, reached = block_orbits(cents, m, x, maps)
+        if x == 1:
             orbits += 1 if m == 1 else -1
         return enumerated, orbits, reached
 
@@ -391,16 +397,49 @@ def test_wrong_action_fails_under_optimize():
     ], proc.stdout
 
 
+def wrong_centralizer_action(action):
+    """``_conjugation_action`` with the first map of every proper
+    subgroup's action sending the positions 1 and 3 where the true map
+    sends 3 and 1."""
+    def wrong(H):
+        maps = action(H)
+        if len(H) == len(H.group):
+            return maps
+        first = list(maps[0])
+        first[1], first[3] = first[3], first[1]
+        return [first] + list(maps[1:])
+    return wrong
+
+
+def test_wrong_centralizer_map_fails_the_product_check(monkeypatch):
+    # Z(5) = {0, 2, 5, 10, 12, 17, 18, 23} in S(4) is walked under
+    # conjugation by its generators 2 and 18.  The first map with the
+    # images of the positions 1 and 3 swapped still fixes 5 and keeps
+    # Z(5), but it sends 2 to 10, where conjugation by 2 fixes 2
+    monkeypatch.setattr(oracle, "_conjugation_action",
+                        wrong_centralizer_action(oracle._conjugation_action))
+    with pytest.raises(InternalError, match="the conjugation map of 2 "
+                       "sends 2 to 10, products give 2"):
+        simultaneous_classes_count(build("S(4)"), 2)
+
+
 def test_wrong_stabilizer_map_fails_under_optimize():
-    # the D(4) map above that swaps the rotation 6 with the reflection 7,
-    # passed in for the checked maps, in a python -O interpreter
+    # the wrong map of Z(5) in S(4) above, in a python -O interpreter
     script = (
         "from commprob import catalog, oracle\n"
         "from commprob.errors import InternalError\n"
+        "action = oracle._conjugation_action\n"
+        "def wrong(H):\n"
+        "    maps = action(H)\n"
+        "    if len(H) == len(H.group):\n"
+        "        return maps\n"
+        "    first = list(maps[0])\n"
+        "    first[1], first[3] = first[3], first[1]\n"
+        "    return [first] + list(maps[1:])\n"
         "print('debug', __debug__)\n"
-        "oracle._checked_maps = lambda G: [[0, 1, 2, 3, 4, 5, 7, 6]]\n"
+        "oracle._conjugation_action = wrong\n"
         "try:\n"
-        "    oracle.simultaneous_classes_count(catalog.build('D(4)'), 2)\n"
+        "    oracle.simultaneous_classes_count(catalog.build('S(4)'), 2)\n"
         "except InternalError as exc:\n"
         "    print('InternalError', exc)\n"
     )
@@ -409,13 +448,13 @@ def test_wrong_stabilizer_map_fails_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "debug False", "InternalError a stabilizer map of 1 moves it or "
-        "leaves Z(1)"], proc.stdout
+        "debug False", "InternalError the conjugation map of 2 sends 2 to "
+        "10, products give 2"], proc.stdout
 
 
 def test_each_class_is_grown_once(monkeypatch):
-    # one orbit walk per class serves the centralizer table and the
-    # stabilizer maps, for the orbit count and the tuple count alike
+    # one orbit walk per class serves the centralizer table, for the
+    # orbit count and the tuple count alike
     grown = []
     orbit_tree = groups._orbit_tree
 
@@ -424,7 +463,6 @@ def test_each_class_is_grown_once(monkeypatch):
         return orbit_tree(perms, seed)
 
     monkeypatch.setattr(groups, "_orbit_tree", counted)
-    monkeypatch.setattr(oracle, "_orbit_tree", counted)
     for desc, n in (("S(4)", 3), ("GL(2,3)", 2), ("D(16)", 4)):
         G = build(desc)
         k = conjugacy_classes(G.full()).k
@@ -448,10 +486,11 @@ def test_stabilizer_maps_are_positions_in_the_centralizer(desc):
     # each map is a tuple of positions in sorted Z(x), never an id map
     G = build(desc)
     cents, classes = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)
-    assert any(b.maps for b in classes), desc
+    maps = {b.rep: walk_maps(G, cents, b.rep) for b in classes}
+    assert any(maps.values()), desc
     for b in classes:
         size = len(cents[b.rep])
-        for m in b.maps:
+        for m in maps[b.rep]:
             assert len(m) == size, (desc, b.rep)
             assert sorted(m) == list(range(size)), (desc, b.rep)
 
@@ -516,7 +555,8 @@ def test_representative_walk_matches_the_whole_block_walk(desc):
         for block in oracle._first_entry_blocks(cents, memo, classes, n):
             orbits, reached = whole_block_orbits(cents, maps, n, block.members)
             assert reached == len(block.members) * block.count, (desc, n)
-            assert oracle._block_orbits(cents, n, block) == \
+            stab = walk_maps(G, cents, block.rep)
+            assert oracle._block_orbits(cents, n, block.rep, stab) == \
                 (block.count, orbits, block.count), (desc, n, block.rep)
 
 
@@ -532,7 +572,8 @@ def test_stabilizer_maps_generate_the_centralizer_action(desc):
         x = block.rep
         assert x == min(block.members), (desc, x)
         zx = tuple(sorted(cents[x]))
-        stab = [dict(zip(zx, map(zx.__getitem__, m))) for m in block.maps]
+        stab = [dict(zip(zx, map(zx.__getitem__, m)))
+                for m in walk_maps(G, cents, x)]
         on_zx = [tuple(m[z] for z in zx) for m in stab]
         assert zx not in on_zx, (desc, x)
         assert len(set(on_zx)) == len(on_zx), (desc, x)
@@ -553,15 +594,55 @@ def test_stabilizer_maps_generate_the_centralizer_action(desc):
         }, (desc, x)
 
 
+def test_each_walk_applies_one_map_per_generator(monkeypatch):
+    # U(3,2) at n = 2 walks 5 distinct centralizers, each under one map
+    # per generator of its own generating set: 11 maps in all
+    G = build("U(3,2)")
+    walks = []
+    block_orbits = oracle._block_orbits
+
+    def counted(cents, m, x, maps):
+        if m > 1 and maps:
+            walks.append((cents[x], len(maps)))
+        return block_orbits(cents, m, x, maps)
+
+    monkeypatch.setattr(oracle, "_block_orbits", counted)
+    simultaneous_classes_count(G, 2)
+    for zx, count in walks:
+        assert count == len(groups.generating_ids(G.subgroup(zx))), len(zx)
+    assert len({zx for zx, _ in walks}) == len(walks) == 5
+    assert sum(count for _, count in walks) == 11
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_centralizer_is_checked_once(monkeypatch, n):
+    # the maps of the whole group, then those of each distinct walked
+    # centralizer once, for all the levels alike
+    G = build("U(3,2)")
+    checked = []
+    checked_maps = oracle._checked_maps
+
+    def counted(H):
+        checked.append(H)
+        return checked_maps(H)
+
+    monkeypatch.setattr(oracle, "_checked_maps", counted)
+    simultaneous_classes_count(G, n)
+    assert checked[0] is G.full()
+    walked = checked[1:]
+    assert len({id(H) for H in walked}) == len(walked) == 5
+    assert not any(groups.is_abelian(H) for H in walked)
+
+
 def test_memory_guard_counts_the_largest_block(monkeypatch):
     # D(16) at n = 5: the largest class block has 131,072 tuples, but
-    # only the central classes have stabilizer maps, and a walk from one
-    # of them holds 67,456
+    # only the central classes have a centralizer that is not abelian,
+    # and a walk from one of them would hold 67,456
     G = build("D(16)")
     n = 5
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
     blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    held = max(b.count for b in blocks if b.maps)
+    held = max(b.count for b in blocks if walk_maps(G, cents, b.rep))
     assert held == 67456
     assert max(len(b.members) * b.count for b in blocks) == 131072
     per_tuple = n * 28 + 80
@@ -602,24 +683,26 @@ def test_walk_reuse_matches_walking_every_block(desc, n):
 @pytest.mark.parametrize("desc, n, central", [
     ("D(16)", 5, 2), ("GL(2,5)", 3, 4)])
 def test_central_classes_are_never_walked(monkeypatch, desc, n, central):
-    # every class with stabilizer maps is central here, and a central
-    # class counts c_G(m-1) orbits at each level m instead of a walk
+    # every class with a centralizer that is not abelian is central
+    # here, and a central class counts c_G(m-1) orbits at each level m
+    # instead of a walk
     G = build(desc)
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
     blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    assert [len(b.members) for b in blocks if b.maps] == [1] * central
+    moved = [b for b in blocks if walk_maps(G, cents, b.rep)]
+    assert [len(b.members) for b in moved] == [1] * central
     assert [b.rep for b in blocks if len(cents[b.rep]) == G.order] == \
-        [b.rep for b in blocks if b.maps]
+        [b.rep for b in moved]
     expected = walk_every_block(G, n)
     levels = []
     walked = []
     block_orbits = oracle._block_orbits
 
-    def counted(cents, m, block):
+    def counted(cents, m, x, maps):
         levels.append(m)
-        if len(cents[block.rep]) == G.order:
-            walked.append((m, block.rep))
-        return block_orbits(cents, m, block)
+        if len(cents[x]) == G.order:
+            walked.append((m, x))
+        return block_orbits(cents, m, x, maps)
 
     monkeypatch.setattr(oracle, "_block_orbits", counted)
     assert simultaneous_classes_count(G, n).orbit_count == expected
