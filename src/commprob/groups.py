@@ -244,24 +244,6 @@ def _table_ops(table):
     return mul_data, inv_data, identity
 
 
-def _table_generators(mul_data, identity, n):
-    """Table indices in ascending order, each outside the left-multiplication
-    closure of those before it.  Each one at least doubles the subgroup
-    generated so far, so a group of order n never needs more than
-    floor(log2 n) of them; a table that does is rejected."""
-    gens = []
-    reached = {identity}
-    for g in range(n):
-        if g in reached:
-            continue
-        if len(gens) == n.bit_length() - 1:
-            raise InputError("multiplication table is not a group: it needs "
-                             "more than log2(n) generators")
-        gens.append(g)
-        reached = _bfs_closure(mul_data, identity, gens)[1]
-    return gens
-
-
 def _light_test(table, gens):
     """Raise unless ``table`` (entries index its own rows) is associative.
 
@@ -471,8 +453,15 @@ class Group:
             raise InputError("multiplication table rows must be sequences") from None
         mul_data, inv_data, identity = _table_ops(table)
         if generators is None:
-            _light_test(table, _table_generators(mul_data, identity, len(table)))
             data = _identity_first(list(range(len(table))), identity)
+            # a group needs at most log2(n) greedy generators, since each
+            # one at least doubles the subgroup reached
+            where = {d: i for i, d in enumerate(data)}
+            found = _right_walk(data, where, mul_data)[0]
+            if len(found) > len(table).bit_length() - 1:
+                raise InputError("multiplication table is not a group: it "
+                                 "needs more than log2(n) generators")
+            _light_test(table, [data[p] for p in found])
             return cls("table", mul_data, inv_data, identity, data,
                        descriptor=descriptor)
         gens = []
@@ -532,6 +521,8 @@ class Group:
     def element_order(self, x: int) -> int:
         if isinstance(x, Element):
             x = x.id
+        if not 0 <= x < len(self._data):
+            raise InputError(f"element id {x} out of range")
         o = 1
         y = x
         while y != 0:

@@ -47,9 +47,14 @@ check that every member of a class heads as many tuples as x does.
 A central z heads (z, t2, ..., tn) for every commuting (n-1)-tuple
 (t2, ..., tn), and dropping z commutes with conjugation, so the central
 classes contribute |Z(G)| c_G(n-1) orbits and are never walked.  The
-levels 1, ..., n are therefore computed bottom-up from c_G(0) = 1, each
-with all of its checks and its own Burnside count; the classes and the
-walked maps do not depend on the level and are built once.
+levels 1, ..., n are therefore counted bottom-up from c_G(0) = 1, in one
+loop that runs the same checks on every class at every level m: every
+member heads as many m-tuples as x, a central class adds c_G(m-1), each
+distinct Z(x) is walked once and its walk enumerates and reaches as many
+tuples as counted, and the classes together list every commuting
+m-tuple.  Each level then has its own Burnside count.  The classes, each
+kept as x and its orbit list, and the walked maps do not depend on the
+level and are built once, before the loop.
 
 The pair scan over the full matrix algebra forms products through row
 tables: for every matrix M, the product v.M of every row vector v, with
@@ -62,7 +67,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, itemgetter
-from typing import NamedTuple
 
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
@@ -103,17 +107,9 @@ def _checked_maps(H: Subgroup) -> list:
     return maps
 
 
-class _Block(NamedTuple):
-    """One first-entry class K of the commuting n-tuples, walked from
-    its smallest id x under the stabilizer of x."""
-    rep: int            # x, the class's smallest id
-    members: frozenset  # K
-    count: int          # commuting n-tuples (x, ...), the same for every member
-
-
 def _centralizer_table(G: Group, n: int, budget: int):
-    """(Z(x) as a frozenset of ids for every id x, one uncounted ``_Block``
-    per class), after checking the budget for the table and for the
+    """(Z(x) as a frozenset of ids for every id x, each class as
+    (x, members)), after checking the budget for the table and for the
     n-tuple backtracking.
 
     Each class is grown once, as the ``_whole_orbit_tree`` of its
@@ -122,7 +118,7 @@ def _centralizer_table(G: Group, n: int, budget: int):
     within the budget.  Z(x) is then scanned, with 2 products for each id
     of x's class or a later one, and carried along the tree's paths,
     Z(s(y)) = s(Z(y)), with no product; equal sets share one
-    frozenset."""
+    frozenset.  The members are the tree's orbit list, x first."""
     order = G.order
     maps = _checked_maps(G.full())
     trees = []
@@ -163,7 +159,7 @@ def _centralizer_table(G: Group, n: int, budget: int):
         for y, image in zip(orbit, images):
             c = frozenset(image)
             cents[y] = distinct.setdefault(c, c)
-        classes.append(_Block(x, frozenset(orbit), 0))
+        classes.append((x, orbit))
     return cents, classes
 
 
@@ -180,29 +176,19 @@ def _count(cents, memo: dict, C: frozenset, m: int) -> int:
     return val
 
 
-def _commuting_tuples(cents, n: int, firsts=None):
-    """Yield every commuting n-tuple of ids in lexicographic order: pick
-    g1, then g2 in Z(g1), then g3 in Z(g1) & Z(g2), and so on.  With
-    ``firsts``, a collection of ids, only the tuples whose first entry is
-    in it."""
-    if n == 0:
-        yield ()
-        return
-    if firsts is None:
-        firsts = range(len(cents))
-    if n == 1:
-        for x in sorted(firsts):
-            yield (x,)
-        return
-    stack = [((x,), cents[x]) for x in sorted(firsts, reverse=True)]
+def _commuting_tuples(cents, n: int, x: int):
+    """Yield every commuting n-tuple (n >= 2) of ids that starts with x,
+    in lexicographic order: pick t2 in Z(x), then t3 in Z(x) & Z(t2), and
+    so on."""
+    stack = [((x,), cents[x])]
     while stack:
         prefix, C = stack.pop()
         if len(prefix) == n - 1:
-            for x in sorted(C):
-                yield prefix + (x,)
+            for y in sorted(C):
+                yield prefix + (y,)
         else:
-            for x in sorted(C, reverse=True):
-                stack.append((prefix + (x,), C & cents[x]))
+            for y in sorted(C, reverse=True):
+                stack.append((prefix + (y,), C & cents[y]))
 
 
 def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -216,28 +202,17 @@ def commuting_tuples_count(G: Group, n: int, budget: int = DEFAULT_BUDGET) -> in
     return _count(cents, {}, frozenset(range(G.order)), n)
 
 
-def _first_entry_blocks(cents, memo: dict, classes, n: int) -> list:
-    """The commuting n-tuples (n >= 1) split by the class of their first
-    entry: each of ``_centralizer_table``'s ``classes`` counted by
-    ``_counted``, in the order of its smallest id.  The classes are the
-    orbits of single ids under the conjugation maps, so no orbit of
-    tuples under them crosses from one block to another, and every orbit
-    in a block meets the tuples that start with its smallest id."""
-    return [_counted(cents, memo, b, n) for b in classes]
-
-
-def _counted(cents, memo: dict, block: _Block, n: int) -> _Block:
-    """``block`` with the count of the commuting n-tuples that start with
-    its representative, after checking with the ``_count`` sums that
-    every member of its class heads as many."""
-    count = _count(cents, memo, cents[block.rep], n - 1)
-    heads = sum(_count(cents, memo, cents[y], n - 1) for y in block.members)
-    if heads != len(block.members) * count:
+def _head_count(cents, memo: dict, x: int, members, m: int) -> int:
+    """The number of commuting m-tuples that start with x, after checking
+    with the ``_count`` sums that every member of x's class heads as
+    many."""
+    count = _count(cents, memo, cents[x], m - 1)
+    heads = sum(_count(cents, memo, cents[y], m - 1) for y in members)
+    if heads != len(members) * count:
         raise InternalError(
-            f"block of {block.rep}: {heads} tuples != "
-            f"{len(block.members)} x {count}"
+            f"block of {x}: {heads} tuples != {len(members)} x {count}"
         )
-    return block._replace(count=count)
+    return count
 
 
 def _block_orbits(cents, n: int, x: int, maps):
@@ -253,7 +228,7 @@ def _block_orbits(cents, n: int, x: int, maps):
     become id maps for this walk only."""
     if n == 1:
         return 1, 1, 1
-    tuples = _commuting_tuples(cents, n, (x,))
+    tuples = _commuting_tuples(cents, n, x)
     if not maps:
         listed = sum(1 for _ in tuples)
         return listed, listed, listed
@@ -304,61 +279,59 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     cents, classes = _centralizer_table(G, n, DEFAULT_BUDGET)
     memo = {}
     everything = frozenset(range(G.order))
-    orbit_counts = [1]  # c_G(0): the empty tuple
     walked = {}  # each walked Z(x) -> its checked maps
-    if n:
-        top = _first_entry_blocks(cents, memo, classes, n)
     if n > 1:
         # Z(x) is abelian exactly when all |Z(x)|^2 of its pairs commute,
         # a count Burnside's level-2 sum makes anyway; then each tuple
         # (x, ...) is its own orbit and its walk holds no visited set
-        moved = [b for b in top if _count(cents, memo, cents[b.rep], 2)
-                 != len(cents[b.rep]) ** 2]
-        held = max((b.count for b in moved), default=0)
+        moved = dict.fromkeys(cents[x] for x, _ in classes if _count(
+            cents, memo, cents[x], 2) != len(cents[x]) ** 2)
+        held = max((_count(cents, memo, zx, n - 1) for zx in moved),
+                   default=0)
         # rough per-tuple estimate for a walk's visited set: an n-tuple
-        # of small ints plus its set slot
+        # of small ints plus its set slot; a central Z(x) counts too,
+        # though its block is never walked
         if held * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
             raise BudgetError(
                 f"a walk over {held} tuples would exceed the "
                 f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
             )
-        for b in moved:
-            zx = cents[b.rep]
-            if len(zx) < G.order and zx not in walked:
-                walked[zx] = _checked_maps(G.subgroup(zx, validate=False))
+        walked = {zx: _checked_maps(G.subgroup(zx, validate=False))
+                  for zx in moved if len(zx) < G.order}
+    orbit_counts = [1]  # c_G(0): the empty tuple
     for m in range(1, n + 1):
-        blocks = top if m == n else [_counted(cents, memo, b, m) for b in top]
-        total = _count(cents, memo, everything, m)
-        listed = sum(len(b.members) * b.count for b in blocks)
-        if listed != total:
-            raise InternalError(
-                f"first-entry blocks hold {listed} commuting tuples, "
-                f"counted {total}"
-            )
-        orbit_count = 0
+        listed = orbit_count = 0
         walks = {}  # Z(x) -> that walk's three numbers
-        for b in blocks:
-            zx = cents[b.rep]
+        for x, members in classes:
+            count = _head_count(cents, memo, x, members, m)
+            listed += len(members) * count
+            zx = cents[x]
             if len(zx) == G.order:
                 # (z, t2, ..., tm) -> (t2, ..., tm) for central z
                 orbit_count += orbit_counts[m - 1]
                 continue
             walk = walks.get(zx)
             if walk is None:
-                walk = walks[zx] = _block_orbits(cents, m, b.rep,
+                walk = walks[zx] = _block_orbits(cents, m, x,
                                                  walked.get(zx, ()))
             enumerated, orbits, reached = walk
-            if enumerated != b.count:
+            if enumerated != count:
                 raise InternalError(
                     f"enumerated {enumerated} commuting tuples starting "
-                    f"with {b.rep}, counted {b.count}"
+                    f"with {x}, counted {count}"
                 )
-            if reached != b.count:
+            if reached != count:
                 raise InternalError(
-                    f"orbit walk from {b.rep} reached {reached} tuples, "
-                    f"counted {b.count}"
+                    f"orbit walk from {x} reached {reached} tuples, "
+                    f"counted {count}"
                 )
             orbit_count += orbits
+        total = _count(cents, memo, everything, m)
+        if listed != total:
+            raise InternalError(
+                f"first-entry blocks hold {listed} commuting tuples, "
+                f"counted {total}"
+            )
         orbit_counts.append(orbit_count)
 
     # Burnside: orbits = average number of fixed tuples, and the tuples

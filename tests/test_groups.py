@@ -31,6 +31,7 @@ from commprob.catalog import SMALL_GROUPS, build
 from commprob.errors import InputError, InternalError, SizeCapError
 from commprob.gf import field
 from commprob.groups import (
+    Element,
     Group,
     center,
     centralizer,
@@ -167,6 +168,15 @@ def test_element_order():
     G = build("C(12)")
     orders = sorted(element_order(G.full(), x) for x in range(12))
     assert orders == [1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12]
+
+
+@pytest.mark.parametrize("x", [-1, 6, 99])
+def test_element_order_rejects_an_id_out_of_range(x):
+    # -1 would index id 5 (order 3), and 6 = |S(3)| an IndexError
+    G = build("S(3)")
+    for order in (G.element_order, lambda x: Element(G, x).order()):
+        with pytest.raises(InputError, match=f"element id {x} out of range"):
+            order(x)
 
 
 def test_group_from_table_klein():

@@ -26,6 +26,16 @@ from commprob.oracle import (
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
+def tuples_from(cents, n, firsts):
+    """The commuting n-tuples (n >= 1) whose first entry is in
+    ``firsts``, in lexicographic order."""
+    for x in sorted(firsts):
+        if n == 1:
+            yield (x,)
+        else:
+            yield from oracle._commuting_tuples(cents, n, x)
+
+
 def whole_block_orbits(cents, maps, n, members):
     """(orbits, tuples reached) of the whole group on the commuting
     n-tuples whose first entry is in ``members``: every tuple of the
@@ -33,7 +43,7 @@ def whole_block_orbits(cents, maps, n, members):
     oracle's walk before it took one representative per class)."""
     visited = set()
     orbits = 0
-    for t in oracle._commuting_tuples(cents, n, members):
+    for t in tuples_from(cents, n, members):
         if t in visited:
             continue
         orbits += 1
@@ -78,10 +88,8 @@ def walk_every_block(G, n):
     """The orbit count of the commuting n-tuples (n >= 1) with every
     first-entry class walked on its own, none reused."""
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
-    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    return sum(oracle._block_orbits(cents, n, b.rep,
-                                    walk_maps(G, cents, b.rep))[1]
-               for b in blocks)
+    return sum(oracle._block_orbits(cents, n, x, walk_maps(G, cents, x))[1]
+               for x, _ in classes)
 
 
 def straight_line_pairs(d, q):
@@ -308,18 +316,19 @@ def test_blocks_under_wrong_maps_fail_a_check(monkeypatch, desc, perm,
     monkeypatch.setattr(oracle, "_checked_maps", lambda H: [perm])
     with pytest.raises(InternalError, match=message):
         classes = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[1]
-        oracle._first_entry_blocks(cents, {}, classes, 2)
+        for x, members in classes:
+            oracle._head_count(cents, {}, x, members, 2)
 
 
 def test_a_block_listed_twice_fails_the_listing_check(monkeypatch):
     # the class of the transposition 1 (3 members) listed twice
-    blocks = oracle._first_entry_blocks
+    table = oracle._centralizer_table
 
-    def twice(cents, memo, classes, n):
-        found = blocks(cents, memo, classes, n)
-        return found + found[1:2]
+    def twice(G, n, budget):
+        cents, classes = table(G, n, budget)
+        return cents, classes + classes[1:2]
 
-    monkeypatch.setattr(oracle, "_first_entry_blocks", twice)
+    monkeypatch.setattr(oracle, "_centralizer_table", twice)
     with pytest.raises(InternalError, match="first-entry blocks hold 9 "
                        "commuting tuples, counted 6"):
         simultaneous_classes_count(build("S(3)"), 2)
@@ -348,8 +357,7 @@ def test_a_missed_tuple_fails_the_enumeration_check(monkeypatch):
     listed = oracle._commuting_tuples
     monkeypatch.setattr(
         oracle, "_commuting_tuples",
-        lambda cents, n, firsts=None: itertools.islice(
-            listed(cents, n, firsts), 1, None))
+        lambda cents, n, x: itertools.islice(listed(cents, n, x), 1, None))
     with pytest.raises(InternalError, match="enumerated 1 commuting tuples "
                        "starting with 1, counted 2"):
         simultaneous_classes_count(build("S(3)"), 2)
@@ -486,13 +494,13 @@ def test_stabilizer_maps_are_positions_in_the_centralizer(desc):
     # each map is a tuple of positions in sorted Z(x), never an id map
     G = build(desc)
     cents, classes = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)
-    maps = {b.rep: walk_maps(G, cents, b.rep) for b in classes}
+    maps = {x: walk_maps(G, cents, x) for x, _ in classes}
     assert any(maps.values()), desc
-    for b in classes:
-        size = len(cents[b.rep])
-        for m in maps[b.rep]:
-            assert len(m) == size, (desc, b.rep)
-            assert sorted(m) == list(range(size)), (desc, b.rep)
+    for x, _ in classes:
+        size = len(cents[x])
+        for m in maps[x]:
+            assert len(m) == size, (desc, x)
+            assert sorted(m) == list(range(size)), (desc, x)
 
 
 def test_oracle_memory_on_gl25():
@@ -526,19 +534,20 @@ def test_first_entry_blocks_split_the_commuting_tuples(desc):
     cents, classes = oracle._centralizer_table(G, 3, oracle.DEFAULT_BUDGET)
     memo = {}
     for n in (1, 2, 3):
-        blocks = oracle._first_entry_blocks(cents, memo, classes, n)
-        for block in blocks:
-            x = block.rep
-            assert x == min(block.members), (desc, n)
-            tuples = list(oracle._commuting_tuples(cents, n, (x,)))
+        counts = [oracle._head_count(cents, memo, x, members, n)
+                  for x, members in classes]
+        for (x, members), count in zip(classes, counts):
+            assert x == min(members), (desc, n)
+            tuples = list(tuples_from(cents, n, (x,)))
             assert tuples == sorted(tuples), (desc, n)
             assert {t[0] for t in tuples} == {x}, (desc, n)
-            assert len(tuples) == block.count == \
+            assert len(tuples) == count == \
                 oracle._count(cents, memo, cents[x], n - 1), (desc, n, x)
-        assert sum(len(b.members) * b.count for b in blocks) == \
-            sum(1 for _ in oracle._commuting_tuples(cents, n)), (desc, n)
+        assert sum(len(members) * count
+                   for (_, members), count in zip(classes, counts)) == \
+            sum(1 for _ in tuples_from(cents, n, range(G.order))), (desc, n)
     # the first-entry classes are the conjugacy classes
-    assert sorted(sorted(b.members) for b in blocks) == sorted(
+    assert sorted(sorted(members) for _, members in classes) == sorted(
         list(c.members) for c in conjugacy_classes(G.full()).classes
     )
 
@@ -552,12 +561,13 @@ def test_representative_walk_matches_the_whole_block_walk(desc):
     maps = oracle._conjugation_action(G.full())
     memo = {}
     for n in (1, 2, 3):
-        for block in oracle._first_entry_blocks(cents, memo, classes, n):
-            orbits, reached = whole_block_orbits(cents, maps, n, block.members)
-            assert reached == len(block.members) * block.count, (desc, n)
-            stab = walk_maps(G, cents, block.rep)
-            assert oracle._block_orbits(cents, n, block.rep, stab) == \
-                (block.count, orbits, block.count), (desc, n, block.rep)
+        for x, members in classes:
+            count = oracle._head_count(cents, memo, x, members, n)
+            orbits, reached = whole_block_orbits(cents, maps, n, members)
+            assert reached == len(members) * count, (desc, n)
+            stab = walk_maps(G, cents, x)
+            assert oracle._block_orbits(cents, n, x, stab) == \
+                (count, orbits, count), (desc, n, x)
 
 
 @pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "D(16)", "PSL(2,7)"])
@@ -566,11 +576,10 @@ def test_stabilizer_maps_generate_the_centralizer_action(desc):
     # here with G.mul
     G = build(desc)
     cents, classes = oracle._centralizer_table(G, 1, oracle.DEFAULT_BUDGET)
-    assert [sorted(b.members) for b in classes] == [
+    assert [sorted(members) for _, members in classes] == [
         list(cls.members) for cls in conjugacy_classes(G.full()).classes]
-    for block in classes:
-        x = block.rep
-        assert x == min(block.members), (desc, x)
+    for x, members in classes:
+        assert x == min(members), (desc, x)
         zx = tuple(sorted(cents[x]))
         stab = [dict(zip(zx, map(zx.__getitem__, m)))
                 for m in walk_maps(G, cents, x)]
@@ -641,10 +650,12 @@ def test_memory_guard_counts_the_largest_block(monkeypatch):
     G = build("D(16)")
     n = 5
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
-    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    held = max(b.count for b in blocks if walk_maps(G, cents, b.rep))
+    memo = {}
+    counts = {x: oracle._head_count(cents, memo, x, members, n)
+              for x, members in classes}
+    held = max(counts[x] for x, _ in classes if walk_maps(G, cents, x))
     assert held == 67456
-    assert max(len(b.members) * b.count for b in blocks) == 131072
+    assert max(len(members) * counts[x] for x, members in classes) == 131072
     per_tuple = n * 28 + 80
     monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", held * per_tuple)
     assert simultaneous_classes_count(G, n).tuple_count == 1056512
@@ -688,11 +699,11 @@ def test_central_classes_are_never_walked(monkeypatch, desc, n, central):
     # instead of a walk
     G = build(desc)
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
-    blocks = oracle._first_entry_blocks(cents, {}, classes, n)
-    moved = [b for b in blocks if walk_maps(G, cents, b.rep)]
-    assert [len(b.members) for b in moved] == [1] * central
-    assert [b.rep for b in blocks if len(cents[b.rep]) == G.order] == \
-        [b.rep for b in moved]
+    moved = [(x, members) for x, members in classes
+             if walk_maps(G, cents, x)]
+    assert [len(members) for _, members in moved] == [1] * central
+    assert [x for x, _ in classes if len(cents[x]) == G.order] == \
+        [x for x, _ in moved]
     expected = walk_every_block(G, n)
     levels = []
     walked = []

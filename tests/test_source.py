@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -69,3 +70,37 @@ def test_readme_lists_the_verify_row_kinds():
                     if not any(p.fullmatch(key) for p in patterns.values())}
     assert not undocumented
     assert matched == set(documented)
+
+
+def benchmark_entry_points():
+    """Every (module, attribute) of the package that the benchmark reads:
+    the functions ``perfbench/tracer.py`` wraps in spans, and each
+    ``module.attr`` that ``perfbench/workloads.py`` reads from a module
+    it imports from commprob.  Both files are parsed, not imported."""
+    bench = ROOT / "perfbench"
+    tree = ast.parse((bench / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    names = {(home, attr) for _, home, attr in ast.literal_eval(traced)}
+    tree = ast.parse((bench / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "commprob"
+               for alias in node.names}
+    names |= {(node.value.id, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    return names
+
+
+def test_benchmark_entry_points_exist():
+    # a name the benchmark traces or calls that the package no longer
+    # has would break its runs, not this suite
+    names = benchmark_entry_points()
+    assert ("formulas", "_run_job") in names
+    assert ("oracle", "simultaneous_classes_count") in names
+    missing = sorted(f"{module}.{attr}" for module, attr in names
+                     if not hasattr(importlib.import_module(
+                         "commprob." + module), attr))
+    assert not missing, "benchmark names missing: " + ", ".join(missing)
