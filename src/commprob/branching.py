@@ -236,42 +236,41 @@ class TypePartition:
 
 def lump(B: BranchingMatrix) -> TypePartition:
     """Coarsest lumpable partition refining the (order, class count)
-    state fingerprint, by iterated signature splitting."""
-    size = len(B.states)
-    counts = B.counts
-    fingerprints = [(st.order, st.class_count) for st in B.states]
-    ordered = sorted(set(fingerprints))
-    block_of = [ordered.index(fp) for fp in fingerprints]
-    nblocks = len(ordered)
+    state fingerprint, by iterated signature splitting.
+
+    Each pass numbers the distinct signatures in sorted order.  The
+    first signature is (-order, class count), and each later one is a
+    state's block with its count vector, the sums of its column over
+    the blocks of the pass before.  The root is the one state of the
+    largest order, so it is block 0, and the blocks follow by descending
+    order, then ascending class count, then count vector.  A pass that
+    splits no block keeps the numbering, so each state's count vector is
+    then its block's column of the quotient."""
+    # the nonzero entries (u, counts[u][s]) of each column s
+    columns = [[(u, row[s]) for u, row in enumerate(B.counts) if row[s]]
+               for s in range(len(B.states))]
+    signatures = [(-st.order, st.class_count) for st in B.states]
+    nblocks = 0
     while True:
-        signatures = []
-        for s in range(size):
-            agg = [0] * nblocks
-            for u in range(size):
-                c = counts[u][s]
-                if c:
-                    agg[block_of[u]] += c
-            signatures.append((block_of[s], tuple(agg)))
-        distinct = sorted(set(signatures))
-        new_block_of = [distinct.index(sig) for sig in signatures]
-        if len(distinct) == nblocks:
-            block_of = new_block_of
+        number = {sig: b for b, sig in enumerate(sorted(set(signatures)))}
+        block_of = [number[sig] for sig in signatures]
+        if len(number) == nblocks:
             break
-        block_of = new_block_of
-        nblocks = len(distinct)
+        nblocks = len(number)
+        vectors = []
+        for column in columns:
+            agg = [0] * nblocks
+            for u, c in column:
+                agg[block_of[u]] += c
+            vectors.append(tuple(agg))
+        signatures = list(zip(block_of, vectors))
     blocks = [[] for _ in range(nblocks)]
-    for s in range(size):
-        blocks[block_of[s]].append(s)
-    quotient = []
-    for bj in range(nblocks):
-        row = []
-        for bi in range(nblocks):
-            s0 = blocks[bi][0]
-            row.append(sum(counts[u][s0] for u in blocks[bj]))
-        quotient.append(row)
+    for s, b in enumerate(block_of):
+        blocks[b].append(s)
     return TypePartition(
         blocks=blocks,
-        quotient=quotient,
+        quotient=[[vectors[block[0]][bj] for block in blocks]
+                  for bj in range(nblocks)],
         block_of=block_of,
         root_block=block_of[B.root],
     )

@@ -18,12 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, SizeCapError
 
 FIELD_SIZE_CAP = 1 << 16
 
-# dense op tables are only built for fields small enough to matter
-_TABLE_SIZE_CAP = 1 << 12
+# dense op tables hold q^2 entries each and are built entry by entry, so
+# they stop at q = 1024, past which a field is a size cap: that covers
+# GF(19^2) = 361, the largest field of a group other than GL(1,q) or
+# SL(1,q) under the group size cap, and every q <= 547 that a d = 1 pair
+# scan allows; GF(2^10) is the slowest field still tabled
+_TABLE_SIZE_CAP = 1 << 10
 
 
 # the first thirteen primes; as Miller-Rabin bases they decide primality
@@ -257,8 +261,9 @@ class FieldSpec:
 
     def _check_table_size(self):
         if self.q > _TABLE_SIZE_CAP:
-            raise InputError(
-                f"dense op tables unavailable for field of size {self.q}"
+            raise SizeCapError(
+                f"dense op tables for GF({self.q}) exceed the field table "
+                f"cap {_TABLE_SIZE_CAP}"
             )
 
     def add_table(self):

@@ -37,12 +37,13 @@ a conjugation by an element of Z(x), so it fixes x and keeps Z(x).
 Only the tuples that start with x are enumerated and walked, one class
 at a time.  Z(x) is abelian exactly when it holds |Z(x)|^2 commuting
 pairs, a count that Burnside's sum makes anyway; then each tuple is its
-own orbit, the block is only listed and holds no visited set, and the
-memory guard is checked against the largest block whose Z(x) is not
-abelian.  The tails of the tuples (x, t2, ..., tn) depend only on Z(x),
-and the maps fix x, so classes with the same Z(x) share one walk, and
-each distinct Z(x) is checked once for all the levels.  The tuple counts
-check that every member of a class heads as many tuples as x does.
+own orbit, the block is only listed and holds no visited set.  The
+memory guard is checked against the largest block that a walk holds,
+one whose Z(x) is neither abelian nor the whole group.  The tails of
+the tuples (x, t2, ..., tn) depend only on Z(x), and the maps fix x, so
+classes with the same Z(x) share one walk, and each distinct Z(x) is
+checked once for all the levels.  The tuple counts check that every
+member of a class heads as many tuples as x does.
 
 A central z heads (z, t2, ..., tn) for every commuting (n-1)-tuple
 (t2, ..., tn), and dropping z commutes with conjugation, so the central
@@ -281,23 +282,24 @@ def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:
     everything = frozenset(range(G.order))
     walked = {}  # each walked Z(x) -> its checked maps
     if n > 1:
-        # Z(x) is abelian exactly when all |Z(x)|^2 of its pairs commute,
-        # a count Burnside's level-2 sum makes anyway; then each tuple
-        # (x, ...) is its own orbit and its walk holds no visited set
-        moved = dict.fromkeys(cents[x] for x, _ in classes if _count(
-            cents, memo, cents[x], 2) != len(cents[x]) ** 2)
+        # a central block is never walked, and Z(x) is abelian exactly
+        # when all |Z(x)|^2 of its pairs commute, a count Burnside's
+        # level-2 sum makes anyway; then each tuple (x, ...) is its own
+        # orbit and its walk holds no visited set
+        moved = dict.fromkeys(
+            zx for zx in (cents[x] for x, _ in classes) if len(zx) < G.order
+            and _count(cents, memo, zx, 2) != len(zx) ** 2)
         held = max((_count(cents, memo, zx, n - 1) for zx in moved),
                    default=0)
         # rough per-tuple estimate for a walk's visited set: an n-tuple
-        # of small ints plus its set slot; a central Z(x) counts too,
-        # though its block is never walked
+        # of small ints plus its set slot
         if held * (n * 28 + 80) > DEFAULT_MEMORY_BYTES:
             raise BudgetError(
                 f"a walk over {held} tuples would exceed the "
                 f"{DEFAULT_MEMORY_BYTES}-byte memory cap"
             )
         walked = {zx: _checked_maps(G.subgroup(zx, validate=False))
-                  for zx in moved if len(zx) < G.order}
+                  for zx in moved}
     orbit_counts = [1]  # c_G(0): the empty tuple
     for m in range(1, n + 1):
         listed = orbit_count = 0

@@ -313,3 +313,36 @@ def count_closures(monkeypatch):
 
     monkeypatch.setattr(groups, "_dimino_add", counted)
     return count
+
+
+def sorted_signature_lump(B):
+    """Reference lumping: the coarsest lumpable partition refining the
+    (order, class count) fingerprint, with the blocks numbered by sorted
+    signature each pass, so that the root block comes last, and the
+    quotient summed again from the blocks.  Returns
+    (blocks, quotient, block_of, root_block)."""
+    size = len(B.states)
+    counts = B.counts
+    fingerprints = [(st.order, st.class_count) for st in B.states]
+    ordered = sorted(set(fingerprints))
+    block_of = [ordered.index(fp) for fp in fingerprints]
+    nblocks = len(ordered)
+    while True:
+        signatures = []
+        for s in range(size):
+            agg = [0] * nblocks
+            for u in range(size):
+                if counts[u][s]:
+                    agg[block_of[u]] += counts[u][s]
+            signatures.append((block_of[s], tuple(agg)))
+        distinct = sorted(set(signatures))
+        block_of = [distinct.index(sig) for sig in signatures]
+        if len(distinct) == nblocks:
+            break
+        nblocks = len(distinct)
+    blocks = [[] for _ in range(nblocks)]
+    for s in range(size):
+        blocks[block_of[s]].append(s)
+    quotient = [[sum(counts[u][blocks[bi][0]] for u in blocks[bj])
+                 for bi in range(nblocks)] for bj in range(nblocks)]
+    return blocks, quotient, block_of, block_of[B.root]

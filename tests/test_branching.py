@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import sorted_signature_lump
 
 from commprob.branching import (
     BranchingMatrix,
@@ -16,6 +18,11 @@ from commprob.branching import (
 )
 from commprob.catalog import SMALL_GROUPS, build
 from commprob.errors import InputError, InternalError
+from commprob.formulas import (
+    U3_MATRIX_CORRECTED,
+    _evaluate_matrix_formula,
+    evaluate_matrix,
+)
 
 
 def test_cyclic_is_single_absorbing_state():
@@ -235,6 +242,75 @@ def test_lump_dimensions_observed():
     }
     for desc, dim in observed.items():
         assert lump(build_branching(build(desc))).dimension == dim, desc
+
+
+LUMP_GROUPS = SMALL_GROUPS + ("GL(3,2)", "U(3,2)", "GL(3,3)", "U(3,3)",
+                              "GL(2,5)")
+
+
+@pytest.mark.parametrize("desc", LUMP_GROUPS)
+def test_lump_matches_the_reference_with_the_root_first(desc):
+    # the same blocks as sets, and the same quotient once the reference's
+    # blocks are renumbered as the canonical ones: the root first, then
+    # by descending order and ascending class count
+    B = build_branching(build(desc))
+    tp = lump(B)
+    blocks, quotient, block_of, root_block = sorted_signature_lump(B)
+    assert sorted(tp.blocks) == sorted(blocks)
+    assert all(s in tp.blocks[b] for s, b in enumerate(tp.block_of))
+    relabel = [block_of[block[0]] for block in tp.blocks]
+    assert [[quotient[a][b] for b in relabel] for a in relabel] == tp.quotient
+    assert relabel[tp.root_block] == root_block
+    assert tp.root_block == 0
+    types = [(-B.states[block[0]].order, B.states[block[0]].class_count)
+             for block in tp.blocks]
+    assert types == sorted(types)
+
+
+@pytest.mark.parametrize("desc", ("S(4)", "GL(2,3)", "U(2,3)", "GL(3,2)",
+                                  "U(3,2)"))
+def test_lump_ignores_the_state_labels(desc):
+    # the numbering reads only orders, class counts and count vectors,
+    # so relabeling the states leaves the quotient and the root block
+    B = build_branching(build(desc))
+    perm = list(range(B.dimension))
+    random.Random(2002).shuffle(perm)  # state s becomes state perm[s]
+    moved = [None] * B.dimension
+    for s, t in enumerate(perm):
+        moved[t] = s
+    shuffled = BranchingMatrix(
+        states=[B.states[s] for s in moved],
+        counts=[[B.counts[a][b] for b in moved] for a in moved],
+        root=perm[B.root],
+    )
+    _validate_matrix(shuffled)
+    tp, ts = lump(B), lump(shuffled)
+    assert ts.quotient == tp.quotient
+    assert ts.root_block == tp.root_block == 0
+    assert sorted(ts.blocks) == sorted(sorted(perm[s] for s in block)
+                                       for block in tp.blocks)
+
+
+# printed type i of each family is lumped block PRINTED_ORDER[family][i]
+PRINTED_ORDER = {
+    "U2": (0, 2, 1, 3),
+    "GL3": (0, 1, 2, 4, 6, 7, 5, 3),
+    "U3": (0, 1, 2, 5, 4, 3, 6, 7),
+}
+
+
+@pytest.mark.parametrize("family,desc,q", [
+    ("U2", "U(2,3)", 3), ("U2", "U(2,4)", 4), ("U2", "U(2,5)", 5),
+    ("GL3", "GL(3,3)", 3), ("U3", "U(3,3)", 3)])
+def test_lumped_quotient_is_the_printed_matrix_up_to_one_order(family,
+                                                                desc, q):
+    # one permutation per family maps the quotient onto the paper's
+    # matrix at every q; U3's is the matrix with its erratum corrected
+    printed = (_evaluate_matrix_formula(U3_MATRIX_CORRECTED, q)
+               if family == "U3" else evaluate_matrix(family, q))
+    quotient = lump(build_branching(build(desc))).quotient
+    order = PRINTED_ORDER[family]
+    assert [[quotient[a][b] for b in order] for a in order] == printed
 
 
 def test_branching_deterministic_across_thread_counts():

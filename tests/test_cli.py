@@ -189,6 +189,25 @@ def test_closed_stdout_pipe_exits_141_quietly():
     assert proc.stderr == ""
 
 
+def test_field_past_the_table_cap_exits_3(capsys, cache_env):
+    # GL(1,1031) is a valid descriptor under the group size cap, but
+    # GF(1031) is past the dense-table cap: a size cap, found before any
+    # table is built
+    from commprob.gf import field
+
+    code, _, err = run(capsys, "info", "GL(1,1031)")
+    assert code == 3
+    assert "table cap" in err
+    assert field(1031)._add_table is None
+    assert field(1031)._mul_table is None
+
+
+def test_field_under_the_table_cap_runs(capsys, cache_env):
+    code, out, _ = run(capsys, "info", "GL(1,509)")
+    assert code == 0
+    assert "classes:       508" in out
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run(capsys, "feitfine", "--d", "3", "--q", "3", "--oracle")
     assert code == 3

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from commprob.errors import InputError
+from commprob.errors import InputError, SizeCapError
 from commprob.gf import (
     add,
     field,
@@ -79,6 +79,19 @@ def test_field_rejects_bad_parameters():
         field(2, 0)
     with pytest.raises(InputError):
         field(2, 17)  # over the 2^16 cap
+
+
+def test_dense_tables_stop_at_the_table_cap():
+    # GF(2^11) is a valid field, and its elements multiply without
+    # tables, but its q^2 tables are past the 2^10 cap
+    F = field(2, 11)
+    x = F.element(5)
+    assert x * x.inverse() == F.one
+    with pytest.raises(SizeCapError):
+        F.mul_table()
+    with pytest.raises(SizeCapError):
+        F.add_table()
+    assert len(field(2, 10).neg_table()) == 1024
 
 
 def test_gf2_elements():

@@ -644,24 +644,35 @@ def test_each_centralizer_is_checked_once(monkeypatch, n):
 
 
 def test_memory_guard_counts_the_largest_block(monkeypatch):
-    # D(16) at n = 5: the largest class block has 131,072 tuples, but
-    # only the central classes have a centralizer that is not abelian,
-    # and a walk from one of them would hold 67,456
-    G = build("D(16)")
-    n = 5
+    # PSL(2,7) at n = 4: the identity's block holds 5,376 tuples but is
+    # central, so it is never walked; of the rest, only the Z(x) of the
+    # involutions (dihedral of order 8) is not abelian, and a walk from
+    # one of them would hold 176
+    G = build("PSL(2,7)")
+    n = 4
     cents, classes = oracle._centralizer_table(G, n, oracle.DEFAULT_BUDGET)
     memo = {}
     counts = {x: oracle._head_count(cents, memo, x, members, n)
               for x, members in classes}
-    held = max(counts[x] for x, _ in classes if walk_maps(G, cents, x))
-    assert held == 67456
-    assert max(len(members) * counts[x] for x, members in classes) == 131072
+    held = max(counts[x] for x, _ in classes
+               if len(cents[x]) < G.order and walk_maps(G, cents, x))
+    assert held == 176
+    assert max(counts.values()) == 5376
     per_tuple = n * 28 + 80
     monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", held * per_tuple)
-    assert simultaneous_classes_count(G, n).tuple_count == 1056512
+    assert simultaneous_classes_count(G, n).orbit_count == \
+        walk_every_block(G, n)
     monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", held * per_tuple - 1)
     with pytest.raises(BudgetError):
         simultaneous_classes_count(G, n)
+
+
+def test_memory_guard_ignores_blocks_no_walk_holds(monkeypatch):
+    # D(16) at n = 5: every walked Z(x) is abelian and the central block
+    # (67,456 tuples) is never walked, so no walk holds a visited set
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_BYTES", 1)
+    assert simultaneous_classes_count(build("D(16)"), 5).tuple_count == \
+        1056512
 
 
 def test_oracle_holds_one_block_at_a_time():

@@ -4,9 +4,10 @@ import ast
 import importlib
 import pathlib
 import re
+import shlex
 import sys
 
-from commprob import catalog
+from commprob import catalog, cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "commprob"
@@ -70,6 +71,21 @@ def test_readme_lists_the_verify_row_kinds():
                     if not any(p.fullmatch(key) for p in patterns.values())}
     assert not undocumented
     assert matched == set(documented)
+
+
+def test_readme_cli_examples_print_their_values(tmp_path, monkeypatch,
+                                                capsys):
+    # every line `commprob ARGS  # -> VALUE ...` of the README's CLI
+    # block exits 0 and prints VALUE first
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples = re.findall(r"^commprob (.+?) +# -> (\S+)", block, re.M)
+    assert len(examples) >= 4
+    monkeypatch.setenv("COMMPROB_CACHE", str(tmp_path / "cache"))
+    for args, value in examples:
+        code = cli.main(shlex.split(args))
+        out = capsys.readouterr().out
+        assert (code, out.splitlines()[0]) == (0, value), args
 
 
 def benchmark_entry_points():
