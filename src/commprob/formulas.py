@@ -31,13 +31,19 @@ descriptor, validity, order polynomial, the q of each verify grid, its
 printed table, its printed matrix if any, and its erratum patch if any.
 ``REGISTRY``, ``MATRICES`` and the corrected variants are read off those
 rows.  Each verify check is one function returning report rows;
-``_jobs`` binds each check to its family row and q, and ``_run_job``
-calls one such job.
+``_jobs`` binds each check to its family row and q and records the
+groups it builds, and ``_run_job`` calls one such job.  ``verify_suite``
+runs the jobs in one process or splits them, by the groups they build,
+over forked worker processes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+# pickle and signal are imported inside the functions of the forking
+# path, so that a serial run, the default, does not load them
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -45,7 +51,7 @@ from math import factorial
 from typing import Optional
 
 from .branching import count_via_matrix, cp_via_branching, cp_via_lescot
-from .catalog import build
+from .catalog import build, order_formula, parse
 from .errors import InputError, InternalError
 from .gf import prime_power
 from .groups import conjugacy_classes
@@ -583,27 +589,36 @@ def _check_const(name, value):
 
 
 def _jobs(grid: str):
-    """The grid's checks, each a call with its family and q bound."""
+    """The grid's checks: (descriptors, job) pairs, where job is a call
+    with its family and q bound and descriptors are the catalog groups
+    that the call builds."""
     if grid not in GRIDS:
         raise InputError(f"unknown grid {grid!r} (use 'default' or 'full')")
     jobs = []
+
+    def add(job, *descriptors):
+        jobs.append((descriptors, job))
+
     for fam in FAMILIES.values():
         for q in fam.qs[grid]:
-            jobs.append(partial(_check_table, fam, q))
+            G = fam.descriptor.format(q=q)
+            add(partial(_check_table, fam, q), G)
             if fam.matrix:
-                jobs.append(partial(_check_consistency, fam, q))
-                jobs.append(partial(_check_colsum, fam, q))
+                add(partial(_check_consistency, fam, q))
+                add(partial(_check_colsum, fam, q), G)
             if fam.table_fix:
-                jobs.append(partial(_check_table_erratum, fam, q))
+                add(partial(_check_table_erratum, fam, q), G)
             if fam.matrix_fix:
-                jobs.append(partial(_check_matrix_erratum, fam, q))
+                add(partial(_check_matrix_erratum, fam, q))
     # cp_n(GL2) = cp_n(U2) is checked at the q of the GL2 table
-    jobs += [partial(_check_prop32, q) for q in FAMILIES["GL2"].qs[grid]]
-    jobs.append(_check_sp2_exclusion)
+    for q in FAMILIES["GL2"].qs[grid]:
+        add(partial(_check_prop32, q), f"GL(2,{q})", f"U(2,{q})")
+    add(_check_sp2_exclusion, "Sp(2,2)")
     for q in _PSL_QS:
-        jobs.append(partial(_check_k_psl2, q))
-        jobs.append(partial(_check_cp2_psl2, q))
-    jobs += [partial(_check_const, name, value) for name, value in _CONSTANTS]
+        add(partial(_check_k_psl2, q), f"PSL(2,{q})")
+        add(partial(_check_cp2_psl2, q), f"PSL(2,{q})")
+    for name, value in _CONSTANTS:
+        add(partial(_check_const, name, value), name)
     return jobs
 
 
@@ -617,7 +632,160 @@ def _sort_key(row):
             row["n"] if row["n"] is not None else -1)
 
 
-def verify_suite(grid: str = "default"):
+def _bins(jobs, k):
+    """Split the positions of ``jobs`` into at most k bins, heaviest
+    first, so that every group is built in one bin only.
+
+    The jobs that build a common group form one unit, weighed by the
+    orders of its groups, read from the catalog's order formulas without
+    building them; a job that builds none is a unit of weight 0.  Units
+    go to the bins by longest processing time: heaviest first, each into
+    the least-loaded bin.  Empty bins are dropped."""
+    units = []   # (descriptors, job positions)
+    for i, (descriptors, _) in enumerate(jobs):
+        groups = {str(parse(d)) for d in descriptors}
+        positions = [i]
+        for unit in [u for u in units if u[0] & groups]:
+            units.remove(unit)
+            groups |= unit[0]
+            positions = unit[1] + positions
+        units.append((groups, positions))
+    weighed = sorted(((sum(order_formula(d) for d in groups), positions)
+                      for groups, positions in units),
+                     key=lambda unit: (-unit[0], min(unit[1])))
+    loads = [0] * k
+    bins = [[] for _ in range(k)]
+    for weight, positions in weighed:
+        b = loads.index(min(loads))
+        loads[b] += weight
+        bins[b] += positions
+    order = sorted(range(k), key=lambda b: -loads[b])
+    return [sorted(bins[b]) for b in order if bins[b]]
+
+
+def _can_fork() -> bool:
+    # a child forked while another thread runs would inherit any lock
+    # that thread holds, such as the catalog's build lock, held forever
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _allowed_cpus():
+    """The CPUs this process may run on, in order, or None where a
+    process cannot be pinned to one."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    return sorted(os.sched_getaffinity(0))
+
+
+def _run_child(jobs, positions, fd, inherited, cpu):
+    """In a forked child: close the ``inherited`` pipe ends, pin itself
+    to ``cpu`` unless it is None, run the jobs at ``positions``, write
+    the pickled ``(True, {position: rows})``, or ``(False, exception)``
+    when a job raised, to the pipe ``fd``, and leave by ``os._exit`` so
+    that nothing of the parent's state is flushed or torn down twice."""
+    try:
+        import pickle
+
+        try:
+            for end in inherited:
+                os.close(end)
+            if cpu is not None:
+                os.sched_setaffinity(0, [cpu])
+            result = True, {i: _run_job(jobs[i]) for i in positions}
+        except BaseException as exc:  # sent to the parent, raised there
+            result = False, exc
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            data = pickle.dumps((False, InternalError(
+                f"a verify worker's result cannot be sent: {result[1]!r}")))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _read_to_eof(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _received(data, status):
+    """The rows a child sent, or the exception it sent, raised here."""
+    import pickle
+
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        ended = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise InternalError(f"a verify worker ended by {ended} with no result")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:
+        raise InternalError(
+            f"a verify worker's result cannot be read: {exc!r}") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _run_bins(jobs, bins):
+    """Run every bin's jobs; returns {position: rows}.
+
+    The parent runs ``bins[0]`` itself.  Every other bin runs in a child
+    made by ``os.fork``, which sends its rows through a pipe; a bin whose
+    fork fails runs in the parent too.  The parent reads every pipe to
+    its end before it reaps any child, so no child waits on a full pipe.
+    When the parent's own jobs raise, the children not yet read are
+    killed; every child is reaped either way.
+
+    Linux need not move a forked child off its parent's CPU during a
+    short run: on a 2-vCPU VM both ran on one CPU in most runs.  So,
+    where it can, the parent pins itself to the first allowed CPU and
+    bin b to allowed CPU b mod their count, and restores its own
+    affinity at the end."""
+    import signal
+
+    own = list(bins[0])
+    children = []    # (pid, read end)
+    received = []
+    cpus = _allowed_cpus()
+    if cpus:
+        os.sched_setaffinity(0, cpus[:1])
+    try:
+        for b, positions in enumerate(bins[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                own += positions
+                continue
+            if pid == 0:
+                inherited = [r] + [end for _, end in children]
+                _run_child(jobs, positions, w, inherited,
+                           cpus[b % len(cpus)] if cpus else None)
+            os.close(w)
+            children.append((pid, r))
+        rows = {i: _run_job(jobs[i]) for i in sorted(own)}
+        for _, r in children:
+            received.append(_read_to_eof(r))
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        for n, (pid, r) in enumerate(children):
+            os.close(r)
+            if n >= len(received):
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for data, status in zip(received, statuses):
+        rows.update(_received(data, status))
+    return rows
+
+
+def verify_suite(grid: str = "default", workers: int = 1):
     """Run the verification grid; returns (rows, all_ok).
 
     Every row carries both engine values where applicable, the registry
@@ -626,8 +794,21 @@ def verify_suite(grid: str = "default"):
     grid because of the documented denominator erratum in the published
     Sp2 table (see :func:`is_known_erratum_row`); the ``erratum:Sp2``
     rows show the same engine values agreeing with the corrected form.
+
+    With ``workers`` k > 1 the grid's groups are split by order into k
+    bins (:func:`_bins`), and all but the heaviest bin run in forked
+    child processes.  The rows are the same as with one worker.  The
+    grid runs in this process alone when ``os.fork`` is missing or
+    another thread is running.
     """
-    rows = sorted((r for job in _jobs(grid) for r in _run_job(job)),
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, not {workers}")
+    jobs = _jobs(grid)
+    if workers > 1 and _can_fork():
+        by_position = _run_bins([job for _, job in jobs], _bins(jobs, workers))
+    else:
+        by_position = {i: _run_job(job) for i, (_, job) in enumerate(jobs)}
+    rows = sorted((r for i in range(len(jobs)) for r in by_position[i]),
                   key=_sort_key)
     ok = all(r["match"] for r in rows)
     return rows, ok

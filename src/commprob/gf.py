@@ -22,11 +22,10 @@ from .errors import InputError, InternalError, SizeCapError
 
 FIELD_SIZE_CAP = 1 << 16
 
-# dense op tables hold q^2 entries each and are built entry by entry, so
-# they stop at q = 1024, past which a field is a size cap: that covers
-# GF(19^2) = 361, the largest field of a group other than GL(1,q) or
-# SL(1,q) under the group size cap, and every q <= 547 that a d = 1 pair
-# scan allows; GF(2^10) is the slowest field still tabled
+# dense op tables hold q^2 entries each, so they stop at q = 1024, past
+# which a field is a size cap: that covers GF(19^2) = 361, the largest
+# field of a group other than GL(1,q) or SL(1,q) under the group size
+# cap, and every q <= 547 that a d = 1 pair scan allows
 _TABLE_SIZE_CAP = 1 << 10
 
 
@@ -267,26 +266,57 @@ class FieldSpec:
             )
 
     def add_table(self):
+        """Addition table by index.  Addition is digit-wise mod p in the
+        base-p digits of an index, so the table of k digits is that of
+        k - 1 digits with one more, least significant, digit appended."""
         if self._add_table is None:
             self._check_table_size()
-            q = self.q
-            cs = [self.coeffs_of(i) for i in range(q)]
-            self._add_table = [
-                [self.index_of(self._add_coeffs(cs[a], cs[b])) for b in range(q)]
-                for a in range(q)
-            ]
+            p = self.p
+            digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+            table = digit
+            for _ in range(self.k - 1):
+                table = [[s * p + t for s in row for t in digit[a]]
+                         for row in table for a in range(p)]
+            self._add_table = table
         return self._add_table
 
     def mul_table(self):
+        """Multiplication table by index: ``(a * b) % p`` in a prime
+        field; in an extension field, exp and log tables of a primitive
+        element."""
         if self._mul_table is None:
             self._check_table_size()
-            q = self.q
-            cs = [self.coeffs_of(i) for i in range(q)]
-            self._mul_table = [
-                [self.index_of(self._mul_coeffs(cs[a], cs[b])) for b in range(q)]
-                for a in range(q)
+            p, q = self.p, self.q
+            if self.k == 1:
+                self._mul_table = [[a * b % p for b in range(p)]
+                                   for a in range(p)]
+                return self._mul_table
+            exp = self._primitive_powers()
+            log = [0] * q
+            for e, x in enumerate(exp):
+                log[x] = e
+            exp += exp
+            logs = log[1:]
+            self._mul_table = [[0] * q] + [
+                [0] + [exp[la + lb] for lb in logs] for la in logs
             ]
         return self._mul_table
+
+    def _primitive_powers(self):
+        """The indices of g^0, ..., g^(q-2) for the primitive element g
+        of least index, found by powering each candidate with
+        ``_mul_coeffs`` until it returns to one."""
+        one = self.coeffs_of(self.one_index)
+        for candidate in range(1, self.q):
+            g = self.coeffs_of(candidate)
+            powers = [self.one_index]
+            x = g
+            while x != one:
+                powers.append(self.index_of(x))
+                x = self._mul_coeffs(x, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise InternalError(f"GF({self.q}) has no primitive element")
 
     def neg_table(self):
         if self._neg_table is None:

@@ -351,7 +351,7 @@ class Group:
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
-                 descriptor="", fld=None, dim=None):
+                 descriptor="", fld=None, dim=None, walk=None):
         if len(data) > GROUP_SIZE_CAP:
             raise SizeCapError(
                 f"group of order {len(data)} exceeds the size cap {GROUP_SIZE_CAP}"
@@ -384,12 +384,13 @@ class Group:
         self._branching = None
         self._lescot_memo = {}
         self._full = Subgroup(self, range(len(self._data)), _validate=False)
-        self._spot_check()
+        self._spot_check(walk)
 
-    def _spot_check(self):
+    def _spot_check(self, walk):
         # the walk that proves the set closed gives the whole group its
-        # generating set and right multiplication maps
-        if not _find_generators(self._full):
+        # generating set and right multiplication maps; ``walk`` is the
+        # greedy walk over ``data`` that a constructor ran already, if any
+        if not _find_generators(self._full, walk):
             raise InputError("element set is not closed under multiplication")
         # the walk reached every y as e s1 ... sk from e = data[0] by its
         # generators, so e e = e and s e = s for each generator s give
@@ -457,13 +458,14 @@ class Group:
             # a group needs at most log2(n) greedy generators, since each
             # one at least doubles the subgroup reached
             where = {d: i for i, d in enumerate(data)}
-            found = _right_walk(data, where, mul_data)[0]
+            walk = _right_walk(data, where, mul_data)
+            found = walk[0]
             if len(found) > len(table).bit_length() - 1:
                 raise InputError("multiplication table is not a group: it "
                                  "needs more than log2(n) generators")
             _light_test(table, [data[p] for p in found])
             return cls("table", mul_data, inv_data, identity, data,
-                       descriptor=descriptor)
+                       descriptor=descriptor, walk=walk)
         gens = []
         for g in generators:
             g = g.id if isinstance(g, Element) else int(g)
@@ -800,22 +802,25 @@ def generating_ids(H: Subgroup) -> tuple:
     return H._gens
 
 
-def _find_generators(H: Subgroup) -> bool:
+def _find_generators(H: Subgroup, walk=None) -> bool:
     """Keep on H its generating set, the right multiplication maps by it
     that its ``_right_walk`` recorded (until ``_conjugation_action`` has
     read them), and its abelian flag; False, with nothing kept, when the
-    walk finds H not closed under multiplication.  The greedy set's maps
-    settle the flag with no product: generators s and t commute exactly
-    when s t and t s have the same position.  A flag that a centralizer's
-    closure set earlier must agree with the walk's, or ``InternalError``
-    is raised."""
+    walk finds H not closed under multiplication.  When no generating
+    pair is found, the greedy set's walk is ``walk``, the ``_right_walk``
+    over ``_points(H)`` that a caller ran already, or else a new one.
+    The greedy set's maps settle the flag with no product: generators s
+    and t commute exactly when s t and t s have the same position.  A
+    flag that a centralizer's closure set earlier must agree with the
+    walk's, or ``InternalError`` is raised."""
     found = _generating_pair(H)
     if found is None:
-        points, where = _points(H)
-        found = _right_walk(points, where, H.group._mul_data)
-        if found is None:
+        if walk is None:
+            points, where = _points(H)
+            walk = _right_walk(points, where, H.group._mul_data)
+        if walk is None:
             return False
-        gens, maps = found
+        gens, maps = walk
         abelian = all(maps[j][s] == maps[i][t]
                       for i, s in enumerate(gens)
                       for j, t in enumerate(gens) if i < j)

@@ -1,6 +1,8 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 # catalog groups small enough for the element-level oracle identities
@@ -346,3 +348,33 @@ def sorted_signature_lump(B):
     quotient = [[sum(counts[u][blocks[bi][0]] for u in blocks[bj])
                  for bi in range(nblocks)] for bj in range(nblocks)]
     return blocks, quotient, block_of, block_of[B.root]
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, no child process of this one is left, running or
+    unreaped: ``verify --threads k`` reaps every worker it forks, on
+    success and on error alike."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_a_verify_child(monkeypatch, fail):
+    """Make the constant checks of the default grid, which run in a
+    forked child at two workers, call ``fail`` there; in this process
+    they raise AssertionError."""
+    from commprob import formulas
+
+    parent = os.getpid()
+    jobs = formulas._jobs("default")
+    const_jobs = {i for i, (_, job) in enumerate(jobs)
+                  if getattr(job, "func", None) is formulas._check_const}
+    assert const_jobs and not const_jobs & set(formulas._bins(jobs, 2)[0])
+
+    def check(name, value):
+        if os.getpid() == parent:
+            raise AssertionError("a constant check ran in the parent")
+        fail()
+
+    monkeypatch.setattr(formulas, "_check_const", check)

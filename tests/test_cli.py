@@ -9,10 +9,14 @@ import pytest
 from commprob.branching import build_branching
 from commprob.catalog import build
 from commprob.cli import _cache_path, cache_load, cache_store, main
+from commprob.errors import InputError, InternalError, SizeCapError
 from commprob.formulas import verify_suite
 from commprob.groups import centralizer, conjugacy_classes
+from conftest import fail_in_a_verify_child
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 @pytest.fixture
@@ -263,7 +267,8 @@ def test_threads_flag_only_on_verify(command):
 
 
 def test_verify_starts_no_thread(tmp_path, capsys, monkeypatch):
-    # --threads is accepted and ignored: the grid runs on the calling thread
+    # --threads k runs the grid in k processes, the calling one and k - 1
+    # forked ones, never in a thread
     def refuse(self):
         raise RuntimeError("verify started a thread")
 
@@ -274,6 +279,51 @@ def test_verify_starts_no_thread(tmp_path, capsys, monkeypatch):
     assert code == 1
     rows, _ = verify_suite("default")
     assert json.loads(path.read_text(encoding="utf-8")) == rows
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_threads_below_one_exit_2(tmp_path, capsys, threads):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--threads", threads,
+                         "--json", str(path))
+    assert code == 2
+    assert err == f"error: --threads must be at least 1, not {threads}\n"
+    assert out == "" and not path.exists()
+
+
+def test_verify_one_thread_forks_nothing(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("verify --threads 1 forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    code, out, _ = run(capsys, "verify", "--threads", "1")
+    assert code == 1
+    assert "mismatches:" in out
+
+
+@pytest.mark.parametrize("error, code", [
+    (InternalError("broken invariant"), 4),
+    (SizeCapError("too large"), 3),
+    (InputError("bad input"), 2),
+])
+def test_verify_error_in_a_worker_keeps_its_exit_code(capsys, monkeypatch,
+                                                      error, code):
+    def fail():
+        raise error
+
+    fail_in_a_verify_child(monkeypatch, fail)
+    got, out, err = run(capsys, "verify", "--threads", "2")
+    assert got == code
+    assert str(error) in err
+    assert "mismatches:" not in out
+
+
+def test_verify_worker_that_dies_exits_4(capsys, monkeypatch):
+    fail_in_a_verify_child(monkeypatch, lambda: os._exit(9))
+    code, _, err = run(capsys, "verify", "--threads", "2")
+    assert code == 4
+    assert err.startswith("internal error: a verify worker ended by exit "
+                          "status 9 with no result")
 
 
 def test_verify_json_on_stdout_is_one_document(capsys):

@@ -1,10 +1,14 @@
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 
 from commprob.branching import cp2_classcount
 from commprob.catalog import SMALL_GROUPS, build, metadata
-from commprob.errors import InputError
+from commprob import formulas
+from commprob.catalog import order_formula
+from commprob.errors import InputError, InternalError
 from commprob.formulas import (
     CP2_PSL2,
     K_PSL2,
@@ -26,6 +30,9 @@ from commprob.formulas import (
     verify_suite,
 )
 from commprob.groups import is_solvable
+from conftest import fail_in_a_verify_child
+
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 # -- polynomial helper --
@@ -198,3 +205,111 @@ def test_report_json_roundtrip():
     assert json.loads(report_json(rows)) == rows
     text = render_table(rows)
     assert "cp:GL2" in text and "MISMATCH" in text
+
+
+# -- verify workers --
+
+@pytest.fixture(scope="module")
+def serial():
+    """The serial rows and report of each grid."""
+    out = {}
+    for grid in ("default", "full"):
+        rows, ok = verify_suite(grid)
+        out[grid] = rows, ok, report_json(rows)
+    return out
+
+
+@pytest.mark.parametrize("grid, workers", [
+    ("default", 1), ("default", 2), ("default", 3), ("default", 8),
+    ("full", 2),
+])
+def test_workers_give_the_serial_rows_and_report(serial, grid, workers):
+    rows, ok = verify_suite(grid, workers)
+    assert (rows, ok, report_json(rows)) == serial[grid]
+
+
+def test_each_job_builds_the_groups_it_records(monkeypatch):
+    built = []
+    build = formulas.build
+
+    def recorded(desc):
+        built.append(desc)
+        return build(desc)
+
+    monkeypatch.setattr(formulas, "build", recorded)
+    for descriptors, job in formulas._jobs("default"):
+        built.clear()
+        job()
+        assert sorted(built) == sorted(descriptors), job
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 100])
+def test_bins_split_the_groups_by_order(workers):
+    jobs = formulas._jobs("default")
+    bins = formulas._bins(jobs, workers)
+    assert len(bins) <= workers
+    assert sorted(i for b in bins for i in b) == list(range(len(jobs)))
+    groups = [{d for i in b for d in jobs[i][0]} for b in bins]
+    # each group is built in one bin only, and bin 0 is the heaviest
+    assert sum(map(len, groups)) == len(set().union(*groups))
+    loads = [sum(order_formula(d) for d in g) for g in groups]
+    assert loads == sorted(loads, reverse=True)
+    if workers > 1:
+        assert groups[0] == {"GL(3,3)"}
+
+
+def test_workers_below_one_are_refused():
+    for workers in (0, -1):
+        with pytest.raises(InputError, match="at least 1"):
+            verify_suite("default", workers)
+
+
+def test_a_child_that_exits_without_a_result_is_an_internal_error(monkeypatch):
+    fail_in_a_verify_child(monkeypatch, lambda: os._exit(9))
+    with pytest.raises(InternalError, match="exit status 9 with no result"):
+        verify_suite("default", 2)
+
+
+def test_an_error_in_the_parents_bin_reaps_every_child(monkeypatch):
+    # GL(3,3), the heaviest group, is built in the parent at two workers
+    parent = os.getpid()
+    check_table = formulas._check_table
+
+    def check(fam, q):
+        if os.getpid() == parent and fam.name == "GL3" and q == 3:
+            raise InternalError("failed in the parent")
+        return check_table(fam, q)
+
+    monkeypatch.setattr(formulas, "_check_table", check)
+    with pytest.raises(InternalError, match="failed in the parent"):
+        verify_suite("default", 2)
+
+
+def test_a_second_thread_keeps_the_grid_serial(serial, monkeypatch):
+    def refuse():
+        raise AssertionError("verify forked with a second thread running")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        rows, _ = verify_suite("default", 2)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert rows == serial["default"][0]
+
+
+def test_a_failed_fork_runs_the_bin_serially(serial, monkeypatch):
+    forks = []
+
+    def fail():
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fail)
+    rows, _ = verify_suite("default", 3)
+    assert len(forks) == 2
+    assert rows == serial["default"][0]

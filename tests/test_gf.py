@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from commprob.errors import InputError, SizeCapError
 from commprob.gf import (
+    FieldSpec,
     add,
     field,
     frobenius,
@@ -92,6 +94,30 @@ def test_dense_tables_stop_at_the_table_cap():
     with pytest.raises(SizeCapError):
         F.add_table()
     assert len(field(2, 10).neg_table()) == 1024
+
+
+def _coefficient_tables(F, rows):
+    """Rows ``rows`` of F's addition and multiplication tables, entry by
+    entry through coefficient vectors."""
+    cs = [F.coeffs_of(i) for i in range(F.q)]
+    add = [[F.index_of(F._add_coeffs(cs[a], c)) for c in cs] for a in rows]
+    mul = [[F.index_of(F._mul_coeffs(cs[a], c)) for c in cs] for a in rows]
+    return add, mul
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if prime_power(q)])
+def test_dense_tables_equal_the_coefficient_path(q):
+    F = FieldSpec(*prime_power(q))
+    assert (F.add_table(), F.mul_table()) == _coefficient_tables(F, range(q))
+
+
+@pytest.mark.parametrize("p, k", [(1021, 1), (2, 10)])
+def test_dense_tables_of_the_largest_fields_on_sampled_rows(p, k):
+    F = FieldSpec(p, k)
+    rows = [0, 1, F.one_index, F.q - 1] + random.Random(p).sample(range(F.q), 8)
+    add, mul = F.add_table(), F.mul_table()
+    assert ([add[a] for a in rows], [mul[a] for a in rows]) == \
+        _coefficient_tables(F, rows)
 
 
 def test_gf2_elements():

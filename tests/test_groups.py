@@ -235,6 +235,26 @@ def test_group_from_table_rejects_one_bad_entry(value, match):
     assert Group.from_table(_cyclic_table(256)).order == 256
 
 
+def test_group_from_table_walks_an_abelian_table_once(monkeypatch):
+    # an abelian table has no generating pair, so the constructor takes
+    # the greedy walk that Light's test ran instead of walking again
+    from commprob import groups
+
+    walks = []
+    walk = groups._right_walk
+
+    def counted(points, where, mul, gens=()):
+        walks.append((len(points), tuple(gens)))
+        return walk(points, where, mul, gens)
+
+    monkeypatch.setattr(groups, "_right_walk", counted)
+    G = Group.from_table(_cyclic_table(256))
+    assert walks == [(256, ())]
+    assert G.full()._gens == (1,)
+    assert is_abelian(G.full())
+    assert G.mul(255, 1) == 0
+
+
 def test_group_from_table_rejects_unclosed_generated_subset():
     # 1 generates {0, 1, 2} by left multiplication, but 2 * 2 = 3
     table = [
