@@ -53,6 +53,7 @@ whole group for its classes and of each centralizer it walks.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from bisect import bisect_left
@@ -345,13 +346,13 @@ class Group:
     """An enumerated finite group with deterministic integer ids."""
 
     __slots__ = (
-        "kind", "descriptor", "field", "dim",
+        "kind", "descriptor", "field", "dim", "_det",
         "_data", "_ids", "_inv", "_mul_data", "_inv_data",
         "_subgroups", "_full", "_branching", "_lescot_memo",
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
-                 descriptor="", fld=None, dim=None, walk=None):
+                 descriptor="", fld=None, dim=None, walk=None, det=None):
         if len(data) > GROUP_SIZE_CAP:
             raise SizeCapError(
                 f"group of order {len(data)} exceeds the size cap {GROUP_SIZE_CAP}"
@@ -362,6 +363,8 @@ class Group:
         self.descriptor = descriptor
         self.field = fld
         self.dim = dim
+        # a matrix group's determinant, for the pair search
+        self._det = det
         self._mul_data = mul_data
         self._inv_data = inv_data
         self._data = list(data)
@@ -430,14 +433,14 @@ class Group:
                 raise InputError("generator matrix is not invertible")
         data, _ = _bfs_closure(ops.mul, ops.identity, gens)
         return cls("matrix", ops.mul, ops.inv, ops.identity, data,
-                   descriptor=descriptor, fld=fld, dim=d)
+                   descriptor=descriptor, fld=fld, dim=d, det=ops.det)
 
     @classmethod
     def from_matrix_list(cls, fld, d, elements, descriptor=""):
         ops = matrix_operations(fld, d)
         data = _identity_first(elements, ops.identity)
         return cls("matrix", ops.mul, ops.inv, ops.identity, data,
-                   descriptor=descriptor, fld=fld, dim=d)
+                   descriptor=descriptor, fld=fld, dim=d, det=ops.det)
 
     @classmethod
     def from_table(cls, table, descriptor="", generators=None):
@@ -839,6 +842,22 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     return True
 
 
+def _unit_order(fld: FieldSpec, units) -> int:
+    """The order of the subgroup of GF(q)* that the nonzero field
+    indices ``units`` generate: the lcm of their orders, since GF(q)* is
+    cyclic."""
+    mul = fld.mul_table()
+    one = fld.one_index
+    order = 1
+    for u in set(units):
+        k, x = 1, u
+        while x != one:
+            x = mul[x][u]
+            k += 1
+        order = math.lcm(order, k)
+    return order
+
+
 def _generating_pair(H: Subgroup):
     """Two ids that generate H, with the right multiplication maps by
     them, or None: at most ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by
@@ -847,17 +866,34 @@ def _generating_pair(H: Subgroup):
     other pair is kept when its ``_right_walk`` reaches every member, at
     2 products per member it reaches; on a set not yet known to be a
     group, that also proves it closed.  Every group of order below 6 is
-    abelian, so those are not searched."""
+    abelian, so those are not searched.
+
+    In a matrix group, a pair that generates H has determinants that
+    generate det(H), which holds those of every drawn member; so a pair
+    whose two determinants generate a smaller subgroup of the field's
+    units than all the drawn ones do is rejected with no walk.  It could
+    not have generated H, so the pair chosen is the one that walking
+    every pair would choose."""
     key = H.key
     if len(key) < 6:
         return None
     points, where = _points(H)
-    mul = H.group._mul_data
+    G = H.group
+    mul = G._mul_data
+    det = G._det
     rng = random.Random(_PAIR_SEED)
-    for _ in range(_PAIR_TRIALS):
-        a, b = sorted(rng.sample(range(len(key)), 2))
+    draws = [sorted(rng.sample(range(len(key)), 2))
+             for _ in range(_PAIR_TRIALS)]
+    units = None  # the order of the units all drawn determinants generate
+    for a, b in draws:
         if mul(points[a], points[b]) == mul(points[b], points[a]):
             continue
+        if det is not None:
+            if units is None:
+                units = _unit_order(G.field, [det(points[p])
+                                              for pair in draws for p in pair])
+            if _unit_order(G.field, (det(points[a]), det(points[b]))) < units:
+                continue
         walk = _right_walk(points, where, mul, (a, b))
         if walk is not None:
             return (key[a], key[b]), walk[1]

@@ -385,8 +385,10 @@ def test_construction_rejects_an_element_that_is_not_the_identity():
 
 
 # 2 products per element of each proper subgroup that a drawn pair
-# generates before the pair that generates the whole group
-FAILED_PAIR_PRODUCTS = {"GL(2,5)": 2 * (48 + 120 + 32), "PSL(2,9)": 2 * (60 + 6)}
+# generates before the pair that generates the whole group; GL(2,5)'s
+# pairs that generate subgroups of order 48 and 120 (SL(2,5)) are
+# rejected by their determinants with no walk
+FAILED_PAIR_PRODUCTS = {"GL(2,5)": 2 * 32, "PSL(2,9)": 2 * (60 + 6)}
 
 
 @pytest.mark.parametrize("desc", ["GL(3,2)", "PSL(2,7)", "GL(2,4)",
@@ -1004,6 +1006,85 @@ def test_generating_pair_falls_back_to_greedy():
     assert groups._generating_pair(H) is None
     assert len(generating_ids(H)) == 3
     assert len(groups._conjugation_action(H)) == 3
+
+
+def reference_pair(H):
+    """The ids of the first non-commuting pair drawn for H whose
+    ``_right_walk`` reaches every member, or None: the pair search
+    without the determinant test, every such pair walked."""
+    key = H.key
+    if len(key) < 6:
+        return None
+    points = [H.group.data_of(h) for h in key]
+    where = {y: i for i, y in enumerate(points)}
+    mul = H.group._mul_data
+    rng = random.Random(groups._PAIR_SEED)
+    for _ in range(groups._PAIR_TRIALS):
+        a, b = sorted(rng.sample(range(len(key)), 2))
+        if mul(points[a], points[b]) == mul(points[b], points[a]):
+            continue
+        if groups._right_walk(points, where, mul, (a, b)) is not None:
+            return key[a], key[b]
+    return None
+
+
+def found_pair(H):
+    found = groups._generating_pair(H)
+    return found and found[0]
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS + (
+    "GL(3,2)", "PSL(2,7)", "GL(2,4)", "GL(2,5)", "U(3,2)", "PSL(2,9)",
+    "SL(2,5)", "U(2,4)", "U(2,5)", "Sp(2,7)", "GL(2,7)", "GL(2,9)",
+    "GL(3,3)", "U(3,3)"))
+def test_determinant_test_keeps_the_generating_pair(desc):
+    # a pair rejected by its determinants could not have generated the
+    # group, so the pair found is the one the plain search walks to
+    assert found_pair(build(desc).full()) == reference_pair(build(desc).full())
+
+
+@pytest.mark.parametrize("desc", ["GL(2,5)", "U(3,2)"])
+def test_determinant_test_keeps_every_state_pair(desc):
+    # the same on every subgroup that branching draws pairs for
+    G = build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        assert found_pair(H) == reference_pair(H), (desc, st.key)
+
+
+def test_unitary_construction_walks_one_pair(monkeypatch):
+    # U(3,3)'s first two non-commuting pairs have determinants of order 1
+    # and 2 in the units of order 4 that the drawn determinants generate,
+    # so only the third pair is walked
+    walks = []
+    walk = groups._right_walk
+
+    def counted(points, where, mul, gens=()):
+        walks.append(tuple(gens))
+        return walk(points, where, mul, gens)
+
+    monkeypatch.setattr(groups, "_right_walk", counted)
+    G = fresh_build("U(3,3)")
+    assert len(walks) == 1
+    assert generating_ids(G.full()) == tuple(G.full().key[p] for p in walks[0])
+
+
+def test_unit_order_is_the_lcm_of_the_orders():
+    # GF(9)* is cyclic of order 8: against the subgroup grown by products
+    fld = field(3, 2)
+    mul = fld.mul_table()
+    units = range(1, fld.q)
+    for u in units:
+        for v in units:
+            generated = {fld.one_index}
+            while True:
+                grown = generated | {mul[x][w] for x in generated
+                                     for w in (u, v)}
+                if grown == generated:
+                    break
+                generated = grown
+            assert groups._unit_order(fld, (u, v)) == len(generated)
+    assert groups._unit_order(fld, ()) == 1
 
 
 def test_dimino_closure_keeps_the_group_data():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import os
@@ -216,6 +217,9 @@ def test_matrix_algebra_pairs_d2():
 def test_matrix_algebra_budget():
     with pytest.raises(BudgetError):
         commuting_pairs_matrix_algebra(2, 5)
+    # 547^2 = 299,209 pairs are within the budget, 557^2 are not
+    with pytest.raises(BudgetError, match="310249 candidate pairs"):
+        commuting_pairs_matrix_algebra(1, 557)
 
 
 def test_pair_orbits_build_one_centralizer_table(monkeypatch):
@@ -732,11 +736,33 @@ def test_central_classes_are_never_walked(monkeypatch, desc, n, central):
     assert sorted(set(levels)) == list(range(1, n + 1))
 
 
-@pytest.mark.parametrize("d, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+# q = 257 and 547 have row codes wider than a byte, 547 at the budget edge
+@pytest.mark.parametrize("d, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9,
+                                                   257, 547)] + [
     (2, 2), (2, 3), (2, 4), (3, 2)])
 def test_row_table_scan_matches_the_straight_line_scan(d, q):
     pairs = commuting_pairs_matrix_algebra(d, q)
     assert pairs == straight_line_pairs(d, q) == feit_fine_pairs(d, q)
+
+
+@pytest.mark.parametrize("d, q", [(1, 257), (2, 3), (3, 2)])
+def test_pair_scan_multiplies_only_for_the_square_check(monkeypatch, d, q):
+    # one straight-line product per matrix, A.A against its row table;
+    # AB and BA come from the tables alone
+    calls = [0]
+    operations = matrix_operations
+
+    def counted_operations(fld, dim):
+        ops = operations(fld, dim)
+
+        def mul(A, B):
+            calls[0] += 1
+            return ops.mul(A, B)
+        return dataclasses.replace(ops, mul=mul)
+
+    monkeypatch.setattr(oracle, "matrix_operations", counted_operations)
+    assert commuting_pairs_matrix_algebra(d, q) == feit_fine_pairs(d, q)
+    assert calls[0] == q ** (d * d)
 
 
 def corrupt_one_square(row_tables):
@@ -756,6 +782,15 @@ def test_a_corrupted_row_table_fails_the_square_check(monkeypatch):
     with pytest.raises(InternalError, match=r"the row table of \(2, 2, 2, 2\) "
                        r"over GF\(3\) gives a wrong square"):
         commuting_pairs_matrix_algebra(2, 3)
+
+
+def test_a_corrupted_wide_row_table_fails_the_square_check(monkeypatch):
+    # codes wider than a byte take the 2-byte lanes after the same check
+    monkeypatch.setattr(oracle, "_row_tables",
+                        corrupt_one_square(oracle._row_tables))
+    with pytest.raises(InternalError, match=r"the row table of \(256,\) "
+                       r"over GF\(257\) gives a wrong square"):
+        commuting_pairs_matrix_algebra(1, 257)
 
 
 def test_a_corrupted_row_table_fails_under_optimize():
