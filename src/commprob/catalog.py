@@ -339,11 +339,12 @@ def _build_unitary(descriptor, d, q):
     A frame of chosen columns keeps its candidate list, the unit vectors
     orthogonal to every chosen column, in ascending index order; choosing
     column c narrows it to the candidates in ``orth[c]``.  The first
-    column ranges over all unit vectors and each later one over the
-    candidates, the last one without narrowing them further, so the
-    matrices come out in the order of a scan that tests every unit
-    vector against every chosen column, without any form evaluation
-    after the graph is built."""
+    column ranges over all unit vectors, the second over the sorted
+    ``orth`` set of the first, and each later one over the candidates,
+    the last one without narrowing them further, so the matrices come
+    out in the order of a scan that tests every unit vector against
+    every chosen column, without any form evaluation after the graph is
+    built."""
     p, k = prime_power(q)
     ext = field(p, 2 * k)
     add = ext.add_table()
@@ -387,7 +388,9 @@ def _build_unitary(descriptor, d, q):
             oc = orth[c]
             extend(cols + [c], [j for j in candidates if j in oc])
 
-    extend([], range(len(unit)))
+    for c, oc in enumerate(orth):
+        # the second column's candidates: every unit vector orthogonal to c
+        extend([c], sorted(oc))
     return Group.from_matrix_list(ext, d, mats, descriptor)
 
 

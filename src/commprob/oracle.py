@@ -35,9 +35,13 @@ map per generator of Z(x), kept as a tuple of positions in sorted Z(x)
 and made an id map only while it is walked.  The check proves each map
 a conjugation by an element of Z(x), so it fixes x and keeps Z(x).
 Only the tuples that start with x are enumerated and walked, one class
-at a time.  Z(x) is abelian exactly when it holds |Z(x)|^2 commuting
-pairs, a count that Burnside's sum makes anyway; then each tuple is its
-own orbit, the block is only listed and holds no visited set.  The
+at a time.  One backtracking enumerator serves both: it stops one level
+short, at each commuting (n-1)-tuple prefix (x, t2, ..., t(n-1)) with
+the set C of ids that complete it.  Z(x) is abelian exactly when it
+holds |Z(x)|^2 commuting pairs, a count that Burnside's sum makes
+anyway; then each tuple is its own orbit, and the block is only
+counted, as the sum of the |C|, with no tuple formed and no visited set.
+A walked block forms prefix + (y,) for y in sorted C.  The
 memory guard is checked against the largest block that a walk holds,
 one whose Z(x) is neither abelian nor the whole group.  The tails of
 the tuples (x, t2, ..., tn) depend only on Z(x), and the maps fix x, so
@@ -188,16 +192,17 @@ def _count(cents, memo: dict, C: frozenset, m: int) -> int:
     return val
 
 
-def _commuting_tuples(cents, n: int, x: int):
-    """Yield every commuting n-tuple (n >= 2) of ids that starts with x,
-    in lexicographic order: pick t2 in Z(x), then t3 in Z(x) & Z(t2), and
-    so on."""
+def _completions(cents, n: int, x: int):
+    """Yield (prefix, C) for every commuting (n-1)-tuple prefix (n >= 2)
+    that starts with x, in lexicographic order, where C, the intersection
+    of the centralizers of the prefix's entries, holds the ids y that
+    complete it to the commuting n-tuple prefix + (y,): pick t2 in Z(x),
+    then t3 in Z(x) & Z(t2), and so on, one level short of n."""
     stack = [((x,), cents[x])]
     while stack:
         prefix, C = stack.pop()
         if len(prefix) == n - 1:
-            for y in sorted(C):
-                yield prefix + (y,)
+            yield prefix, C
         else:
             for y in sorted(C, reverse=True):
                 stack.append((prefix + (y,), C & cents[y]))
@@ -232,18 +237,21 @@ def _block_orbits(cents, n: int, x: int, maps):
     n-tuples that start with x, under x's stabilizer, Z(x) acting on
     Z(x) by conjugation: ``maps`` are the action of its generators from
     ``_checked_maps``, as tuples of positions in sorted Z(x), and empty
-    when Z(x) is abelian, where each tuple is its own orbit and nothing
-    is held.  Otherwise it is a walk that starts an orbit at each tuple
-    not reached yet, with a visited set freed on return; (x,) is fixed
-    by every map.  The numbers depend only on Z(x), so the caller walks
-    each distinct Z(x) once and reuses the result.  The position maps
-    become id maps for this walk only."""
+    when Z(x) is abelian.  Both read the (prefix, C) pairs of
+    ``_completions``.  An abelian block is counted: each tuple is its own
+    orbit, so all three numbers are the sum of the |C|, and no tuple is
+    formed or held.  Otherwise it is a walk over the tuples prefix + (y,)
+    for y in sorted C, in lexicographic order, that starts an orbit at
+    each tuple not reached yet, with a visited set freed on return; (x,)
+    is fixed by every map.  The numbers depend only on Z(x), so the
+    caller walks each distinct Z(x) once and reuses the result.  The
+    position maps become id maps for this walk only."""
     if n == 1:
         return 1, 1, 1
-    tuples = _commuting_tuples(cents, n, x)
+    completions = _completions(cents, n, x)
     if not maps:
-        listed = sum(1 for _ in tuples)
-        return listed, listed, listed
+        counted = sum(len(C) for _, C in completions)
+        return counted, counted, counted
     zx = sorted(cents[x])
     fixed = list(range(len(cents)))  # copied, so the maps share its ints
     id_maps = []
@@ -254,18 +262,20 @@ def _block_orbits(cents, n: int, x: int, maps):
         id_maps.append(perm)
     visited = set()
     enumerated = orbit_count = 0
-    for t in tuples:
-        enumerated += 1
-        if t in visited:
-            continue
-        orbit_count += 1
-        visited.add(t)
-        stack = [t]
-        while stack:
-            for img in map(itemgetter(*stack.pop()), id_maps):
-                if img not in visited:
-                    visited.add(img)
-                    stack.append(img)
+    for prefix, C in completions:
+        enumerated += len(C)
+        for y in sorted(C):
+            t = prefix + (y,)
+            if t in visited:
+                continue
+            orbit_count += 1
+            visited.add(t)
+            stack = [t]
+            while stack:
+                for img in map(itemgetter(*stack.pop()), id_maps):
+                    if img not in visited:
+                        visited.add(img)
+                        stack.append(img)
     return enumerated, orbit_count, len(visited)
 
 

@@ -600,6 +600,33 @@ def test_conjugation_action_matches_conj_on_catalog_states():
                     (desc, st.key, s)
 
 
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
+def test_conjugation_action_built_by_another_thread(monkeypatch, desc):
+    # another thread may build the action, and drop the right maps,
+    # between this call's generating_ids and its read of the maps; the
+    # stub plays that thread once, with the plain generating_ids, so the
+    # first call finds the maps gone and returns the other call's action
+    G = fresh_build(desc)
+    H = G.full()
+    assert H._action is None and H._right is not None
+    plain = groups.generating_ids
+    other = []
+
+    def racing(H):
+        gens = plain(H)
+        monkeypatch.setattr(groups, "generating_ids", plain)
+        other.append(groups._conjugation_action(H))
+        return gens
+
+    monkeypatch.setattr(groups, "generating_ids", racing)
+    action = groups._conjugation_action(H)
+    assert len(other) == 1
+    assert action is other[0] is H._action
+    assert H._right is None
+    for s, perm in zip(generating_ids(H), action):
+        assert list(perm) == [G.conj(s, h) for h in range(G.order)], s
+
+
 def test_inverse_table_matches_inv_data():
     for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
         G = build(desc)

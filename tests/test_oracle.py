@@ -34,7 +34,9 @@ def tuples_from(cents, n, firsts):
         if n == 1:
             yield (x,)
         else:
-            yield from oracle._commuting_tuples(cents, n, x)
+            for prefix, C in oracle._completions(cents, n, x):
+                for y in sorted(C):
+                    yield prefix + (y,)
 
 
 def whole_block_orbits(cents, maps, n, members):
@@ -356,15 +358,85 @@ def test_a_walk_that_leaves_its_block_fails_the_reach_check(monkeypatch):
 
 
 def test_a_missed_tuple_fails_the_enumeration_check(monkeypatch):
-    # an enumeration that skips the first tuple of every representative;
-    # the first one walked is the transposition 1
-    listed = oracle._commuting_tuples
-    monkeypatch.setattr(
-        oracle, "_commuting_tuples",
-        lambda cents, n, x: itertools.islice(listed(cents, n, x), 1, None))
+    # an enumeration whose first candidate set of every representative
+    # lacks its smallest id, so each block loses its first tuple; the
+    # first block counted is that of the transposition 1, whose
+    # Z(1) = {0, 1} is abelian
+    completions = oracle._completions
+
+    def first_short(cents, n, x):
+        pairs = completions(cents, n, x)
+        prefix, C = next(pairs)
+        yield prefix, C - {min(C)}
+        yield from pairs
+
+    monkeypatch.setattr(oracle, "_completions", first_short)
     with pytest.raises(InternalError, match="enumerated 1 commuting tuples "
                        "starting with 1, counted 2"):
         simultaneous_classes_count(build("S(3)"), 2)
+
+
+def test_a_missed_tuple_in_a_walked_block_fails_the_enumeration_check(
+        monkeypatch):
+    # in S(4), the double transposition 5 has Z(5) a dihedral group of
+    # order 8, neither abelian nor central, so its block is walked; its
+    # last candidate set, without its largest id, loses one of 8 pairs
+    G = build("S(4)")
+    cents = oracle._centralizer_table(G, 2, oracle.DEFAULT_BUDGET)[0]
+    assert len(cents[5]) == 8 and walk_maps(G, cents, 5)
+    completions = oracle._completions
+
+    def last_short(cents, n, x):
+        pairs = list(completions(cents, n, x))
+        if x == 5:
+            prefix, C = pairs[-1]
+            pairs[-1] = prefix, C - {max(C)}
+        return iter(pairs)
+
+    monkeypatch.setattr(oracle, "_completions", last_short)
+    with pytest.raises(InternalError, match="enumerated 7 commuting tuples "
+                       "starting with 5, counted 8"):
+        simultaneous_classes_count(G, 2)
+
+
+def formed_tuples(monkeypatch):
+    """Wrap ``oracle._completions`` so that every prefix it yields records
+    the tuples formed from it: returns (pairs yielded per level, lengths
+    of the tuples formed)."""
+    completions = oracle._completions
+    pairs = {}
+    formed = []
+
+    class Prefix(tuple):
+        def __add__(self, other):
+            formed.append(len(self) + len(other))
+            return tuple(self) + other
+
+    def recorded(cents, n, x):
+        for prefix, C in completions(cents, n, x):
+            pairs[n] = pairs.get(n, 0) + 1
+            yield Prefix(prefix), C
+
+    monkeypatch.setattr(oracle, "_completions", recorded)
+    return pairs, formed
+
+
+def test_abelian_blocks_are_counted_without_forming_tuples(monkeypatch):
+    # D(16) at n = 5: every block that is not central has an abelian
+    # Z(x), so the levels 2..5 yield only (prefix, C) pairs, and no
+    # tuple of the 70,584 they count is formed
+    pairs, formed = formed_tuples(monkeypatch)
+    report = simultaneous_classes_count(build("D(16)"), 5)
+    assert (report.tuple_count, report.orbit_count) == (1056512, 525296)
+    assert formed == []
+    # one count per distinct Z(x) (3 of them) and level: each yields one
+    # pair per commuting (m-1)-prefix of its block
+    assert pairs == {2: 3, 3: 24, 4: 288, 5: 4224}
+    # a walked block forms every tuple it walks: S(4) at n = 2 walks
+    # the 8 pairs (5, t) of the double transposition's dihedral Z(5)
+    pairs, formed = formed_tuples(monkeypatch)
+    simultaneous_classes_count(build("S(4)"), 2)
+    assert formed == [2] * 8
 
 
 def test_each_level_has_its_own_burnside_check(monkeypatch):
