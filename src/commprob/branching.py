@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -61,23 +62,31 @@ class BranchingMatrix:
         return self.states[self.root].class_count
 
     def column_sums(self) -> list:
-        n = len(self.states)
-        return [sum(self.counts[j][i] for j in range(n)) for i in range(n)]
+        return [sum(column) for column in zip(*self.counts)]
 
 
 def count_via_matrix(counts, root: int, n: int) -> int:
     """1^T M^n e_root for a square nonnegative integer matrix, by
-    iterated matrix-vector products in exact integers."""
+    iterated matrix-vector products in exact integers.  Each product
+    multiplies only the nonzero entries of the vector by the nonzero
+    entries of their columns, read once per call."""
     if n < 0:
         raise InputError("power must be nonnegative")
     size = len(counts)
     vec = [0] * size
     vec[root] = 1
+    # the nonzero entries (j, counts[j][i]) of each column i
+    columns = [[] for _ in range(size)]
+    for j, row in enumerate(counts):
+        for i in compress(range(size), row):
+            columns[i].append((j, row[i]))
     for _ in range(n):
-        vec = [
-            sum(row[i] * vec[i] for i in range(size) if vec[i])
-            for row in counts
-        ]
+        nxt = [0] * size
+        for i, v in enumerate(vec):
+            if v:
+                for j, c in columns[i]:
+                    nxt[j] += c * v
+        vec = nxt
     return sum(vec)
 
 
@@ -137,9 +146,10 @@ def build_branching(G: Group) -> BranchingMatrix:
 
 def _validate_matrix(bm: BranchingMatrix):
     """Raise InternalError unless the entries are nonnegative, column i
-    sums to k of state i, and every abelian state is absorbing."""
-    size = len(bm.states)
-    if any(c < 0 for row in bm.counts for c in row):
+    sums to k of state i, and every abelian state is absorbing.  With no
+    negative entry, an abelian column has a foreign branch exactly when
+    it sums to more than its diagonal entry."""
+    if min(map(min, bm.counts)) < 0:
         raise InternalError("the matrix has a negative entry")
     sums = bm.column_sums()
     for i, st in enumerate(bm.states):
@@ -150,9 +160,8 @@ def _validate_matrix(bm: BranchingMatrix):
         if st.abelian:
             if bm.counts[i][i] != st.order:
                 raise InternalError(f"abelian state {i} is not absorbing")
-            for j in range(size):
-                if j != i and bm.counts[j][i] != 0:
-                    raise InternalError(f"abelian state {i} has a foreign branch")
+            if sums[i] != st.order:
+                raise InternalError(f"abelian state {i} has a foreign branch")
 
 
 def c_tuples(B: BranchingMatrix, n: int) -> int:
@@ -172,14 +181,17 @@ def cp_via_branching(G: Group, n: int) -> Fraction:
 
 def cp_via_lescot(G: Group, n: int) -> Fraction:
     """cp_n(G) through Lescot's recurrence over centralizer subgroups,
+    run on integer counts: N_m(H) = |Hom(Z^m, H)|, the number of
+    commuting m-tuples of H, is
 
-        cp_m(H) = sum over classes c of H of cp_{m-1}(C_H(c)) / |c|^(m-2) / |H|,
+        N_m(H) = sum over classes c of H of |c| N_{m-1}(C_H(c)),
 
-    with cp_1 = 1 and cp_m(H) = 1 for abelian H, memoized by (subgroup, m).
+    with N_1(H) = |H| and N_m(H) = |H|^m for abelian H, memoized by
+    (subgroup, m), and cp_n(G) = N_n(G) / |G|^n is one ``Fraction``.
 
     A central class centralizes to H itself, so a recursion would be as
     deep as n.  Instead the states that level m needs are collected from
-    m = n down, then valued from m = 2 up."""
+    m = n down, then counted from m = 2 up."""
     if n < 2:
         raise InputError("commuting probability needs n >= 2")
     memo = G._lescot_memo
@@ -203,14 +215,13 @@ def cp_via_lescot(G: Group, n: int) -> Fraction:
             if (H, m) in memo:
                 continue
             if not branch(H):
-                memo[(H, m)] = Fraction(1)
-                continue
-            total = Fraction(0)
-            for Z, size in branch(H):
-                below = memo[(Z, m - 1)] if m > 2 else 1
-                total += Fraction(below, size ** (m - 2))
-            memo[(H, m)] = total / H.order
-    return memo[(G.full(), n)]
+                memo[(H, m)] = H.order ** m
+            elif m > 2:
+                memo[(H, m)] = sum(size * memo[(Z, m - 1)]
+                                   for Z, size in branch(H))
+            else:
+                memo[(H, m)] = sum(size * Z.order for Z, size in branch(H))
+    return Fraction(memo[(G.full(), n)], G.order ** n)
 
 
 def cp2_classcount(G: Group) -> Fraction:

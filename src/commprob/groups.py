@@ -33,15 +33,17 @@ non-abelian subgroup H gets, on first use, the conjugation action of
 that set as integer permutations of the positions in ``H.key``, read
 from the maps with no product and kept on the subgroup, which then
 drops the maps: the walk's are the only products the action needs, and
-after it every orbit walk is integer indexing.
-The center is the set of points every permutation fixes, and every orbit
-is grown by one kernel, ``_orbit_tree``: a breadth-first tree of a
-seed's orbit with parent pointers, grown lazily, so that a caller can
-stop it.  Conjugacy classes are its whole orbits.  Centralizers are the
-point stabilizers: their order |H| / |x^H| is read from the classes,
-and the tree of x is grown only until the Schreier generators of its
-non-tree edges, formed from a lazily built transversal, close to that
-order in an incremental Dimino closure.  Those generators also settle
+after it every orbit walk is integer indexing.  The permutation of a
+generator s is y -> s^-1 y s, three gathers of the recorded map
+y -> y s and the inversion.  The center is the set of points every
+permutation fixes.  Conjugacy classes are the orbits, each grown by a
+flat loop with a ``bytearray`` of the points seen.  The one tree walk,
+``_orbit_tree``, grows a breadth-first tree of a seed's orbit with
+parent pointers, lazily, so that a caller can stop it.  Centralizers
+are the point stabilizers: their order |H| / |x^H| is read from the
+classes, and the tree of x is grown only until the Schreier generators
+of its non-tree edges, formed from a lazily built transversal, close to
+that order in an incremental Dimino closure.  Those generators also settle
 whether Z(x) is abelian, so an abelian centralizer is never walked for
 generators.  Z(y) = Z(x) exactly when y is in the center of Z(x) and
 has x's class size, so one closure answers every such y: each distinct
@@ -915,12 +917,13 @@ def _orbit_tree(perms, seed):
     whole orbit; a caller that stops early holds the tree as far as it
     has grown.
 
-    This is the one orbit walk here (orbit–stabilizer; Holt–Eick–O'Brien,
-    *Handbook of Computational Group Theory*, §4.1): conjugacy classes
-    read whole orbits from it, the oracle reads each class once for its
-    centralizer table, and ``centralizer`` reads its Schreier generators
-    from the non-tree edges and stops it once they have closed the
-    stabilizer.  It makes no product."""
+    This is the one tree walk here (orbit–stabilizer; Holt–Eick–O'Brien,
+    *Handbook of Computational Group Theory*, §4.1), for the readers of
+    the tree: ``centralizer`` reads its Schreier generators from the
+    non-tree edges and stops it once they have closed the stabilizer,
+    and the oracle carries each centralizer along the tree's paths.
+    Conjugacy classes need only the orbits, so they grow them with a
+    flat loop instead.  It makes no product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]
@@ -942,7 +945,8 @@ def _orbit_tree(perms, seed):
 
 def _whole_orbit_tree(perms, seed) -> tuple:
     """The tree ``(orbit, index, up, via)`` of ``_orbit_tree`` run to the
-    end: the whole orbit of ``seed``."""
+    end: the whole orbit of ``seed`` with its parent pointers, which the
+    oracle's centralizer table follows."""
     walk = _orbit_tree(perms, seed)
     tree = next(walk)
     deque(walk, maxlen=0)
@@ -950,18 +954,19 @@ def _whole_orbit_tree(perms, seed) -> tuple:
 
 
 def _conjugation_action(H: Subgroup) -> list:
-    """The conjugation action y -> s y s^-1 of each generator s in
+    """The conjugation action y -> s^-1 y s of each generator s in
     ``generating_ids(H)`` on H, as one integer permutation per generator,
     in the same order: an ``array('i')`` over the positions in ``H.key``
-    (for the whole group, positions are ids).
+    (for the whole group, positions are ids).  The permutations generate
+    the group of all conjugations of H, so its orbits are the classes.
 
     It makes no product: the walk that found the generating set recorded
-    the right multiplication y -> y s, whose inverse permutation is
-    R(y) = y s^-1, and since s z = (z^-1 s^-1)^-1 the conjugation is
-    y -> inv(R(inv(R(y)))), with inv the points' inversion as positions.
-    It is kept on the subgroup, so it is built once; every orbit walk
-    after that is integer indexing.  Nothing reads the maps after it, so
-    the subgroup drops them."""
+    the right multiplication R(y) = y s, and since s^-1 y s is
+    (s^-1 y^-1 s)^-1 = inv(R(inv(R(y)))), with inv the points' inversion
+    as positions, the permutation is three gathers of R and inv.  It is
+    kept on the subgroup, so it is built once; every orbit walk after
+    that is integer indexing.  Nothing reads the maps after it, so the
+    subgroup drops them."""
     if H._action is not None:
         return H._action
     generating_ids(H)
@@ -974,14 +979,10 @@ def _conjugation_action(H: Subgroup) -> list:
     if len(key) == len(G._data):
         pinv = G._inv
     else:
-        pinv = array("i", [bisect_left(key, G._inv[h]) for h in key])
-    action = []
-    for right in rights:
-        R = array("i", right)
-        for y, z in enumerate(right):
-            R[z] = y
-        action.append(array("i", map(pinv.__getitem__, map(
-            R.__getitem__, map(pinv.__getitem__, R)))))
+        where = dict(zip(key, range(len(key))))
+        pinv = array("i", map(where.__getitem__, map(G._inv.__getitem__, key)))
+    action = [array("i", map(pinv.__getitem__, map(
+        right.__getitem__, map(pinv.__getitem__, right)))) for right in rights]
     H._action = action
     H._right = None
     return action
@@ -990,29 +991,38 @@ def _conjugation_action(H: Subgroup) -> list:
 def conjugacy_classes(H: Subgroup) -> ClassData:
     """Partition H into conjugation orbits under H itself.
 
-    Each class is the whole ``_orbit_tree`` of a position in ``H.key``
-    that no class holds yet, under the integer conjugation action, so no
-    product is made once the action is built; an abelian H is split into
-    singletons without building it.  Seeds ascend, so each class
-    representative is its minimal id."""
+    Each class is the orbit of a position in ``H.key`` that no class
+    holds yet, under the integer conjugation action, grown by a flat
+    loop over the positions met so far with a ``bytearray`` of those
+    seen, so no product is made once the action is built; an abelian H
+    is split into singletons without building it.  Seeds ascend, so each
+    class representative is its minimal id."""
     if H._classes is not None:
         return H._classes
     key = H.key
-    classes = []
-    class_of = {}
     if is_abelian(H):
-        for ci, h in enumerate(key):
-            classes.append(ConjugacyClass(h, 1, (h,)))
-            class_of[h] = ci
+        classes = [ConjugacyClass(h, 1, (h,)) for h in key]
+        class_of = dict(zip(key, range(len(key))))
     else:
+        classes = []
+        class_of = {}
         action = _conjugation_action(H)
-        for seed, h in enumerate(key):
-            if h in class_of:
+        seen = bytearray(len(key))
+        for seed in range(len(key)):
+            if seen[seed]:
                 continue
-            members = [key[y] for y in _whole_orbit_tree(action, seed)[0]]
-            for m in members:
-                class_of[m] = len(classes)
-            classes.append(ConjugacyClass(h, len(members), tuple(sorted(members))))
+            seen[seed] = 1
+            orbit = [seed]
+            for y in orbit:
+                for perm in action:
+                    z = perm[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            orbit.sort()
+            members = tuple(map(key.__getitem__, orbit))
+            class_of.update(dict.fromkeys(members, len(classes)))
+            classes.append(ConjugacyClass(key[seed], len(members), members))
     H._classes = ClassData(H, classes, class_of)
     return H._classes
 
@@ -1025,13 +1035,15 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     The class size |x^H| is read from ``conjugacy_classes(H)``, so the
     stabilizer's order |H| / |x^H| is known before any walk.  The class
     is then grown as the ``_orbit_tree`` of x's position under the
-    integer conjugation action, with no product; generator i of
-    ``generating_ids(H)`` is permutation i of the action.  Every non-tree
-    edge y -> s y s^-1 = z gives a Schreier generator t_z^-1 s t_y, which
-    commutes with x; the transversal element t_y (t_y x t_y^-1 = y) is
-    formed from the tree's parent pointers only when a Schreier generator
-    needs it, and kept.  The Schreier generators are added one at a time
-    by an incremental Dimino closure, and the walk stops as soon as the
+    integer conjugation action, with no product; permutation i of the
+    action is y -> u y u^-1 for u = s^-1, s generator i of
+    ``generating_ids(H)``, so the walk multiplies by u, the data
+    ``data[inv[s]]``.  Every non-tree edge y -> u y u^-1 = z gives a
+    Schreier generator t_z^-1 u t_y, which commutes with x; the
+    transversal element t_y (t_y x t_y^-1 = y) is formed from the tree's
+    parent pointers only when a Schreier generator needs it, and kept.
+    The Schreier generators are added one at a time by an incremental
+    Dimino closure, and the walk stops as soon as the
     closure reaches |H| / |x^H|, so most of the class is never grown and
     most Schreier generators and transversal elements are never formed.
     The closure's generators generate Z = Z(x), so Z is abelian exactly
@@ -1067,7 +1079,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     ids = G._ids
     inv = G._inv
     mul_data = G._mul_data
-    gdata = [data[g] for g in generating_ids(H)]
+    gdata = [data[inv[g]] for g in generating_ids(H)]
     walk = _orbit_tree(_conjugation_action(H), bisect_left(H.key, x))
     _, _, up, via = next(walk)
     trans = {0: data[0]}
@@ -1132,7 +1144,7 @@ def commutator_subgroup(H: Subgroup) -> Subgroup:
     """Derived subgroup: the trivial group when H is abelian, otherwise
     the normal closure in H of the generators' commutators, which is the
     subgroup generated by their conjugacy classes, read from
-    ``conjugacy_classes`` (one ``_orbit_tree`` per class)."""
+    ``conjugacy_classes``."""
     G = H.group
     if is_abelian(H):
         return Subgroup(G, [0], _validate=False)

@@ -5,12 +5,12 @@ backtracking over nested centralizer intersections, simultaneous
 conjugacy classes by explicit orbit partition, and the same orbit count
 a second time through Burnside's lemma.  Every permutation the oracle
 uses is the engine's integer conjugation action of a subgroup H, read
-through ``_checked_maps``, which first recomputes s y s^-1 for every
+through ``_checked_maps``, which first recomputes s^-1 y s for every
 generator s and member y with this module's own products, and raises on
 any difference.  The centralizer table rests on the whole group's maps:
 Z(x) is found by products only for one representative x of each
 conjugacy class and carried to the rest of the class along the maps,
-since Z(s y s^-1) = s Z(y) s^-1.  The tuple counts and Burnside's sum
+since Z(s^-1 y s) = s^-1 Z(y) s.  The tuple counts and Burnside's sum
 read only that table, so a wrong action fails a check instead of
 agreeing with the engine.  An id that the maps never reach is scanned
 as its own representative, so a generating set that is too small still
@@ -97,7 +97,7 @@ DEFAULT_PAIR_SCAN_BUDGET = 300_000
 def _checked_maps(H: Subgroup) -> list:
     """The conjugation maps of ``generating_ids(H)`` on H, one tuple of
     positions in ``H.key`` per generator s (for the whole group,
-    positions are ids), after recomputing s y s^-1 for every member y
+    positions are ids), after recomputing s^-1 y s for every member y
     with the group's products (2 per member per generator):
     ``InternalError`` unless every map is the conjugation by its
     generator.  This is the one check of every map the oracle uses."""
@@ -115,7 +115,7 @@ def _checked_maps(H: Subgroup) -> list:
         gd = data[g]
         gdi = data[G._inv[g]]
         for p, y in enumerate(key):
-            z = ids[mul_data(mul_data(gd, data[y]), gdi)]
+            z = ids[mul_data(mul_data(gdi, data[y]), gd)]
             if key[perm[p]] != z:
                 raise InternalError(
                     f"the conjugation map of {g} sends {y} to "

@@ -147,6 +147,52 @@ def bfs_classes(H):
     return classes, assigned
 
 
+def fraction_lescot(G, n):
+    """Reference cp_n(G) (n >= 2) by Lescot's recurrence on fractions,
+
+        cp_m(H) = sum over classes c of H of cp_{m-1}(C_H(c)) / |c|^(m-2) / |H|,
+
+    with cp_1 = 1 and cp_m(H) = 1 for abelian H, memoized by (subgroup,
+    m) and valued from m = 2 up (the engine's recurrence before it
+    counted tuples in integers)."""
+    from fractions import Fraction
+
+    from commprob.groups import centralizer, conjugacy_classes, is_abelian
+
+    def branch(H):
+        return () if is_abelian(H) else [
+            (centralizer(H, c.rep), c.size)
+            for c in conjugacy_classes(H).classes]
+
+    needed = {n: {G.full()}}
+    for m in range(n, 2, -1):
+        needed[m - 1] = {Z for H in needed[m] for Z, _ in branch(H)}
+    memo = {}
+    for m in range(2, n + 1):
+        for H in needed[m]:
+            if not branch(H):
+                memo[(H, m)] = Fraction(1)
+                continue
+            total = Fraction(0)
+            for Z, size in branch(H):
+                below = memo[(Z, m - 1)] if m > 2 else 1
+                total += Fraction(below, size ** (m - 2))
+            memo[(H, m)] = total / H.order
+    return memo[(G.full(), n)]
+
+
+def dense_count(counts, root, n):
+    """Reference 1^T M^n e_root by dense matrix-vector products that
+    multiply every entry (the engine's matrix power before it skipped
+    zeros)."""
+    size = len(counts)
+    vec = [0] * size
+    vec[root] = 1
+    for _ in range(n):
+        vec = [sum(row[i] * vec[i] for i in range(size)) for row in counts]
+    return sum(vec)
+
+
 def mul_z_classes(H):
     """Reference z-classes of H: the orbits of the class representatives'
     centralizers under conjugation, by ``G.mul`` on subgroup keys (the

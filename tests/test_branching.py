@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import sorted_signature_lump
+from conftest import dense_count, fraction_lescot, fresh_build, sorted_signature_lump
 
 from commprob.branching import (
     BranchingMatrix,
@@ -112,6 +112,33 @@ def test_validate_matrix_rejects_a_negative_entry():
         _validate_matrix(BranchingMatrix(B.states, counts, B.root))
 
 
+def test_validate_matrix_messages_on_an_abelian_column():
+    # Q8's abelian states are its cyclic subgroups of order 4; one entry
+    # moved off the diagonal of such a column keeps its sum but not the
+    # absorbing entry, and one added off it breaks the sum; a state whose
+    # class count is raised to match the added entry keeps the sum and
+    # the diagonal, and still has a foreign branch
+    B = build_branching(build("Q8"))
+    i = next(s for s, st in enumerate(B.states) if st.abelian)
+    other = B.root
+    moved = [row[:] for row in B.counts]
+    moved[i][i] -= 1
+    moved[other][i] += 1
+    with pytest.raises(InternalError, match=f"abelian state {i} is not "
+                       "absorbing"):
+        _validate_matrix(BranchingMatrix(B.states, moved, B.root))
+    added = [row[:] for row in B.counts]
+    added[other][i] += 1
+    with pytest.raises(InternalError, match=f"column {i} sums to 5, "
+                       "expected k = 4"):
+        _validate_matrix(BranchingMatrix(B.states, added, B.root))
+    states = list(B.states)
+    states[i] = StateInfo(states[i].label, 4, 5, True)
+    with pytest.raises(InternalError, match=f"abelian state {i} has a "
+                       "foreign branch"):
+        _validate_matrix(BranchingMatrix(states, added, B.root))
+
+
 def test_cp_rejects_small_n():
     with pytest.raises(InputError):
         cp_via_branching(build("Q8"), 1)
@@ -139,6 +166,53 @@ def test_matrix_power_helper():
     assert count_via_matrix(counts, 0, 0) == 1
     assert count_via_matrix(counts, 0, 1) == 2
     assert count_via_matrix(counts, 0, 2) == 4
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)",
+                                                 "GL(3,3)", "U(3,3)"))
+def test_integer_lescot_matches_the_fraction_recurrence(desc):
+    # the count recurrence N_m(H) = sum |c| N_{m-1}(C_H(c)) over |G|^n
+    # against the recurrence on fractions, which keeps its own memo
+    G = build(desc)
+    for n in range(2, 7):
+        assert cp_via_lescot(G, n) == fraction_lescot(G, n), (desc, n)
+
+
+def test_lescot_memo_holds_tuple_counts():
+    # N_m(H) = |Hom(Z^m, H)|, the commuting m-tuples of H.  S(3) has the
+    # classes {e} (Z = S(3)), 3 transpositions (Z = C2) and 2 3-cycles
+    # (Z = C3), so N_2 = 6 + 3 * 2 + 2 * 3 = 18 and
+    # N_3 = 18 + 3 * 2^2 + 2 * 3^2 = 48
+    G = fresh_build("S(3)")
+    assert cp_via_lescot(G, 3) == Fraction(48, 6 ** 3)
+    memo = G._lescot_memo
+    assert (memo[(G.full(), 2)], memo[(G.full(), 3)]) == (18, 48)
+    assert all(type(v) is int for v in memo.values())
+
+
+def matrices_with_zeros():
+    """Branching matrices and lumped quotients of small catalog groups,
+    with many zero entries, and seeded random square matrices with about
+    half their entries zero, each with every root."""
+    out = []
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        B = build_branching(build(desc))
+        tp = lump(B)
+        out += [(B.counts, B.root), (tp.quotient, tp.root_block)]
+    rng = random.Random(0x32)
+    for size in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            counts = [[rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(size)]
+                      for _ in range(size)]
+            out += [(counts, root) for root in range(size)]
+    return out
+
+
+def test_sparse_matrix_power_matches_dense_reference():
+    for counts, root in matrices_with_zeros():
+        for n in range(7):
+            assert count_via_matrix(counts, root, n) == \
+                dense_count(counts, root, n), (counts, root, n)
 
 
 # -- lumping --

@@ -583,8 +583,31 @@ def test_classes_match_bfs_reference_on_catalog_states():
             assert cd.class_of == class_of, (desc, st.key)
 
 
+@pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)",
+                                                 "GL(3,3)", "U(3,3)"))
+def test_flat_class_orbits_match_bfs_reference(monkeypatch, desc):
+    # on a fresh group every non-abelian state's classes are grown by the
+    # flat loop over the integer action, with no orbit tree, and equal
+    # the classes of the product BFS
+    keys = [st.key for st in build_branching(build(desc)).states
+            if not st.abelian]
+    G = fresh_build(desc)
+
+    def no_tree(perms, seed):
+        raise AssertionError("conjugacy classes walked an orbit tree")
+
+    monkeypatch.setattr(groups, "_orbit_tree", no_tree)
+    for key in keys:
+        H = G.subgroup(key, validate=False)
+        cd = conjugacy_classes(H)
+        classes, class_of = bfs_classes(H)
+        assert [(c.rep, c.size, c.members) for c in cd.classes] == classes, \
+            (desc, key)
+        assert cd.class_of == class_of, (desc, key)
+
+
 def test_conjugation_action_matches_conj_on_catalog_states():
-    # each permutation is y -> s y s^-1 for its generator s, as G.conj
+    # each permutation is y -> s^-1 y s for its generator s, as G.conj
     # computes it with 2 products; the engine builds no action on an
     # abelian state
     for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
@@ -596,8 +619,8 @@ def test_conjugation_action_matches_conj_on_catalog_states():
             key = H.key
             action = groups._conjugation_action(H)
             for s, perm in zip(generating_ids(H), action):
-                assert [key[y] for y in perm] == [G.conj(s, h) for h in key], \
-                    (desc, st.key, s)
+                assert [key[y] for y in perm] == \
+                    [G.conj(G.inv(s), h) for h in key], (desc, st.key, s)
 
 
 @pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
@@ -624,7 +647,8 @@ def test_conjugation_action_built_by_another_thread(monkeypatch, desc):
     assert action is other[0] is H._action
     assert H._right is None
     for s, perm in zip(generating_ids(H), action):
-        assert list(perm) == [G.conj(s, h) for h in range(G.order)], s
+        assert list(perm) == [G.conj(G.inv(s), h)
+                              for h in range(G.order)], s
 
 
 def test_inverse_table_matches_inv_data():
