@@ -31,10 +31,10 @@ descriptor, validity, order polynomial, the q of each verify grid, its
 printed table, its printed matrix if any, and its erratum patch if any.
 ``REGISTRY``, ``MATRICES`` and the corrected variants are read off those
 rows.  Each verify check is one function returning report rows;
-``_jobs`` binds each check to its family row and q and records the
-groups it builds, and ``_run_job`` calls one such job.  ``verify_suite``
-runs the jobs in one process or splits them, by the groups they build,
-over forked worker processes.
+``_jobs`` binds each check to its family row and q and names the
+groups it needs, and ``_run_job`` builds those groups and passes them to
+the check.  ``verify_suite`` runs the jobs in one process or splits
+them, by the groups they build, over forked worker processes.
 """
 
 from __future__ import annotations
@@ -528,10 +528,10 @@ def _matrix_rows(key, fam, mf, q):
     return rows
 
 
-# one function per check; each returns its report rows
+# one function per check; each takes the groups its job names last and
+# returns its report rows
 
-def _check_table(fam, q):
-    G = build(fam.descriptor.format(q=q))
+def _check_table(fam, q, G):
     return [_cp_row(f"cp:{fam.name}", G, q, n,
                     REGISTRY[(fam.name, n)].formula.evaluate(q))
             for n in fam.table]
@@ -541,13 +541,11 @@ def _check_consistency(fam, q):
     return _matrix_rows(f"consistency:{fam.name}", fam, MATRICES[fam.name], q)
 
 
-def _check_colsum(fam, q):
-    G = build(fam.descriptor.format(q=q))
+def _check_colsum(fam, q, G):
     return [_k_row(f"colsum:{fam.name}", G, q, matrix_column1_sum(fam.name, q))]
 
 
-def _check_table_erratum(fam, q):
-    G = build(fam.descriptor.format(q=q))
+def _check_table_erratum(fam, q, G):
     corrected = fam.corrected_table()
     return [_cp_row(f"erratum:{fam.name}-table", G, q, n,
                     corrected[n].evaluate(q), lescot=False)
@@ -559,9 +557,7 @@ def _check_matrix_erratum(fam, q):
                         fam.corrected_matrix(), q)
 
 
-def _check_prop32(q):
-    GL = build(f"GL(2,{q})")
-    U = build(f"U(2,{q})")
+def _check_prop32(q, GL, U):
     rows = []
     for n in _PROP32_NS:
         a = cp_via_branching(GL, n)
@@ -570,28 +566,27 @@ def _check_prop32(q):
     return rows
 
 
-def _check_sp2_exclusion():
+def _check_sp2_exclusion(G):
     # the Sp2 formulas hold for odd q only; Sp(2,2) is S(3)
-    return [_cp_row("exclusion:Sp2", build("Sp(2,2)"), 2, 2, Fraction(1, 2),
-                    shown=False)]
+    return [_cp_row("exclusion:Sp2", G, 2, 2, Fraction(1, 2), shown=False)]
 
 
-def _check_k_psl2(q):
-    return [_k_row("k:PSL2", build(f"PSL(2,{q})"), q, K_PSL2.evaluate(q))]
+def _check_k_psl2(q, G):
+    return [_k_row("k:PSL2", G, q, K_PSL2.evaluate(q))]
 
 
-def _check_cp2_psl2(q):
-    return [_cp_row("cp2:PSL2", build(f"PSL(2,{q})"), q, 2, CP2_PSL2.evaluate(q))]
+def _check_cp2_psl2(q, G):
+    return [_cp_row("cp2:PSL2", G, q, 2, CP2_PSL2.evaluate(q))]
 
 
-def _check_const(name, value):
-    return [_cp_row(f"const:{name}", build(name), None, 2, value)]
+def _check_const(name, value, G):
+    return [_cp_row(f"const:{name}", G, None, 2, value)]
 
 
 def _jobs(grid: str):
-    """The grid's checks: (descriptors, job) pairs, where job is a call
-    with its family and q bound and descriptors are the catalog groups
-    that the call builds."""
+    """The grid's checks: (descriptors, check) pairs, where check is a
+    call with its family and q bound, and descriptors are the catalog
+    groups that ``_run_job`` builds and passes to it."""
     if grid not in GRIDS:
         raise InputError(f"unknown grid {grid!r} (use 'default' or 'full')")
     jobs = []
@@ -623,8 +618,10 @@ def _jobs(grid: str):
 
 
 def _run_job(job):
-    """Run one grid job; returns its report rows."""
-    return job()
+    """Run one grid job, a (descriptors, check) pair: build the groups
+    and pass them to the check, in order; returns its report rows."""
+    descriptors, check = job
+    return check(*map(build, descriptors))
 
 
 def _sort_key(row):
@@ -805,9 +802,9 @@ def verify_suite(grid: str = "default", workers: int = 1):
         raise InputError(f"workers must be at least 1, not {workers}")
     jobs = _jobs(grid)
     if workers > 1 and _can_fork():
-        by_position = _run_bins([job for _, job in jobs], _bins(jobs, workers))
+        by_position = _run_bins(jobs, _bins(jobs, workers))
     else:
-        by_position = {i: _run_job(job) for i, (_, job) in enumerate(jobs)}
+        by_position = {i: _run_job(job) for i, job in enumerate(jobs)}
     rows = sorted((r for i in range(len(jobs)) for r in by_position[i]),
                   key=_sort_key)
     ok = all(r["match"] for r in rows)

@@ -23,23 +23,24 @@ abelian flag, conjugation action, classes and centralizers) is kept on
 that object.  Matrix products, determinants and inverses are
 straight-line code over the field's tables for d = 1, 2, 3.
 
-Each subgroup has one generating set, ``generating_ids``, with the maps
-y -> y s its walk recorded: the walk that checked the group closed for
-the whole group, and for another subgroup the same walk on first use.
-It is two elements that generate H when a bounded search over a few
-seeded random pairs finds them, which also shows that H is not abelian,
-and otherwise the greedy set, whose maps show whether it commutes.  A
-non-abelian subgroup H gets, on first use, the conjugation action of
-that set as integer permutations of the positions in ``H.key``, read
-from the maps with no product and kept on the subgroup, which then
-drops the maps: the walk's are the only products the action needs, and
-after it every orbit walk is integer indexing.  The permutation of a
-generator s is y -> s^-1 y s, three gathers of the recorded map
-y -> y s and the inversion.  The center is the set of points every
-permutation fixes.  Conjugacy classes are the orbits, each grown by a
-flat loop with a ``bytearray`` of the points seen.  The one tree walk,
-``_orbit_tree``, grows a breadth-first tree of a seed's orbit with
-parent pointers, lazily, so that a caller can stop it.  Centralizers
+Each subgroup has one generating set, ``generating_ids``, found by one
+walk that records the maps y -> y s: the walk that checked the group
+closed for the whole group, and for another subgroup the same walk on
+first use.  It is two elements that generate H when a bounded search
+over a few seeded random pairs finds them, which also shows that H is
+not abelian, and otherwise the greedy set, whose maps show whether it
+commutes.  The same step reads from the maps, with no product, the
+conjugation action of that set as integer permutations of the positions
+in ``H.key``, and keeps the flag, the action and then the set on the
+subgroup, so a subgroup that has its generating set has its action.
+The maps are not kept: the walk's are the only products the action
+needs, and after it every orbit walk is integer indexing.  The
+permutation of a generator s is y -> s^-1 y s, three gathers of the
+recorded map y -> y s and the inversion.  The center is the set of
+points every permutation fixes.  Conjugacy classes are the orbits, each
+grown by a flat loop with a ``bytearray`` of the points seen.  The one
+tree walk, ``_orbit_tree``, grows a breadth-first tree of a seed's orbit
+with parent pointers, lazily, so that a caller can stop it.  Centralizers
 are the point stabilizers: their order |H| / |x^H| is read from the
 classes, and the tree of x is grown only until the Schreier generators
 of its non-tree edges, formed from a lazily built transversal, close to
@@ -658,10 +659,12 @@ class Subgroup:
     subgroups are identical.  Validation, when asked, runs on every
     construction, before a new object is entered, so a set that fails it
     is never interned.  The slots after ``key`` hold what the subgroup
-    algorithms compute about it, each filled on first use."""
+    algorithms compute about it, each filled on first use; the generating
+    set, abelian flag and conjugation action are filled together, by
+    ``_find_generators``."""
 
-    __slots__ = ("group", "key", "_gens", "_right",
-                 "_abelian", "_action", "_classes", "_centralizers")
+    __slots__ = ("group", "key", "_gens", "_abelian", "_action",
+                 "_classes", "_centralizers")
 
     def __new__(cls, group: Group, ids, _validate=True):
         key = tuple(sorted({i.id if isinstance(i, Element) else int(i)
@@ -671,7 +674,7 @@ class Subgroup:
             H = object.__new__(cls)
             H.group = group
             H.key = key
-            H._gens = H._right = H._abelian = H._action = H._classes = None
+            H._gens = H._abelian = H._action = H._classes = None
             H._centralizers = {}
         if _validate:
             H._validate()
@@ -808,16 +811,22 @@ def generating_ids(H: Subgroup) -> tuple:
 
 
 def _find_generators(H: Subgroup, walk=None) -> bool:
-    """Keep on H its generating set, the right multiplication maps by it
-    that its ``_right_walk`` recorded (until ``_conjugation_action`` has
-    read them), and its abelian flag; False, with nothing kept, when the
-    walk finds H not closed under multiplication.  When no generating
-    pair is found, the greedy set's walk is ``walk``, the ``_right_walk``
-    over ``_points(H)`` that a caller ran already, or else a new one.
-    The greedy set's maps settle the flag with no product: generators s
-    and t commute exactly when s t and t s have the same position.  A
-    flag that a centralizer's closure set earlier must agree with the
-    walk's, or ``InternalError`` is raised."""
+    """Keep on H its abelian flag, the conjugation action of its
+    generating set and that set; False, with nothing kept, when the walk
+    finds H not closed under multiplication.  When no generating pair is
+    found, the greedy set's walk is ``walk``, the ``_right_walk`` over
+    ``_points(H)`` that a caller ran already, or else a new one.  The
+    greedy set's maps settle the flag with no product: generators s and
+    t commute exactly when s t and t s have the same position.  A flag
+    that a centralizer's closure set earlier must agree with the walk's,
+    or ``InternalError`` is raised.
+
+    The walk's right multiplication maps R(y) = y s give the action with
+    no product: s^-1 y s is (s^-1 y^-1 s)^-1 = inv(R(inv(R(y)))), with
+    inv the points' inversion as positions, so each permutation is three
+    gathers of R and inv.  An abelian H gets identity permutations.  The
+    maps are not kept.  The generating set is stored last, so a thread
+    that sees it sees the flag and the action too."""
     found = _generating_pair(H)
     if found is None:
         if walk is None:
@@ -837,10 +846,18 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
             f"the generator walk finds a subgroup of order {len(H.key)} "
             f"{'' if abelian else 'not '}abelian, against its closure's flag"
         )
+    gens, rights = found
+    G = H.group
+    key = H.key
+    if len(key) == len(G._data):
+        pinv = G._inv
+    else:
+        where = dict(zip(key, range(len(key))))
+        pinv = array("i", map(where.__getitem__, map(G._inv.__getitem__, key)))
     H._abelian = abelian
-    # the generating set last: a thread that sees it sees the rest
-    H._right = found[1]
-    H._gens = found[0]
+    H._action = [array("i", map(pinv.__getitem__, map(
+        right.__getitem__, map(pinv.__getitem__, right)))) for right in rights]
+    H._gens = gens
     return True
 
 
@@ -959,33 +976,11 @@ def _conjugation_action(H: Subgroup) -> list:
     in the same order: an ``array('i')`` over the positions in ``H.key``
     (for the whole group, positions are ids).  The permutations generate
     the group of all conjugations of H, so its orbits are the classes.
-
-    It makes no product: the walk that found the generating set recorded
-    the right multiplication R(y) = y s, and since s^-1 y s is
-    (s^-1 y^-1 s)^-1 = inv(R(inv(R(y)))), with inv the points' inversion
-    as positions, the permutation is three gathers of R and inv.  It is
-    kept on the subgroup, so it is built once; every orbit walk after
-    that is integer indexing.  Nothing reads the maps after it, so the
-    subgroup drops them."""
-    if H._action is not None:
-        return H._action
+    ``_find_generators`` builds it, with no product, in the walk that
+    finds the generating set, and keeps it on the subgroup; every orbit
+    walk after that is integer indexing."""
     generating_ids(H)
-    rights = H._right
-    if rights is None:
-        # another thread built the action, then dropped the maps
-        return H._action
-    G = H.group
-    key = H.key
-    if len(key) == len(G._data):
-        pinv = G._inv
-    else:
-        where = dict(zip(key, range(len(key))))
-        pinv = array("i", map(where.__getitem__, map(G._inv.__getitem__, key)))
-    action = [array("i", map(pinv.__getitem__, map(
-        right.__getitem__, map(pinv.__getitem__, right)))) for right in rights]
-    H._action = action
-    H._right = None
-    return action
+    return H._action
 
 
 def conjugacy_classes(H: Subgroup) -> ClassData:
@@ -995,7 +990,7 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     holds yet, under the integer conjugation action, grown by a flat
     loop over the positions met so far with a ``bytearray`` of those
     seen, so no product is made once the action is built; an abelian H
-    is split into singletons without building it.  Seeds ascend, so each
+    is split into singletons without reading it.  Seeds ascend, so each
     class representative is its minimal id."""
     if H._classes is not None:
         return H._classes
@@ -1053,7 +1048,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     Z(y) = Z for every y in the center of Z whose class has x's size (the
     lemma of ``z_classes``), x among them, so Z is kept for each of them,
     and their centralizers take no closure.  A class of size 1 gives H
-    itself, and so does an abelian H, without building the action.
+    itself, and so does an abelian H, without reading the action.
     """
     if isinstance(x, Element):
         x = x.id

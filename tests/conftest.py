@@ -418,7 +418,7 @@ def fail_in_a_verify_child(monkeypatch, fail):
                   if getattr(job, "func", None) is formulas._check_const}
     assert const_jobs and not const_jobs & set(formulas._bins(jobs, 2)[0])
 
-    def check(name, value):
+    def check(name, value, G):
         if os.getpid() == parent:
             raise AssertionError("a constant check ran in the parent")
         fail()

@@ -1,7 +1,10 @@
 import hashlib
+import threading
+import time
 
 import pytest
 
+from commprob import catalog
 from commprob.branching import cp2_classcount
 from commprob.catalog import (
     SMALL_GROUPS,
@@ -282,3 +285,56 @@ def test_unitary_elements_preserve_the_form(text):
                 gram.append(acc)
         assert gram == ident, A
     assert len(set(G._data)) == len(G._data) == order_formula(text)
+
+
+def test_a_build_in_progress_holds_back_a_second_one(monkeypatch):
+    # thread B asks for the group thread A is building: B waits on the
+    # build lock, then gets A's group from the cache, with no second build
+    lock = catalog._BUILD_LOCK
+    entered = []
+
+    class CountingLock:
+        def __enter__(self):
+            entered.append(threading.current_thread().name)
+            return lock.__enter__()
+
+        def __exit__(self, *exc):
+            return lock.__exit__(*exc)
+
+    plain = catalog._build_uncached
+    inside = threading.Event()
+    release = threading.Event()
+    calls = []
+
+    def blocking(desc):
+        calls.append(str(desc))
+        inside.set()
+        release.wait(30)
+        return plain(desc)
+
+    monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
+    monkeypatch.setattr(catalog, "_BUILD_LOCK", CountingLock())
+    monkeypatch.setattr(catalog, "_build_uncached", blocking)
+    got = {}
+
+    def run():
+        got[threading.current_thread().name] = catalog.build("S(4)")
+
+    a = threading.Thread(target=run, name="A")
+    b = threading.Thread(target=run, name="B")
+    try:
+        a.start()
+        assert inside.wait(30)
+        b.start()
+        deadline = time.monotonic() + 30
+        while len(entered) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert entered == ["A", "B"]
+    finally:
+        release.set()
+        for th in (a, b):
+            if th.is_alive():
+                th.join(30)
+    assert not a.is_alive() and not b.is_alive()
+    assert calls == ["S(4)"]
+    assert got["A"] is got["B"]

@@ -237,10 +237,10 @@ def test_each_job_builds_the_groups_it_records(monkeypatch):
         return build(desc)
 
     monkeypatch.setattr(formulas, "build", recorded)
-    for descriptors, job in formulas._jobs("default"):
+    for job in formulas._jobs("default"):
         built.clear()
-        job()
-        assert sorted(built) == sorted(descriptors), job
+        formulas._run_job(job)
+        assert sorted(built) == sorted(job[0]), job
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8, 100])
@@ -275,10 +275,10 @@ def test_an_error_in_the_parents_bin_reaps_every_child(monkeypatch):
     parent = os.getpid()
     check_table = formulas._check_table
 
-    def check(fam, q):
+    def check(fam, q, G):
         if os.getpid() == parent and fam.name == "GL3" and q == 3:
             raise InternalError("failed in the parent")
-        return check_table(fam, q)
+        return check_table(fam, q, G)
 
     monkeypatch.setattr(formulas, "_check_table", check)
     with pytest.raises(InternalError, match="failed in the parent"):

@@ -426,17 +426,18 @@ def test_construction_hands_its_walk_to_the_action(monkeypatch, desc):
 
 @pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)"))
 def test_right_maps_are_right_multiplication(desc):
-    # on every branching state, map i sends each position in H.key to the
-    # position of its product with generator i.  The expansion releases
-    # the maps of every subgroup whose action it built, so they are read
-    # on a second build of the group, before any action is built
-    states = build_branching(fresh_build(desc)).states
+    # on every branching state, the walk by the generating set's positions
+    # maps each position in H.key to the position of its product with
+    # generator i
     G = fresh_build(desc)
-    for st in states:
+    for st in build_branching(G).states:
         H = G.subgroup(st.key, validate=False)
         gens = generating_ids(H)
-        assert len(H._right) == len(gens)
-        for g, right in zip(gens, H._right):
+        points, where = groups._points(H)
+        positions = tuple(H.key.index(g) for g in gens)
+        _, maps = groups._right_walk(points, where, G._mul_data, positions)
+        assert len(maps) == len(gens)
+        for g, right in zip(gens, maps):
             assert [H.key[z] for z in right] == [G.mul(h, g) for h in H.key]
 
 
@@ -608,8 +609,8 @@ def test_flat_class_orbits_match_bfs_reference(monkeypatch, desc):
 
 def test_conjugation_action_matches_conj_on_catalog_states():
     # each permutation is y -> s^-1 y s for its generator s, as G.conj
-    # computes it with 2 products; the engine builds no action on an
-    # abelian state
+    # computes it with 2 products.  Abelian states are skipped: a proper
+    # one is never walked for generators, so it has no action
     for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
         G = build(desc)
         for st in build_branching(G).states:
@@ -623,32 +624,26 @@ def test_conjugation_action_matches_conj_on_catalog_states():
                     [G.conj(G.inv(s), h) for h in key], (desc, st.key, s)
 
 
-@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
-def test_conjugation_action_built_by_another_thread(monkeypatch, desc):
-    # another thread may build the action, and drop the right maps,
-    # between this call's generating_ids and its read of the maps; the
-    # stub plays that thread once, with the plain generating_ids, so the
-    # first call finds the maps gone and returns the other call's action
-    G = fresh_build(desc)
-    H = G.full()
-    assert H._action is None and H._right is not None
-    plain = groups.generating_ids
-    other = []
+def test_generating_set_is_stored_after_the_flag_and_the_action(monkeypatch):
+    # a thread that sees a subgroup's generating set must also see its
+    # abelian flag and conjugation action: the slot's stores are recorded
+    # through a descriptor that wraps it
+    slot = groups.Subgroup._gens
+    stores = []
 
-    def racing(H):
-        gens = plain(H)
-        monkeypatch.setattr(groups, "generating_ids", plain)
-        other.append(groups._conjugation_action(H))
-        return gens
+    class Recorded:
+        def __get__(self, obj, owner=None):
+            return self if obj is None else slot.__get__(obj, owner)
 
-    monkeypatch.setattr(groups, "generating_ids", racing)
-    action = groups._conjugation_action(H)
-    assert len(other) == 1
-    assert action is other[0] is H._action
-    assert H._right is None
-    for s, perm in zip(generating_ids(H), action):
-        assert list(perm) == [G.conj(G.inv(s), h)
-                              for h in range(G.order)], s
+        def __set__(self, obj, value):
+            if value is not None:
+                stores.append((obj._abelian is not None,
+                               obj._action is not None))
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(groups.Subgroup, "_gens", Recorded())
+    build_branching(fresh_build("S(4)"))
+    assert stores and all(s == (True, True) for s in stores), stores
 
 
 def test_inverse_table_matches_inv_data():
@@ -708,7 +703,7 @@ def test_equal_centralizers_are_the_center_elements_of_equal_class_size():
 # element products of a cold branching expansion, as measured; the
 # test ids name the group alone, so a tighter bound keeps them
 BRANCHING_PRODUCTS = {
-    "GL(3,2)": 165, "U(3,2)": 2679, "GL(3,3)": 5373, "U(3,3)": 26_465,
+    "GL(3,2)": 158, "U(3,2)": 2563, "GL(3,3)": 5021, "U(3,3)": 23_530,
 }
 
 
@@ -906,8 +901,8 @@ def test_centralizer_order_check_raises():
     H = G.full()
     gens = generating_ids(H)
     x = next(y for y in H.key if G.conj(gens[0], y) != y)
-    # the first generator alone, with its right multiplication map
-    H._gens, H._right = gens[:1], H._right[:1]
+    # the first generator alone, with its conjugation permutation
+    H._gens, H._action = gens[:1], H._action[:1]
     with pytest.raises(InternalError):
         centralizer(H, x)
 
@@ -922,7 +917,7 @@ def test_centralizer_order_check_raises_under_optimize():
         "H = G.full()\n"
         "gens = groups.generating_ids(H)\n"
         "x = next(y for y in H.key if G.conj(gens[0], y) != y)\n"
-        "H._gens, H._right = gens[:1], H._right[:1]\n"
+        "H._gens, H._action = gens[:1], H._action[:1]\n"
         "try:\n"
         "    groups.centralizer(H, x)\n"
         "except InternalError as exc:\n"
