@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -289,7 +290,10 @@ def _build_ut3(descriptor, d, p):
 def _linear_matrices(d, q, det_one):
     """The d x d matrices over GF(q) with nonzero determinant, or with
     determinant one when ``det_one``, in lexicographic order of their
-    flattened entry indices; and the field's matrix operations."""
+    flattened entry indices; and the field's matrix operations.  The
+    invertible ones are listed by ``_independent_rows``, with no
+    determinant; those of determinant one are filtered from every
+    matrix by it."""
     fld = field(*prime_power(q))
     if q ** (d * d) > _ENUMERATION_CAP:
         raise SizeCapError(
@@ -297,14 +301,64 @@ def _linear_matrices(d, q, det_one):
             f"the cap {_ENUMERATION_CAP}"
         )
     ops = matrix_operations(fld, d)
-    det = ops.det
-    entries = itertools.product(range(q), repeat=d * d)
     if det_one:
+        det = ops.det
         one = fld.one_index
+        entries = itertools.product(range(q), repeat=d * d)
         mats = [m for m in entries if det(m) == one]
     else:
-        mats = [m for m in entries if det(m) != 0]
+        mats = _independent_rows(fld, d)
     return mats, ops
+
+
+def _independent_rows(fld, d):
+    """The invertible d x d matrices over ``fld`` as flat entry tuples,
+    in lexicographic order: row i runs, in lexicographic order, over the
+    vectors outside the span of the rows above it.  Rows are compared
+    first to last, so this is the order of the flattened entries, and a
+    matrix is invertible exactly when each row is outside the span of
+    the rows above it.
+
+    Vectors are numbered by their lexicographic index, and the rows
+    allowed below are read off a mask of the vectors outside the span.
+    The span of one row r is its q multiples, numbered directly; the
+    span of two rows is the q^2 sums of their multiples, read from a
+    table of vector sums."""
+    q = fld.q
+    mul = fld.mul_table()
+    vectors = list(itertools.product(range(q), repeat=d))
+    if d == 1:
+        return vectors[1:]
+    mats = []
+    outside = bytearray(b"\1") * len(vectors)
+    if d == 2:
+        for r in vectors[1:]:
+            r0, r1 = r
+            keep = outside[:]
+            for m in mul:
+                keep[m[r0] * q + m[r1]] = 0
+            mats.extend(map(r.__add__, itertools.compress(vectors, keep)))
+        return mats
+    add = fld.add_table()
+    index = {v: c for c, v in enumerate(vectors)}
+    # scaled[a][c]: a times vector c; vsum[c][e]: vector c plus vector e
+    scaled = [[index[tuple(map(m.__getitem__, v))] for v in vectors]
+              for m in mul]
+    vsum = [[index[(a0[w0], a1[w1], a2[w2])] for w0, w1, w2 in vectors]
+            for a0, a1, a2 in ([add[u] for u in v] for v in vectors)]
+    for c0 in range(1, len(vectors)):
+        sums = [vsum[s[c0]] for s in scaled]
+        keep0 = outside[:]
+        for s in scaled:
+            keep0[s[c0]] = 0
+        for c1 in itertools.compress(range(len(vectors)), keep0):
+            keep = outside[:]
+            for row in sums:
+                for s in scaled:
+                    keep[row[s[c1]]] = 0
+            rows = vectors[c0] + vectors[c1]
+            mats.extend(map(rows.__add__, itertools.compress(vectors, keep)))
+    return mats
 
 
 def _build_linear(descriptor, d, q, det_one=False):
@@ -336,19 +390,21 @@ def _build_unitary(descriptor, d, q):
     The unit vectors (<v, v> = 1) are listed once, in lexicographic order
     of their entry indices, and form the vertices of an orthogonality
     graph: ``orth[i]`` is the set of unit vectors orthogonal to unit i.
-    A frame of chosen columns keeps its candidate list, the unit vectors
-    orthogonal to every chosen column, in ascending index order; choosing
-    column c narrows it to the candidates in ``orth[c]``.  The first
-    column ranges over all unit vectors, the second over the sorted
-    ``orth`` set of the first, and each later one over the candidates,
-    the last one without narrowing them further, so the matrices come
-    out in the order of a scan that tests every unit vector against
-    every chosen column, without any form evaluation after the graph is
-    built."""
+    Since <l u, v> = conj(l) <u, v>, unit vectors on one line have the
+    same set, so it is computed once per line (for ``U(3,3)``, 63 sets
+    of 252 form evaluations each, not 252 sets).  The first column
+    ranges over all unit vectors in index order, the second over the
+    sorted ``orth`` set of the first, and for d = 3 the third over the
+    sorted intersection of the first two columns' sets.  Each matrix is
+    its columns one after another, read in row-major order by one
+    ``itemgetter``.  So the matrices come out in the order of a scan
+    that tests every unit vector against every chosen column, without
+    any form evaluation after the graph is built."""
     p, k = prime_power(q)
     ext = field(p, 2 * k)
     add = ext.add_table()
     mul = ext.mul_table()
+    inv_t = ext.inv_table()
     conj = [ext.frobenius_index(i, k) for i in range(ext.q)]
     one = ext.one_index
 
@@ -361,36 +417,43 @@ def _build_unitary(descriptor, d, q):
     vectors = list(itertools.product(range(ext.q), repeat=d))
     unit = [v for v in vectors if herm(v, v) == one]
     # <u, v> with u's rows mul[conj[u_i]] looked up once per coordinate,
-    # then one straight-line sum per v
+    # then one straight-line sum per v; one set per line, keyed by the
+    # multiple of u whose first nonzero entry is one
+    by_line = {}
     orth = []
     for u in unit:
-        rows = [mul[conj[a]] for a in u]
-        if d == 2:
-            r0, r1 = rows
-            orth.append(frozenset(j for j, (a, b) in enumerate(unit)
-                                  if add[r0[a]][r1[b]] == 0))
-        else:
-            r0, r1, r2 = rows
-            orth.append(frozenset(j for j, (a, b, c) in enumerate(unit)
-                                  if add[add[r0[a]][r1[b]]][r2[c]] == 0))
+        scale = mul[inv_t[next(a for a in u if a)]]
+        line = tuple(map(scale.__getitem__, u))
+        oc = by_line.get(line)
+        if oc is None:
+            rows = [mul[conj[a]] for a in u]
+            if d == 2:
+                r0, r1 = rows
+                oc = frozenset(j for j, (a, b) in enumerate(unit)
+                               if add[r0[a]][r1[b]] == 0)
+            else:
+                r0, r1, r2 = rows
+                oc = frozenset(j for j, (a, b, c) in enumerate(unit)
+                               if add[add[r0[a]][r1[b]]][r2[c]] == 0)
+            by_line[line] = oc
+        orth.append(oc)
 
     mats = []
-
-    def extend(cols, candidates):
-        if len(cols) == d - 1:
-            # every candidate completes a frame; zip reads off its rows
-            chosen = [unit[c] for c in cols]
-            for c in candidates:
-                mats.append(tuple(itertools.chain.from_iterable(
-                    zip(*chosen, unit[c]))))
-            return
-        for c in candidates:
-            oc = orth[c]
-            extend(cols + [c], [j for j in candidates if j in oc])
-
+    # the columns one after another, entry (i, j) at j d + i, read by rows
+    row_major = operator.itemgetter(*(j * d + i for i in range(d)
+                                      for j in range(d)))
     for c, oc in enumerate(orth):
-        # the second column's candidates: every unit vector orthogonal to c
-        extend([c], sorted(oc))
+        # the second column's candidates: every unit vector orthogonal to
+        # c; for d = 3, the third's: those orthogonal to both columns
+        second = sorted(oc)
+        if d == 2:
+            frames = [(unit[c], second)]
+        else:
+            frames = [(unit[c] + unit[c2], sorted(oc & orth[c2]))
+                      for c2 in second]
+        for head, last in frames:
+            mats.extend(map(row_major, map(head.__add__,
+                                           map(unit.__getitem__, last))))
     return Group.from_matrix_list(ext, d, mats, descriptor)
 
 

@@ -123,6 +123,10 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
     concurrent stores of one descriptor never share a file; the
     temporary file is removed when the store fails."""
     path = _cache_path(descriptor)
+    # json.dumps without indent runs json's C encoder; json.dump and an
+    # indent run the pure-Python one
+    text = json.dumps(_matrix_record(descriptor, order, bm),
+                      separators=(",", ":"))
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -130,8 +134,7 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
                                    prefix=os.path.basename(path) + ".",
                                    suffix=".tmp")
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(_matrix_record(descriptor, order, bm), fh, indent=1)
-            fh.write("\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
         return True
     except OSError as exc:

@@ -12,7 +12,13 @@ reaches on the right by every generator, fails as soon as a product
 leaves the set, and by associativity proves the set closed when it
 reaches every element.  Its generators are a seeded pair when one
 reaches every element, at 2 products per element, and otherwise the
-greedy set, at n |T| products.
+greedy set, at n |T| products.  Each product of that walk is a lookup
+through the group's ``right`` multipliers y -> y s: one ``itemgetter``
+for a permutation group, and for a matrix group of order at least
+q^d + 64 one row lookup per row of y, in a table of v s over the q^d
+row vectors v that is filled once per generator s and checked on s s.
+Walks over proper subgroups, too short to pay for a table, and
+Dimino's cosets multiply by ``mul_data``.
 
 Subgroups are id sets inside an ambient group, stored once, as the
 sorted id tuple ``key``: order is its length and membership a bisection
@@ -63,6 +69,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -81,7 +88,9 @@ _PAIR_TRIALS = 5
 @dataclass(frozen=True)
 class MatrixOps:
     """Flat-tuple matrix arithmetic over a finite field (entries are
-    field element indices, row-major)."""
+    field element indices, row-major).  ``right(S)`` is the multiplier
+    Y -> Y S that reads each row of Y S from a table of v S over every
+    row vector v, made once per S."""
 
     field: FieldSpec
     dim: int
@@ -90,6 +99,35 @@ class MatrixOps:
     det: callable
     identity: tuple
     transpose: callable
+    right: callable
+
+
+def _row_table(add, mul, S, d):
+    """v S for every row vector v in GF(q)^d, as nested lists:
+    ``table[v1]...[vd]`` is the row v S as a tuple.  ``add`` and ``mul``
+    are the field's tables and S is a flat d x d matrix.  Row k of S
+    times each field element is formed once, and each sum of a partial
+    row and one of those takes one lookup per coordinate."""
+    if d == 1:
+        s0, = S
+        return [(m[s0],) for m in mul]
+    # lines[k][a]: a times row k of S, one itemgetter per row
+    lines = [list(map(itemgetter(*S[k:k + d]), mul))
+             for k in range(0, d * d, d)]
+    if d == 2:
+        first, last = lines
+        return [[(a0[w0], a1[w1]) for w0, w1 in last]
+                for a0, a1 in ([add[u] for u in us] for us in first)]
+    first, middle, last = lines
+    table = []
+    for u0, u1, u2 in first:
+        au0, au1, au2 = add[u0], add[u1], add[u2]
+        sums = []
+        for v0, v1, v2 in middle:
+            a0, a1, a2 = add[au0[v0]], add[au1[v1]], add[au2[v2]]
+            sums.append([(a0[w0], a1[w1], a2[w2]) for w0, w1, w2 in last])
+        table.append(sums)
+    return table
 
 
 def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
@@ -118,6 +156,11 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
             if A[0] == 0:
                 raise InputError("matrix is not invertible")
             return (inv_t[A[0]],)
+
+        def table_mul(t):
+            def times(A):
+                return t[A[0]]
+            return times
     elif d == 2:
         def mat_mul(A, B):
             a0, a1, a2, a3 = A
@@ -142,6 +185,12 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
                 raise InputError("matrix is not invertible")
             m = mul[inv_t[dt]]
             return (m[e], m[neg[b]], m[neg[c]], m[a])
+
+        def table_mul(t):
+            def times(A):
+                a0, a1, a2, a3 = A
+                return t[a0][a1] + t[a2][a3]
+            return times
     else:
         def mat_mul(A, B):
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
@@ -198,11 +247,26 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
                 m[c6], m[sub[mb[h]][ma[i]]], m[sub[ma[f]][mb[e]]],
             )
 
+        def table_mul(t):
+            def times(A):
+                a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+                return t[a0][a1][a2] + t[a3][a4][a5] + t[a6][a7][a8]
+            return times
+
     def transpose(A):
         return tuple(A[j * d + i] for i in rng for j in rng)
 
+    def right(S):
+        # the table is checked once, on S itself, against the product
+        times = table_mul(_row_table(add, mul, S, d))
+        if times(S) != mat_mul(S, S):
+            raise InternalError(f"the row table of {S} over GF({fld.q}) "
+                                f"gives a wrong square")
+        return times
+
     identity = tuple(one if i == j else 0 for i in rng for j in rng)
-    return MatrixOps(fld, d, mat_mul, mat_inv, det, identity, transpose)
+    return MatrixOps(fld, d, mat_mul, mat_inv, det, identity, transpose,
+                     right)
 
 
 def _perm_ops(n: int):
@@ -218,7 +282,22 @@ def _perm_ops(n: int):
             out[a[i]] = i
         return tuple(out)
 
-    return mul_data, inv_data
+    def right(s):
+        # y s is (y[s[0]], ..., y[s[n-1]]); itemgetter of one index
+        # returns a bare item, so degree 1 keeps the product
+        if n > 1:
+            return itemgetter(*s)
+        return lambda y: mul_data(y, s)
+
+    return mul_data, inv_data, right
+
+
+def _right_by_mul(mul_data):
+    """The multiplier factory s -> (y -> y s) of a kind without one of
+    its own: each product is ``mul_data(y, s)``."""
+    def right(s):
+        return lambda y: mul_data(y, s)
+    return right
 
 
 def _table_ops(table):
@@ -266,12 +345,14 @@ def _light_test(table, gens):
 # Group
 # ---------------------------------------------------------------------------
 
-def _right_walk(points, where, mul, gens=()):
+def _right_walk(points, where, right, gens=()):
     """Right multiplication by generators over ``points``, walked from
     the identity ``points[0]``: ``(gens, maps)``, where ``maps[i][y]`` is
     the position of ``points[y] * points[gens[i]]`` (generators are
     positions too, and ``where`` maps a point to its position), or None
-    as soon as a product falls outside the points.
+    as soon as a product falls outside the points.  ``right`` makes the
+    multipliers: ``right(s)`` is y -> y s on point data, made once per
+    generator.
 
     With ``gens`` given the walk is by them alone, and it is None also
     when they reach fewer than all the points.  Without, generators are
@@ -292,13 +373,13 @@ def _right_walk(points, where, mul, gens=()):
     seen[0] = 1
     reached = [0]
     maps = [array("i", [0]) * n for _ in gens]
-    steps = [(points[s], m) for s, m in zip(gens, maps)]
+    steps = [(right(points[s]), m) for s, m in zip(gens, maps)]
 
     def walk(ys, by):
         for y in ys:
             yd = points[y]
-            for sd, m in by:
-                z = get(mul(yd, sd))
+            for times, m in by:
+                z = get(times(yd))
                 if z is None:
                     return False
                 m[y] = z
@@ -316,7 +397,7 @@ def _right_walk(points, where, mul, gens=()):
         if not seen[g]:
             gens.append(g)
             maps.append(array("i", [0]) * n)
-            steps.append((points[g], maps[-1]))
+            steps.append((right(points[g]), maps[-1]))
             # the points reached so far need the new generator alone;
             # those it reaches, all of them
             start = len(reached)
@@ -350,12 +431,13 @@ class Group:
 
     __slots__ = (
         "kind", "descriptor", "field", "dim", "_det",
-        "_data", "_ids", "_inv", "_mul_data", "_inv_data",
+        "_data", "_ids", "_inv", "_mul_data", "_inv_data", "_right",
         "_subgroups", "_full", "_branching", "_lescot_memo",
     )
 
     def __init__(self, kind, mul_data, inv_data, identity_data, data,
-                 descriptor="", fld=None, dim=None, walk=None, det=None):
+                 descriptor="", fld=None, dim=None, walk=None, det=None,
+                 right=None):
         if len(data) > GROUP_SIZE_CAP:
             raise SizeCapError(
                 f"group of order {len(data)} exceeds the size cap {GROUP_SIZE_CAP}"
@@ -370,6 +452,8 @@ class Group:
         self._det = det
         self._mul_data = mul_data
         self._inv_data = inv_data
+        # the multiplier factory of walks over the whole element list
+        self._right = right if right is not None else _right_by_mul(mul_data)
         self._data = list(data)
         self._ids = {d: i for i, d in enumerate(self._data)}
         if len(self._ids) != len(self._data):
@@ -413,19 +497,19 @@ class Group:
     @classmethod
     def from_permutation_generators(cls, n, generators, descriptor=""):
         gens = [_as_perm(g, n) for g in generators]
-        mul_data, inv_data = _perm_ops(n)
+        mul_data, inv_data, right = _perm_ops(n)
         identity = tuple(range(n))
         data, _ = _bfs_closure(mul_data, identity, gens)
         return cls("perm", mul_data, inv_data, identity, data,
-                   descriptor=descriptor)
+                   descriptor=descriptor, right=right)
 
     @classmethod
     def from_permutation_list(cls, n, elements, descriptor=""):
-        mul_data, inv_data = _perm_ops(n)
+        mul_data, inv_data, right = _perm_ops(n)
         identity = tuple(range(n))
         data = _identity_first(elements, identity)
         return cls("perm", mul_data, inv_data, identity, data,
-                   descriptor=descriptor)
+                   descriptor=descriptor, right=right)
 
     @classmethod
     def from_matrix_generators(cls, fld, d, generators, descriptor=""):
@@ -435,15 +519,25 @@ class Group:
             if ops.det(g) == 0:
                 raise InputError("generator matrix is not invertible")
         data, _ = _bfs_closure(ops.mul, ops.identity, gens)
-        return cls("matrix", ops.mul, ops.inv, ops.identity, data,
-                   descriptor=descriptor, fld=fld, dim=d, det=ops.det)
+        return cls._from_matrix_data(ops, data, descriptor)
 
     @classmethod
     def from_matrix_list(cls, fld, d, elements, descriptor=""):
         ops = matrix_operations(fld, d)
         data = _identity_first(elements, ops.identity)
+        return cls._from_matrix_data(ops, data, descriptor)
+
+    @classmethod
+    def _from_matrix_data(cls, ops, data, descriptor):
+        # a row table costs about as much as q^d / 2 + 32 of the products
+        # it saves (d = 2, 3), and the walk makes n products by each
+        # generator, so a group of order n below twice that multiplies
+        # matrix by matrix
+        q_d = ops.field.q ** ops.dim
+        right = ops.right if len(data) >= q_d + 64 else None
         return cls("matrix", ops.mul, ops.inv, ops.identity, data,
-                   descriptor=descriptor, fld=fld, dim=d, det=ops.det)
+                   descriptor=descriptor, fld=ops.field, dim=ops.dim,
+                   det=ops.det, right=right)
 
     @classmethod
     def from_table(cls, table, descriptor="", generators=None):
@@ -464,7 +558,7 @@ class Group:
             # a group needs at most log2(n) greedy generators, since each
             # one at least doubles the subgroup reached
             where = {d: i for i, d in enumerate(data)}
-            walk = _right_walk(data, where, mul_data)
+            walk = _right_walk(data, where, _right_by_mul(mul_data))
             found = walk[0]
             if len(found) > len(table).bit_length() - 1:
                 raise InputError("multiplication table is not a group: it "
@@ -551,9 +645,11 @@ class Group:
 
 def _identity_first(elements, identity):
     elements = [tuple(e) if isinstance(e, list) else e for e in elements]
-    if identity not in elements:
-        raise InputError("element list does not contain the identity")
-    return [identity] + [e for e in elements if e != identity]
+    try:
+        i = elements.index(identity)
+    except ValueError:
+        raise InputError("element list does not contain the identity") from None
+    return [identity] + elements[:i] + elements[i + 1:]
 
 
 def _as_perm(g, n):
@@ -667,8 +763,11 @@ class Subgroup:
                  "_classes", "_centralizers")
 
     def __new__(cls, group: Group, ids, _validate=True):
-        key = tuple(sorted({i.id if isinstance(i, Element) else int(i)
-                            for i in ids}))
+        if isinstance(ids, range) and ids.step > 0:
+            key = tuple(ids)  # a rising range is sorted and distinct
+        else:
+            key = tuple(sorted({i.id if isinstance(i, Element) else int(i)
+                                for i in ids}))
         H = group._subgroups.get(key)
         if H is None:
             H = object.__new__(cls)
@@ -794,6 +893,17 @@ def _points(H: Subgroup):
     return points, {y: i for i, y in enumerate(points)}
 
 
+def _right_of(H: Subgroup):
+    """The multiplier factory of walks over ``_points(H)``: the group's
+    own for the whole group, which reads a matrix group's products from
+    row tables, and otherwise products by ``mul_data``, since a
+    subgroup's walk is too short to pay for the tables."""
+    G = H.group
+    if len(H.key) == len(G._data):
+        return G._right
+    return _right_by_mul(G._mul_data)
+
+
 def generating_ids(H: Subgroup) -> tuple:
     """The generating set of H, kept on it and used by the abelian test,
     the conjugation action and the derived subgroup alike.
@@ -819,7 +929,8 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     greedy set's maps settle the flag with no product: generators s and
     t commute exactly when s t and t s have the same position.  A flag
     that a centralizer's closure set earlier must agree with the walk's,
-    or ``InternalError`` is raised.
+    or ``InternalError`` is raised.  ``_points(H)`` is formed once, for
+    the pair search and the greedy walk alike.
 
     The walk's right multiplication maps R(y) = y s give the action with
     no product: s^-1 y s is (s^-1 y^-1 s)^-1 = inv(R(inv(R(y)))), with
@@ -827,11 +938,11 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     gathers of R and inv.  An abelian H gets identity permutations.  The
     maps are not kept.  The generating set is stored last, so a thread
     that sees it sees the flag and the action too."""
-    found = _generating_pair(H)
+    points, where = _points(H)
+    found = _generating_pair(H, points, where)
     if found is None:
         if walk is None:
-            points, where = _points(H)
-            walk = _right_walk(points, where, H.group._mul_data)
+            walk = _right_walk(points, where, _right_of(H))
         if walk is None:
             return False
         gens, maps = walk
@@ -877,15 +988,16 @@ def _unit_order(fld: FieldSpec, units) -> int:
     return order
 
 
-def _generating_pair(H: Subgroup):
+def _generating_pair(H: Subgroup, points, where):
     """Two ids that generate H, with the right multiplication maps by
-    them, or None: at most ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by
-    a generator seeded with the integer ``_PAIR_SEED``.  A commuting pair
-    is rejected with 2 products, so an abelian H costs at most 10.  Any
-    other pair is kept when its ``_right_walk`` reaches every member, at
-    2 products per member it reaches; on a set not yet known to be a
-    group, that also proves it closed.  Every group of order below 6 is
-    abelian, so those are not searched.
+    them, or None, given ``points, where = _points(H)``: at most
+    ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by a generator seeded
+    with the integer ``_PAIR_SEED``.  A commuting pair is rejected with
+    2 products, so an abelian H costs at most 10.  Any other pair is kept
+    when its ``_right_walk`` reaches every member, at 2 products per
+    member it reaches; on a set not yet known to be a group, that also
+    proves it closed.  Every group of order below 6 is abelian, so those
+    are not searched.
 
     In a matrix group, a pair that generates H has determinants that
     generate det(H), which holds those of every drawn member; so a pair
@@ -896,7 +1008,6 @@ def _generating_pair(H: Subgroup):
     key = H.key
     if len(key) < 6:
         return None
-    points, where = _points(H)
     G = H.group
     mul = G._mul_data
     det = G._det
@@ -913,7 +1024,7 @@ def _generating_pair(H: Subgroup):
                                               for pair in draws for p in pair])
             if _unit_order(G.field, (det(points[a]), det(points[b]))) < units:
                 continue
-        walk = _right_walk(points, where, mul, (a, b))
+        walk = _right_walk(points, where, _right_of(H), (a, b))
         if walk is not None:
             return (key[a], key[b]), walk[1]
     return None

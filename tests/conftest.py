@@ -292,7 +292,7 @@ def greedy_action_generators(monkeypatch):
     on a subgroup nor on the whole group while it is built."""
     from commprob import groups
 
-    monkeypatch.setattr(groups, "_generating_pair", lambda _H: None)
+    monkeypatch.setattr(groups, "_generating_pair", lambda *_: None)
 
 
 def fresh_build(desc):
@@ -304,20 +304,36 @@ def fresh_build(desc):
     return catalog._build_uncached(catalog.parse(desc))
 
 
+def counted_right(right, count):
+    """The multiplier factory ``right`` with each call of a multiplier it
+    makes added to ``count[0]``, one product each."""
+    def counted(s):
+        times = right(s)
+
+        def counted_times(y):
+            count[0] += 1
+            return times(y)
+        return counted_times
+    return counted
+
+
 def count_construction_products(monkeypatch):
     """Count the element products every ``Group`` constructor call makes
-    from now on: returns a one-item list holding the running count."""
+    from now on, by ``mul_data`` and by the multipliers of its ``right``
+    factory alike: returns a one-item list holding the running count."""
     from commprob.groups import Group
 
     count = [0]
     init = Group.__init__
 
-    def counted_init(self, kind, mul_data, *args, **kwargs):
+    def counted_init(self, kind, mul_data, *args, right=None, **kwargs):
         def counted(a, b):
             count[0] += 1
             return mul_data(a, b)
 
-        init(self, kind, counted, *args, **kwargs)
+        if right is not None:
+            right = counted_right(right, count)
+        init(self, kind, counted, *args, right=right, **kwargs)
 
     monkeypatch.setattr(Group, "__init__", counted_init)
     return count
@@ -331,8 +347,9 @@ def pair_closed(elements, mul, member):
 
 
 def count_products(monkeypatch, G):
-    """Count element products of G from now on: returns a one-item list
-    holding the running count."""
+    """Count element products of G from now on, by ``mul_data`` and by
+    the multipliers of its ``right`` factory alike: returns a one-item
+    list holding the running count."""
     count = [0]
     inner = G._mul_data
 
@@ -341,6 +358,7 @@ def count_products(monkeypatch, G):
         return inner(a, b)
 
     monkeypatch.setattr(G, "_mul_data", counted)
+    monkeypatch.setattr(G, "_right", counted_right(G._right, count))
     return count
 
 

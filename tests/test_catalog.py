@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import threading
 import time
 
@@ -15,8 +16,14 @@ from commprob.catalog import (
     parse,
 )
 from commprob.errors import InputError, SizeCapError
-from commprob.groups import conjugacy_classes, is_abelian, is_solvable
-from conftest import nested_unitary_frames
+from commprob.gf import field, is_prime_power, prime_power
+from commprob.groups import (
+    conjugacy_classes,
+    is_abelian,
+    is_solvable,
+    matrix_operations,
+)
+from conftest import fresh_build, nested_unitary_frames
 
 
 def test_parse_roundtrip():
@@ -253,6 +260,167 @@ def test_unitary_builder_matches_nested_scan(text):
 def test_unitary_u33_element_list_unchanged():
     data = build("U(3,3)")._data
     assert hashlib.sha256(repr(data).encode()).hexdigest() == U33_ELEMENTS_SHA256
+
+
+# sha256 of repr(G._data), the ordered element list, of every catalog
+# group of SMALL_GROUPS and of both verify grids, and of a few larger
+# ones, as built when GL was filtered by determinant and every unit
+# vector had its own orthogonality set
+ELEMENTS_SHA256 = {
+    "C(1)":
+        "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+    "C(2)":
+        "6df3ef58aaac2aff5d071b5f4bcbd92f0014181fe5e884295db42b5a3abfbf47",
+    "C(3)":
+        "276126cb1df8f2b8436fbdfc9a9ec6c63cb0f98fb893ea0d7c13312480731e28",
+    "C(4)":
+        "6fcb67ca35502e18700db1cc95a917b74f3f7fe66f44f98da0ef6bf25f88a234",
+    "C(5)":
+        "ce50ee4a07ae9219f3b0433bf2e18aac906894c5f60cec9837c8b36f5d7b8d9f",
+    "C(6)":
+        "3c9401c1366fe0d2a5db40b4c5ab57294bb9fccc8ddea7b6bbb4e860958f484f",
+    "C(8)":
+        "9b38e422f8588c9bf4e42176556727eee091a8f777864294e4aaf3ee8a42cfdb",
+    "C(12)":
+        "39c05284685af7fef424fecd0d5662ed0bc7d6758bea0617c3b7373ea729f914",
+    "C(30)":
+        "e4e8213d299e7439f65920a4fa73a20ce779e8272f36be719047a287763ba697",
+    "CxC(2,2)":
+        "f4a1820d94436372b086ed9e909f1b6f63f0272507722f7815c3af83d1bdbf5b",
+    "CxC(2,4)":
+        "e447f31e7437e7962dadee521d785bc3dcb866d5cc0360e0bdfdca7fb4aab703",
+    "CxC(3,3)":
+        "37752ef928dd6913a450bc7839b174401387cb674f946cc9224d6aada0fef5e7",
+    "CxC(2,2,2)":
+        "4a6ca2ec2e01b9ffea6d31025ee2d17fa7b7c311ec3890a46a516c49371af728",
+    "CxC(6,10)":
+        "f810e82ff818afc47d84a60a31ea440f4fcbd00aa3752485a3797e6393a0b6df",
+    "S(3)":
+        "1d4f7a1cffcf0bb6985ea36662fd955879e8b975798caeb8bb2c26f985c97c03",
+    "S(4)":
+        "3efa488d32d374a4b75b6a5047df65db875069ed19d87c202f955571f915ca8e",
+    "S(5)":
+        "5d7ea49a40d717711cc7fceca967877c0fbfb66e7c107d9effe83481388f57ed",
+    "A(3)":
+        "276126cb1df8f2b8436fbdfc9a9ec6c63cb0f98fb893ea0d7c13312480731e28",
+    "A(4)":
+        "c3892128cecb99090c779ca31ac44e6821917b2bb56c19daf39242165fe79da2",
+    "A(5)":
+        "fde4e649563403c48b2fa38498379adcd8508ca26c3a72b05f4a61e71e0b8270",
+    "D(2)":
+        "f4a1820d94436372b086ed9e909f1b6f63f0272507722f7815c3af83d1bdbf5b",
+    "D(3)":
+        "d020554ceaf3de02305518e9a6fa0bab58f9266df00c15d8ae5c22684c028a8b",
+    "D(4)":
+        "21965894cd128f79877fcde13dc90dbff48a4a7713f73ec54166e4f0cee18b47",
+    "D(5)":
+        "c588c85c361a740e70ac922d19513bdeb7bb7bbfec004f99c8f3e90a7dca1355",
+    "D(6)":
+        "133a4211c325da51dd647acb8d1540b99799b9e9a764765a3058178aebe5e831",
+    "D(8)":
+        "625c3c404722f37b71521fbbbc7feb3e42037f497c41e59af637de2d077397f3",
+    "D(16)":
+        "71d979cb1f04ba0117eafea2b1333243525d37f539f532749de7638b4acebb56",
+    "Q8":
+        "88e40deb9dca540fb27b9c72e49596ccb39f0143f285df29bd1e2a9c87a7a966",
+    "UT(3,2)":
+        "153c318d9cade08f3f3c9b4b4acceaafabe1dbd0fbc5193e8342867de2f5b939",
+    "UT(3,3)":
+        "af6afca4520e7dde75e1e4ee86b89ae0720239fe750072efb36eea9b19a8558c",
+    "UT(3,5)":
+        "5cd6637484478cba0a00ba2642809f6ad82c4dbf84b456613cb27cc01f1342d4",
+    "GL(1,7)":
+        "8564c061ae2457674d528c045ddfa86612c0d1064e353772eb28d0e05bea54ad",
+    "GL(2,2)":
+        "bf08a831733db3534aacaa7f9c0d2aa54edaf4aaa94afae7b822c9c0d548ef67",
+    "GL(2,3)":
+        "bd531a19fd15a093fb30d52c4458fe152e6c3d8aeda40031d92687f979e234d3",
+    "SL(2,2)":
+        "bf08a831733db3534aacaa7f9c0d2aa54edaf4aaa94afae7b822c9c0d548ef67",
+    "SL(2,3)":
+        "06311f8e62a0b46c30b1443a59eabf8a1b627dc8b82e1dd420d63cb879216e7c",
+    "Sp(2,2)":
+        "bf08a831733db3534aacaa7f9c0d2aa54edaf4aaa94afae7b822c9c0d548ef67",
+    "Sp(2,3)":
+        "06311f8e62a0b46c30b1443a59eabf8a1b627dc8b82e1dd420d63cb879216e7c",
+    "U(2,2)":
+        "9b9546567a4ad82e998363a691f8abb0e547cd017808b83b65b9c7d619e49ce6",
+    "U(2,3)":
+        "06f60e3afa5a5f5f6b642852247d630a1810c67d882275e46300974ed9cdf9a1",
+    "PSL(2,2)":
+        "72430cd42946aa100ebca12789f3deadcc027992bba65977641df08edc86135c",
+    "PSL(2,3)":
+        "5d0d1df44a2532db1f210230ec951f5f59b0b1d20c650a1c3a8e7c1c3bde0309",
+    "PSL(2,5)":
+        "b4f070a229529db8dbe02338bfe0bee655755c6d500498feff0dc0a804411773",
+    "GL(2,4)":
+        "cfbca2dfbc4b22730c5fc47eec352d677cb1c8a8e3b3b62341a2e6f7763cee13",
+    "GL(2,5)":
+        "7ef7f249b0f6a76dfd20462889e0fcf27638fe735762c445f458a843bac21916",
+    "U(2,4)":
+        "c1302c0ae7413bab690226db7e28565f632dd000cf35e9f0774babe334280e1b",
+    "U(2,5)":
+        "5d16ba18b1dff3e01953b63260998406b5566534aec8d0e723ca6ef1ea07c158",
+    "Sp(2,5)":
+        "7f694c13076729736a2050e252a798304e1f1160785f07a10d8f6579bc7ba6eb",
+    "Sp(2,7)":
+        "e739dc9782236a4c87d5b0de9585eb8a4b8f24d2e5f977545e9638f154c520ef",
+    "GL(3,2)":
+        "d65b143704970dd1c436e987591f4a2cdfbe7eacab21c1c8bbce2251c591bc2b",
+    "GL(3,3)":
+        "03ff7aee2bf2fbad9e785c37e9dd72e7fcddd3fa01f7d276508a34838d7db1e4",
+    "U(3,2)":
+        "8dd803fea1d783f9dbb0d25694d38a5b284961e069cc7cf9892200d59ef00ea7",
+    "PSL(2,7)":
+        "8ea0ead3263f2fb787fb812e57bc0c7a081591242bd3654b43b8e48498cc8c9f",
+    "PSL(2,9)":
+        "6d2379adb205766bb4422a441abe5725a1ba723d3f0d8966db9839cd7bb7c1a1",
+    "GL(2,7)":
+        "8c961ebd49b19c4969a621ea4e7ca471ef33be93560e4784afd04ed5bed46ef0",
+    "U(2,7)":
+        "9ac9012a41344b8c22d3722cefe773375e8d084148613aed8cc4cbd73e9f564e",
+    "Sp(2,9)":
+        "9361d331fc2596352f7d0fcc20cda09bb64622fd62df832ebb3a660ed7f4c400",
+    "U(3,3)":
+        "14d041fc496888a5cfb7874db8ae9b8386c24c21a4fc68c63f00957715d994cb",
+    "GL(3,4)":
+        "5e067e94d22ed8ce548581c81ab12a6cb9e49433901c461c8d76cda0c7bdc471",
+    "SL(3,4)":
+        "6441bd2211635dc8ca93cc7fc753b3865b006fa3eb0ddf6f5923c730761b2810",
+    "GL(2,16)":
+        "999629e0c51b2a992def881677a93e8e2e20cb04c5128a8ee58231340105bf33",
+    "SL(3,3)":
+        "4f04033616ae573fdd80efe1a288ebf155a043e0a83c03cd24711ecd9ab02e0a",
+}
+
+
+@pytest.mark.parametrize("text", ELEMENTS_SHA256)
+def test_element_lists_unchanged(text):
+    # groups over 50,000 elements are built outside the build cache, so
+    # that it does not keep them
+    G = build(text) if order_formula(text) <= 50_000 else fresh_build(text)
+    digest = hashlib.sha256(repr(G._data).encode()).hexdigest()
+    assert digest == ELEMENTS_SHA256[text]
+
+
+def _enumerable_gl():
+    """Every (d, q) whose d x d matrices are under the enumeration cap:
+    all q for d = 2 and 3 (29^4 and 5^9 are over it), and q <= 64 for
+    d = 1."""
+    cap = catalog._ENUMERATION_CAP
+    return [(d, q) for d in (1, 2, 3) for q in range(2, 65 if d == 1 else 30)
+            if is_prime_power(q) and q ** (d * d) <= cap]
+
+
+@pytest.mark.parametrize("d, q", _enumerable_gl())
+def test_independent_rows_are_the_determinant_filter(d, q):
+    # the same matrices in the same order as filtering every matrix by
+    # its determinant
+    fld = field(*prime_power(q))
+    det = matrix_operations(fld, d).det
+    every = itertools.product(range(q), repeat=d * d)
+    assert catalog._independent_rows(fld, d) == [m for m in every
+                                                 if det(m) != 0]
 
 
 @pytest.mark.parametrize(

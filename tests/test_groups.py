@@ -107,6 +107,124 @@ def test_det_and_inverse_match_cofactors(p, k, d):
     assert singular_seen >= (1 if d == 1 else 2)
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_table_multiplier_matches_schoolbook(p, k, d):
+    # right(S) reads Y S row by row from S's table, singular S and Y too
+    fld = field(p, k)
+    ops = matrix_operations(fld, d)
+    rng = random.Random(3000 * d + fld.q)
+
+    def rand():
+        return tuple(rng.randrange(fld.q) for _ in range(d * d))
+
+    for S in [ops.identity, (0,) * (d * d)] + [rand() for _ in range(20)]:
+        times = ops.right(S)
+        for Y in [S, ops.identity] + [rand() for _ in range(20)]:
+            assert times(Y) == schoolbook_mat_mul(fld, d, Y, S), (Y, S)
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS)
+def test_right_multipliers_match_products_on_small_groups(desc):
+    # every y s, through the group's own multipliers and, for a matrix
+    # group, through row tables, which a group of order below q^d skips
+    G = build(desc)
+    factories = [G._right]
+    if G.kind == "matrix":
+        factories.append(matrix_operations(G.field, G.dim).right)
+    data = G._data
+    for right in factories:
+        for s in data:
+            times = right(s)
+            assert [times(y) for y in data] == [G._mul_data(y, s)
+                                                for y in data], (desc, s)
+
+
+@pytest.mark.parametrize("desc", ["GL(3,2)", "U(3,2)", "GL(2,7)", "U(2,7)",
+                                  "Sp(2,9)", "PSL(2,9)", "SL(3,3)",
+                                  "GL(3,3)", "U(3,3)"])
+def test_right_multipliers_match_products_on_walk_generators(desc):
+    # every y s for each generator s of the walk that built the group
+    G = build(desc)
+    data = G._data
+    for g in generating_ids(G.full()):
+        s = data[g]
+        times = G._right(s)
+        assert [times(y) for y in data] == [G._mul_data(y, s) for y in data]
+
+
+def test_only_groups_of_order_q_to_the_d_plus_64_fill_row_tables(monkeypatch):
+    # a table has q^d rows: Q8 (8 < 3^2 + 64), GL(1,7), GL(2,3) (48 < 73)
+    # and U(2,3) (96 < 9^2 + 64) multiply matrix by matrix; GL(2,4)
+    # (180 >= 80) fills one table per walked generator
+    tables = []
+    row_table = groups._row_table
+
+    def counted(add, mul, S, d):
+        tables.append(S)
+        return row_table(add, mul, S, d)
+
+    monkeypatch.setattr(groups, "_row_table", counted)
+    for desc in ("Q8", "GL(1,7)", "GL(2,3)", "U(2,3)"):
+        fresh_build(desc)
+        assert tables == [], desc
+    G = fresh_build("GL(2,4)")
+    assert tables == [G.data_of(g) for g in generating_ids(G.full())]
+
+
+def corrupt_square(row_table):
+    """``groups._row_table`` with one entry off by one: the row v S for v
+    the last row of S, which forms the last row of S S."""
+    def corrupted(add, mul, S, d):
+        table = row_table(add, mul, S, d)
+        *path, last = S[-d:]
+        rows = table
+        for a in path:
+            rows = rows[a]
+        row = rows[last]
+        rows[last] = ((row[0] + 1) % len(mul),) + row[1:]
+        return table
+    return corrupted
+
+
+def test_a_corrupted_row_table_fails_the_square_check(monkeypatch):
+    monkeypatch.setattr(groups, "_row_table", corrupt_square(groups._row_table))
+    ops = matrix_operations(field(3), 2)
+    with pytest.raises(InternalError, match=r"the row table of \(1, 1, 0, 1\) "
+                       r"over GF\(3\) gives a wrong square"):
+        ops.right((1, 1, 0, 1))
+    with pytest.raises(InternalError, match="gives a wrong square"):
+        fresh_build("GL(3,3)")
+
+
+def test_a_corrupted_row_table_fails_under_optimize():
+    # the same corruption while GL(3,2) is built, in a python -O interpreter
+    script = (
+        "from commprob import catalog, groups\n"
+        "from commprob.errors import InternalError\n"
+        "print('debug', __debug__)\n"
+        "row_table = groups._row_table\n"
+        "def corrupted(add, mul, S, d):\n"
+        "    table = row_table(add, mul, S, d)\n"
+        "    a, b, c = S[-3:]\n"
+        "    row = table[a][b][c]\n"
+        "    table[a][b][c] = ((row[0] + 1) % len(mul),) + row[1:]\n"
+        "    return table\n"
+        "groups._row_table = corrupted\n"
+        "try:\n"
+        "    catalog.build('GL(3,2)')\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', str(exc).endswith("
+        "'over GF(2) gives a wrong square'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "InternalError True"], \
+        proc.stdout
+
+
 def s3():
     return Group.from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], "S(3)")
 
@@ -243,9 +361,9 @@ def test_group_from_table_walks_an_abelian_table_once(monkeypatch):
     walks = []
     walk = groups._right_walk
 
-    def counted(points, where, mul, gens=()):
+    def counted(points, where, right, gens=()):
         walks.append((len(points), tuple(gens)))
-        return walk(points, where, mul, gens)
+        return walk(points, where, right, gens)
 
     monkeypatch.setattr(groups, "_right_walk", counted)
     G = Group.from_table(_cyclic_table(256))
@@ -435,7 +553,8 @@ def test_right_maps_are_right_multiplication(desc):
         gens = generating_ids(H)
         points, where = groups._points(H)
         positions = tuple(H.key.index(g) for g in gens)
-        _, maps = groups._right_walk(points, where, G._mul_data, positions)
+        _, maps = groups._right_walk(points, where, groups._right_of(H),
+                                     positions)
         assert len(maps) == len(gens)
         for g, right in zip(gens, maps):
             assert [H.key[z] for z in right] == [G.mul(h, g) for h in H.key]
@@ -1049,9 +1168,35 @@ def test_generating_pair_falls_back_to_greedy():
         6, [(1, 2, 3, 0, 4, 5), (2, 1, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4)])
     H = G.full()
     assert G.order == 16 and not is_abelian(H)
-    assert groups._generating_pair(H) is None
+    assert groups._generating_pair(H, *groups._points(H)) is None
     assert len(generating_ids(H)) == 3
     assert len(groups._conjugation_action(H)) == 3
+
+
+@pytest.mark.parametrize("perms, order", [
+    # D(4) x C(2), which no pair generates
+    ([(1, 2, 3, 0, 4, 5), (2, 1, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4)], 16),
+    # C(6), abelian, so every drawn pair commutes
+    ([(1, 2, 0, 4, 3, 5)], 6),
+])
+def test_a_failed_pair_search_forms_the_points_once(monkeypatch, perms, order):
+    # a proper subgroup whose pair search fails walks greedily over the
+    # same member list and position map that the search used
+    G = build("S(6)")
+    H = G.subgroup(bfs_generated(G, [G.id_of(p) for p in perms]),
+                   validate=False)
+    assert H.order == order and H._gens is None
+    calls = []
+    points = groups._points
+
+    def counted(K):
+        calls.append(K)
+        return points(K)
+
+    monkeypatch.setattr(groups, "_points", counted)
+    assert groups._generating_pair(H, *points(H)) is None
+    generating_ids(H)
+    assert calls == [H]
 
 
 def reference_pair(H):
@@ -1069,13 +1214,14 @@ def reference_pair(H):
         a, b = sorted(rng.sample(range(len(key)), 2))
         if mul(points[a], points[b]) == mul(points[b], points[a]):
             continue
-        if groups._right_walk(points, where, mul, (a, b)) is not None:
+        if groups._right_walk(points, where, groups._right_by_mul(mul),
+                              (a, b)) is not None:
             return key[a], key[b]
     return None
 
 
 def found_pair(H):
-    found = groups._generating_pair(H)
+    found = groups._generating_pair(H, *groups._points(H))
     return found and found[0]
 
 
@@ -1105,9 +1251,9 @@ def test_unitary_construction_walks_one_pair(monkeypatch):
     walks = []
     walk = groups._right_walk
 
-    def counted(points, where, mul, gens=()):
+    def counted(points, where, right, gens=()):
         walks.append(tuple(gens))
-        return walk(points, where, mul, gens)
+        return walk(points, where, right, gens)
 
     monkeypatch.setattr(groups, "_right_walk", counted)
     G = fresh_build("U(3,3)")
