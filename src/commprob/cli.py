@@ -76,14 +76,31 @@ def _state_dicts(bm: BranchingMatrix) -> list:
 
 
 def _matrix_record(descriptor: str, order: int, bm: BranchingMatrix) -> dict:
+    """The cache record of a branching matrix, without its ``matrix``
+    field, the flat list of its entries as decimal strings row by row,
+    which ``_record_text`` writes last."""
     return {
         "version": CACHE_FORMAT_VERSION,
         "descriptor": descriptor,
         "order": order,
         "root_index": bm.root,
         "states": _state_dicts(bm),
-        "matrix": [str(c) for row in bm.counts for c in row],
     }
+
+
+def _record_text(descriptor: str, order: int, bm: BranchingMatrix):
+    """The compact JSON text of the whole cache record, newline ended, in
+    pieces: the fields before the matrix, then the matrix one row at a
+    time, so that no piece holds more than one row of it.  Each piece is
+    encoded by ``json.dumps`` without indent, which runs json's C
+    encoder; ``json.dump`` and an indent run the pure-Python one."""
+    head = json.dumps(_matrix_record(descriptor, order, bm),
+                      separators=(",", ":"))
+    yield head[:-1] + ',"matrix":['
+    for i, row in enumerate(bm.counts):
+        text = json.dumps(list(map(str, row)), separators=(",", ":"))[1:-1]
+        yield "," + text if i else text
+    yield "]}\n"
 
 
 def _record_matrix(record: dict) -> BranchingMatrix:
@@ -123,10 +140,7 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
     concurrent stores of one descriptor never share a file; the
     temporary file is removed when the store fails."""
     path = _cache_path(descriptor)
-    # json.dumps without indent runs json's C encoder; json.dump and an
-    # indent run the pure-Python one
-    text = json.dumps(_matrix_record(descriptor, order, bm),
-                      separators=(",", ":"))
+    text = _record_text(descriptor, order, bm)
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -134,7 +148,7 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
                                    prefix=os.path.basename(path) + ".",
                                    suffix=".tmp")
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(text)
         os.replace(tmp, path)
         return True
     except OSError as exc:

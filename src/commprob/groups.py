@@ -44,32 +44,47 @@ needs, and after it every orbit walk is integer indexing.  The
 permutation of a generator s is y -> s^-1 y s, three gathers of the
 recorded map y -> y s and the inversion.  The center is the set of
 points every permutation fixes.  Conjugacy classes are the orbits, each
-grown by a flat loop with a ``bytearray`` of the points seen.  The one
-tree walk, ``_orbit_tree``, grows a breadth-first tree of a seed's orbit
-with parent pointers, lazily, so that a caller can stop it.  Centralizers
-are the point stabilizers: their order |H| / |x^H| is read from the
-classes, and the tree of x is grown only until the Schreier generators
-of its non-tree edges, formed from a lazily built transversal, close to
-that order in an incremental Dimino closure.  Those generators also settle
-whether Z(x) is abelian, so an abelian centralizer is never walked for
-generators.  Z(y) = Z(x) exactly when y is in the center of Z(x) and
-has x's class size, so one closure answers every such y: each distinct
-centralizer of a subgroup is closed once.  The same lemma gives the
-z-classes with no orbit walk.  The derived subgroup is generated by the
-classes of the commutators.  The oracle reads the same action, of the
-whole group for its classes and of each centralizer it walks.
+grown by a flat loop with a ``bytearray`` of the points seen, which
+records for each point the permutation that first reached it, and so
+keeps each class as a tree over its representative at no extra store.
+The one tree walk, ``_orbit_tree``, grows a breadth-first tree of a
+seed's orbit with parent pointers, lazily, so that a caller can stop it.
+Centralizers are the point stabilizers: their order |H| / |x^H| is read
+from the classes, and the tree of x is grown only until the Schreier
+generators of its non-tree edges, formed from a lazily built
+transversal, close to that order in an incremental Dimino closure.
+Those generators also settle whether Z(x) is abelian, so an abelian
+centralizer is never walked for generators.  Z(y) = Z(x) exactly when y
+is in the center of Z(x) and has x's class size, so one closure answers
+every such y, and those y lie in other classes too.  Each class keeps
+one member whose centralizer is known, and the centralizer of any other
+member x is carried from it instead of closed: Z(g^-1 y g) = g^-1 Z(y) g
+(orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of Computational Group
+Theory*, §4.1), and the class tree gives a g as a path of action
+permutations, run back from y to the representative by their inverses,
+made once per subgroup on first need, and forward to x.  Carrying moves
+positions with no product and brings Z(y)'s abelian flag, generating set
+and action along; it is checked exactly, at 2 products per carried
+generator.  So each distinct centralizer of a subgroup is closed or
+carried once, and a closure is paid only for a class that no closure
+before it has reached.  The same lemma gives the z-classes with no orbit
+walk.  The derived subgroup is generated by the classes of the
+commutators.  The oracle reads the same action, of the whole group for
+its classes and of each centralizer it walks.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, islice
-from operator import itemgetter
+from functools import partial
+from itertools import chain, combinations, compress, islice, repeat
+from operator import is_, itemgetter, setitem
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -79,6 +94,9 @@ GROUP_SIZE_CAP = 250_000
 
 _PAIR_SEED = 0x9A12
 _PAIR_TRIALS = 5
+
+# held while a subgroup's generating set and action are kept
+_KEEP_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +290,15 @@ def matrix_operations(fld: FieldSpec, d: int) -> MatrixOps:
 def _perm_ops(n: int):
     idx = tuple(range(n))
 
-    def mul_data(a, b):
-        # composition: apply b first, then a
-        return tuple(a[b[i]] for i in idx)
+    if n > 1:
+        def mul_data(a, b):
+            # composition: apply b first, then a, (a[b[0]], ..., a[b[n-1]])
+            return itemgetter(*b)(a)
+    else:
+        def mul_data(a, b):
+            # itemgetter of one index returns a bare item, and of none
+            # cannot be made
+            return tuple(a[i] for i in b)
 
     def inv_data(a):
         out = [0] * n
@@ -345,7 +369,7 @@ def _light_test(table, gens):
 # Group
 # ---------------------------------------------------------------------------
 
-def _right_walk(points, where, right, gens=()):
+def _right_walk(points, where, right, gens=(), seeds=()):
     """Right multiplication by generators over ``points``, walked from
     the identity ``points[0]``: ``(gens, maps)``, where ``maps[i][y]`` is
     the position of ``points[y] * points[gens[i]]`` (generators are
@@ -356,8 +380,9 @@ def _right_walk(points, where, right, gens=()):
 
     With ``gens`` given the walk is by them alone, and it is None also
     when they reach fewer than all the points.  Without, generators are
-    picked greedily by ascending position, each one not reached by those
-    before it; the points reached before a new generator are closed
+    picked greedily, first from the positions ``seeds`` in their order
+    and then by ascending position, each one not reached by those before
+    it; the points reached before a new generator are closed
     under the earlier ones already, so they are multiplied by it alone.
     Either way each point is multiplied by each generator once, n |T|
     products, and greedily |T| <= log2 n, since each generator at least
@@ -393,7 +418,7 @@ def _right_walk(points, where, right, gens=()):
             return gens, maps
         return None
     gens = []
-    for g in range(1, n):
+    for g in chain(seeds, range(1, n)):
         if not seen[g]:
             gens.append(g)
             maps.append(array("i", [0]) * n)
@@ -760,7 +785,7 @@ class Subgroup:
     ``_find_generators``."""
 
     __slots__ = ("group", "key", "_gens", "_abelian", "_action",
-                 "_classes", "_centralizers")
+                 "_inverse", "_classes", "_centralizers", "_centralized")
 
     def __new__(cls, group: Group, ids, _validate=True):
         if isinstance(ids, range) and ids.step > 0:
@@ -773,8 +798,10 @@ class Subgroup:
             H = object.__new__(cls)
             H.group = group
             H.key = key
-            H._gens = H._abelian = H._action = H._classes = None
+            H._gens = H._abelian = H._action = H._inverse = None
+            H._classes = None
             H._centralizers = {}
+            H._centralized = {}
         if _validate:
             H._validate()
         # callers may build subgroups from their own threads: two threads
@@ -825,14 +852,22 @@ class ConjugacyClass:
 
 
 class ClassData:
-    """Conjugacy classes of a subgroup: deterministic minimal-id reps."""
+    """Conjugacy classes of a subgroup: deterministic minimal-id reps.
 
-    __slots__ = ("owner", "classes", "class_of")
+    For a non-abelian owner H, ``reached`` records the tree each class
+    was grown as, over the positions in ``H.key``: for a position p that
+    is not its class representative's, ``reached[p] - 1`` is the index of
+    the conjugation action's permutation that first reached p, from the
+    point that permutation's inverse sends p to.  An abelian owner has
+    none (None)."""
 
-    def __init__(self, owner, classes, class_of):
+    __slots__ = ("owner", "classes", "class_of", "reached")
+
+    def __init__(self, owner, classes, class_of, reached=None):
         self.owner = owner
         self.classes = classes
         self.class_of = class_of
+        self.reached = reached
 
     @property
     def k(self) -> int:
@@ -925,7 +960,8 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     generating set and that set; False, with nothing kept, when the walk
     finds H not closed under multiplication.  When no generating pair is
     found, the greedy set's walk is ``walk``, the ``_right_walk`` over
-    ``_points(H)`` that a caller ran already, or else a new one.  The
+    ``_points(H)`` that a caller ran already, or else a new one seeded
+    with the members that the pair search drew.  The
     greedy set's maps settle the flag with no product: generators s and
     t commute exactly when s t and t s have the same position.  A flag
     that a centralizer's closure set earlier must agree with the walk's,
@@ -939,10 +975,11 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     maps are not kept.  The generating set is stored last, so a thread
     that sees it sees the flag and the action too."""
     points, where = _points(H)
-    found = _generating_pair(H, points, where)
+    seeds = []
+    found = _generating_pair(H, points, where, seeds)
     if found is None:
         if walk is None:
-            walk = _right_walk(points, where, _right_of(H))
+            walk = _right_walk(points, where, _right_of(H), seeds=seeds)
         if walk is None:
             return False
         gens, maps = walk
@@ -965,11 +1002,23 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     else:
         where = dict(zip(key, range(len(key))))
         pinv = array("i", map(where.__getitem__, map(G._inv.__getitem__, key)))
-    H._abelian = abelian
-    H._action = [array("i", map(pinv.__getitem__, map(
-        right.__getitem__, map(pinv.__getitem__, right)))) for right in rights]
-    H._gens = gens
+    _keep_generators(H, abelian, [array("i", map(pinv.__getitem__, map(
+        right.__getitem__, map(pinv.__getitem__, right)))) for right in rights],
+        gens)
     return True
+
+
+def _keep_generators(H: Subgroup, abelian: bool, action: list, gens: tuple):
+    """Keep on H its abelian flag, the conjugation action of ``gens`` and
+    then ``gens``, unless H has a generating set already.  A generator
+    walk and a centralizer carried from a conjugate may give H different
+    sets, so the first set kept stays, with its own action, and threads
+    that race never pair one set with the other's action."""
+    with _KEEP_LOCK:
+        if H._gens is None:
+            H._abelian = abelian
+            H._action = action
+            H._gens = gens
 
 
 def _unit_order(fld: FieldSpec, units) -> int:
@@ -988,7 +1037,7 @@ def _unit_order(fld: FieldSpec, units) -> int:
     return order
 
 
-def _generating_pair(H: Subgroup, points, where):
+def _generating_pair(H: Subgroup, points, where, seeds=None):
     """Two ids that generate H, with the right multiplication maps by
     them, or None, given ``points, where = _points(H)``: at most
     ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by a generator seeded
@@ -1004,7 +1053,13 @@ def _generating_pair(H: Subgroup, points, where):
     whose two determinants generate a smaller subgroup of the field's
     units than all the drawn ones do is rejected with no walk.  It could
     not have generated H, so the pair chosen is the one that walking
-    every pair would choose."""
+    every pair would choose.
+
+    When ``seeds`` is a list, the first position of every non-commuting
+    pair drawn is appended to it, in draw order: random members reach
+    large subgroups quickly, so a failed search hands them to the greedy
+    walk to start from, where the smallest positions would reach small
+    ones."""
     key = H.key
     if len(key) < 6:
         return None
@@ -1018,6 +1073,8 @@ def _generating_pair(H: Subgroup, points, where):
     for a, b in draws:
         if mul(points[a], points[b]) == mul(points[b], points[a]):
             continue
+        if seeds is not None:
+            seeds.append(a)
         if det is not None:
             if units is None:
                 units = _unit_order(G.field, [det(points[p])
@@ -1050,8 +1107,9 @@ def _orbit_tree(perms, seed):
     the tree: ``centralizer`` reads its Schreier generators from the
     non-tree edges and stops it once they have closed the stabilizer,
     and the oracle carries each centralizer along the tree's paths.
-    Conjugacy classes need only the orbits, so they grow them with a
-    flat loop instead.  It makes no product."""
+    Conjugacy classes grow their orbits with a flat loop instead, which
+    keeps of the tree only the permutation that reached each point.  It
+    makes no product."""
     orbit = [seed]
     index = {seed: 0}
     up = [-1]
@@ -1094,13 +1152,43 @@ def _conjugation_action(H: Subgroup) -> list:
     return H._action
 
 
+def _grow_orbit(orbit, perms, seen):
+    """Extend ``orbit``, a list of points marked in the ``bytearray``
+    ``seen``, to their whole orbit under the integer permutations
+    ``perms``, breadth first: each new point z is appended and marked
+    1 + the index of the permutation that first reached it, so the loop
+    records the orbit's tree at no extra store.  A pair of permutations,
+    the usual generating set, takes a straight-line loop."""
+    if len(perms) == 2:
+        p0, p1 = perms
+        for y in orbit:
+            z = p0[y]
+            if not seen[z]:
+                seen[z] = 1
+                orbit.append(z)
+            z = p1[y]
+            if not seen[z]:
+                seen[z] = 2
+                orbit.append(z)
+        return
+    edges = [(s + 1, perm) for s, perm in enumerate(perms)]
+    for y in orbit:
+        for mark, perm in edges:
+            z = perm[y]
+            if not seen[z]:
+                seen[z] = mark
+                orbit.append(z)
+
+
 def conjugacy_classes(H: Subgroup) -> ClassData:
     """Partition H into conjugation orbits under H itself.
 
     Each class is the orbit of a position in ``H.key`` that no class
     holds yet, under the integer conjugation action, grown by a flat
     loop over the positions met so far with a ``bytearray`` of those
-    seen, so no product is made once the action is built; an abelian H
+    seen, so no product is made once the action is built.  The bytearray
+    is kept as ``ClassData.reached``: each class's tree, which
+    ``_transport`` follows.  An abelian H
     is split into singletons without reading it.  Seeds ascend, so each
     class representative is its minimal id."""
     if H._classes is not None:
@@ -1109,6 +1197,7 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     if is_abelian(H):
         classes = [ConjugacyClass(h, 1, (h,)) for h in key]
         class_of = dict(zip(key, range(len(key))))
+        seen = None
     else:
         classes = []
         class_of = {}
@@ -1119,17 +1208,12 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
                 continue
             seen[seed] = 1
             orbit = [seed]
-            for y in orbit:
-                for perm in action:
-                    z = perm[y]
-                    if not seen[z]:
-                        seen[z] = 1
-                        orbit.append(z)
+            _grow_orbit(orbit, action, seen)
             orbit.sort()
             members = tuple(map(key.__getitem__, orbit))
             class_of.update(dict.fromkeys(members, len(classes)))
             classes.append(ConjugacyClass(key[seed], len(members), members))
-    H._classes = ClassData(H, classes, class_of)
+    H._classes = ClassData(H, classes, class_of, seen)
     return H._classes
 
 
@@ -1139,8 +1223,14 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     Computational Group Theory*, §4.1).
 
     The class size |x^H| is read from ``conjugacy_classes(H)``, so the
-    stabilizer's order |H| / |x^H| is known before any walk.  The class
-    is then grown as the ``_orbit_tree`` of x's position under the
+    stabilizer's order |H| / |x^H| is known before any walk.  When some
+    other member y of x's class has its centralizer kept, Z(x) is carried
+    from Z(y) by ``_transport``: a conjugation of H that sends y to x
+    sends Z(y) onto Z(x), so the image is exact, and it is checked (the
+    path sends y to x, the image has the order above, and x commutes
+    with every carried generator) at no product but 2 per generator.
+    Otherwise it is closed.  The class
+    is grown as the ``_orbit_tree`` of x's position under the
     integer conjugation action, with no product; permutation i of the
     action is y -> u y u^-1 for u = s^-1, s generator i of
     ``generating_ids(H)``, so the walk multiplies by u, the data
@@ -1158,8 +1248,9 @@ def centralizer(H: Subgroup, x) -> Subgroup:
 
     Z(y) = Z for every y in the center of Z whose class has x's size (the
     lemma of ``z_classes``), x among them, so Z is kept for each of them,
-    and their centralizers take no closure.  A class of size 1 gives H
-    itself, and so does an abelian H, without reading the action.
+    and their centralizers take no closure; each class they meet keeps
+    one of them to carry from.  A class of size 1 gives
+    H itself, and so does an abelian H, without reading the action.
     """
     if isinstance(x, Element):
         x = x.id
@@ -1181,6 +1272,9 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         raise InternalError(
             f"class size {size} does not divide |H| = {len(H.key)}"
         )
+    y = _centralized_member(H, cd.class_of[x])
+    if y is not None:
+        return _transport(H, cd, y, x, target)
     data = G._data
     ids = G._ids
     inv = G._inv
@@ -1221,8 +1315,130 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         Z._abelian = all(mul_data(a, b) == mul_data(b, a)
                          for a, b in combinations(found, 2))
     for y in center(Z).key:
-        if cd.classes[cd.class_of[y]].size == size:
+        ci = cd.class_of[y]
+        if cd.classes[ci].size == size:
             H._centralizers[y] = Z
+            H._centralized.setdefault(ci, y)
+    return Z
+
+
+def _centralized_member(H: Subgroup, ci: int):
+    """A member of class ``ci`` of H whose centralizer H keeps, or None,
+    looked up by class."""
+    return H._centralized.get(ci)
+
+
+def _inverse_action(H: Subgroup) -> list:
+    """The inverses of the conjugation action's permutations, in the
+    same order, made on first use and kept next to the action."""
+    if H._inverse is None:
+        inverse = []
+        for perm in _conjugation_action(H):
+            back = array("i", perm)
+            # back[perm[i]] = i for every i, stored in C
+            deque(map(setitem, repeat(back), perm, range(len(perm))),
+                  maxlen=0)
+            inverse.append(back)
+        H._inverse = inverse
+    return H._inverse
+
+
+def _class_path(H: Subgroup, p: int, root: int) -> list:
+    """The permutation indices on the class tree's path from the root,
+    the position of the class representative, to position p of H, in
+    the order they apply.  Each step up the tree is one lookup: the
+    parent of p is the inverse of the permutation that reached p, at p."""
+    reached = H._classes.reached
+    inverse = _inverse_action(H)
+    path = []
+    start = p
+    while p != root:
+        if len(path) == len(reached):
+            raise InternalError(
+                f"the class tree has no path from position {start} up to "
+                f"its representative's, {root}")
+        s = reached[p] - 1
+        path.append(s)
+        p = inverse[s][p]
+    path.reverse()
+    return path
+
+
+def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
+               target: int) -> Subgroup:
+    """Z_H(x) carried from the kept Z(y), for y in x's class, with no
+    closure: Z(pi(y)) = pi(Z(y)) for every conjugation pi of H.  The
+    class tree gives the path of action permutations from the class
+    representative to each of y and x, so y's path run back by the
+    inverse permutations and then x's path forward map the positions of
+    Z(y) onto those of Z(x), with no product.  Z(y)'s abelian flag, and
+    when it is not abelian its generating set and action (found first by
+    its own walk if Z(y) has none yet), are carried too, by relabelling
+    positions, and kept in the order ``_find_generators`` keeps them:
+    flag, action, then set.
+
+    ``InternalError`` unless the path sends y to x, the image has order
+    |H| / |x^H|, and x commutes with every carried generator, at 2
+    products each.  The members whose kept centralizer is Z(y) are
+    carried too, and their images keep Z(x), so that each distinct
+    centralizer is carried once."""
+    G = H.group
+    key = H.key
+    Zy = H._centralizers[y]
+    full = len(key) == len(G._data)
+    position = (lambda h: h) if full else partial(bisect_left, key)
+    root = position(cd.classes[cd.class_of[x]].rep)
+    moved = Zy.key if full else map(position, Zy.key)
+    inverse = _inverse_action(H)
+    for s in reversed(_class_path(H, position(y), root)):
+        moved = map(inverse[s].__getitem__, moved)
+    action = H._action
+    for s in _class_path(H, position(x), root):
+        moved = map(action[s].__getitem__, moved)
+    moved = list(moved) if full else list(map(key.__getitem__, moved))
+    image = moved[bisect_left(Zy.key, y)]
+    if image != x:
+        raise InternalError(
+            f"the class path sends {y} to {image}, expected {x}")
+    Z = Subgroup(G, moved, _validate=False)
+    if len(Z.key) != target:
+        raise InternalError(
+            f"the carried centralizer of {x} has order {len(Z.key)}, "
+            f"expected {target}")
+    abelian = is_abelian(Zy)
+    if Z._abelian is not None and Z._abelian != abelian:
+        raise InternalError(
+            f"the carried centralizer of {x} is "
+            f"{'' if abelian else 'not '}abelian, against its own flag")
+    if abelian:
+        Z._abelian = True
+    else:
+        gens = tuple(moved[bisect_left(Zy.key, g)]
+                     for g in generating_ids(Zy))
+        data = G._data
+        mul_data = G._mul_data
+        xd = data[x]
+        for g in gens:
+            if mul_data(data[g], xd) != mul_data(xd, data[g]):
+                raise InternalError(
+                    f"the carried generator {g} does not commute with {x}")
+        if Z._gens is None:
+            # sigma[i]: the position in Z.key of the image of member i of Zy
+            sigma = array("i", map(partial(bisect_left, Z.key), moved))
+            carried = []
+            for perm in Zy._action:
+                # out[sigma[i]] = sigma[perm[i]] for every i
+                out = array("i", sigma)
+                deque(map(setitem, repeat(out), sigma,
+                          map(sigma.__getitem__, perm)), maxlen=0)
+                carried.append(out)
+            _keep_generators(Z, False, carried, gens)
+    # the images of the members whose kept centralizer is Z(y)
+    cents = H._centralizers
+    same = list(compress(moved, map(is_, map(cents.get, Zy.key),
+                                    repeat(Zy))))
+    cents.update(dict.fromkeys(same, Z))
+    H._centralized.update(zip(map(cd.class_of.__getitem__, same), same))
     return Z
 
 

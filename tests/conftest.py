@@ -381,6 +381,24 @@ def count_closures(monkeypatch):
     return count
 
 
+def count_transports(monkeypatch):
+    """Count the centralizers carried from a conjugate from now on: calls
+    of ``groups._transport``, one per centralizer that takes no closure
+    because another member of its class has one kept.  Returns a
+    one-item list holding the running count."""
+    from commprob import groups
+
+    count = [0]
+    inner = groups._transport
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(groups, "_transport", counted)
+    return count
+
+
 def sorted_signature_lump(B):
     """Reference lumping: the coarsest lumpable partition refining the
     (order, class count) fingerprint, with the blocks numbered by sorted

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -374,6 +375,30 @@ def test_cache_store_load_equal_matrix(cache_env):
     assert cache_store("Sp(2,3)", G.order, bm)
     loaded = cache_load("Sp(2,3)", G.order)
     assert loaded == bm
+
+
+def test_cache_store_encodes_one_row_at_a_time(cache_env):
+    # U(3,3)'s record is about 48 KB.  The store encodes the fields
+    # before the matrix and then the matrix one row at a time, so its
+    # peak under tracemalloc stays below twice the file, where encoding
+    # the whole record at once held 1.38 MB.  The text is still the
+    # compact JSON of the whole record
+    from commprob import cli
+
+    G = build("U(3,3)")
+    bm = build_branching(G)
+    tracemalloc.start()
+    try:
+        assert cache_store("U(3,3)", G.order, bm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(_cache_path("U(3,3)"), encoding="utf-8") as fh:
+        text = fh.read()
+    record = dict(cli._matrix_record("U(3,3)", G.order, bm),
+                  matrix=[str(c) for row in bm.counts for c in row])
+    assert text == json.dumps(record, separators=(",", ":")) + "\n"
+    assert peak < 2 * len(text), (peak, len(text))
 
 
 def test_cache_miss_on_unknown(cache_env):

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import os
 import random
@@ -16,6 +17,7 @@ from conftest import (
     count_closures,
     count_construction_products,
     count_products,
+    count_transports,
     fresh_build,
     greedy_action_generators,
     mul_z_classes,
@@ -25,7 +27,7 @@ from conftest import (
     schoolbook_mat_mul,
 )
 
-from commprob import groups
+from commprob import formulas, groups
 from commprob.branching import build_branching, lump
 from commprob.catalog import SMALL_GROUPS, build
 from commprob.errors import InputError, InternalError, SizeCapError
@@ -52,6 +54,31 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 # -- matrix kernels --
+
+def test_permutation_products_match_composition():
+    # mul_data reads a b as itemgetter(*b)(a); against the composition
+    # (a[b[0]], ..., a[b[n-1]]) it replaced, on every pair of elements of
+    # every permutation group of SMALL_GROUPS and of the default grid
+    descs = set(SMALL_GROUPS).union(*(d for d, _ in formulas._jobs("default")))
+    degrees = set()
+    for desc in sorted(descs):
+        G = build(desc)
+        if G.kind != "perm":
+            continue
+        data = G._data
+        idx = range(len(data[0]))
+        degrees.add(len(idx))
+        for a in data:
+            for b in data:
+                assert G._mul_data(a, b) == tuple(a[b[i]] for i in idx), \
+                    (desc, a, b)
+    assert 1 in degrees and max(degrees) == 30
+    # degrees 0 and 1, where itemgetter is not used
+    for n in (0, 1):
+        mul_data, _, right = groups._perm_ops(n)
+        e = tuple(range(n))
+        assert mul_data(e, e) == e == right(e)(e)
+
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -822,7 +849,7 @@ def test_equal_centralizers_are_the_center_elements_of_equal_class_size():
 # element products of a cold branching expansion, as measured; the
 # test ids name the group alone, so a tighter bound keeps them
 BRANCHING_PRODUCTS = {
-    "GL(3,2)": 158, "U(3,2)": 2563, "GL(3,3)": 5021, "U(3,3)": 23_530,
+    "GL(3,2)": 145, "U(3,2)": 1088, "GL(3,3)": 2056, "U(3,3)": 4801,
 }
 
 
@@ -830,30 +857,37 @@ BRANCHING_PRODUCTS = {
 def test_branching_work_count(monkeypatch, desc):
     # each conjugation orbit is paid for once, by the integer action, and
     # each distinct centralizer is closed once, from the part of the class
-    # its closure needs
+    # its closure needs, or carried from a conjugate with no product but
+    # the check of its generators
     G = fresh_build(desc)
     products = count_products(monkeypatch, G)
     build_branching(G)
     assert products[0] <= BRANCHING_PRODUCTS[desc], products[0]
 
 
-@pytest.mark.parametrize("desc, closures", [("GL(3,3)", 54), ("U(3,3)", 111)])
-def test_each_distinct_centralizer_is_closed_once(monkeypatch, desc, closures):
-    # a cold expansion closes one Schreier closure per distinct non-central
-    # centralizer of a state: the classes whose centralizers are equal are
-    # answered from the first one's closure
+# (closures, transports) of a cold expansion, as measured
+CENTRALIZER_WORK = {"GL(3,3)": (22, 32), "U(3,3)": (31, 80)}
+
+
+@pytest.mark.parametrize("desc, distinct", [("GL(3,3)", 54), ("U(3,3)", 111)])
+def test_each_distinct_centralizer_is_closed_once(monkeypatch, desc, distinct):
+    # a cold expansion pays once per distinct non-central centralizer of a
+    # state: it closes one Schreier closure per z-class block, whose
+    # equal centralizers answer the other classes of the block, and
+    # carries each other centralizer from a conjugate kept for its class
     G = fresh_build(desc)
-    count = count_closures(monkeypatch)
+    closures = count_closures(monkeypatch)
+    transports = count_transports(monkeypatch)
     bm = build_branching(G)
-    closed = count[0]
-    distinct = set()
+    work = (closures[0], transports[0])
+    pairs = set()
     for st in bm.states:
         H = G.subgroup(st.key, validate=False)
         if not st.abelian:
-            distinct.update((H, centralizer(H, c.rep))
-                            for c in conjugacy_classes(H).classes)
-    assert closed == closures
-    assert closed == sum(1 for H, Z in distinct if Z is not H)
+            pairs.update((H, centralizer(H, c.rep))
+                         for c in conjugacy_classes(H).classes)
+    assert work == CENTRALIZER_WORK[desc]
+    assert sum(work) == distinct == sum(1 for H, Z in pairs if Z is not H)
 
 
 FAST_PATH_GROUPS = SMALL_GROUPS + (
@@ -878,6 +912,167 @@ def test_centralizer_fast_path_matches_scan(desc):
         if H is not G.full():
             assert is_abelian(H) == (scan_center(H) == H.key), (desc, st.key)
             assert (H._gens is None) == st.abelian, (desc, st.key)
+
+
+@pytest.mark.parametrize("desc", FAST_PATH_GROUPS + ("GL(3,3)", "U(3,3)"))
+def test_transported_centralizers_match_closed_ones(monkeypatch, desc):
+    # the expansion that carries centralizers along their classes against
+    # the same expansion with the per-class lookup off, so that every
+    # centralizer is closed: the same matrix, and on every state the same
+    # centralizer of each class representative.  Each carried generating
+    # set generates its subgroup, and each carried permutation is the
+    # conjugation by its generator, recomputed with products
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_centralized_member", lambda H, ci: None)
+        R = fresh_build(desc)
+        closed = build_branching(R)
+        closed_reps = {
+            st.key: [centralizer(H, c.rep).key
+                     for c in conjugacy_classes(H).classes]
+            for st in closed.states
+            for H in [R.subgroup(st.key, validate=False)]}
+    carried = []
+    transport = groups._transport
+
+    def recorded(*args):
+        carried.append(transport(*args))
+        return carried[-1]
+
+    monkeypatch.setattr(groups, "_transport", recorded)
+    G = fresh_build(desc)
+    bm = build_branching(G)
+    assert bm == closed
+    assert [st.key for st in bm.states] == [st.key for st in closed.states]
+    for st in bm.states:
+        H = G.subgroup(st.key, validate=False)
+        assert [centralizer(H, c.rep).key
+                for c in conjugacy_classes(H).classes] == closed_reps[st.key]
+    for Z in carried:
+        assert Z._abelian is not None, (desc, Z.key)
+        if Z._gens is None:
+            assert Z._abelian, (desc, Z.key)
+            continue
+        points, where = groups._points(Z)
+        positions = tuple(bisect.bisect_left(Z.key, g) for g in Z._gens)
+        assert groups._right_walk(points, where, groups._right_of(Z),
+                                  positions) is not None, (desc, Z.key)
+        assert len(Z._action) == len(Z._gens)
+        for g, perm in zip(Z._gens, Z._action):
+            gi = G.inv(g)
+            assert [Z.key[p] for p in perm] == [
+                G.mul(G.mul(gi, y), g) for y in Z.key], (desc, Z.key, g)
+
+
+def test_racing_threads_keep_each_set_with_its_own_action():
+    # threads that walk a subgroup for generators and carry it from a
+    # conjugate at once may find it different sets; the first set kept
+    # stays with its own action.  Every kept action is checked against
+    # the conjugations by its set, recomputed with products
+    rounds = [fresh_build("S(5)") for _ in range(6)]
+    barrier = threading.Barrier(4, timeout=10)
+    errors = []
+
+    def expand(G):
+        H = G.full()
+        for c in conjugacy_classes(H).classes:
+            for x in c.members:
+                Z = centralizer(H, x)
+                generating_ids(Z)
+                conjugacy_classes(Z)
+
+    def run():
+        try:
+            for G in rounds:
+                barrier.wait()
+                expand(G)
+        except Exception as exc:  # reported below, with its type
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    for G in rounds:
+        kept = [H for H in G._subgroups.values() if H._gens is not None]
+        assert len(kept) > 1
+        for H in kept:
+            assert len(H._action) == len(H._gens)
+            for g, perm in zip(H._gens, H._action):
+                gi = G.inv(g)
+                assert [H.key[p] for p in perm] == [
+                    G.mul(G.mul(gi, y), g) for y in H.key], (H.key, g)
+
+
+def _class_with_a_kept_conjugate(desc, size):
+    """A fresh build's whole group H, after one closure, and the members
+    of its first class of ``size`` elements whose centralizers are not
+    kept yet, although another member's is: each of them is carried
+    from that one."""
+    G = fresh_build(desc)
+    H = G.full()
+    c = next(c for c in conjugacy_classes(H).classes if c.size == size)
+    centralizer(H, c.rep)
+    others = [y for y in c.members if y not in H._centralizers]
+    assert others and groups._centralized_member(H, H._classes.class_of[c.rep])
+    return H, others
+
+
+def test_a_corrupted_class_path_raises():
+    # the inverse permutations swapped: each step up the class tree leads
+    # astray, and no path reaches the representative
+    H, others = _class_with_a_kept_conjugate("S(4)", 6)
+    H._inverse = groups._inverse_action(H)[::-1]
+    for x in others:
+        with pytest.raises(InternalError, match="no path"):
+            centralizer(H, x)
+    # the forward permutations in their place: a path that still reaches
+    # the representative is a product of conjugations, so it either sends
+    # the kept member to x, and carries its exact centralizer, or fails
+    # the image check
+    H, others = _class_with_a_kept_conjugate("S(5)", 10)
+    H._inverse = list(H._action)
+    failed = 0
+    for x in others:
+        try:
+            Z = centralizer(H, x)
+        except InternalError as exc:
+            assert "class path sends" in str(exc) or "no path" in str(exc)
+            failed += 1
+        else:
+            assert Z.key == scan_centralizer(H, x)
+    assert failed
+
+
+def test_a_corrupted_class_path_raises_under_optimize():
+    # the same failure in a python -O interpreter, where an assert would
+    # be stripped
+    script = (
+        "from commprob import catalog, groups\n"
+        "from commprob.errors import InternalError\n"
+        "H = catalog.build('S(4)').full()\n"
+        "c = next(c for c in groups.conjugacy_classes(H).classes\n"
+        "         if c.size == 6)\n"
+        "groups.centralizer(H, c.rep)\n"
+        "x = next(y for y in c.members if y not in H._centralizers)\n"
+        "H._inverse = groups._inverse_action(H)[::-1]\n"
+        "try:\n"
+        "    groups.centralizer(H, x)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError"), proc.stdout
 
 
 def _walk_with_wrong_flag(G):

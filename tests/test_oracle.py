@@ -681,8 +681,10 @@ def test_stabilizer_maps_generate_the_centralizer_action(desc):
 
 def test_each_walk_applies_one_map_per_generator(monkeypatch):
     # U(3,2) at n = 2 walks 5 distinct centralizers, each under one map
-    # per generator of its own generating set: 11 maps in all
-    G = build("U(3,2)")
+    # per generator of its own generating set: 11 maps in all on a fresh
+    # build.  After a branching expansion, one 54-element centralizer has
+    # the 3-generator set carried from a conjugate instead of its own 2,
+    # so the same walks apply 12
     walks = []
     block_orbits = oracle._block_orbits
 
@@ -692,11 +694,17 @@ def test_each_walk_applies_one_map_per_generator(monkeypatch):
         return block_orbits(cents, m, x, maps)
 
     monkeypatch.setattr(oracle, "_block_orbits", counted)
-    simultaneous_classes_count(G, 2)
-    for zx, count in walks:
-        assert count == len(groups.generating_ids(G.subgroup(zx))), len(zx)
-    assert len({zx for zx, _ in walks}) == len(walks) == 5
-    assert sum(count for _, count in walks) == 11
+    for expand, total in ((False, 11), (True, 12)):
+        G = fresh_build("U(3,2)")
+        if expand:
+            build_branching(G)
+        walks.clear()
+        simultaneous_classes_count(G, 2)
+        for zx, count in walks:
+            assert count == len(groups.generating_ids(G.subgroup(zx))), \
+                len(zx)
+        assert len({zx for zx, _ in walks}) == len(walks) == 5
+        assert sum(count for _, count in walks) == total, expand
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
