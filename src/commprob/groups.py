@@ -945,11 +945,13 @@ def generating_ids(H: Subgroup) -> tuple:
 
     It is the pair of ``_generating_pair`` when that finds one, which
     also settles that H is not abelian; otherwise it is the greedy set
-    of ``_right_walk``, at most log2 |H| generators.  A pair exists only
-    for a non-abelian H, where greedy needs at least two, so the set
-    never has more generators than greedy.  It is found once: for the
-    whole group by the walk that checks it closed at construction, for a
-    validated subgroup by its validation, and otherwise on first use."""
+    of ``_right_walk``, at most log2 |H| generators.  It is kept once:
+    for the whole group by the walk that checks it closed at
+    construction, for a validated subgroup by its validation, for a
+    centralizer carried from a conjugate's by ``_transport``, and
+    otherwise on first use.  A carried set is the image of the
+    conjugate's set, so it may be larger than the pair or greedy set
+    that H's own search would find."""
     if H._gens is None and not _find_generators(H):
         raise InputError("member set is not closed under multiplication")
     return H._gens
@@ -975,8 +977,7 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     maps are not kept.  The generating set is stored last, so a thread
     that sees it sees the flag and the action too."""
     points, where = _points(H)
-    seeds = []
-    found = _generating_pair(H, points, where, seeds)
+    found, seeds = _generating_pair(H, points, where)
     if found is None:
         if walk is None:
             walk = _right_walk(points, where, _right_of(H), seeds=seeds)
@@ -1037,9 +1038,10 @@ def _unit_order(fld: FieldSpec, units) -> int:
     return order
 
 
-def _generating_pair(H: Subgroup, points, where, seeds=None):
+def _generating_pair(H: Subgroup, points, where):
     """Two ids that generate H, with the right multiplication maps by
-    them, or None, given ``points, where = _points(H)``: at most
+    them, or None, and the seeds of the greedy walk, given ``points,
+    where = _points(H)``: at most
     ``_PAIR_TRIALS`` pairs drawn from ``H.key`` by a generator seeded
     with the integer ``_PAIR_SEED``.  A commuting pair is rejected with
     2 products, so an abelian H costs at most 10.  Any other pair is kept
@@ -1055,14 +1057,14 @@ def _generating_pair(H: Subgroup, points, where, seeds=None):
     not have generated H, so the pair chosen is the one that walking
     every pair would choose.
 
-    When ``seeds`` is a list, the first position of every non-commuting
-    pair drawn is appended to it, in draw order: random members reach
-    large subgroups quickly, so a failed search hands them to the greedy
-    walk to start from, where the smallest positions would reach small
-    ones."""
+    The seeds are the first positions of the non-commuting pairs drawn,
+    in draw order: random members reach large subgroups quickly, so a
+    failed search hands them to the greedy walk to start from, where the
+    smallest positions would reach small ones."""
     key = H.key
+    seeds = []
     if len(key) < 6:
-        return None
+        return None, seeds
     G = H.group
     mul = G._mul_data
     det = G._det
@@ -1073,8 +1075,7 @@ def _generating_pair(H: Subgroup, points, where, seeds=None):
     for a, b in draws:
         if mul(points[a], points[b]) == mul(points[b], points[a]):
             continue
-        if seeds is not None:
-            seeds.append(a)
+        seeds.append(a)
         if det is not None:
             if units is None:
                 units = _unit_order(G.field, [det(points[p])
@@ -1083,8 +1084,8 @@ def _generating_pair(H: Subgroup, points, where, seeds=None):
                 continue
         walk = _right_walk(points, where, _right_of(H), (a, b))
         if walk is not None:
-            return (key[a], key[b]), walk[1]
-    return None
+            return ((key[a], key[b]), walk[1]), seeds
+    return None, seeds
 
 
 def _orbit_tree(perms, seed):
@@ -1157,20 +1158,7 @@ def _grow_orbit(orbit, perms, seen):
     ``seen``, to their whole orbit under the integer permutations
     ``perms``, breadth first: each new point z is appended and marked
     1 + the index of the permutation that first reached it, so the loop
-    records the orbit's tree at no extra store.  A pair of permutations,
-    the usual generating set, takes a straight-line loop."""
-    if len(perms) == 2:
-        p0, p1 = perms
-        for y in orbit:
-            z = p0[y]
-            if not seen[z]:
-                seen[z] = 1
-                orbit.append(z)
-            z = p1[y]
-            if not seen[z]:
-                seen[z] = 2
-                orbit.append(z)
-        return
+    records the orbit's tree at no extra store."""
     edges = [(s + 1, perm) for s, perm in enumerate(perms)]
     for y in orbit:
         for mark, perm in edges:

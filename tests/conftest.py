@@ -292,7 +292,8 @@ def greedy_action_generators(monkeypatch):
     on a subgroup nor on the whole group while it is built."""
     from commprob import groups
 
-    monkeypatch.setattr(groups, "_generating_pair", lambda *_: None)
+    monkeypatch.setattr(groups, "_generating_pair",
+                        lambda *_: (None, []))
 
 
 def fresh_build(desc):

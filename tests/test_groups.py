@@ -1363,7 +1363,7 @@ def test_generating_pair_falls_back_to_greedy():
         6, [(1, 2, 3, 0, 4, 5), (2, 1, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4)])
     H = G.full()
     assert G.order == 16 and not is_abelian(H)
-    assert groups._generating_pair(H, *groups._points(H)) is None
+    assert groups._generating_pair(H, *groups._points(H))[0] is None
     assert len(generating_ids(H)) == 3
     assert len(groups._conjugation_action(H)) == 3
 
@@ -1389,7 +1389,7 @@ def test_a_failed_pair_search_forms_the_points_once(monkeypatch, perms, order):
         return points(K)
 
     monkeypatch.setattr(groups, "_points", counted)
-    assert groups._generating_pair(H, *points(H)) is None
+    assert groups._generating_pair(H, *points(H))[0] is None
     generating_ids(H)
     assert calls == [H]
 
@@ -1416,7 +1416,7 @@ def reference_pair(H):
 
 
 def found_pair(H):
-    found = groups._generating_pair(H, *groups._points(H))
+    found = groups._generating_pair(H, *groups._points(H))[0]
     return found and found[0]
 
 
