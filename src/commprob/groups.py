@@ -22,7 +22,10 @@ Dimino's cosets multiply by ``mul_data``.
 
 Subgroups are id sets inside an ambient group, stored once, as the
 sorted id tuple ``key``: order is its length and membership a bisection
-of it.  Subgroups are interned: constructing one whose key its group
+of it.  The whole group's key is every id, so there a member's position
+is its id, and its entries are the int objects that the id map's values
+and the inverse table hold too: one set of id objects per group.
+Subgroups are interned: constructing one whose key its group
 has seen before returns the same object, so subgroup identity is object
 identity, and everything computed about a subgroup (its generating set,
 abelian flag, conjugation action, classes and centralizers) is kept on
@@ -47,6 +50,10 @@ points every permutation fixes.  Conjugacy classes are the orbits, each
 grown by a flat loop with a ``bytearray`` of the points seen, which
 records for each point the permutation that first reached it, and so
 keeps each class as a tree over its representative at no extra store.
+Each member's class index is kept flat too, in one ``array('i')`` over
+the positions in ``H.key``, written by one C-level scatter per class;
+the id -> class map is a read-only view of it, and the engine reads the
+table by position.
 The one tree walk, ``_orbit_tree``, grows a breadth-first tree of a
 seed's orbit with parent pointers, lazily, so that a caller can stop it.
 Centralizers are the point stabilizers: their order |H| / |x^H| is read
@@ -81,6 +88,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, islice, repeat
@@ -479,14 +487,18 @@ class Group:
         self._inv_data = inv_data
         # the multiplier factory of walks over the whole element list
         self._right = right if right is not None else _right_by_mul(mul_data)
-        self._data = list(data)
-        self._ids = {d: i for i, d in enumerate(self._data)}
-        if len(self._ids) != len(self._data):
+        # the list is the group's own: every constructor passes a new one
+        self._data = data
+        self._subgroups = {}
+        # one set of id objects per group: the whole group's key, the
+        # values of _ids and the entries of _inv are the same ints
+        self._full = Subgroup(self, range(len(data)), _validate=False)
+        self._ids = dict(zip(data, self._full.key))
+        if len(self._ids) != len(data):
             raise InputError("element list contains duplicates")
         # one inverse per pair {x, x^-1}: an id whose inverse is known
-        # already is skipped.  The ids come from the values of _ids, so
-        # the table shares their int objects instead of holding its own.
-        inv = [None] * len(self._data)
+        # already is skipped
+        inv = [None] * len(data)
         for d, x in self._ids.items():
             if inv[x] is None:
                 y = self._ids.get(inv_data(d))
@@ -495,10 +507,8 @@ class Group:
                 inv[x] = y
                 inv[y] = x
         self._inv = inv
-        self._subgroups = {}
         self._branching = None
         self._lescot_memo = {}
-        self._full = Subgroup(self, range(len(self._data)), _validate=False)
         self._spot_check(walk)
 
     def _spot_check(self, walk):
@@ -669,12 +679,15 @@ class Group:
 
 
 def _identity_first(elements, identity):
-    elements = [tuple(e) if isinstance(e, list) else e for e in elements]
+    """A new list of ``elements`` (lists made tuples) with the identity
+    moved to the front and the others in their order, built as one list:
+    the identity is moved in place."""
+    data = [tuple(e) if isinstance(e, list) else e for e in elements]
     try:
-        i = elements.index(identity)
+        data.insert(0, data.pop(data.index(identity)))
     except ValueError:
         raise InputError("element list does not contain the identity") from None
-    return [identity] + elements[:i] + elements[i + 1:]
+    return data
 
 
 def _as_perm(g, n):
@@ -854,27 +867,67 @@ class ConjugacyClass:
 class ClassData:
     """Conjugacy classes of a subgroup: deterministic minimal-id reps.
 
+    ``table[p]`` is the index in ``classes`` of the class of the member
+    at position p of ``H.key`` (for the whole group, positions are ids):
+    an ``array('i')``, or for an abelian owner, whose classes are its
+    members in order, the positions themselves (a ``range``).
+    ``class_of`` is the same map keyed by id, a read-only view of the
+    table.
+
     For a non-abelian owner H, ``reached`` records the tree each class
-    was grown as, over the positions in ``H.key``: for a position p that
-    is not its class representative's, ``reached[p] - 1`` is the index of
-    the conjugation action's permutation that first reached p, from the
+    was grown as, over the same positions: for a position p that is not
+    its class representative's, ``reached[p] - 1`` is the index of the
+    conjugation action's permutation that first reached p, from the
     point that permutation's inverse sends p to.  An abelian owner has
     none (None)."""
 
-    __slots__ = ("owner", "classes", "class_of", "reached")
+    __slots__ = ("owner", "classes", "table", "reached")
 
-    def __init__(self, owner, classes, class_of, reached=None):
+    def __init__(self, owner, classes, table, reached=None):
         self.owner = owner
         self.classes = classes
-        self.class_of = class_of
+        self.table = table
         self.reached = reached
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
+    @property
+    def class_of(self) -> "ClassOf":
+        return ClassOf(self.owner.key, self.table)
+
     def __repr__(self):
         return f"ClassData(k={len(self.classes)}, owner order {self.owner.order})"
+
+
+class ClassOf(Mapping):
+    """The id -> class index map of a ``ClassData``, read from its
+    position-indexed table: keys are the owner's member ids in ``key``
+    order, and any other key raises ``KeyError``.  It compares equal to
+    a dict with the same items."""
+
+    __slots__ = ("_key", "_table")
+
+    def __init__(self, key, table):
+        self._key = key
+        self._table = table
+
+    def __getitem__(self, x):
+        key = self._key
+        try:
+            p = bisect_left(key, x)
+        except TypeError:
+            raise KeyError(x) from None
+        if p == len(key) or key[p] != x:
+            raise KeyError(x)
+        return self._table[p]
+
+    def __iter__(self):
+        return iter(self._key)
+
+    def __len__(self):
+        return len(self._key)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,20 +1229,22 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     loop over the positions met so far with a ``bytearray`` of those
     seen, so no product is made once the action is built.  The bytearray
     is kept as ``ClassData.reached``: each class's tree, which
-    ``_transport`` follows.  An abelian H
-    is split into singletons without reading it.  Seeds ascend, so each
-    class representative is its minimal id."""
+    ``_transport`` follows.  Each class's index is written over its
+    positions in ``ClassData.table`` by one C-level scatter.  An abelian H
+    is split into singletons without reading it, and its table is its
+    positions.  Seeds ascend, so each class representative is its
+    minimal id."""
     if H._classes is not None:
         return H._classes
     key = H.key
     if is_abelian(H):
         classes = [ConjugacyClass(h, 1, (h,)) for h in key]
-        class_of = dict(zip(key, range(len(key))))
+        table = range(len(key))
         seen = None
     else:
         classes = []
-        class_of = {}
         action = _conjugation_action(H)
+        table = array("i", [0]) * len(key)
         seen = bytearray(len(key))
         for seed in range(len(key)):
             if seen[seed]:
@@ -1198,10 +1253,13 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
             orbit = [seed]
             _grow_orbit(orbit, action, seen)
             orbit.sort()
+            # table[p] = the new class's index for every p of the orbit,
+            # stored in C
+            deque(map(setitem, repeat(table), orbit, repeat(len(classes))),
+                  maxlen=0)
             members = tuple(map(key.__getitem__, orbit))
-            class_of.update(dict.fromkeys(members, len(classes)))
             classes.append(ConjugacyClass(key[seed], len(members), members))
-    H._classes = ClassData(H, classes, class_of, seen)
+    H._classes = ClassData(H, classes, table, seen)
     return H._classes
 
 
@@ -1243,7 +1301,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if isinstance(x, Element):
         x = x.id
     G = H.group
-    if x not in H:
+    px = bisect_left(H.key, x)
+    if px == len(H.key) or H.key[px] != x:
         raise InputError(f"element {x} is not a member of the subgroup")
     Z = H._centralizers.get(x)
     if Z is not None:
@@ -1251,7 +1310,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if is_abelian(H):
         return H
     cd = conjugacy_classes(H)
-    size = cd.classes[cd.class_of[x]].size
+    size = cd.classes[cd.table[px]].size
     if size == 1:
         H._centralizers[x] = H
         return H
@@ -1260,7 +1319,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         raise InternalError(
             f"class size {size} does not divide |H| = {len(H.key)}"
         )
-    y = _centralized_member(H, cd.class_of[x])
+    y = _centralized_member(H, cd.table[px])
     if y is not None:
         return _transport(H, cd, y, x, target)
     data = G._data
@@ -1268,7 +1327,7 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     inv = G._inv
     mul_data = G._mul_data
     gdata = [data[inv[g]] for g in generating_ids(H)]
-    walk = _orbit_tree(_conjugation_action(H), bisect_left(H.key, x))
+    walk = _orbit_tree(_conjugation_action(H), px)
     _, _, up, via = next(walk)
     trans = {0: data[0]}
 
@@ -1302,12 +1361,22 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if Z._abelian is None:
         Z._abelian = all(mul_data(a, b) == mul_data(b, a)
                          for a, b in combinations(found, 2))
-    for y in center(Z).key:
-        ci = cd.class_of[y]
+    cz = center(Z).key
+    for y, ci in zip(cz, map(cd.table.__getitem__, _positions(H, cz))):
         if cd.classes[ci].size == size:
             H._centralizers[y] = Z
             H._centralized.setdefault(ci, y)
     return Z
+
+
+def _positions(H: Subgroup, ids):
+    """The positions in ``H.key`` of the member ids ``ids``, in order:
+    the ids themselves for the whole group, whose key is every id, and
+    otherwise one bisection of the key each."""
+    key = H.key
+    if len(key) == len(H.group._data):
+        return ids
+    return map(partial(bisect_left, key), ids)
 
 
 def _centralized_member(H: Subgroup, ci: int):
@@ -1373,17 +1442,19 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     G = H.group
     key = H.key
     Zy = H._centralizers[y]
-    full = len(key) == len(G._data)
-    position = (lambda h: h) if full else partial(bisect_left, key)
-    root = position(cd.classes[cd.class_of[x]].rep)
-    moved = Zy.key if full else map(position, Zy.key)
+    table = cd.table
+    px = bisect_left(key, x)
+    root = bisect_left(key, cd.classes[table[px]].rep)
+    moved = _positions(H, Zy.key)
     inverse = _inverse_action(H)
-    for s in reversed(_class_path(H, position(y), root)):
+    for s in reversed(_class_path(H, bisect_left(key, y), root)):
         moved = map(inverse[s].__getitem__, moved)
     action = H._action
-    for s in _class_path(H, position(x), root):
+    for s in _class_path(H, px, root):
         moved = map(action[s].__getitem__, moved)
-    moved = list(moved) if full else list(map(key.__getitem__, moved))
+    # the ids at the positions, which for the whole group are the ids
+    moved = (list(moved) if len(key) == len(G._data)
+             else list(map(key.__getitem__, moved)))
     image = moved[bisect_left(Zy.key, y)]
     if image != x:
         raise InternalError(
@@ -1426,7 +1497,8 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     same = list(compress(moved, map(is_, map(cents.get, Zy.key),
                                     repeat(Zy))))
     cents.update(dict.fromkeys(same, Z))
-    H._centralized.update(zip(map(cd.class_of.__getitem__, same), same))
+    H._centralized.update(zip(map(table.__getitem__, _positions(H, same)),
+                              same))
     return Z
 
 
@@ -1466,7 +1538,8 @@ def commutator_subgroup(H: Subgroup) -> Subgroup:
     data = G._data
     genlist = []
     members = {0: data[0]}
-    conjugates = {m for c in comms for m in cd.classes[cd.class_of[c]].members}
+    conjugates = {m for ci in map(cd.table.__getitem__, _positions(H, comms))
+                  for m in cd.classes[ci].members}
     for g in sorted(conjugates):
         if g not in members:
             _dimino_add(G, members, genlist, data[g])
@@ -1525,7 +1598,8 @@ def z_classes(H: Subgroup) -> list:
     blocks = []
     for i, c in enumerate(cd.classes):
         if i not in done:
-            block = {cd.class_of[y] for y in center(centralizer(H, c.rep)).key}
+            block = set(map(cd.table.__getitem__, _positions(
+                H, center(centralizer(H, c.rep)).key)))
             block = sorted(j for j in block if cd.classes[j].size == c.size)
             done.update(block)
             blocks.append(block)

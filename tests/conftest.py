@@ -305,6 +305,22 @@ def fresh_build(desc):
     return catalog._build_uncached(catalog.parse(desc))
 
 
+def traced_peak(fn):
+    """The ``tracemalloc`` peak, in bytes, of a call ``fn()``: tracing
+    starts after a garbage collection, just before the call, and stops
+    after it, so the peak counts only what the call allocates."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def counted_right(right, count):
     """The multiplier factory ``right`` with each call of a multiplier it
     makes added to ``count[0]``, one product each."""

@@ -1,5 +1,7 @@
+import array
 import bisect
 import hashlib
+import operator
 import os
 import random
 import subprocess
@@ -25,6 +27,7 @@ from conftest import (
     scan_center,
     scan_centralizer,
     schoolbook_mat_mul,
+    traced_peak,
 )
 
 from commprob import formulas, groups
@@ -751,6 +754,53 @@ def test_flat_class_orbits_match_bfs_reference(monkeypatch, desc):
         assert [(c.rep, c.size, c.members) for c in cd.classes] == classes, \
             (desc, key)
         assert cd.class_of == class_of, (desc, key)
+
+
+def test_class_tables_are_flat_and_indexed_by_position():
+    # every state's class table is indexed by position in its key: an
+    # array('i') for a non-abelian state, its positions for an abelian
+    # one.  The id -> class view iterates in key order, raises KeyError
+    # off the state, and equals the dict read from the classes
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)"):
+        G = build(desc)
+        for st in build_branching(G).states:
+            H = G.subgroup(st.key, validate=False)
+            cd = conjugacy_classes(H)
+            if st.abelian:
+                assert cd.table == range(len(H.key)), (desc, st.key)
+            else:
+                assert isinstance(cd.table, array.array), (desc, st.key)
+                assert cd.table.typecode == "i"
+                assert len(cd.table) == len(H.key), (desc, st.key)
+            view = cd.class_of
+            assert list(view) == list(H.key), (desc, st.key)
+            assert view == {m: i for i, c in enumerate(cd.classes)
+                            for m in c.members}, (desc, st.key)
+            outside = [g for g in range(G.order) if g not in H][:3]
+            for g in outside + [-1, G.order, "x"]:
+                assert g not in view
+                with pytest.raises(KeyError):
+                    view[g]
+
+
+def test_one_set_of_id_objects_per_group():
+    # the whole group's key, the values of the id map and the inverse
+    # table hold the same int objects, not copies of equal value
+    for desc in SMALL_GROUPS + ("GL(3,2)", "U(3,2)", "GL(2,5)"):
+        G = fresh_build(desc)
+        key = G.full().key
+        assert all(map(operator.is_, key, G._ids.values())), desc
+        assert all(map(operator.is_, map(key.__getitem__, G._inv), G._inv)), \
+            desc
+
+
+def test_cold_branching_traced_peak():
+    # a cold GL(3,3) build and branching expansion peaks at 2,980,826
+    # traced bytes on CPython 3.11 with flat class tables and one set of
+    # id objects (3,939,441 with an id -> class dict per state and a
+    # second set of ints for the whole group's key); bound: that + 10 %
+    peak = traced_peak(lambda: build_branching(fresh_build("GL(3,3)")))
+    assert peak <= 3_279_000, peak
 
 
 def test_conjugation_action_matches_conj_on_catalog_states():
