@@ -8,6 +8,14 @@ number of conjugacy classes of state i whose representative's
 centralizer (inside state i) is state j.  Abelian states are absorbing:
 every one of their |H| singleton classes centralizes to H itself.
 
+The matrix is stored by columns, sparsely: column i is the ascending
+(j, counts[j][i]) pairs of its nonzero entries, which is how the
+expansion finds them, how the matrix power and the lumping read them,
+and how the disk cache stores them.  Most entries are zero: a state
+branches to a few of the others (``U(3,3)``: 213 nonzero entries of
+102 x 102).  ``BranchingMatrix.counts`` is a dense copy, made on each
+read.
+
 With e_root the indicator of the G state, 1^T B^n e_root counts the
 simultaneous conjugacy classes of commuting n-tuples, which turns the
 n-fold commuting probability into an exact matrix power:
@@ -24,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -49,7 +58,9 @@ class StateInfo:
 @dataclass
 class BranchingMatrix:
     states: list
-    counts: list  # counts[j][i], row-major
+    # columns[i]: the (j, counts[j][i]) pairs of the nonzero entries of
+    # column i, as tuples, ascending in j
+    columns: list
     root: int
 
     @property
@@ -61,31 +72,47 @@ class BranchingMatrix:
         """k(G) for the root group."""
         return self.states[self.root].class_count
 
+    @property
+    def counts(self) -> list:
+        """The dense matrix, counts[j][i] row-major, as a new list of
+        lists on each read: changing it leaves the matrix as it is."""
+        size = len(self.columns)
+        counts = [[0] * size for _ in range(size)]
+        for i, column in enumerate(self.columns):
+            for j, c in column:
+                counts[j][i] = c
+        return counts
+
     def column_sums(self) -> list:
-        return [sum(column) for column in zip(*self.counts)]
+        return [sum(map(itemgetter(1), column)) for column in self.columns]
 
 
-def count_via_matrix(counts, root: int, n: int) -> int:
-    """1^T M^n e_root for a square nonnegative integer matrix, by
-    iterated matrix-vector products in exact integers.  Each product
-    multiplies only the nonzero entries of the vector by the nonzero
-    entries of their columns, read once per call."""
+def columns_of(counts) -> list:
+    """The sparse columns of a square matrix given row-major, as
+    ``BranchingMatrix.columns`` holds them: for each column i, the
+    tuple of the pairs (j, counts[j][i]) with a nonzero entry, ascending
+    in j."""
+    size = len(counts)
+    return [tuple((j, row[i]) for j, row in enumerate(counts) if row[i])
+            for i in range(size)]
+
+
+def count_via_matrix(columns, root: int, n: int) -> int:
+    """1^T M^n e_root for a square nonnegative integer matrix M given by
+    its sparse columns (``columns_of``), by iterated matrix-vector
+    products in exact integers.  Each product multiplies only the
+    nonzero entries of the vector by the nonzero entries of their
+    columns, read as they are stored."""
     if n < 0:
         raise InputError("power must be nonnegative")
-    size = len(counts)
-    vec = [0] * size
+    vec = [0] * len(columns)
     vec[root] = 1
-    # the nonzero entries (j, counts[j][i]) of each column i
-    columns = [[] for _ in range(size)]
-    for j, row in enumerate(counts):
-        for i in compress(range(size), row):
-            columns[i].append((j, row[i]))
     for _ in range(n):
-        nxt = [0] * size
-        for i, v in enumerate(vec):
-            if v:
-                for j, c in columns[i]:
-                    nxt[j] += c * v
+        nxt = [0] * len(columns)
+        for i in compress(range(len(vec)), vec):
+            v = vec[i]
+            for j, c in columns[i]:
+                nxt[j] += c * v
         vec = nxt
     return sum(vec)
 
@@ -124,10 +151,9 @@ def build_branching(G: Group) -> BranchingMatrix:
             edges[pair] = edges.get(pair, 0) + 1
     ordered = sorted(reached, key=lambda H: H.key)
     index = {H: i for i, H in enumerate(ordered)}
-    size = len(ordered)
-    counts = [[0] * size for _ in range(size)]
+    columns = [[] for _ in ordered]
     for (child, parent), c in edges.items():
-        counts[index[child]][index[parent]] = c
+        columns[index[parent]].append((index[child], c))
     states = [
         StateInfo(
             label=f"s{i}",
@@ -138,29 +164,59 @@ def build_branching(G: Group) -> BranchingMatrix:
         )
         for i, H in enumerate(ordered)
     ]
-    bm = BranchingMatrix(states=states, counts=counts, root=index[full])
+    bm = BranchingMatrix(states=states,
+                         columns=[tuple(sorted(column)) for column in columns],
+                         root=index[full])
     _validate_matrix(bm)
     G._branching = bm
     return bm
 
 
 def _validate_matrix(bm: BranchingMatrix):
-    """Raise InternalError unless the entries are nonnegative, column i
-    sums to k of state i, and every abelian state is absorbing.  With no
-    negative entry, an abelian column has a foreign branch exactly when
-    it sums to more than its diagonal entry."""
-    if min(map(min, bm.counts)) < 0:
-        raise InternalError("the matrix has a negative entry")
-    sums = bm.column_sums()
-    for i, st in enumerate(bm.states):
-        if sums[i] != st.class_count:
+    """Raise InternalError unless the columns are well formed and the
+    matrix is a branching matrix, in one pass over the columns: each
+    column lists its children by index in range, strictly ascending, with
+    positive integer counts, and column i sums to k of state i; every
+    abelian state is absorbing; and the root, the whole group, is the
+    one state of the largest order.  With every count positive, an
+    abelian column has a foreign branch exactly when it sums to more
+    than its diagonal entry."""
+    size = len(bm.states)
+    if len(bm.columns) != size:
+        raise InternalError(f"the matrix is not square: {len(bm.columns)} "
+                            f"columns for {size} states")
+    if not 0 <= bm.root < size:
+        raise InternalError(f"root index {bm.root} is out of range")
+    top = bm.states[bm.root].order
+    for i, (st, column) in enumerate(zip(bm.states, bm.columns)):
+        if i != bm.root and st.order >= top:
             raise InternalError(
-                f"column {i} sums to {sums[i]}, expected k = {st.class_count}"
+                f"state {i} has order {st.order}, not below the root's {top}")
+        last = -1
+        total = 0
+        for j, c in column:
+            if type(j) is not int or type(c) is not int:
+                raise InternalError(
+                    f"column {i} has a non-integer entry ({j!r}, {c!r})")
+            if not 0 <= j < size:
+                raise InternalError(f"column {i} has the child index {j}, "
+                                    f"out of range for {size} states")
+            if j <= last:
+                raise InternalError(f"column {i} lists child {j} after child "
+                                    f"{last}: not strictly ascending")
+            if c <= 0:
+                raise InternalError(
+                    f"column {i} has a zero or negative count {c} at child {j}")
+            last = j
+            total += c
+        if total != st.class_count:
+            raise InternalError(
+                f"column {i} sums to {total}, expected k = {st.class_count}"
             )
         if st.abelian:
-            if bm.counts[i][i] != st.order:
+            if dict(column).get(i) != st.order:
                 raise InternalError(f"abelian state {i} is not absorbing")
-            if sums[i] != st.order:
+            if total != st.order:
                 raise InternalError(f"abelian state {i} has a foreign branch")
 
 
@@ -168,7 +224,7 @@ def c_tuples(B: BranchingMatrix, n: int) -> int:
     """Number of simultaneous conjugacy classes of commuting n-tuples."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    return count_via_matrix(B.counts, B.root, n)
+    return count_via_matrix(B.columns, B.root, n)
 
 
 def cp_via_branching(G: Group, n: int) -> Fraction:
@@ -257,9 +313,7 @@ def lump(B: BranchingMatrix) -> TypePartition:
     order, then ascending class count, then count vector.  A pass that
     splits no block keeps the numbering, so each state's count vector is
     then its block's column of the quotient."""
-    # the nonzero entries (u, counts[u][s]) of each column s
-    columns = [[(u, row[s]) for u, row in enumerate(B.counts) if row[s]]
-               for s in range(len(B.states))]
+    columns = B.columns
     signatures = [(-st.order, st.class_count) for st in B.states]
     nblocks = 0
     while True:

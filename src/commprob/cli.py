@@ -45,7 +45,7 @@ from .oracle import (
     simultaneous_classes_count,
 )
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "COMMPROB_CACHE"
 
 
@@ -67,38 +67,44 @@ def _cache_path(descriptor: str) -> str:
     return os.path.join(cache_dir(), f"bm-v{CACHE_FORMAT_VERSION}-{digest}.json")
 
 
+def _state_dict(st: StateInfo) -> dict:
+    return {"label": st.label, "order": st.order,
+            "class_count": st.class_count, "abelian": st.abelian}
+
+
 def _state_dicts(bm: BranchingMatrix) -> list:
-    return [
-        {"label": st.label, "order": st.order,
-         "class_count": st.class_count, "abelian": st.abelian}
-        for st in bm.states
-    ]
+    return list(map(_state_dict, bm.states))
 
 
 def _matrix_record(descriptor: str, order: int, bm: BranchingMatrix) -> dict:
-    """The cache record of a branching matrix, without its ``matrix``
-    field, the flat list of its entries as decimal strings row by row,
-    which ``_record_text`` writes last."""
+    """The fields of the cache record of a branching matrix before its
+    ``states`` (``_state_dicts``) and its ``columns``, the sparse columns
+    as lists of [child, count] pairs, which ``_record_text`` writes
+    after them, in that order."""
     return {
         "version": CACHE_FORMAT_VERSION,
         "descriptor": descriptor,
         "order": order,
         "root_index": bm.root,
-        "states": _state_dicts(bm),
     }
 
 
 def _record_text(descriptor: str, order: int, bm: BranchingMatrix):
     """The compact JSON text of the whole cache record, newline ended, in
-    pieces: the fields before the matrix, then the matrix one row at a
-    time, so that no piece holds more than one row of it.  Each piece is
-    encoded by ``json.dumps`` without indent, which runs json's C
-    encoder; ``json.dump`` and an indent run the pure-Python one."""
+    pieces: the fields before the states, then the states and the
+    columns one at a time, so that no piece holds more than one of them.
+    Each piece is encoded by ``json.dumps`` without indent, which runs
+    json's C encoder; ``json.dump`` and an indent run the pure-Python
+    one."""
     head = json.dumps(_matrix_record(descriptor, order, bm),
                       separators=(",", ":"))
-    yield head[:-1] + ',"matrix":['
-    for i, row in enumerate(bm.counts):
-        text = json.dumps(list(map(str, row)), separators=(",", ":"))[1:-1]
+    yield head[:-1] + ',"states":['
+    for i, st in enumerate(bm.states):
+        text = json.dumps(_state_dict(st), separators=(",", ":"))
+        yield "," + text if i else text
+    yield '],"columns":['
+    for i, column in enumerate(bm.columns):
+        text = json.dumps(column, separators=(",", ":"))
         yield "," + text if i else text
     yield "]}\n"
 
@@ -115,17 +121,14 @@ def _record_matrix(record: dict) -> BranchingMatrix:
         )
         for s in record["states"]
     ]
-    size = len(states)
-    flat = [int(c) for c in record["matrix"]]
-    if len(flat) != size * size:
-        raise CacheError("cache matrix is not square")
-    counts = [flat[i * size:(i + 1) * size] for i in range(size)]
+    columns = [tuple((j, c) for j, c in column)
+               for column in record["columns"]]
     root = int(record["root_index"])
-    if not 0 <= root < size:
+    if not 0 <= root < len(states):
         raise CacheError("cache root index out of range")
     if states[root].order != int(record["order"]):
         raise CacheError("cache root order disagrees with the group order")
-    bm = BranchingMatrix(states=states, counts=counts, root=root)
+    bm = BranchingMatrix(states=states, columns=columns, root=root)
     try:
         _validate_matrix(bm)
     except InternalError as exc:
@@ -147,8 +150,10 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    prefix=os.path.basename(path) + ".",
                                    suffix=".tmp")
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
+        # binary, with a small buffer: the text comes in short pieces, and
+        # a text file would hold a list of them until it encodes
+        with open(fd, "wb", buffering=1024) as fh:
+            fh.writelines(map(str.encode, text))
         os.replace(tmp, path)
         return True
     except OSError as exc:

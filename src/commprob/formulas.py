@@ -50,7 +50,12 @@ from functools import partial
 from math import factorial
 from typing import Optional
 
-from .branching import count_via_matrix, cp_via_branching, cp_via_lescot
+from .branching import (
+    columns_of,
+    count_via_matrix,
+    cp_via_branching,
+    cp_via_lescot,
+)
 from .catalog import build, order_formula, parse
 from .errors import InputError, InternalError
 from .gf import prime_power
@@ -449,8 +454,8 @@ def evaluate_matrix(family: str, q: int):
 def _matrix_formula_cp(mf: MatrixFormula, q: int, n: int) -> Fraction:
     if n < 2:
         raise InputError("n must be at least 2")
-    counts = _evaluate_matrix_formula(mf, q)
-    c = count_via_matrix(counts, 0, n - 1)
+    columns = columns_of(_evaluate_matrix_formula(mf, q))
+    c = count_via_matrix(columns, 0, n - 1)
     order = mf.order(q)
     if order.denominator != 1:
         raise InternalError(f"{mf.family} group order is not an integer at q={q}")

@@ -74,7 +74,13 @@ positions with no product and brings Z(y)'s abelian flag, generating set
 and action along; it is checked exactly, at 2 products per carried
 generator.  So each distinct centralizer of a subgroup is closed or
 carried once, and a closure is paid only for a class that no closure
-before it has reached.  The same lemma gives the z-classes with no orbit
+before it has reached.  A centralizer carried so keeps the conjugate it
+came from and the map onto it, and is a conjugate state all the way
+down: Z_{K^g}(x^g) = Z_K(x)^g, so its classes are the conjugate's
+relabelled, each taking its minimal id as representative, and its
+centralizers are the conjugate's carried through the same map, which
+they keep in turn.  It grows no orbit, keeps no class tree and closes
+nothing.  The same lemma gives the z-classes with no orbit
 walk.  The derived subgroup is generated by the classes of the
 commutators.  The oracle reads the same action, of the whole group for
 its classes and of each centralizer it walks.
@@ -540,6 +546,8 @@ class Group:
 
     @classmethod
     def from_permutation_list(cls, n, elements, descriptor=""):
+        """The group whose elements are the image tuples ``elements``;
+        a list is taken over as the group's own (``_identity_first``)."""
         mul_data, inv_data, right = _perm_ops(n)
         identity = tuple(range(n))
         data = _identity_first(elements, identity)
@@ -558,6 +566,8 @@ class Group:
 
     @classmethod
     def from_matrix_list(cls, fld, d, elements, descriptor=""):
+        """The group whose elements are the flat matrices ``elements``;
+        a list is taken over as the group's own (``_identity_first``)."""
         ops = matrix_operations(fld, d)
         data = _identity_first(elements, ops.identity)
         return cls._from_matrix_data(ops, data, descriptor)
@@ -679,10 +689,14 @@ class Group:
 
 
 def _identity_first(elements, identity):
-    """A new list of ``elements`` (lists made tuples) with the identity
-    moved to the front and the others in their order, built as one list:
-    the identity is moved in place."""
-    data = [tuple(e) if isinstance(e, list) else e for e in elements]
+    """``elements`` as a group's element list, with the identity moved
+    to the front in place and the others in their order: a list is taken
+    over as it is, so that a caller that hands its list over holds no
+    second list of |G| pointers, and anything else is listed.  Elements
+    given as lists are made tuples, in place."""
+    data = elements if type(elements) is list else list(elements)
+    for i in compress(range(len(data)), map(isinstance, data, repeat(list))):
+        data[i] = tuple(data[i])
     try:
         data.insert(0, data.pop(data.index(identity)))
     except ValueError:
@@ -795,10 +809,14 @@ class Subgroup:
     is never interned.  The slots after ``key`` hold what the subgroup
     algorithms compute about it, each filled on first use; the generating
     set, abelian flag and conjugation action are filled together, by
-    ``_find_generators``."""
+    ``_find_generators``, or by ``_carry`` for a subgroup carried from a
+    conjugate, which also fills ``_carried``: the conjugate and the map
+    onto the subgroup that its classes and centralizers are read
+    through."""
 
     __slots__ = ("group", "key", "_gens", "_abelian", "_action",
-                 "_inverse", "_classes", "_centralizers", "_centralized")
+                 "_inverse", "_classes", "_centralizers", "_centralized",
+                 "_carried")
 
     def __new__(cls, group: Group, ids, _validate=True):
         if isinstance(ids, range) and ids.step > 0:
@@ -812,7 +830,7 @@ class Subgroup:
             H.group = group
             H.key = key
             H._gens = H._abelian = H._action = H._inverse = None
-            H._classes = None
+            H._classes = H._carried = None
             H._centralizers = {}
             H._centralized = {}
         if _validate:
@@ -1062,16 +1080,23 @@ def _find_generators(H: Subgroup, walk=None) -> bool:
     return True
 
 
-def _keep_generators(H: Subgroup, abelian: bool, action: list, gens: tuple):
-    """Keep on H its abelian flag, the conjugation action of ``gens`` and
-    then ``gens``, unless H has a generating set already.  A generator
-    walk and a centralizer carried from a conjugate may give H different
-    sets, so the first set kept stays, with its own action, and threads
-    that race never pair one set with the other's action."""
+def _keep_generators(H: Subgroup, abelian: bool, action: list, gens: tuple,
+                     carried=None):
+    """Keep on H its abelian flag, the conjugation action of ``gens``,
+    the conjugate and map ``carried`` that ``gens`` were carried by, if
+    any, and then ``gens``, unless H has a generating set already.  A
+    generator walk and a centralizer carried from a conjugate may give H
+    different sets, so the first set kept stays, with its own action, and
+    threads that race never pair one set with the other's action.
+
+    A subgroup is carried from a conjugate only here, before it has a
+    generating set, and a conjugate carried from has one, so no subgroup
+    is carried, step by step, from itself."""
     with _KEEP_LOCK:
         if H._gens is None:
             H._abelian = abelian
             H._action = action
+            H._carried = carried
             H._gens = gens
 
 
@@ -1233,8 +1258,16 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     positions in ``ClassData.table`` by one C-level scatter.  An abelian H
     is split into singletons without reading it, and its table is its
     positions.  Seeds ascend, so each class representative is its
-    minimal id."""
+    minimal id.
+
+    An H carried from a conjugate K (``_carried_from``), which is never
+    abelian, takes K's classes instead, relabelled by
+    ``_relabel_classes``, and grows no orbit and keeps no tree."""
     if H._classes is not None:
+        return H._classes
+    carried = _carried_from(H)
+    if carried is not None:
+        H._classes = _relabel_classes(H, *carried)
         return H._classes
     key = H.key
     if is_abelian(H):
@@ -1263,13 +1296,46 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     return H._classes
 
 
+def _carried_from(H: Subgroup):
+    """The conjugate K that H was carried from and the map onto H, the
+    images of ``K.key`` in order, or None: the seam through which H's
+    classes and centralizers are read from K's."""
+    return H._carried
+
+
+def _relabel_classes(H: Subgroup, K: Subgroup, moved: list) -> ClassData:
+    """The classes of H as the images of the classes of K under the
+    conjugation that sends ``K.key[i]`` to ``moved[i]``: conjugation
+    carries classes onto classes.  Each image takes its minimal id as
+    representative and the classes are ordered by it, as orbits grown
+    from ascending seeds are, so the result equals H's own.
+    ``InternalError`` unless the images partition H."""
+    classes = sorted(
+        tuple(sorted(map(moved.__getitem__, _positions(K, c.members))))
+        for c in conjugacy_classes(K).classes)
+    key = H.key
+    if sorted(chain.from_iterable(classes)) != list(key):
+        raise InternalError(
+            f"the classes carried to a subgroup of order {len(key)} do not "
+            f"partition it")
+    table = array("i", [0]) * len(key)
+    for ci, members in enumerate(classes):
+        deque(map(setitem, repeat(table), _positions(H, members), repeat(ci)),
+              maxlen=0)
+    return ClassData(H, [ConjugacyClass(m[0], len(m), m) for m in classes],
+                     table)
+
+
 def centralizer(H: Subgroup, x) -> Subgroup:
     """Elements of H commuting with x, as the stabilizer of x under
     conjugation (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, §4.1).
 
     The class size |x^H| is read from ``conjugacy_classes(H)``, so the
-    stabilizer's order |H| / |x^H| is known before any walk.  When some
+    stabilizer's order |H| / |x^H| is known before any walk.  When H was
+    carried from a conjugate K, Z(x) is carried from K's centralizer of
+    the preimage of x by ``_carry_centralizer``, with the same checks as
+    below.  Otherwise, when some
     other member y of x's class has its centralizer kept, Z(x) is carried
     from Z(y) by ``_transport``: a conjugation of H that sends y to x
     sends Z(y) onto Z(x), so the image is exact, and it is checked (the
@@ -1319,6 +1385,9 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         raise InternalError(
             f"class size {size} does not divide |H| = {len(H.key)}"
         )
+    carried = _carried_from(H)
+    if carried is not None:
+        return _carry_centralizer(H, *carried, x, target)
     y = _centralized_member(H, cd.table[px])
     if y is not None:
         return _transport(H, cd, y, x, target)
@@ -1428,17 +1497,11 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     class tree gives the path of action permutations from the class
     representative to each of y and x, so y's path run back by the
     inverse permutations and then x's path forward map the positions of
-    Z(y) onto those of Z(x), with no product.  Z(y)'s abelian flag, and
-    when it is not abelian its generating set and action (found first by
-    its own walk if Z(y) has none yet), are carried too, by relabelling
-    positions, and kept in the order ``_find_generators`` keeps them:
-    flag, action, then set.
-
-    ``InternalError`` unless the path sends y to x, the image has order
-    |H| / |x^H|, and x commutes with every carried generator, at 2
-    products each.  The members whose kept centralizer is Z(y) are
-    carried too, and their images keep Z(x), so that each distinct
-    centralizer is carried once."""
+    Z(y) onto those of Z(x), with no product; ``_carry`` makes the image
+    and checks it.  The members whose kept centralizer is Z(y) are
+    carried too, and their images keep Z(x), and one of them per class
+    is kept to carry from, so that each distinct centralizer is carried
+    once."""
     G = H.group
     key = H.key
     Zy = H._centralizers[y]
@@ -1455,6 +1518,48 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     # the ids at the positions, which for the whole group are the ids
     moved = (list(moved) if len(key) == len(G._data)
              else list(map(key.__getitem__, moved)))
+    Z, same = _carry(H, Zy, moved, y, x, target, H._centralizers)
+    H._centralized.update(zip(map(table.__getitem__, _positions(H, same)),
+                              same))
+    return Z
+
+
+def _carry_centralizer(H: Subgroup, K: Subgroup, moved: list, x: int,
+                       target: int) -> Subgroup:
+    """Z_H(x) for H carried from its conjugate K by the map ``moved``
+    (the images of ``K.key`` in order): Z_H(pi(y)) = pi(Z_K(y)), so
+    Z_K(y) of the preimage y of x, found in K (closed, carried or kept
+    there), is carried onto H by ``_carry`` through the same map, which
+    gives it its own map, so that its centralizers are carried in turn.
+    The members of H whose preimages have Z_K(y) kept keep the image
+    too, so each distinct centralizer of H is carried once."""
+    try:
+        y = K.key[moved.index(x)]
+    except ValueError:
+        raise InternalError(
+            f"{x} has no preimage under the map of its carried subgroup"
+        ) from None
+    W = centralizer(K, y)
+    image = list(map(moved.__getitem__, _positions(K, W.key)))
+    return _carry(H, W, image, y, x, target, K._centralizers)[0]
+
+
+def _carry(H: Subgroup, Zy: Subgroup, moved: list, y: int, x: int,
+           target: int, cents: dict):
+    """The image Z of Zy = Z(y) under a conjugation pi with pi(y) = x,
+    given as ``moved``, the ids pi(z) of the members z of ``Zy.key`` in
+    order, kept on H as Z_H(x); and the images of the members whose
+    centralizer in ``cents`` is Zy, which H keeps Z for too.  Zy's
+    abelian flag, and when it is not abelian its generating set and
+    action (found first by its own walk if Zy has none yet), are carried
+    by relabelling positions, and kept in the order ``_find_generators``
+    keeps them, with Zy and ``moved`` as the conjugate and map that Z's
+    classes and centralizers are read through (``_carried_from``).
+
+    ``InternalError`` unless pi sends y to x, the image has order
+    ``target`` = |H| / |x^H|, and x commutes with every carried
+    generator, at 2 products each."""
+    G = H.group
     image = moved[bisect_left(Zy.key, y)]
     if image != x:
         raise InternalError(
@@ -1491,15 +1596,11 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
                 deque(map(setitem, repeat(out), sigma,
                           map(sigma.__getitem__, perm)), maxlen=0)
                 carried.append(out)
-            _keep_generators(Z, False, carried, gens)
-    # the images of the members whose kept centralizer is Z(y)
-    cents = H._centralizers
+            _keep_generators(Z, False, carried, gens, (Zy, moved))
     same = list(compress(moved, map(is_, map(cents.get, Zy.key),
                                     repeat(Zy))))
-    cents.update(dict.fromkeys(same, Z))
-    H._centralized.update(zip(map(table.__getitem__, _positions(H, same)),
-                              same))
-    return Z
+    H._centralizers.update(dict.fromkeys(same, Z))
+    return Z, same
 
 
 def is_abelian(H: Subgroup) -> bool:

@@ -416,6 +416,61 @@ def count_transports(monkeypatch):
     return count
 
 
+def count_carried_states(monkeypatch):
+    """Count the centralizers carried from a conjugate state from now on:
+    calls of ``groups._carry_centralizer``, one per distinct centralizer
+    of a state carried from its conjugate's, which takes neither a
+    closure nor a path in that state's classes.  Returns a one-item list
+    holding the running count."""
+    from commprob import groups
+
+    count = [0]
+    inner = groups._carry_centralizer
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(groups, "_carry_centralizer", counted)
+    return count
+
+
+def expansion_record(G, lescot_ns=range(2, 6)):
+    """What a branching expansion of G gives, for comparing two of them:
+    the matrix, its state keys, and on every state its classes (reps,
+    sizes, members, the flat table) and the centralizer key of each class
+    representative; then Lescot's cp_n for ``lescot_ns``."""
+    from commprob.branching import build_branching, cp_via_lescot
+    from commprob.groups import centralizer, conjugacy_classes
+
+    bm = build_branching(G)
+    states = []
+    for st in bm.states:
+        H = G.subgroup(st.key, validate=False)
+        cd = conjugacy_classes(H)
+        states.append((
+            st.key,
+            [(c.rep, c.size, c.members) for c in cd.classes],
+            list(cd.table),
+            [centralizer(H, c.rep).key for c in cd.classes],
+        ))
+    return bm, [st.key for st in bm.states], states, [
+        cp_via_lescot(G, n) for n in lescot_ns]
+
+
+def slow_expansion_record(build_group, lescot_ns=range(2, 6)):
+    """``expansion_record`` of a group from ``build_group()`` with no
+    state carried from a conjugate: the seam ``groups._carried_from``
+    answers None, so every state grows its own classes and finds its
+    own centralizers."""
+    from unittest import mock
+
+    from commprob import groups
+
+    with mock.patch.object(groups, "_carried_from", lambda H: None):
+        return expansion_record(build_group(), lescot_ns)
+
+
 def sorted_signature_lump(B):
     """Reference lumping: the coarsest lumpable partition refining the
     (order, class count) fingerprint, with the blocks numbered by sorted

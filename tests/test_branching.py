@@ -10,6 +10,7 @@ from commprob.branching import (
     _validate_matrix,
     build_branching,
     c_tuples,
+    columns_of,
     count_via_matrix,
     cp2_classcount,
     cp_via_branching,
@@ -109,7 +110,7 @@ def test_validate_matrix_rejects_a_negative_entry():
     counts[B.root][B.root] += counts[other][B.root] + 1
     counts[other][B.root] = -1
     with pytest.raises(InternalError, match="negative"):
-        _validate_matrix(BranchingMatrix(B.states, counts, B.root))
+        _validate_matrix(BranchingMatrix(B.states, columns_of(counts), B.root))
 
 
 def test_validate_matrix_messages_on_an_abelian_column():
@@ -126,17 +127,54 @@ def test_validate_matrix_messages_on_an_abelian_column():
     moved[other][i] += 1
     with pytest.raises(InternalError, match=f"abelian state {i} is not "
                        "absorbing"):
-        _validate_matrix(BranchingMatrix(B.states, moved, B.root))
+        _validate_matrix(BranchingMatrix(B.states, columns_of(moved), B.root))
     added = [row[:] for row in B.counts]
     added[other][i] += 1
     with pytest.raises(InternalError, match=f"column {i} sums to 5, "
                        "expected k = 4"):
-        _validate_matrix(BranchingMatrix(B.states, added, B.root))
+        _validate_matrix(BranchingMatrix(B.states, columns_of(added), B.root))
     states = list(B.states)
     states[i] = StateInfo(states[i].label, 4, 5, True)
     with pytest.raises(InternalError, match=f"abelian state {i} has a "
                        "foreign branch"):
-        _validate_matrix(BranchingMatrix(states, added, B.root))
+        _validate_matrix(BranchingMatrix(states, columns_of(added), B.root))
+
+
+@pytest.mark.parametrize("column, reason", [
+    (((0, 2), (1, 1), (2, 1), (4, 1)), "child index 4, out of range"),
+    (((0, 2), (1, 1), (1, 1), (3, 1)), "lists child 1 after child 1"),
+    (((0, 2), (2, 1), (1, 1), (3, 1)), "lists child 1 after child 2"),
+    (((0, 3), (1, 0), (2, 1), (3, 1)), "zero or negative count 0"),
+    (((0, 3), (1, 1), (2, 1), (3, 1)), "sums to 6, expected k = 5"),
+    (((0, 2.0), (1, 1), (2, 1), (3, 1)), "non-integer entry"),
+    ((("0", 2), (1, 1), (2, 1), (3, 1)), "non-integer entry"),
+])
+def test_validate_matrix_checks_the_columns(column, reason):
+    # Q8's root column is ((0, 2), (1, 1), (2, 1), (3, 1)); a built
+    # matrix with a malformed column is an internal error
+    B = build_branching(build("Q8"))
+    assert B.root == 0 and B.columns[0] == ((0, 2), (1, 1), (2, 1), (3, 1))
+    with pytest.raises(InternalError, match=reason):
+        _validate_matrix(BranchingMatrix(B.states, [column] + B.columns[1:],
+                                         B.root))
+
+
+def test_validate_matrix_checks_the_shape_and_the_root():
+    B = build_branching(build("Q8"))
+    with pytest.raises(InternalError, match="not square: 3 columns for 4"):
+        _validate_matrix(BranchingMatrix(B.states, B.columns[:3], B.root))
+    with pytest.raises(InternalError, match="root index 4 is out of range"):
+        _validate_matrix(BranchingMatrix(B.states, B.columns, 4))
+    with pytest.raises(InternalError, match="state 0 has order 8, not below"):
+        _validate_matrix(BranchingMatrix(B.states, B.columns, 1))
+
+
+def test_dense_counts_are_a_copy_of_the_columns():
+    B = build_branching(build("GL(3,2)"))
+    counts = B.counts
+    assert columns_of(counts) == B.columns
+    counts[0][0] += 1
+    assert B.counts != counts and columns_of(B.counts) == B.columns
 
 
 def test_cp_rejects_small_n():
@@ -161,11 +199,12 @@ def test_cross_method_equality_small_groups():
 
 
 def test_matrix_power_helper():
-    counts = [[2, 1], [0, 3]]
+    columns = columns_of([[2, 1], [0, 3]])
+    assert columns == [((0, 2),), ((0, 1), (1, 3))]
     # e_root at index 0: powers of the column action
-    assert count_via_matrix(counts, 0, 0) == 1
-    assert count_via_matrix(counts, 0, 1) == 2
-    assert count_via_matrix(counts, 0, 2) == 4
+    assert count_via_matrix(columns, 0, 0) == 1
+    assert count_via_matrix(columns, 0, 1) == 2
+    assert count_via_matrix(columns, 0, 2) == 4
 
 
 @pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)",
@@ -211,7 +250,7 @@ def matrices_with_zeros():
 def test_sparse_matrix_power_matches_dense_reference():
     for counts, root in matrices_with_zeros():
         for n in range(7):
-            assert count_via_matrix(counts, root, n) == \
+            assert count_via_matrix(columns_of(counts), root, n) == \
                 dense_count(counts, root, n), (counts, root, n)
 
 
@@ -267,7 +306,7 @@ def test_lump_splits_states_that_branch_apart():
               [1, 0, 2, 0, 0],
               [0, 3, 0, 4, 0],
               [0, 0, 3, 0, 2]]
-    B = BranchingMatrix(states, counts, 0)
+    B = BranchingMatrix(states, columns_of(counts), 0)
     _validate_matrix(B)
     tp = lump(B)
     assert tp.block_of[1] != tp.block_of[2]
@@ -294,8 +333,9 @@ def test_lump_preserves_counting_functional():
         B = build_branching(build(desc))
         tp = lump(B)
         for n in range(7):
-            assert count_via_matrix(tp.quotient, tp.root_block, n) == \
-                count_via_matrix(B.counts, B.root, n), (desc, n)
+            assert count_via_matrix(columns_of(tp.quotient), tp.root_block,
+                                    n) == \
+                count_via_matrix(B.columns, B.root, n), (desc, n)
 
 
 def test_lump_dimensions_observed():
@@ -354,7 +394,7 @@ def test_lump_ignores_the_state_labels(desc):
         moved[t] = s
     shuffled = BranchingMatrix(
         states=[B.states[s] for s in moved],
-        counts=[[B.counts[a][b] for b in moved] for a in moved],
+        columns=columns_of([[B.counts[a][b] for b in moved] for a in moved]),
         root=perm[B.root],
     )
     _validate_matrix(shuffled)

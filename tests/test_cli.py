@@ -378,11 +378,11 @@ def test_cache_store_load_equal_matrix(cache_env):
 
 
 def test_cache_store_encodes_one_row_at_a_time(cache_env):
-    # U(3,3)'s record is about 48 KB.  The store encodes the fields
-    # before the matrix and then the matrix one row at a time, so its
-    # peak under tracemalloc stays below twice the file, where encoding
-    # the whole record at once held 1.38 MB.  The text is still the
-    # compact JSON of the whole record
+    # U(3,3)'s record is about 8 KB: 102 states and 213 nonzero entries.
+    # The store encodes the fields before the states, then each state and
+    # each column alone, and writes them through a small binary buffer,
+    # so its peak under tracemalloc stays below twice the file.  The text
+    # is still the compact JSON of the whole record
     from commprob import cli
 
     G = build("U(3,3)")
@@ -396,7 +396,11 @@ def test_cache_store_encodes_one_row_at_a_time(cache_env):
     with open(_cache_path("U(3,3)"), encoding="utf-8") as fh:
         text = fh.read()
     record = dict(cli._matrix_record("U(3,3)", G.order, bm),
-                  matrix=[str(c) for row in bm.counts for c in row])
+                  states=cli._state_dicts(bm),
+                  columns=[[list(pair) for pair in column]
+                           for column in bm.columns])
+    assert list(record) == ["version", "descriptor", "order", "root_index",
+                            "states", "columns"]
     assert text == json.dumps(record, separators=(",", ":")) + "\n"
     assert peak < 2 * len(text), (peak, len(text))
 
@@ -442,7 +446,7 @@ def test_cache_tampered_matrix_rejected(cache_env, capsys):
     cache_store("Q8", 8, bm)
     files = list(cache_env.glob("bm-*.json"))
     record = json.loads(files[0].read_text())
-    record["matrix"][0] = "999"
+    record["columns"][0][0][1] = 999
     files[0].write_text(json.dumps(record))
     assert cache_load("Q8", 8) is None
     _ = capsys.readouterr()
@@ -453,7 +457,7 @@ def _tamper_version(record):
 
 
 def _tamper_square(record):
-    record["matrix"].pop()
+    record["columns"].pop()
 
 
 def _tamper_root_index(record):
@@ -496,15 +500,122 @@ def test_cache_negative_entry_rejected(cache_env, capsys):
     cache_store("Q8", 8, bm)
     path = _cache_path("Q8")
     record = json.loads(open(path, encoding="utf-8").read())
-    size, root = bm.dimension, bm.root
-    other = 1 if root == 0 else 0
-    record["matrix"][other * size + root] = "-1"
-    record["matrix"][root * size + root] = str(
-        bm.counts[root][root] + bm.counts[other][root] + 1)
+    # the root column is ascending pairs [child, count]; the first two
+    # children change their counts to c0 + c1 + 1 and -1
+    column = record["columns"][bm.root]
+    column[0][1] += column[1][1] + 1
+    column[1][1] = -1
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh)
     assert cache_load("Q8", 8) is None
     assert "negative" in capsys.readouterr().err
+
+
+def test_cache_v2_round_trip(cache_env):
+    # a version 2 record holds the sparse columns as [child, count] pairs
+    # and no dense matrix; loading it gives back the same states, root
+    # and entries
+    G = build("U(3,2)")
+    bm = build_branching(G)
+    assert cache_store("U(3,2)", G.order, bm)
+    path = _cache_path("U(3,2)")
+    assert os.path.basename(path).startswith("bm-v2-")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["version"] == 2 and "matrix" not in record
+    assert record["columns"] == [[list(pair) for pair in column]
+                                 for column in bm.columns]
+    loaded = cache_load("U(3,2)", G.order)
+    assert loaded == bm
+    assert (loaded.columns, loaded.root, loaded.counts) == \
+        (bm.columns, bm.root, bm.counts)
+    assert [(st.label, st.order, st.class_count, st.abelian)
+            for st in loaded.states] == \
+        [(st.label, st.order, st.class_count, st.abelian) for st in bm.states]
+
+
+def test_a_v1_cache_file_is_never_read(cache_env, capsys):
+    # a record of the dense format, and an unreadable one, under the
+    # version 1 name of the descriptor: both are left alone, with no
+    # warning, and the matrix is built and stored under the version 2 name
+    G = build("Q8")
+    bm = build_branching(G)
+    v1 = cache_env / os.path.basename(_cache_path("Q8")).replace(
+        "bm-v2-", "bm-v1-")
+    cache_env.mkdir(parents=True)
+    dense = {"version": 1, "descriptor": "Q8", "order": 8,
+             "root_index": bm.root,
+             "states": [{"label": st.label, "order": st.order,
+                         "class_count": st.class_count,
+                         "abelian": st.abelian} for st in bm.states],
+             "matrix": [str(c) for row in bm.counts for c in row]}
+    for text in (json.dumps(dense), "{ truncated"):
+        v1.write_text(text, encoding="utf-8")
+        assert cache_load("Q8", 8) is None
+        assert capsys.readouterr().err == ""
+        code, out, err = run(capsys, "branching", "Q8")
+        assert (code, err) == (0, "")
+        assert "from cache:   no" in out
+        assert v1.read_text(encoding="utf-8") == text
+        os.remove(_cache_path("Q8"))
+
+
+def _tamper_child_out_of_range(column):
+    column[-1][0] = 4
+
+
+def _tamper_duplicate_child(column):
+    column[2][0] = column[1][0]
+
+
+def _tamper_zero_count(column):
+    column[0][1] += column[1][1]
+    column[1][1] = 0
+
+
+def _tamper_column_sum(column):
+    column[0][1] += 1
+
+
+def _tamper_float_count(column):
+    column[0][1] = float(column[0][1])
+
+
+def _tamper_string_child(column):
+    column[0][0] = str(column[0][0])
+
+
+def _tamper_bool_count(column):
+    column[1][1] = True
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (_tamper_child_out_of_range, "child index 4, out of range for 4 states"),
+    (_tamper_duplicate_child, "lists child 1 after child 1: not strictly"),
+    (_tamper_zero_count, "zero or negative count 0"),
+    (_tamper_column_sum, "sums to 6, expected k = 5"),
+    (_tamper_float_count, "non-integer entry"),
+    (_tamper_string_child, "non-integer entry"),
+    (_tamper_bool_count, "non-integer entry"),
+])
+def test_a_corrupt_sparse_column_is_ignored(cache_env, capsys, tamper,
+                                            reason):
+    # Q8's root column is [[0, 2], [1, 1], [2, 1], [3, 1]] over its four
+    # states; each change to it is reported and the record is a miss
+    G = build("Q8")
+    bm = build_branching(G)
+    assert bm.root == 0 and bm.columns[0] == ((0, 2), (1, 1), (2, 1), (3, 1))
+    cache_store("Q8", 8, bm)
+    path = _cache_path("Q8")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    tamper(record["columns"][0])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    assert cache_load("Q8", 8) is None
+    err = capsys.readouterr().err
+    assert "warning: ignoring invalid cache file" in err
+    assert reason in err
 
 
 def test_cache_unwritable_degrades(tmp_path, monkeypatch, capsys):

@@ -18,8 +18,10 @@ from conftest import (
     commutator_closure,
     count_closures,
     count_construction_products,
+    count_carried_states,
     count_products,
     count_transports,
+    expansion_record,
     fresh_build,
     greedy_action_generators,
     mul_z_classes,
@@ -27,6 +29,7 @@ from conftest import (
     scan_center,
     scan_centralizer,
     schoolbook_mat_mul,
+    slow_expansion_record,
     traced_peak,
 )
 
@@ -803,6 +806,20 @@ def test_cold_branching_traced_peak():
     assert peak <= 3_279_000, peak
 
 
+def test_a_matrix_build_holds_one_element_list():
+    # the builder's list of matrices becomes the group's element list,
+    # the identity moved to the front in place, so a cold U(3,3) build
+    # peaks at 6,137,868 traced bytes on CPython 3.11, where a second
+    # list of its 24,192 matrices made it 6,332,548; bound: halfway
+    peak = traced_peak(lambda: fresh_build("U(3,3)"))
+    assert peak <= 6_235_000, peak
+    S = build("SL(2,3)")
+    mats = [S.data_of(i) for i in reversed(range(S.order))]
+    G = Group.from_matrix_list(S.field, 2, mats)
+    assert G._data is mats
+    assert mats == [S.data_of(i) for i in [0] + list(range(S.order - 1, 0, -1))]
+
+
 def test_conjugation_action_matches_conj_on_catalog_states():
     # each permutation is y -> s^-1 y s for its generator s, as G.conj
     # computes it with 2 products.  Abelian states are skipped: a proper
@@ -899,7 +916,7 @@ def test_equal_centralizers_are_the_center_elements_of_equal_class_size():
 # element products of a cold branching expansion, as measured; the
 # test ids name the group alone, so a tighter bound keeps them
 BRANCHING_PRODUCTS = {
-    "GL(3,2)": 145, "U(3,2)": 1088, "GL(3,3)": 2056, "U(3,3)": 4801,
+    "GL(3,2)": 145, "U(3,2)": 903, "GL(3,3)": 1810, "U(3,3)": 3501,
 }
 
 
@@ -908,36 +925,47 @@ def test_branching_work_count(monkeypatch, desc):
     # each conjugation orbit is paid for once, by the integer action, and
     # each distinct centralizer is closed once, from the part of the class
     # its closure needs, or carried from a conjugate with no product but
-    # the check of its generators
+    # the check of its generators; a state carried from a conjugate state
+    # grows no orbit and closes nothing
     G = fresh_build(desc)
     products = count_products(monkeypatch, G)
     build_branching(G)
     assert products[0] <= BRANCHING_PRODUCTS[desc], products[0]
 
 
-# (closures, transports) of a cold expansion, as measured
-CENTRALIZER_WORK = {"GL(3,3)": (22, 32), "U(3,3)": (31, 80)}
+# (closures, transports, carried states) of a cold expansion, as measured
+CENTRALIZER_WORK = {"GL(3,3)": (14, 28, 16), "U(3,3)": (13, 41, 61)}
 
 
 @pytest.mark.parametrize("desc, distinct", [("GL(3,3)", 54), ("U(3,3)", 111)])
 def test_each_distinct_centralizer_is_closed_once(monkeypatch, desc, distinct):
-    # a cold expansion pays once per distinct non-central centralizer of a
-    # state: it closes one Schreier closure per z-class block, whose
-    # equal centralizers answer the other classes of the block, and
-    # carries each other centralizer from a conjugate kept for its class
+    # a cold expansion pays once per distinct non-central centralizer it
+    # finds in a subgroup: it closes one Schreier closure per z-class
+    # block, whose equal centralizers answer the other classes of the
+    # block, carries each other centralizer from a conjugate kept for its
+    # class, and carries every centralizer of a state carried from a
+    # conjugate state from that state's.  ``distinct`` counts those of
+    # the class representatives of the states; a carried state's
+    # representative may have a preimage that is not a representative,
+    # whose centralizer its state finds too
     G = fresh_build(desc)
     closures = count_closures(monkeypatch)
     transports = count_transports(monkeypatch)
+    carried = count_carried_states(monkeypatch)
     bm = build_branching(G)
-    work = (closures[0], transports[0])
+    work = (closures[0], transports[0], carried[0])
     pairs = set()
     for st in bm.states:
         H = G.subgroup(st.key, validate=False)
         if not st.abelian:
             pairs.update((H, centralizer(H, c.rep))
                          for c in conjugacy_classes(H).classes)
+    found = {(H, Z) for H in G._subgroups.values()
+             for Z in H._centralizers.values() if Z is not H}
     assert work == CENTRALIZER_WORK[desc]
-    assert sum(work) == distinct == sum(1 for H, Z in pairs if Z is not H)
+    assert sum(work) == len(found)
+    assert distinct == sum(1 for H, Z in pairs if Z is not H)
+    assert {(H, Z) for H, Z in pairs if Z is not H} <= found
 
 
 FAST_PATH_GROUPS = SMALL_GROUPS + (
@@ -1011,6 +1039,114 @@ def test_transported_centralizers_match_closed_ones(monkeypatch, desc):
             gi = G.inv(g)
             assert [Z.key[p] for p in perm] == [
                 G.mul(G.mul(gi, y), g) for y in Z.key], (desc, Z.key, g)
+
+
+# every group of SMALL_GROUPS, of both verify grids and of
+# FAST_PATH_GROUPS, and the two largest the tests branch
+CARRY_GROUPS = tuple(sorted(set(FAST_PATH_GROUPS).union(
+    ("GL(3,3)", "U(3,3)"),
+    *(descs for grid in formulas.GRIDS for descs, _ in formulas._jobs(grid)))))
+
+# the non-abelian states carried from a conjugate state, as measured
+CARRIED_STATES = {"U(3,2)": 3, "GL(3,3)": 2, "U(3,3)": 6}
+
+
+@pytest.mark.parametrize("desc", CARRY_GROUPS)
+def test_carried_states_match_the_slow_path(desc):
+    # the expansion that carries states from their conjugates against
+    # the same expansion with the seam patched off, so that every state
+    # grows its own classes and finds its own centralizers: the same
+    # matrix and state keys, the same classes and class tables on every
+    # state, the same centralizer of every class representative, and the
+    # same Lescot values.  A carried state's map is a bijection from its
+    # conjugate onto it, its classes keep no tree, its carried generating
+    # set generates it, and each carried permutation is the conjugation
+    # by its generator, recomputed with products
+    slow = slow_expansion_record(lambda: fresh_build(desc))
+    G = fresh_build(desc)
+    assert expansion_record(G) == slow
+    states = {st.key for st in build_branching(G).states}
+    carried = [H for H in G._subgroups.values() if H._carried is not None]
+    assert sum(H.key in states for H in carried) == CARRIED_STATES.get(desc, 0)
+    for H in carried:
+        K, moved = H._carried
+        assert K is not H and not is_abelian(H)
+        assert len(moved) == len(K.key) and sorted(moved) == list(H.key)
+        if H._classes is not None:
+            assert H._classes.reached is None
+        points, where = groups._points(H)
+        positions = tuple(bisect.bisect_left(H.key, g) for g in H._gens)
+        assert groups._right_walk(points, where, groups._right_of(H),
+                                  positions) is not None, (desc, H.key)
+        for g, perm in zip(H._gens, H._action):
+            gi = G.inv(g)
+            assert [H.key[p] for p in perm] == [
+                G.mul(G.mul(gi, y), g) for y in H.key], (desc, H.key, g)
+
+
+def _carried_state(desc):
+    """A fresh build's first branching state carried from a conjugate,
+    after the expansion, with its conjugate and its map."""
+    G = fresh_build(desc)
+    for st in build_branching(G).states:
+        H = G.subgroup(st.key, validate=False)
+        if H._carried is not None:
+            return (H,) + H._carried
+    raise AssertionError(f"{desc} has no carried state")
+
+
+def test_a_corrupted_carry_map_raises():
+    # a map with one image twice and another never: the carried classes
+    # do not partition the state
+    H, K, moved = _carried_state("U(3,2)")
+    H._classes = None
+    H._carried = (K, moved[:-1] + moved[:1])
+    with pytest.raises(InternalError, match="do not partition"):
+        conjugacy_classes(H)
+    # a member of a representative's carried centralizer sent onto the
+    # representative itself: the image of that centralizer is short of
+    # its order
+    H, K, moved = _carried_state("U(3,2)")
+    cd = conjugacy_classes(H)
+    failed = 0
+    for c in cd.classes:
+        i = moved.index(c.rep)
+        W = centralizer(K, K.key[i])
+        later = [p for p in map(K.key.index, W.key) if p > i]
+        if c.size == 1 or not later:
+            continue
+        H._centralizers = {}
+        H._carried = (K, list(moved))
+        H._carried[1][later[0]] = c.rep
+        with pytest.raises(InternalError, match="has order"):
+            centralizer(H, c.rep)
+        failed += 1
+    assert failed
+
+
+def test_a_corrupted_carry_map_raises_under_optimize():
+    # the same failure in a python -O interpreter, where an assert would
+    # be stripped
+    script = (
+        "from commprob import catalog, groups, branching\n"
+        "from commprob.errors import InternalError\n"
+        "G = catalog.build('U(3,2)')\n"
+        "H = next(H for H in (G.subgroup(st.key, validate=False)\n"
+        "                     for st in branching.build_branching(G).states)\n"
+        "         if H._carried is not None)\n"
+        "K, moved = H._carried\n"
+        "H._classes = None\n"
+        "H._carried = (K, moved[:-1] + moved[:1])\n"
+        "try:\n"
+        "    groups.conjugacy_classes(H)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError"), proc.stdout
 
 
 def test_racing_threads_keep_each_set_with_its_own_action():

@@ -4,7 +4,8 @@ The centralizer kernel is checked against the full scan, and the three
 counting methods against each other.  Branching and Lescot share the
 classes and centralizers kept on each subgroup, so a kernel defect would
 hit both; the oracle's element-level counts and Burnside's lemma do not
-use them.  The same group rebuilt from its multiplication table must give
+use them.  States carried from a conjugate state must give what the same
+expansion gives with carrying patched off.  The same group rebuilt from its multiplication table must give
 the same results through the kernel as the permutation group, and a
 table with one entry overwritten must be accepted exactly when it is
 still a group.  An inversion-closed subset of S(5) must be accepted as a
@@ -18,7 +19,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bfs_generated, pair_closed, scan_centralizer
+from conftest import (
+    bfs_generated,
+    expansion_record,
+    pair_closed,
+    scan_centralizer,
+    slow_expansion_record,
+)
 
 from commprob.branching import build_branching, c_tuples, cp_via_branching, cp_via_lescot
 from commprob.errors import InputError
@@ -89,6 +96,18 @@ def test_table_group_matches_permutation_group(G):
     for n in (2, 3):
         expected = cp_via_branching(G, n)
         assert cp_via_branching(T, n) == cp_via_lescot(T, n) == expected
+
+
+@PROPERTY_SETTINGS
+@given(G=permutation_groups())
+def test_carried_states_match_the_slow_path(G):
+    # the same element list built again and expanded with no state
+    # carried from a conjugate gives the same matrix, classes,
+    # centralizers and Lescot values
+    degree = len(G.data_of(0))
+    slow = slow_expansion_record(
+        lambda: Group.from_permutation_list(degree, list(G._data)), (2, 3))
+    assert expansion_record(G, (2, 3)) == slow
 
 
 def brute_force_is_group(table):
