@@ -54,18 +54,22 @@ Each member's class index is kept flat too, in one ``array('i')`` over
 the positions in ``H.key``, written by one C-level scatter per class;
 the id -> class map is a read-only view of it, and the engine reads the
 table by position.
-The one tree walk, ``_orbit_tree``, grows a breadth-first tree of a
-seed's orbit with parent pointers, lazily, so that a caller can stop it.
-Centralizers are the point stabilizers: their order |H| / |x^H| is read
-from the classes, and the tree of x is grown only until the Schreier
-generators of its non-tree edges, formed from a lazily built
+That class tree is the one orbit tree.  Centralizers are the point
+stabilizers: their order |H| / |x^H| is read from the classes, and each
+is closed only at a class representative, the root of its class tree.
+The closure replays the tree from the root in the order it was grown,
+where an edge to z by a permutation is a tree edge exactly when z is
+not the root and its mark names that permutation, and stops as soon as
+the Schreier generators of the other edges, formed from a lazily built
 transversal, close to that order in an incremental Dimino closure.
 Those generators also settle whether Z(x) is abelian, so an abelian
 centralizer is never walked for generators.  Z(y) = Z(x) exactly when y
 is in the center of Z(x) and has x's class size, so one closure answers
 every such y, and those y lie in other classes too.  Each class keeps
 one member whose centralizer is known, and the centralizer of any other
-member x is carried from it instead of closed: Z(g^-1 y g) = g^-1 Z(y) g
+member x is carried from it instead of closed (a member of a class with
+none kept closes its representative's first, and is carried from that):
+Z(g^-1 y g) = g^-1 Z(y) g
 (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of Computational Group
 Theory*, §4.1), and the class tree gives a g as a path of action
 permutations, run back from y to the representative by their inverses,
@@ -896,8 +900,12 @@ class ClassData:
     was grown as, over the same positions: for a position p that is not
     its class representative's, ``reached[p] - 1`` is the index of the
     conjugation action's permutation that first reached p, from the
-    point that permutation's inverse sends p to.  An abelian owner has
-    none (None)."""
+    point that permutation's inverse sends p to.  A representative's
+    position is marked 1 too, so the root is known by its class, not by
+    its mark.  This is H's only orbit tree: ``_transport`` follows its
+    paths, and ``centralizer`` replays it from the root to close a
+    representative's centralizer.  An abelian owner, and an owner
+    carried from a conjugate, have none (None)."""
 
     __slots__ = ("owner", "classes", "table", "reached")
 
@@ -1166,58 +1174,6 @@ def _generating_pair(H: Subgroup, points, where):
     return None, seeds
 
 
-def _orbit_tree(perms, seed):
-    """The orbit of ``seed`` under the integer permutations ``perms``,
-    grown as a breadth-first tree ``(orbit, index, up, via)``: ``orbit``
-    lists the points in the order they are reached, ``index`` maps each
-    point to its position there, and for i > 0 point ``orbit[i]`` was
-    first reached as ``perms[via[i]][orbit[up[i]]]``, with ``up[i] < i``.
-
-    It is a generator.  Its first item is the tree; it then extends the
-    tree's lists in place, point by point and permutation by permutation,
-    and yields each non-tree edge ``(i, s, j)``, where
-    ``perms[s][orbit[i]]`` is ``orbit[j]``, a point already in the tree,
-    as it meets it.  Run to the end (``_whole_orbit_tree``) it holds the
-    whole orbit; a caller that stops early holds the tree as far as it
-    has grown.
-
-    This is the one tree walk here (orbit–stabilizer; Holt–Eick–O'Brien,
-    *Handbook of Computational Group Theory*, §4.1), for the readers of
-    the tree: ``centralizer`` reads its Schreier generators from the
-    non-tree edges and stops it once they have closed the stabilizer,
-    and the oracle carries each centralizer along the tree's paths.
-    Conjugacy classes grow their orbits with a flat loop instead, which
-    keeps of the tree only the permutation that reached each point.  It
-    makes no product."""
-    orbit = [seed]
-    index = {seed: 0}
-    up = [-1]
-    via = [-1]
-    yield orbit, index, up, via
-    edges = list(enumerate(perms))
-    for i, y in enumerate(orbit):
-        for s, perm in edges:
-            z = perm[y]
-            j = index.get(z)
-            if j is None:
-                index[z] = len(orbit)
-                orbit.append(z)
-                up.append(i)
-                via.append(s)
-            else:
-                yield i, s, j
-
-
-def _whole_orbit_tree(perms, seed) -> tuple:
-    """The tree ``(orbit, index, up, via)`` of ``_orbit_tree`` run to the
-    end: the whole orbit of ``seed`` with its parent pointers, which the
-    oracle's centralizer table follows."""
-    walk = _orbit_tree(perms, seed)
-    tree = next(walk)
-    deque(walk, maxlen=0)
-    return tree
-
-
 def _conjugation_action(H: Subgroup) -> list:
     """The conjugation action y -> s^-1 y s of each generator s in
     ``generating_ids(H)`` on H, as one integer permutation per generator,
@@ -1236,7 +1192,11 @@ def _grow_orbit(orbit, perms, seen):
     ``seen``, to their whole orbit under the integer permutations
     ``perms``, breadth first: each new point z is appended and marked
     1 + the index of the permutation that first reached it, so the loop
-    records the orbit's tree at no extra store."""
+    records the orbit's tree at no extra store.  It is the one orbit
+    loop: ``conjugacy_classes`` grows each class with it and keeps the
+    marks as ``ClassData.reached``, and the oracle grows its classes with
+    it over its checked maps and carries each centralizer down the tree
+    edges that the marks name."""
     edges = [(s + 1, perm) for s, perm in enumerate(perms)]
     for y in orbit:
         for mark, perm in edges:
@@ -1254,8 +1214,9 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     loop over the positions met so far with a ``bytearray`` of those
     seen, so no product is made once the action is built.  The bytearray
     is kept as ``ClassData.reached``: each class's tree, which
-    ``_transport`` follows.  Each class's index is written over its
-    positions in ``ClassData.table`` by one C-level scatter.  An abelian H
+    ``_transport`` follows and ``centralizer`` replays.  Each class's
+    index is written over its positions in ``ClassData.table`` by one
+    C-level scatter.  An abelian H
     is split into singletons without reading it, and its table is its
     positions.  Seeds ascend, so each class representative is its
     minimal id.
@@ -1341,25 +1302,31 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     sends Z(y) onto Z(x), so the image is exact, and it is checked (the
     path sends y to x, the image has the order above, and x commutes
     with every carried generator) at no product but 2 per generator.
-    Otherwise it is closed.  The class
-    is grown as the ``_orbit_tree`` of x's position under the
-    integer conjugation action, with no product; permutation i of the
-    action is y -> u y u^-1 for u = s^-1, s generator i of
-    ``generating_ids(H)``, so the walk multiplies by u, the data
-    ``data[inv[s]]``.  Every non-tree edge y -> u y u^-1 = z gives a
-    Schreier generator t_z^-1 u t_y, which commutes with x; the
-    transversal element t_y (t_y x t_y^-1 = y) is formed from the tree's
-    parent pointers only when a Schreier generator needs it, and kept.
-    The Schreier generators are added one at a time by an incremental
-    Dimino closure, and the walk stops as soon as the
-    closure reaches |H| / |x^H|, so most of the class is never grown and
-    most Schreier generators and transversal elements are never formed.
-    The closure's generators generate Z = Z(x), so Z is abelian exactly
-    when they commute pairwise; that flag is kept on Z, which then needs
-    no generator walk to be known abelian.
 
-    Z(y) = Z for every y in the center of Z whose class has x's size (the
-    lemma of ``z_classes``), x among them, so Z is kept for each of them,
+    Otherwise Z = Z(r) of x's class representative r is closed, at the
+    root of the class tree that ``conjugacy_classes`` kept, and then Z(x)
+    is Z itself when the closure kept it for x in passing, and otherwise
+    carried from Z(r) by ``_transport``.  The closure replays the tree
+    from the root in the order it was grown, with no product: an edge
+    p -> z of permutation i is a tree edge exactly when z is not the
+    root and ``reached[z]`` names i, since a permutation sends one point
+    alone to z.  Permutation i of the action is y -> u y u^-1 for
+    u = s^-1, s generator i of ``generating_ids(H)``, the data
+    ``data[inv[s]]``.  Every other edge p -> u p u^-1 = z gives a
+    Schreier generator t_z^-1 u t_p, which commutes with r; the
+    transversal element t_p (t_p r t_p^-1 = p) is formed along p's
+    ``_class_path`` from the root only when a Schreier generator needs
+    it, and kept for each position on the path.  The Schreier generators
+    are added one at a time by an incremental Dimino closure, and the
+    replay stops as soon as the closure reaches |H| / |x^H|, so most of
+    the class is never replayed and most Schreier generators and
+    transversal elements are never formed.  The closure's generators
+    generate Z, so Z is abelian exactly when they commute pairwise; that
+    flag is kept on Z, which then needs no generator walk to be known
+    abelian.  ``InternalError`` unless the closure reaches that order.
+
+    Z(y) = Z for every y in the center of Z whose class has r's size (the
+    lemma of ``z_classes``), r among them, so Z is kept for each of them,
     and their centralizers take no closure; each class they meet keeps
     one of them to carry from.  A class of size 1 gives
     H itself, and so does an abelian H, without reading the action.
@@ -1395,29 +1362,42 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     ids = G._ids
     inv = G._inv
     mul_data = G._mul_data
+    action = _conjugation_action(H)
     gdata = [data[inv[g]] for g in generating_ids(H)]
-    walk = _orbit_tree(_conjugation_action(H), px)
-    _, _, up, via = next(walk)
-    trans = {0: data[0]}
+    r = cd.classes[cd.table[px]].rep
+    root = bisect_left(H.key, r)
+    trans = {root: data[0]}
 
-    def transversal(i):
-        path = []
-        while i not in trans:
-            path.append(i)
-            i = up[i]
-        t = trans[i]
-        for j in reversed(path):
-            t = mul_data(gdata[via[j]], t)
-            trans[j] = t
-        return t
+    def transversal(p):
+        # t_p, with t_p r t_p^-1 = p, formed along p's class path from
+        # the root, one product per position not formed before
+        if p not in trans:
+            q = root
+            for s in _class_path(H, p, root):
+                q, t = action[s][q], trans[q]
+                if q not in trans:
+                    trans[q] = mul_data(gdata[s], t)
+            if q != p:
+                raise InternalError(f"the class path of {p} leads to {q}")
+        return trans[p]
 
-    # Schreier generators of the non-tree edges in BFS order, formed only
-    # until the closure reaches the target order
+    # the class tree replayed from the root edge by edge, in the order
+    # it was grown: z = perm[p] is a tree edge exactly when z is not the
+    # root and was reached by perm, since perm sends one point alone to
+    # z, and the orbit list grows by it.  Every other edge gives a
+    # Schreier generator, formed only until the closure reaches the
+    # target order
     closure = {0: data[0]}
     found = []
-    for yi, si, zi in walk:
-        tz = transversal(zi)
-        g = mul_data(data[inv[ids[tz]]], mul_data(gdata[si], transversal(yi)))
+    orbit = [root]
+    edges = [(s + 1, perm, u) for s, (perm, u) in enumerate(zip(action, gdata))]
+    for p, (mark, perm, u) in ((p, e) for p in orbit for e in edges):
+        z = perm[p]
+        if z != root and cd.reached[z] == mark:
+            orbit.append(z)
+            continue
+        g = mul_data(data[inv[ids[transversal(z)]]],
+                     mul_data(u, transversal(p)))
         if ids[g] not in closure:
             _dimino_add(G, closure, found, g, target)
             if len(closure) == target:
@@ -1435,7 +1415,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         if cd.classes[ci].size == size:
             H._centralizers[y] = Z
             H._centralized.setdefault(ci, y)
-    return Z
+    # r itself, or x kept in passing, or carried from r
+    return H._centralizers.get(x) or _transport(H, cd, r, x, target)
 
 
 def _positions(H: Subgroup, ids):

@@ -29,7 +29,7 @@ correspond one to one to the orbits of the stabilizer of x on the tuples
 (x, t2, ..., tn), whose entries all lie in Z(x); that stabilizer is Z(x)
 itself, acting on Z(x) by conjugation.  The classes are the orbits of
 single ids under the whole group's maps, each grown once by the engine's
-orbit kernel ``groups._whole_orbit_tree`` for the table, and each block
+orbit loop ``groups._grow_orbit`` for the table, and each block
 is walked under the checked conjugation action of the subgroup Z(x), one
 map per generator of Z(x), kept as a tuple of positions in sorted Z(x)
 and made an id map only while it is walked.  The check proves each map
@@ -84,10 +84,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
+from . import groups
 from .errors import BudgetError, InputError, InternalError
 from .gf import field, prime_power
-from .groups import (Group, Subgroup, _conjugation_action,
-                     _whole_orbit_tree, generating_ids, matrix_operations)
+from .groups import (Group, Subgroup, _conjugation_action, generating_ids,
+                     matrix_operations)
 
 DEFAULT_BUDGET = 50_000_000
 DEFAULT_MEMORY_BYTES = 2 << 30
@@ -128,24 +129,27 @@ def _centralizer_table(G: Group, n: int, budget: int):
     (x, members)), after checking the budget for the table and for the
     n-tuple backtracking.
 
-    Each class is grown once, as the ``_whole_orbit_tree`` of its
+    Each class is grown once, by ``groups._grow_orbit`` from its
     smallest id x under the checked conjugation maps of the whole group,
-    so k(G) is known before any centralizer is scanned; k(G) |G| must be
+    with ``seen`` as the marks of the maps that first reached each id, so
+    k(G) is known before any centralizer is scanned; k(G) |G| must be
     within the budget.  Z(x) is then scanned, with 2 products for each id
-    of x's class or a later one, and carried along the tree's paths,
-    Z(s(y)) = s(Z(y)), with no product; equal sets share one
-    frozenset.  The members are the tree's orbit list, x first."""
+    of x's class or a later one, and carried down the class's tree edges
+    in the orbit's order, Z(s(y)) = s(Z(y)), with no product: y -> s(y)
+    is a tree edge exactly when s(y) is not x and its mark names s, since
+    s sends one id alone to s(y).  Equal sets share one frozenset.  The
+    members are the orbit list, x first."""
     order = G.order
     maps = _checked_maps(G.full())
-    trees = []
+    classes = []
     seen = bytearray(order)
     for x in range(order):
         if not seen[x]:
-            tree = _whole_orbit_tree(maps, x)
-            trees.append(tree)
-            for y in tree[0]:
-                seen[y] = 1
-    k = len(trees)
+            seen[x] = 1
+            orbit = [x]
+            groups._grow_orbit(orbit, maps, seen)
+            classes.append((x, orbit))
+    k = len(classes)
     if k * order > budget:
         raise BudgetError(
             f"centralizer table for |G|={order} with {k} classes exceeds "
@@ -161,21 +165,22 @@ def _centralizer_table(G: Group, n: int, budget: int):
     mul_data = G._mul_data
     cents = [None] * order
     distinct = {}
-    classes = []
-    for orbit, _, up, via in trees:
-        x = orbit[0]
+    edges = [(s + 1, perm) for s, perm in enumerate(maps)]
+    for x, orbit in classes:
         xd = data[x]
         # h is in Z(x) exactly when x is in Z(h), known for earlier classes
-        zx = [h for h, hd, zh in zip(range(order), data, cents)
-              if (x in zh if zh is not None
-                  else mul_data(hd, xd) == mul_data(xd, hd))]
-        images = [zx]  # Z(y) for y in tree order
-        for i, s in zip(up[1:], via[1:]):
-            images.append(list(map(maps[s].__getitem__, images[i])))
-        for y, image in zip(orbit, images):
-            c = frozenset(image)
-            cents[y] = distinct.setdefault(c, c)
-        classes.append((x, orbit))
+        c = frozenset(h for h, hd, zh in zip(range(order), data, cents)
+                      if (x in zh if zh is not None
+                          else mul_data(hd, xd) == mul_data(xd, hd)))
+        cents[x] = distinct.setdefault(c, c)
+        # Z(y) down the class's tree edges in the orbit's order: y -> z
+        # is one exactly when z is not x and its mark names the map
+        for y in orbit:
+            for mark, perm in edges:
+                z = perm[y]
+                if z != x and seen[z] == mark:
+                    c = frozenset(map(perm.__getitem__, cents[y]))
+                    cents[z] = distinct.setdefault(c, c)
     return cents, classes
 
 

@@ -645,42 +645,55 @@ def brute_orbit(perms, seed):
         orbit = grown
 
 
+def replayed_class(perms, reached, root):
+    """The class tree kept in ``reached`` replayed from ``root`` as the
+    centralizer closure replays it: point by point in the orbit list and
+    permutation by permutation, an edge to z extends the list exactly
+    when z is not the root and its mark names that permutation."""
+    orbit = [root]
+    for p in orbit:
+        for s, perm in enumerate(perms):
+            z = perm[p]
+            if z != root and reached[z] == s + 1:
+                orbit.append(z)
+    return orbit
+
+
 @pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
 def test_orbit_tree_on_every_state(monkeypatch, desc):
-    # on every branching state the points are positions in H.key, not ids
+    # the class tree that conjugacy_classes keeps, on every state of a
+    # second fresh group, where no state is carried from a conjugate and
+    # the points are positions in H.key, not ids: each non-root point's
+    # parent comes before it in growth order, and the replay from the
+    # root lists the whole orbit in that order
     G = fresh_build(desc)
+    T = fresh_build(desc)
     for st in build_branching(G).states:
-        H = G.subgroup(st.key, validate=False)
+        H = T.subgroup(st.key, validate=False)
+        cd = conjugacy_classes(H)
+        if st.abelian:
+            assert cd.reached is None, (desc, st.key)
+            continue
         perms = groups._conjugation_action(H)
-        for seed in range(len(H.key)):
-            walk = groups._orbit_tree(perms, seed)
-            orbit, index, up, via = next(walk)
-            # the non-tree edges, met point by point and permutation by
-            # permutation; with the tree edges they are every edge once
-            edges = []
-            for i, s, j in walk:
-                assert perms[s][orbit[i]] == orbit[j], (desc, st.key, seed)
-                edges.append((i, s))
-            tree = set(zip(up[1:], via[1:]))
-            assert len(tree) == len(orbit) - 1
-            assert edges == [(i, s) for i in range(len(orbit))
-                             for s in range(len(perms)) if (i, s) not in tree]
-            assert groups._whole_orbit_tree(perms, seed) == (orbit, index, up, via)
-            # a walk stopped at its first non-tree edge holds a prefix of
-            # the whole tree
-            stopped = groups._orbit_tree(perms, seed)
-            part = next(stopped)
-            next(stopped, None)
-            n = len(part[0])
-            assert (part[0], part[2], part[3]) == (orbit[:n], up[:n], via[:n])
-            assert part[1] == {y: i for i, y in enumerate(orbit[:n])}
-            assert orbit[0] == seed
-            assert len(set(orbit)) == len(orbit)
-            assert set(orbit) == brute_orbit(perms, seed), (desc, st.key, seed)
-            assert index == {y: i for i, y in enumerate(orbit)}
-            for i in range(1, len(orbit)):
-                assert up[i] < i
-                assert perms[via[i]][orbit[up[i]]] == orbit[i]
+        inverse = groups._inverse_action(H)
+        reached = cd.reached
+        for c in cd.classes:
+            root = bisect.bisect_left(H.key, c.rep)
+            seen = bytearray(len(H.key))
+            seen[root] = 1
+            grown = [root]
+            groups._grow_orbit(grown, perms, seen)
+            assert all(seen[p] == reached[p] for p in grown[1:])
+            order = {p: i for i, p in enumerate(grown)}
+            for p in grown[1:]:
+                s = reached[p] - 1
+                parent = inverse[s][p]
+                assert perms[s][parent] == p, (desc, st.key, p)
+                assert order[parent] < order[p], (desc, st.key, p)
+            orbit = replayed_class(perms, reached, root)
+            assert orbit == grown, (desc, st.key, c.rep)
+            assert set(orbit) == brute_orbit(perms, root), (desc, st.key)
+            assert sorted(map(H.key.__getitem__, orbit)) == list(c.members)
     # with the action and the centralizers in place, classes and
     # z-classes are integer indexing alone
     states = [G.subgroup(st.key, validate=False)
@@ -738,18 +751,13 @@ def test_classes_match_bfs_reference_on_catalog_states():
 
 @pytest.mark.parametrize("desc", SMALL_GROUPS + ("GL(3,2)", "U(3,2)",
                                                  "GL(3,3)", "U(3,3)"))
-def test_flat_class_orbits_match_bfs_reference(monkeypatch, desc):
+def test_flat_class_orbits_match_bfs_reference(desc):
     # on a fresh group every non-abelian state's classes are grown by the
-    # flat loop over the integer action, with no orbit tree, and equal
-    # the classes of the product BFS
+    # flat loop over the integer action and equal the classes of the
+    # product BFS
     keys = [st.key for st in build_branching(build(desc)).states
             if not st.abelian]
     G = fresh_build(desc)
-
-    def no_tree(perms, seed):
-        raise AssertionError("conjugacy classes walked an orbit tree")
-
-    monkeypatch.setattr(groups, "_orbit_tree", no_tree)
     for key in keys:
         H = G.subgroup(key, validate=False)
         cd = conjugacy_classes(H)
@@ -1211,6 +1219,37 @@ def _class_with_a_kept_conjugate(desc, size):
     return H, others
 
 
+@pytest.mark.parametrize("desc", ["S(5)", "GL(2,3)"])
+def test_a_member_off_the_root_is_carried_from_its_representative(
+        monkeypatch, desc):
+    # with no kept member to carry from, the centralizer of a member x
+    # other than its class representative closes Z(rep) at the class
+    # tree's root and keeps it; Z(x) is then Z(rep) itself, kept in
+    # passing, or carried from it by one transport
+    monkeypatch.setattr(groups, "_centralized_member", lambda H, ci: None)
+    full = build(desc).full()
+    cases = set()
+    for c in conjugacy_classes(full).classes:
+        rep_set = scan_centralizer(full, c.rep)
+        for same in (False, True):
+            x = next((x for x in c.members[1:]
+                      if (scan_centralizer(full, x) == rep_set) == same), None)
+            if x is None:
+                continue
+            cases.add(same)
+            H = fresh_build(desc).full()
+            with monkeypatch.context() as m:
+                closures = count_closures(m)
+                transports = count_transports(m)
+                Z = centralizer(H, x)
+            assert (closures[0], transports[0]) == (1, int(not same)), \
+                (desc, c.rep, x)
+            assert Z.key == scan_centralizer(H, x), (desc, c.rep, x)
+            assert H._centralizers[c.rep].key == rep_set, (desc, c.rep)
+            assert (H._centralizers[c.rep] is Z) == same, (desc, c.rep, x)
+    assert cases == {False, True}, desc
+
+
 def test_a_corrupted_class_path_raises():
     # the inverse permutations swapped: each step up the class tree leads
     # astray, and no path reaches the representative
@@ -1235,6 +1274,39 @@ def test_a_corrupted_class_path_raises():
         else:
             assert Z.key == scan_centralizer(H, x)
     assert failed
+    # a closure forms its transversals along the same paths, so each of
+    # the other classes either fails a check or closes exactly
+    led = 0
+    for c in conjugacy_classes(H).classes:
+        if c.rep in H._centralizers:
+            continue
+        try:
+            Z = centralizer(H, c.rep)
+        except InternalError as exc:
+            assert "leads to" in str(exc) or "no path" in str(exc)
+            led += "leads to" in str(exc)
+        else:
+            assert Z.key == scan_centralizer(H, c.rep)
+    assert led
+    # the class marks wiped to 0: no edge is a tree edge, so each closure
+    # replays its root alone, and its few Schreier generators, formed
+    # along the paths that mark 0 gives, either fail a check or close
+    # the exact centralizer, never a smaller subgroup
+    H = fresh_build("GL(2,3)").full()
+    cd = conjugacy_classes(H)
+    for c in cd.classes:
+        for m in c.members[1:]:
+            cd.reached[m] = 0
+    messages = []
+    for c in cd.classes:
+        try:
+            Z = centralizer(H, c.rep)
+        except InternalError as exc:
+            messages.append(str(exc))
+        else:
+            assert Z.key == scan_centralizer(H, c.rep), c.rep
+    assert any(m.startswith("Schreier closure reached order")
+               for m in messages), messages
 
 
 def test_a_corrupted_class_path_raises_under_optimize():
@@ -1253,12 +1325,32 @@ def test_a_corrupted_class_path_raises_under_optimize():
         "    groups.centralizer(H, x)\n"
         "except InternalError as exc:\n"
         "    print('InternalError', exc)\n"
+        "H = catalog.build('GL(2,3)').full()\n"
+        "G = H.group\n"
+        "cd = groups.conjugacy_classes(H)\n"
+        "for c in cd.classes:\n"
+        "    for m in c.members[1:]:\n"
+        "        cd.reached[m] = 0\n"
+        "for c in cd.classes:\n"
+        "    x = c.rep\n"
+        "    scan = tuple(h for h in H.key if G.mul(h, x) == G.mul(x, h))\n"
+        "    try:\n"
+        "        Z = groups.centralizer(H, x)\n"
+        "    except InternalError as exc:\n"
+        "        print('InternalError', exc)\n"
+        "    else:\n"
+        "        print('exact' if Z.key == scan else 'wrong')\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InternalError"), proc.stdout
+    first, *wiped = proc.stdout.splitlines()
+    assert first.startswith("InternalError"), proc.stdout
+    assert wiped and all(line == "exact" or line.startswith("InternalError")
+                         for line in wiped), proc.stdout
+    assert any(line.startswith("InternalError Schreier closure reached order")
+               for line in wiped), proc.stdout
 
 
 def _walk_with_wrong_flag(G):

@@ -540,13 +540,13 @@ def test_each_class_is_grown_once(monkeypatch):
     # one orbit walk per class serves the centralizer table, for the
     # orbit count and the tuple count alike
     grown = []
-    orbit_tree = groups._orbit_tree
+    grow_orbit = groups._grow_orbit
 
-    def counted(perms, seed):
-        grown.append(seed)
-        return orbit_tree(perms, seed)
+    def counted(orbit, perms, seen):
+        grown.append(orbit[0])
+        return grow_orbit(orbit, perms, seen)
 
-    monkeypatch.setattr(groups, "_orbit_tree", counted)
+    monkeypatch.setattr(groups, "_grow_orbit", counted)
     for desc, n in (("S(4)", 3), ("GL(2,3)", 2), ("D(16)", 4)):
         G = build(desc)
         k = conjugacy_classes(G.full()).k
