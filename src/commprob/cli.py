@@ -445,8 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "moves the table to stderr)")
     p.add_argument("--threads", type=int, default=1, metavar="K",
                    help="run the grid in K worker processes, K - 1 of them "
-                        "forked, that split its groups by order; the report "
-                        "is byte-identical for every K (default 1)")
+                        "forked, that take its groups' jobs, heaviest first, "
+                        "from one shared queue; the report is byte-identical "
+                        "for every K (default 1)")
     p.set_defaults(func=_cmd_verify)
 
     return top

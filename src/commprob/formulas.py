@@ -33,8 +33,9 @@ printed table, its printed matrix if any, and its erratum patch if any.
 rows.  Each verify check is one function returning report rows;
 ``_jobs`` binds each check to its family row and q and names the
 groups it needs, and ``_run_job`` builds those groups and passes them to
-the check.  ``verify_suite`` runs the jobs in one process or splits
-them, by the groups they build, over forked worker processes.
+the check.  ``verify_suite`` runs the jobs in one process or shares
+them, in units of the groups they build, among forked worker processes
+that take the units from one queue.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import factorial
 from typing import Optional
 
@@ -451,15 +453,23 @@ def evaluate_matrix(family: str, q: int):
     return _evaluate_matrix_formula(MATRICES[family], q)
 
 
-def _matrix_formula_cp(mf: MatrixFormula, q: int, n: int) -> Fraction:
-    if n < 2:
-        raise InputError("n must be at least 2")
+def _matrix_at(mf: MatrixFormula, q: int):
+    """The matrix ``mf`` at q, as its columns, and the group order."""
     columns = columns_of(_evaluate_matrix_formula(mf, q))
-    c = count_via_matrix(columns, 0, n - 1)
     order = mf.order(q)
     if order.denominator != 1:
         raise InternalError(f"{mf.family} group order is not an integer at q={q}")
-    return Fraction(c, order.numerator ** (n - 1))
+    return columns, order.numerator
+
+
+def _cp_from_matrix(columns, order: int, n: int) -> Fraction:
+    return Fraction(count_via_matrix(columns, 0, n - 1), order ** (n - 1))
+
+
+def _matrix_formula_cp(mf: MatrixFormula, q: int, n: int) -> Fraction:
+    if n < 2:
+        raise InputError("n must be at least 2")
+    return _cp_from_matrix(*_matrix_at(mf, q), n)
 
 
 def matrix_cp(family: str, q: int, n: int) -> Fraction:
@@ -524,10 +534,12 @@ def _k_row(key, G, q, expected):
 
 
 def _matrix_rows(key, fam, mf, q):
-    """Compare cp_n derived from the matrix ``mf`` with fam's printed table."""
+    """Compare cp_n derived from the matrix ``mf``, evaluated once at q,
+    with fam's printed table."""
+    columns, order = _matrix_at(mf, q)
     rows = []
     for n in fam.table:
-        derived = _matrix_formula_cp(mf, q, n)
+        derived = _cp_from_matrix(columns, order, n)
         reg = REGISTRY[(fam.name, n)].formula.evaluate(q)
         rows.append(_row(key, q, n, derived, None, reg, derived == reg))
     return rows
@@ -634,15 +646,15 @@ def _sort_key(row):
             row["n"] if row["n"] is not None else -1)
 
 
-def _bins(jobs, k):
-    """Split the positions of ``jobs`` into at most k bins, heaviest
-    first, so that every group is built in one bin only.
+def _units(jobs):
+    """The positions of ``jobs`` in units, heaviest first, so that every
+    group is built in one unit only.
 
     The jobs that build a common group form one unit, weighed by the
     orders of its groups, read from the catalog's order formulas without
-    building them; a job that builds none is a unit of weight 0.  Units
-    go to the bins by longest processing time: heaviest first, each into
-    the least-loaded bin.  Empty bins are dropped."""
+    building them; a job that builds none is a unit of weight 0.  Ties
+    keep the order of their first jobs, and each unit lists its
+    positions in ascending order."""
     units = []   # (descriptors, job positions)
     for i, (descriptors, _) in enumerate(jobs):
         groups = {str(parse(d)) for d in descriptors}
@@ -655,14 +667,14 @@ def _bins(jobs, k):
     weighed = sorted(((sum(order_formula(d) for d in groups), positions)
                       for groups, positions in units),
                      key=lambda unit: (-unit[0], min(unit[1])))
-    loads = [0] * k
-    bins = [[] for _ in range(k)]
-    for weight, positions in weighed:
-        b = loads.index(min(loads))
-        loads[b] += weight
-        bins[b] += positions
-    order = sorted(range(k), key=lambda b: -loads[b])
-    return [sorted(bins[b]) for b in order if bins[b]]
+    return [sorted(positions) for _, positions in weighed]
+
+
+# the queue holds each unit index in this many bytes, big-endian; it is
+# written in one piece of at most _QUEUE_BYTES, POSIX's least PIPE_BUF, so
+# that the write is atomic and never waits for a reader
+_INDEX_WIDTH = 2
+_QUEUE_BYTES = 512
 
 
 def _can_fork() -> bool:
@@ -679,12 +691,33 @@ def _allowed_cpus():
     return sorted(os.sched_getaffinity(0))
 
 
-def _run_child(jobs, positions, fd, inherited, cpu):
+def _taken(queue):
+    """The unit indices this process takes from the pipe ``queue``, one
+    ``os.read`` each, until the pipe's end."""
+    while index := os.read(queue, _INDEX_WIDTH):
+        if len(index) != _INDEX_WIDTH:
+            raise InternalError(
+                f"the verify queue gave a partial index {index!r}")
+        yield int.from_bytes(index, "big")
+
+
+def _run_worker(jobs, units, first, queue):
+    """Run the jobs of unit ``first``, then of every unit taken from the
+    pipe ``queue``; returns {position: rows}."""
+    rows = {}
+    for u in chain((first,), _taken(queue)):
+        for i in units[u]:
+            rows[i] = _run_job(jobs[i])
+    return rows
+
+
+def _run_child(jobs, units, first, queue, fd, inherited, cpu):
     """In a forked child: close the ``inherited`` pipe ends, pin itself
-    to ``cpu`` unless it is None, run the jobs at ``positions``, write
-    the pickled ``(True, {position: rows})``, or ``(False, exception)``
-    when a job raised, to the pipe ``fd``, and leave by ``os._exit`` so
-    that nothing of the parent's state is flushed or torn down twice."""
+    to ``cpu`` unless it is None, run unit ``first`` and then the units
+    it takes from ``queue`` (:func:`_run_worker`), write the pickled
+    ``(True, {position: rows})``, or ``(False, exception)`` when a job
+    raised, to the pipe ``fd``, and leave by ``os._exit`` so that nothing
+    of the parent's state is flushed or torn down twice."""
     try:
         import pickle
 
@@ -693,7 +726,7 @@ def _run_child(jobs, positions, fd, inherited, cpu):
                 os.close(end)
             if cpu is not None:
                 os.sched_setaffinity(0, [cpu])
-            result = True, {i: _run_job(jobs[i]) for i in positions}
+            result = True, _run_worker(jobs, units, first, queue)
         except BaseException as exc:  # sent to the parent, raised there
             result = False, exc
         try:
@@ -732,54 +765,77 @@ def _received(data, status):
     return value
 
 
-def _run_bins(jobs, bins):
-    """Run every bin's jobs; returns {position: rows}.
+def _run_units(jobs, units, k):
+    """Run every unit's jobs in at most k worker processes; returns
+    {position: rows}.
 
-    The parent runs ``bins[0]`` itself.  Every other bin runs in a child
-    made by ``os.fork``, which sends its rows through a pipe; a bin whose
-    fork fails runs in the parent too.  The parent reads every pipe to
-    its end before it reaps any child, so no child waits on a full pipe.
-    When the parent's own jobs raise, the children not yet read are
-    killed; every child is reaped either way.
+    Worker 0 is this process, and workers 1 to min(k, len(units)) - 1
+    are children made by ``os.fork``.  Worker b starts with unit b, so
+    the heaviest unit runs here.  The other units wait in one pipe, the
+    queue: after forking, the parent writes their indices into it once
+    and closes its write end, as each child does with the one it
+    inherits.  Each worker, its first unit done, takes the next index
+    with one ``os.read`` until the pipe's end; the kernel serialises the
+    reads on a pipe, so each unit runs once, in the first worker free.
+    A failed fork leaves its first unit to the queue.  Each child sends
+    its rows through a pipe of its own.  The parent reads every child's
+    pipe to its end before it reaps any child, so no child waits on a
+    full pipe.  When the parent's own jobs raise, the children not yet
+    read are killed; every child is reaped either way.
 
     Linux need not move a forked child off its parent's CPU during a
     short run: on a 2-vCPU VM both ran on one CPU in most runs.  So,
-    where it can, the parent pins itself to the first allowed CPU and
-    bin b to allowed CPU b mod their count, and restores its own
-    affinity at the end."""
-    import signal
-
-    own = list(bins[0])
+    where it can, worker b pins itself to allowed CPU b mod their count,
+    and the parent to the first allowed CPU, which it restores at the
+    end.  The parent pins itself only after forking: a child that
+    inherited the parent's single CPU waited there, behind the parent,
+    for several milliseconds before it could move."""
+    if (len(units) - 1) * _INDEX_WIDTH > _QUEUE_BYTES:
+        raise InternalError(f"{len(units)} units overflow the verify queue")
+    workers = min(k, len(units))
+    queue = list(range(workers, len(units)))
     children = []    # (pid, read end)
     received = []
     cpus = _allowed_cpus()
-    if cpus:
-        os.sched_setaffinity(0, cpus[:1])
+    take, put = os.pipe()
     try:
-        for b, positions in enumerate(bins[1:], 1):
+        for b in range(1, workers):
             r, w = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(r)
                 os.close(w)
-                own += positions
+                queue.append(b)
                 continue
             if pid == 0:
-                inherited = [r] + [end for _, end in children]
-                _run_child(jobs, positions, w, inherited,
+                inherited = [r, put] + [end for _, end in children]
+                _run_child(jobs, units, b, take, w, inherited,
                            cpus[b % len(cpus)] if cpus else None)
             os.close(w)
             children.append((pid, r))
-        rows = {i: _run_job(jobs[i]) for i in sorted(own)}
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
+        os.write(put, b"".join(u.to_bytes(_INDEX_WIDTH, "big")
+                               for u in sorted(queue)))
+        os.close(put)
+        put = None
+        rows = _run_worker(jobs, units, 0, take)
         for _, r in children:
             received.append(_read_to_eof(r))
     finally:
         if cpus:
             os.sched_setaffinity(0, cpus)
+        if put is not None:
+            os.close(put)
+        os.close(take)
         for n, (pid, r) in enumerate(children):
             os.close(r)
             if n >= len(received):
+                # imported only here: at a millisecond, it would delay
+                # every fork
+                import signal
+
                 os.kill(pid, signal.SIGKILL)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for data, status in zip(received, statuses):
@@ -797,9 +853,13 @@ def verify_suite(grid: str = "default", workers: int = 1):
     Sp2 table (see :func:`is_known_erratum_row`); the ``erratum:Sp2``
     rows show the same engine values agreeing with the corrected form.
 
-    With ``workers`` k > 1 the grid's groups are split by order into k
-    bins (:func:`_bins`), and all but the heaviest bin run in forked
-    child processes.  The rows are the same as with one worker.  The
+    With ``workers`` k > 1 the jobs that build a common group form one
+    unit (:func:`_units`), and the units run in k worker processes:
+    this one, which starts with the heaviest unit, and up to k - 1
+    forked children, which start with the next ones.  Every worker then
+    takes the remaining units, heaviest first, from one shared queue
+    until it is empty (:func:`_run_units`), so no worker idles while
+    units are left.  The rows are the same as with one worker.  The
     grid runs in this process alone when ``os.fork`` is missing or
     another thread is running.
     """
@@ -807,7 +867,7 @@ def verify_suite(grid: str = "default", workers: int = 1):
         raise InputError(f"workers must be at least 1, not {workers}")
     jobs = _jobs(grid)
     if workers > 1 and _can_fork():
-        by_position = _run_bins(jobs, _bins(jobs, workers))
+        by_position = _run_units(jobs, _units(jobs), workers)
     else:
         by_position = {i: _run_job(job) for i, job in enumerate(jobs)}
     rows = sorted((r for i in range(len(jobs)) for r in by_position[i]),

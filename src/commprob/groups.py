@@ -1454,7 +1454,9 @@ def _class_path(H: Subgroup, p: int, root: int) -> list:
     """The permutation indices on the class tree's path from the root,
     the position of the class representative, to position p of H, in
     the order they apply.  Each step up the tree is one lookup: the
-    parent of p is the inverse of the permutation that reached p, at p."""
+    parent of p is the inverse of the permutation that reached p, at p.
+    ``InternalError`` unless every mark on the path names a permutation,
+    1 to their number, and the path reaches the root."""
     reached = H._classes.reached
     inverse = _inverse_action(H)
     path = []
@@ -1465,6 +1467,10 @@ def _class_path(H: Subgroup, p: int, root: int) -> list:
                 f"the class tree has no path from position {start} up to "
                 f"its representative's, {root}")
         s = reached[p] - 1
+        if not 0 <= s < len(inverse):
+            raise InternalError(
+                f"the class tree marks position {p} with {s + 1}, not one "
+                f"of its {len(inverse)} permutations")
         path.append(s)
         p = inverse[s][p]
     path.reverse()

@@ -515,20 +515,22 @@ def no_child_left():
 
 
 def fail_in_a_verify_child(monkeypatch, fail):
-    """Make the constant checks of the default grid, which run in a
-    forked child at two workers, call ``fail`` there; in this process
-    they raise AssertionError."""
+    """Make the jobs of the default grid's second unit, the one forked
+    child 1 starts with at two or more workers, call ``fail`` there; in
+    this process they raise AssertionError."""
     from commprob import formulas
 
     parent = os.getpid()
     jobs = formulas._jobs("default")
-    const_jobs = {i for i, (_, job) in enumerate(jobs)
-                  if getattr(job, "func", None) is formulas._check_const}
-    assert const_jobs and not const_jobs & set(formulas._bins(jobs, 2)[0])
+    seed = {d for i in formulas._units(jobs)[1] for d in jobs[i][0]}
+    assert seed
+    run_job = formulas._run_job
 
-    def check(name, value, G):
-        if os.getpid() == parent:
-            raise AssertionError("a constant check ran in the parent")
-        fail()
+    def run(job):
+        if seed & set(job[0]):
+            if os.getpid() == parent:
+                raise AssertionError("child 1's first unit ran in the parent")
+            fail()
+        return run_job(job)
 
-    monkeypatch.setattr(formulas, "_check_const", check)
+    monkeypatch.setattr(formulas, "_run_job", run)

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,19 +244,160 @@ def test_each_job_builds_the_groups_it_records(monkeypatch):
         assert sorted(built) == sorted(job[0]), job
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8, 100])
-def test_bins_split_the_groups_by_order(workers):
-    jobs = formulas._jobs("default")
-    bins = formulas._bins(jobs, workers)
-    assert len(bins) <= workers
-    assert sorted(i for b in bins for i in b) == list(range(len(jobs)))
-    groups = [{d for i in b for d in jobs[i][0]} for b in bins]
-    # each group is built in one bin only, and bin 0 is the heaviest
+@pytest.mark.parametrize("grid", ["default", "full"])
+def test_units_split_the_groups_by_order(grid):
+    jobs = formulas._jobs(grid)
+    units = formulas._units(jobs)
+    assert sorted(i for u in units for i in u) == list(range(len(jobs)))
+    assert all(u == sorted(u) for u in units)
+    groups = [{d for i in u for d in jobs[i][0]} for u in units]
+    # each group is built in one unit only, the units go heaviest first,
+    # and the grid's heaviest group is alone in the first
     assert sum(map(len, groups)) == len(set().union(*groups))
     loads = [sum(order_formula(d) for d in g) for g in groups]
     assert loads == sorted(loads, reverse=True)
-    if workers > 1:
-        assert groups[0] == {"GL(3,3)"}
+    assert groups[0] == {"GL(3,3)" if grid == "default" else "U(3,3)"}
+    # every job that builds no group is a unit of its own
+    assert all(len(u) == 1 for u, g in zip(units, groups) if not g)
+    assert (len(units) - 1) * formulas._INDEX_WIDTH <= formulas._QUEUE_BYTES
+
+
+@pytest.mark.parametrize("workers, failed_fork", [
+    (2, None), (3, None), (8, None), (100, None), (3, 2),
+])
+def test_each_job_runs_once_in_the_worker_of_its_unit(serial, monkeypatch,
+                                                       tmp_path, workers,
+                                                       failed_fork):
+    # every process appends (pid, position) for each job it runs, in one
+    # write to a file opened for appending, which the children inherit;
+    # the fork numbered failed_fork, if any, fails, which leaves its first
+    # unit to the queue
+    listed = []
+    jobs_of = formulas._jobs
+    run_job = formulas._run_job
+    forks = []
+    fork = os.fork
+
+    def jobs(grid):
+        listed[:] = jobs_of(grid)
+        return listed
+
+    def run(job):
+        position = next(i for i, j in enumerate(listed) if j is job)
+        os.write(fd, f"{os.getpid()} {position}\n".encode())
+        return run_job(job)
+
+    def counted_fork():
+        forks.append(1)
+        if len(forks) == failed_fork:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(formulas, "_jobs", jobs)
+    monkeypatch.setattr(formulas, "_run_job", run)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    fd = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        rows, ok = verify_suite("default", workers)
+    finally:
+        os.close(fd)
+    assert (rows, ok) == serial["default"][:2]
+    runs = [tuple(map(int, line.split()))
+            for line in (tmp_path / "runs").read_text().splitlines()]
+    assert sorted(i for _, i in runs) == list(range(len(listed)))
+    pid_of = dict((i, pid) for pid, i in runs)
+    units = formulas._units(listed)
+    assert len(forks) == min(workers, len(units)) - 1
+    # a unit runs whole in one worker, and the first in this process
+    assert all(len({pid_of[i] for i in u}) == 1 for u in units)
+    assert pid_of[units[0][0]] == os.getpid()
+    assert len(set(pid_of.values())) <= min(workers, len(units)) - (
+        failed_fork is not None)
+
+
+def test_this_process_takes_units_from_the_queue(serial, monkeypatch,
+                                                 tmp_path):
+    # child 1 holds its first unit until this process has run a job of a
+    # unit past the first, which it can only have taken from the queue
+    parent = os.getpid()
+    jobs = formulas._jobs("default")
+    units = formulas._units(jobs)
+    first = {d for i in units[0] for d in jobs[i][0]}
+    held = {d for i in units[1] for d in jobs[i][0]}
+    taken = tmp_path / "taken"
+    run_job = formulas._run_job
+    deadline = time.monotonic() + 30
+
+    def run(job):
+        groups = set(job[0])
+        if os.getpid() == parent and groups and not groups & first:
+            taken.touch()
+        elif os.getpid() != parent and groups & held:
+            while not taken.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+        return run_job(job)
+
+    monkeypatch.setattr(formulas, "_run_job", run)
+    assert verify_suite("default", 2) == serial["default"][:2]
+    assert taken.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="processes cannot be pinned here")
+def test_workers_are_pinned_after_forking(monkeypatch, tmp_path):
+    # each child forks with this process's whole CPU set and pins itself
+    # to allowed CPU b mod their count; this process pins itself to the
+    # first allowed CPU after its forks and restores its set at the end
+    allowed = sorted(os.sched_getaffinity(0))
+    parent = os.getpid()
+    fork = os.fork
+    at_fork = []
+    pinned = tmp_path / "pinned"
+    run_job = formulas._run_job
+
+    def recorded_fork():
+        at_fork.append(sorted(os.sched_getaffinity(0)))
+        return fork()
+
+    def run(job):
+        with open(pinned, "a") as fh:
+            fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+        return run_job(job)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(formulas, "_run_job", run)
+    verify_suite("default", 3)
+    assert at_fork == [allowed, allowed]
+    assert sorted(os.sched_getaffinity(0)) == allowed
+    pins = {}
+    for line in pinned.read_text().splitlines():
+        pid, cpus = line.split(" ", 1)
+        pins.setdefault(int(pid), set()).add(cpus)
+    # every job of a worker ran on that worker's one CPU
+    assert pins.pop(parent) == {str(allowed[:1])}
+    assert all(len(cpus) == 1 for cpus in pins.values())
+    assert sorted(cpus.pop() for cpus in pins.values()) == sorted(
+        str([allowed[b % len(allowed)]]) for b in (1, 2))
+
+
+def test_matrix_rows_evaluate_each_matrix_once(monkeypatch):
+    calls = []
+    evaluate_formula = formulas._evaluate_matrix_formula
+
+    def counted(mf, q):
+        calls.append((mf.family, q))
+        return evaluate_formula(mf, q)
+
+    monkeypatch.setattr(formulas, "_evaluate_matrix_formula", counted)
+    checks = (formulas._check_consistency, formulas._check_matrix_erratum)
+    jobs = [job for _, job in formulas._jobs("full")
+            if getattr(job, "func", None) in checks]
+    assert jobs
+    for job in jobs:
+        calls.clear()
+        rows = job()
+        assert len(rows) > 1
+        assert calls == [(job.args[0].name, job.args[1])], job
 
 
 def test_workers_below_one_are_refused():

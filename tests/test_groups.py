@@ -1289,9 +1289,9 @@ def test_a_corrupted_class_path_raises():
             assert Z.key == scan_centralizer(H, c.rep)
     assert led
     # the class marks wiped to 0: no edge is a tree edge, so each closure
-    # replays its root alone, and its few Schreier generators, formed
-    # along the paths that mark 0 gives, either fail a check or close
-    # the exact centralizer, never a smaller subgroup
+    # replays its root alone, and a Schreier generator's transversal,
+    # formed along a path, meets a mark that names no permutation; a
+    # closure that forms none closes the exact centralizer
     H = fresh_build("GL(2,3)").full()
     cd = conjugacy_classes(H)
     for c in cd.classes:
@@ -1305,8 +1305,22 @@ def test_a_corrupted_class_path_raises():
             messages.append(str(exc))
         else:
             assert Z.key == scan_centralizer(H, c.rep), c.rep
-    assert any(m.startswith("Schreier closure reached order")
-               for m in messages), messages
+    assert messages and all(
+        m.startswith("the class tree marks position") and m.endswith(
+            "with 0, not one of its 2 permutations") for m in messages), \
+        messages
+    # marks above the number of permutations, on one class of S(4): the
+    # closure at its representative raises, and so does a transport to
+    # another member from a kept centralizer
+    H = fresh_build("S(4)").full()
+    cd = conjugacy_classes(H)
+    c = next(c for c in cd.classes if c.size == 6)
+    for m in c.members[1:]:
+        cd.reached[m] = 200
+    for x in (c.rep, c.members[1]):
+        with pytest.raises(InternalError, match=r"marks position \d+ with "
+                           r"200, not one of its 2 permutations"):
+            centralizer(H, x)
 
 
 def test_a_corrupted_class_path_raises_under_optimize():
@@ -1340,17 +1354,31 @@ def test_a_corrupted_class_path_raises_under_optimize():
         "        print('InternalError', exc)\n"
         "    else:\n"
         "        print('exact' if Z.key == scan else 'wrong')\n"
+        # marks of 200 on the class of size 6 whose centralizers the
+        # lines above left alone
+        "H = catalog.build('S(4)').full()\n"
+        "cd = groups.conjugacy_classes(H)\n"
+        "c = [c for c in cd.classes if c.size == 6][1]\n"
+        "for m in c.members[1:]:\n"
+        "    cd.reached[m] = 200\n"
+        "try:\n"
+        "    groups.centralizer(H, c.rep)\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    first, *wiped = proc.stdout.splitlines()
+    first, *wiped, high = proc.stdout.splitlines()
     assert first.startswith("InternalError"), proc.stdout
-    assert wiped and all(line == "exact" or line.startswith("InternalError")
-                         for line in wiped), proc.stdout
-    assert any(line.startswith("InternalError Schreier closure reached order")
+    assert wiped and all(line == "exact" or line.startswith(
+        "InternalError the class tree marks position") for line in wiped), \
+        proc.stdout
+    assert any(line.endswith("with 0, not one of its 2 permutations")
                for line in wiped), proc.stdout
+    assert high.startswith("InternalError the class tree marks position")
+    assert high.endswith("with 200, not one of its 2 permutations"), high
 
 
 def _walk_with_wrong_flag(G):
