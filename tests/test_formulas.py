@@ -244,6 +244,50 @@ def test_each_job_builds_the_groups_it_records(monkeypatch):
         assert sorted(built) == sorted(job[0]), job
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 100])
+def test_bins_split_the_groups_by_order(monkeypatch, tmp_path, workers):
+    # a worker's bin is the jobs it runs: each process appends (pid,
+    # position) for each job in one write to a file opened for appending,
+    # which the children inherit; the jobs return no rows, so the bins
+    # come out of the queue alone
+    listed = []
+    jobs_of = formulas._jobs
+
+    def jobs(grid):
+        listed[:] = jobs_of(grid)
+        return listed
+
+    def run(job):
+        position = next(i for i, j in enumerate(listed) if j is job)
+        os.write(fd, f"{os.getpid()} {position}\n".encode())
+        return []
+
+    monkeypatch.setattr(formulas, "_jobs", jobs)
+    monkeypatch.setattr(formulas, "_run_job", run)
+    fd = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        assert verify_suite("default", workers) == ([], True)
+    finally:
+        os.close(fd)
+    runs = [tuple(map(int, line.split()))
+            for line in (tmp_path / "runs").read_text().splitlines()]
+    assert sorted(i for _, i in runs) == list(range(len(listed)))
+    bins = {}
+    for pid, i in runs:
+        bins.setdefault(pid, []).append(i)
+    assert len(bins) <= workers
+    # each group is built in one bin only; one worker runs the jobs in
+    # order, and more start here with the heaviest unit, GL(3,3) alone
+    groups = [{d for i in b for d in listed[i][0]} for b in bins.values()]
+    assert sum(map(len, groups)) == len(set().union(*groups))
+    if workers == 1:
+        assert bins[os.getpid()] == list(range(len(listed)))
+    else:
+        first = formulas._units(listed)[0]
+        assert {d for i in first for d in listed[i][0]} == {"GL(3,3)"}
+        assert bins[os.getpid()][:len(first)] == first
+
+
 @pytest.mark.parametrize("grid", ["default", "full"])
 def test_units_split_the_groups_by_order(grid):
     jobs = formulas._jobs(grid)
