@@ -29,7 +29,6 @@ centralizer subgroups, so the two paths cross-check each other.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
@@ -46,22 +45,52 @@ from .groups import (
 STATE_COUNT_CAP = 20_000
 
 
-@dataclass(frozen=True)
 class StateInfo:
-    label: str
-    order: int
-    class_count: int
-    abelian: bool
-    key: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
+    """One state of a branching matrix.  ``key``, the state's sorted id
+    tuple, is left out of equality and repr: a matrix read back from the
+    disk cache, which does not store it, equals the one built."""
+
+    __slots__ = ("label", "order", "class_count", "abelian", "key")
+
+    def __init__(self, label: str, order: int, class_count: int,
+                 abelian: bool, key: Optional[tuple] = None):
+        self.label = label
+        self.order = order
+        self.class_count = class_count
+        self.abelian = abelian
+        self.key = key
+
+    def _fields(self):
+        return self.label, self.order, self.class_count, self.abelian
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("StateInfo(label={!r}, order={!r}, class_count={!r}, "
+                "abelian={!r})".format(*self._fields()))
 
 
-@dataclass
 class BranchingMatrix:
-    states: list
-    # columns[i]: the (j, counts[j][i]) pairs of the nonzero entries of
-    # column i, as tuples, ascending in j
-    columns: list
-    root: int
+    """The states and sparse columns of a branching matrix, with the
+    index of the root (the whole group's) state."""
+
+    __slots__ = ("states", "columns", "root")
+
+    def __init__(self, states: list, columns: list, root: int):
+        self.states = states
+        # columns[i]: the (j, counts[j][i]) pairs of the nonzero entries
+        # of column i, as tuples, ascending in j
+        self.columns = columns
+        self.root = root
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.states, self.columns, self.root)
+                == (other.states, other.columns, other.root))
 
     @property
     def dimension(self) -> int:
@@ -289,12 +318,26 @@ def cp2_classcount(G: Group) -> Fraction:
 # lumping
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TypePartition:
-    blocks: list       # partition of state indices, each sorted
-    quotient: list     # lumped matrix over blocks, quotient[j][i]
-    block_of: list
-    root_block: int
+    """A lumping of a branching matrix: ``blocks`` partitions the state
+    indices (each block sorted), ``quotient[j][i]`` is the lumped matrix
+    over the blocks, ``block_of`` maps each state to its block."""
+
+    __slots__ = ("blocks", "quotient", "block_of", "root_block")
+
+    def __init__(self, blocks: list, quotient: list, block_of: list,
+                 root_block: int):
+        self.blocks = blocks
+        self.quotient = quotient
+        self.block_of = block_of
+        self.root_block = root_block
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.blocks, self.quotient, self.block_of, self.root_block)
+                == (other.blocks, other.quotient, other.block_of,
+                    other.root_block))
 
     @property
     def dimension(self) -> int:

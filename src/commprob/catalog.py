@@ -31,7 +31,6 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -41,10 +40,20 @@ from .groups import GROUP_SIZE_CAP, Group, matrix_operations
 _ENUMERATION_CAP = 300_000
 
 
-@dataclass(frozen=True)
 class GroupDescriptor:
-    family: str
-    params: tuple
+    """A catalog family and its parameters; equal descriptors compare
+    equal."""
+
+    __slots__ = ("family", "params")
+
+    def __init__(self, family: str, params: tuple):
+        self.family = family
+        self.params = params
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
 
     def __str__(self):
         if self.family == "Q8":
@@ -55,12 +64,17 @@ class GroupDescriptor:
         return f"GroupDescriptor({self})"
 
 
-@dataclass(frozen=True)
 class GroupMeta:
-    abelian: bool
-    simple: bool
-    solvable: Optional[bool]
-    p_group: Optional[int]
+    """Structural flags of a catalog group (``metadata``)."""
+
+    __slots__ = ("abelian", "simple", "solvable", "p_group")
+
+    def __init__(self, abelian: bool, simple: bool, solvable: Optional[bool],
+                 p_group: Optional[int]):
+        self.abelian = abelian
+        self.simple = simple
+        self.solvable = solvable
+        self.p_group = p_group
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +305,8 @@ def _linear_matrices(d, q, det_one):
     """The d x d matrices over GF(q) with nonzero determinant, or with
     determinant one when ``det_one``, in lexicographic order of their
     flattened entry indices; and the field's matrix operations.  The
-    invertible ones are listed by ``_independent_rows``, with no
-    determinant; those of determinant one are filtered from every
-    matrix by it."""
+    invertible ones are listed by ``_independent_rows``, those of
+    determinant one by ``_det_one_rows``, neither with a determinant."""
     fld = field(*prime_power(q))
     if q ** (d * d) > _ENUMERATION_CAP:
         raise SizeCapError(
@@ -301,14 +314,62 @@ def _linear_matrices(d, q, det_one):
             f"the cap {_ENUMERATION_CAP}"
         )
     ops = matrix_operations(fld, d)
-    if det_one:
-        det = ops.det
-        one = fld.one_index
-        entries = itertools.product(range(q), repeat=d * d)
-        mats = [m for m in entries if det(m) == one]
-    else:
-        mats = _independent_rows(fld, d)
+    mats = _det_one_rows(fld, d) if det_one else _independent_rows(fld, d)
     return mats, ops
+
+
+def _det_one_rows(fld, d):
+    """The d x d matrices of determinant one over ``fld`` as flat entry
+    tuples, in lexicographic order.
+
+    The determinant is linear in the last row x: it is the sum of C_j
+    x_j, where C is the cofactor vector of the rows above (for d = 3,
+    their cross product), which is zero exactly when those rows are
+    dependent.  For rows above with C nonzero, let p be the last j with
+    C_j nonzero.  Determinant one then fixes x_p from x_0, ..., x_(p-1)
+    and leaves the coordinates after p free, so the last rows are listed
+    in lexicographic order by their first p coordinates, the solved x_p,
+    then every choice of the rest."""
+    q = fld.q
+    add = fld.add_table()
+    mul = fld.mul_table()
+    neg = fld.neg_table()
+    inv = fld.inv_table()
+    one = fld.one_index
+    if d == 1:
+        return [(one,)]
+    vectors = list(itertools.product(range(q), repeat=d))
+    free = [list(itertools.product(range(q), repeat=k)) for k in range(d)]
+    mats = []
+    for above in itertools.product(vectors, repeat=d - 1):
+        if d == 2:
+            (a, b), = above
+            cof = (neg[b], a)
+        else:
+            (a0, a1, a2), (b0, b1, b2) = above
+            cof = (add[mul[a1][b2]][neg[mul[a2][b1]]],
+                   add[mul[a2][b0]][neg[mul[a0][b2]]],
+                   add[mul[a0][b1]][neg[mul[a1][b0]]])
+        p = d - 1
+        while p >= 0 and not cof[p]:
+            p -= 1
+        if p < 0:
+            continue
+        # 1 minus the sum of C_j x_j over j < p, for each choice of
+        # x_0, ..., x_(p-1) in lexicographic order; x_p is that over C_p
+        accs = [one]
+        for c in cof[:p]:
+            minus = [neg[m] for m in mul[c]]
+            accs = [add[acc][m] for acc in accs for m in minus]
+        solved = map(mul[inv[cof[p]]].__getitem__, accs)
+        heads = map(tuple.__add__, free[p], zip(solved))
+        rows = sum(above, ())
+        if p == d - 1:
+            mats.extend(map(rows.__add__, heads))
+        else:
+            for head in heads:
+                mats.extend(map((rows + head).__add__, free[d - 1 - p]))
+    return mats
 
 
 def _independent_rows(fld, d):
@@ -395,11 +456,13 @@ def _build_unitary(descriptor, d, q):
     of 252 form evaluations each, not 252 sets).  The first column
     ranges over all unit vectors in index order, the second over the
     sorted ``orth`` set of the first, and for d = 3 the third over the
-    sorted intersection of the first two columns' sets.  Each matrix is
-    its columns one after another, read in row-major order by one
-    ``itemgetter``.  So the matrices come out in the order of a scan
-    that tests every unit vector against every chosen column, without
-    any form evaluation after the graph is built."""
+    sorted intersection of the first two columns' sets.  The later
+    columns depend on the first only through its set, so they are
+    listed once per line too.  Each matrix is its columns one after
+    another, read in row-major order by one ``itemgetter``.  So the
+    matrices come out in the order of a scan that tests every unit
+    vector against every chosen column, without any form evaluation
+    after the graph is built."""
     p, k = prime_power(q)
     ext = field(p, 2 * k)
     add = ext.add_table()
@@ -438,23 +501,40 @@ def _build_unitary(descriptor, d, q):
             by_line[line] = oc
         orth.append(oc)
 
+    mats = _unitary_frames(unit, orth, d)
+    return Group.from_matrix_list(ext, d, mats, descriptor)
+
+
+def _unitary_frames(unit, orth, d):
+    """The flattened matrices of ``_build_unitary``, in its order, from
+    the unit vectors and their ``orth`` sets.
+
+    The later columns depend on the first only through its set, one per
+    line: the second ranges over the set, and for d = 3 the third over
+    those in it orthogonal to the second too.  So each set's second and
+    third columns are listed once, as two lists of the unit vectors
+    themselves, which add no tuple that outlives the call."""
     mats = []
     # the columns one after another, entry (i, j) at j d + i, read by rows
     row_major = operator.itemgetter(*(j * d + i for i in range(d)
                                       for j in range(d)))
-    for c, oc in enumerate(orth):
-        # the second column's candidates: every unit vector orthogonal to
-        # c; for d = 3, the third's: those orthogonal to both columns
-        second = sorted(oc)
-        if d == 2:
-            frames = [(unit[c], second)]
-        else:
-            frames = [(unit[c] + unit[c2], sorted(oc & orth[c2]))
-                      for c2 in second]
-        for head, last in frames:
-            mats.extend(map(row_major, map(head.__add__,
-                                           map(unit.__getitem__, last))))
-    return Group.from_matrix_list(ext, d, mats, descriptor)
+    frames_of = {}
+    for u, oc in zip(unit, orth):
+        frames = frames_of.get(oc)
+        if frames is None:
+            second = sorted(oc)
+            if d == 2:
+                frames = [unit[c2] for c2 in second], [()] * len(second)
+            else:
+                third = [sorted(oc & orth[c2]) for c2 in second]
+                frames = ([unit[c2] for c2, cs in zip(second, third)
+                           for _ in cs],
+                          [unit[c3] for cs in third for c3 in cs])
+            frames_of[oc] = frames
+        middle, last = frames
+        mats.extend(map(row_major, map(tuple.__add__,
+                                       map(u.__add__, middle), last)))
+    return mats
 
 
 def _build_psl2(descriptor, d, q):
@@ -501,7 +581,6 @@ def _unitary_order(d, q):
     return q ** 3 * (q + 1) * (q * q - 1) * (q ** 3 + 1)
 
 
-@dataclass(frozen=True)
 class _Family:
     """One catalog family.
 
@@ -510,12 +589,19 @@ class _Family:
     its last parameter must be a ``field`` size: a "prime" or a "prime
     power".  ``order`` and ``build`` take the parameters (``build`` after
     the descriptor text); a family without ``build`` is parse-only."""
-    form: str
-    order: Callable[..., int]
-    build: Optional[Callable[..., Group]]
-    arity: Optional[int] = 2
-    degrees: tuple = ()
-    field: str = "prime power"
+
+    __slots__ = ("form", "order", "build", "arity", "degrees", "field")
+
+    def __init__(self, form: str, order: Callable[..., int],
+                 build: Optional[Callable[..., Group]],
+                 arity: Optional[int] = 2, degrees: tuple = (),
+                 field: str = "prime power"):
+        self.form = form
+        self.order = order
+        self.build = build
+        self.arity = arity
+        self.degrees = degrees
+        self.field = field
 
 
 _FAMILIES = {

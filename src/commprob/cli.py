@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-import traceback
 from fractions import Fraction
 
 from .branching import (
@@ -484,6 +483,8 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         # any other exception is a defect too, not a mismatch (exit 1)
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -13,7 +13,6 @@ rational arithmetic; the result is asserted to be a nonnegative integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, InputError, InternalError
@@ -25,12 +24,14 @@ from .gf import is_prime_power
 PARTITIONS_MAX_D = 30
 
 
-@dataclass(frozen=True)
 class PartitionPowerNotation:
     """A partition of d recorded by part multiplicities b[i] of part
     size i+1 (so sum (i+1)*b[i] = d)."""
 
-    b: tuple
+    __slots__ = ("b",)
+
+    def __init__(self, b: tuple):
+        self.b = b
 
     @property
     def k_pi(self) -> int:

@@ -45,7 +45,6 @@ import os
 import threading
 # pickle and signal are imported inside the functions of the forking
 # path, so that a serial run, the default, does not load them
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -207,11 +206,16 @@ def _is_valid(q: int, validity: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class RationalFunction:
-    num: Poly
-    den: Poly
-    validity: str = VALID_PRIME_POWER
+    """num / den, a function of q on the prime powers ``validity`` names."""
+
+    __slots__ = ("num", "den", "validity")
+
+    def __init__(self, num: Poly, den: Poly,
+                 validity: str = VALID_PRIME_POWER):
+        self.num = num
+        self.den = den
+        self.validity = validity
 
     def valid_at(self, q: int) -> bool:
         return _is_valid(q, self.validity)
@@ -231,23 +235,33 @@ def evaluate(entry: RationalFunction, q: int) -> Fraction:
     return entry.evaluate(q)
 
 
-@dataclass(frozen=True)
 class RegistryEntry:
-    key: tuple
-    formula: RationalFunction
-    source: str
+    """A printed cp_n formula: ``key`` is (family name, n)."""
+
+    __slots__ = ("key", "formula", "source")
+
+    def __init__(self, key: tuple, formula: RationalFunction, source: str):
+        self.key = key
+        self.formula = formula
+        self.source = source
 
 
 def _rf(num, den, validity=VALID_PRIME_POWER):
     return RationalFunction(Poly._coerce(num), Poly._coerce(den), validity)
 
 
-@dataclass(frozen=True)
 class MatrixFormula:
-    family: str
-    entries: tuple          # tuple of row tuples of Poly
-    order: Poly
-    validity: str
+    """A branching matrix printed as polynomials in q: ``entries`` is a
+    tuple of row tuples of ``Poly``."""
+
+    __slots__ = ("family", "entries", "order", "validity")
+
+    def __init__(self, family: str, entries: tuple, order: Poly,
+                 validity: str):
+        self.family = family
+        self.entries = entries
+        self.order = order
+        self.validity = validity
 
     @property
     def dimension(self) -> int:
@@ -258,7 +272,6 @@ class MatrixFormula:
 # the published families, one row each
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Family:
     """One published family over F_q, as printed.
 
@@ -270,15 +283,24 @@ class Family:
     An erratum is a patch of the printed data: ``table_fix`` maps n to
     the corrected denominator, ``matrix_fix`` maps a 0-based (row,
     column) to the corrected entry."""
-    name: str
-    descriptor: str
-    order: Poly
-    qs: dict
-    table: dict
-    validity: str = VALID_PRIME_POWER
-    matrix: Optional[tuple] = None
-    table_fix: Optional[dict] = None
-    matrix_fix: Optional[dict] = None
+
+    __slots__ = ("name", "descriptor", "order", "qs", "table", "validity",
+                 "matrix", "table_fix", "matrix_fix")
+
+    def __init__(self, name: str, descriptor: str, order: Poly, qs: dict,
+                 table: dict, validity: str = VALID_PRIME_POWER,
+                 matrix: Optional[tuple] = None,
+                 table_fix: Optional[dict] = None,
+                 matrix_fix: Optional[dict] = None):
+        self.name = name
+        self.descriptor = descriptor
+        self.order = order
+        self.qs = qs
+        self.table = table
+        self.validity = validity
+        self.matrix = matrix
+        self.table_fix = table_fix
+        self.matrix_fix = matrix_fix
 
     def corrected_table(self) -> dict:
         """n -> cp_n, with ``table_fix``'s denominators where it has one."""

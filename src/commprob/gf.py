@@ -16,7 +16,6 @@ can use :class:`FieldElement` values and ordinary operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InputError, InternalError, SizeCapError
 
@@ -380,12 +379,23 @@ def field(p: int, k: int = 1) -> FieldSpec:
     return spec
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """A canonical residue in GF(p^k): coefficient tuple, constant first."""
+    """A canonical residue in GF(p^k): coefficient tuple, constant first.
+    Equal residues of one field compare and hash equal."""
 
-    spec: FieldSpec
-    coeffs: tuple
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec: FieldSpec, coeffs: tuple):
+        self.spec = spec
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.coeffs) == (other.spec, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.spec, self.coeffs))
 
     def _require_same(self, other):
         if not isinstance(other, FieldElement) or other.spec is not self.spec:

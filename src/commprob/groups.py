@@ -770,12 +770,20 @@ def closure(ambient, generators, descriptor="") -> Group:
     raise InputError(f"unknown ambient kind {kind!r}")
 
 
-@dataclass(frozen=True)
 class Element:
-    """An element of an enumerated group, addressed by id."""
+    """An element of an enumerated group, addressed by id.  Elements
+    with the same id in the same group compare equal."""
 
-    group: Group
-    id: int
+    __slots__ = ("group", "id")
+
+    def __init__(self, group: Group, id: int):
+        self.group = group
+        self.id = id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.id) == (other.group, other.id)
 
     @property
     def data(self):
@@ -879,11 +887,22 @@ class Subgroup:
         return f"Subgroup(order={len(self.key)} of {self.group!r})"
 
 
-@dataclass(frozen=True)
 class ConjugacyClass:
-    rep: int
-    size: int
-    members: tuple
+    """One conjugacy class: its representative (its least member), its
+    size and its members' ids, ascending."""
+
+    __slots__ = ("rep", "size", "members")
+
+    def __init__(self, rep: int, size: int, members: tuple):
+        self.rep = rep
+        self.size = size
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rep, self.size, self.members)
+                == (other.rep, other.size, other.members))
 
 
 class ClassData:

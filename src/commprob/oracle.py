@@ -80,7 +80,6 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -284,14 +283,21 @@ def _block_orbits(cents, n: int, x: int, maps):
     return enumerated, orbit_count, len(visited)
 
 
-@dataclass(frozen=True)
 class TupleOrbitReport:
-    descriptor: str
-    n: int
-    tuple_count: int
-    orbit_count: int
-    burnside_count: int
-    method: str = "backtracking+orbit-bfs+burnside"
+    """What ``simultaneous_classes_count`` found for one group and n."""
+
+    __slots__ = ("descriptor", "n", "tuple_count", "orbit_count",
+                 "burnside_count", "method")
+
+    def __init__(self, descriptor: str, n: int, tuple_count: int,
+                 orbit_count: int, burnside_count: int,
+                 method: str = "backtracking+orbit-bfs+burnside"):
+        self.descriptor = descriptor
+        self.n = n
+        self.tuple_count = tuple_count
+        self.orbit_count = orbit_count
+        self.burnside_count = burnside_count
+        self.method = method
 
 
 def simultaneous_classes_count(G: Group, n: int) -> TupleOrbitReport:

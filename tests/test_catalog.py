@@ -423,6 +423,17 @@ def test_independent_rows_are_the_determinant_filter(d, q):
                                                  if det(m) != 0]
 
 
+@pytest.mark.parametrize("d, q", _enumerable_gl())
+def test_det_one_rows_are_the_determinant_filter(d, q):
+    # the same matrices in the same order as filtering every matrix by
+    # its determinant
+    fld = field(*prime_power(q))
+    det = matrix_operations(fld, d).det
+    every = itertools.product(range(q), repeat=d * d)
+    assert catalog._det_one_rows(fld, d) == [m for m in every
+                                             if det(m) == fld.one_index]
+
+
 @pytest.mark.parametrize(
     "text", ["U(2,2)", "U(2,3)", "U(2,4)", "U(2,5)", "U(3,2)", "U(3,3)"])
 def test_unitary_elements_preserve_the_form(text):

@@ -1,13 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 
-from commprob import catalog, cli
+import pytest
+
+from commprob import (branching, catalog, cli, feitfine, formulas, gf, groups,
+                      oracle)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "commprob"
@@ -120,3 +125,138 @@ def test_benchmark_entry_points_exist():
                      if not hasattr(importlib.import_module(
                          "commprob." + module), attr))
     assert not missing, "benchmark names missing: " + ", ".join(missing)
+
+
+def test_import_generates_one_dataclass():
+    # a dataclass has its methods generated from source text when its
+    # module is imported, which every CLI process pays; the record types
+    # are plain classes, and MatrixOps stays a dataclass because the
+    # benchmark's tracer and tests/test_oracle.py call dataclasses.replace
+    # on it.  The CLI imports traceback only on its internal-error path
+    code = "\n".join([
+        "import dataclasses, sys",
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+        "made = []",
+        "generate = dataclasses.dataclass",
+        "def counted(cls=None, /, **kw):",
+        "    def make(c):",
+        "        made.append(c.__module__ + '.' + c.__qualname__)",
+        "        return generate(c, **kw)",
+        "    return make if cls is None else make(cls)",
+        "dataclasses.dataclass = counted",
+        "import commprob, commprob.cli",
+        "print(made, 'traceback' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["['commprob.groups.MatrixOps']", "False"]
+    assert dataclasses.is_dataclass(groups.MatrixOps)
+
+
+def _records():
+    """One row per record type: the type, its fields given as keywords,
+    its defaults, one field changed, and what equality, hash and repr
+    do (repr None: the default object repr)."""
+    F = gf.field(3)
+    G = catalog.build("C(3)")
+    X = formulas.X
+    rf = formulas.RationalFunction(X, X + 1)
+    state = dict(label="G", order=6, class_count=3, abelian=False)
+    rows = [
+        (gf.FieldElement, dict(spec=F, coeffs=(1,)), {}, {"coeffs": (2,)},
+         "hash", "FieldElement(GF(3), (1,))"),
+        (groups.Element, dict(group=G, id=1), {}, {"id": 2},
+         "eq", f"Element(id=1, {G.data_of(1)})"),
+        (groups.ConjugacyClass, dict(rep=1, size=2, members=(1, 2)), {},
+         {"size": 3}, "eq", None),
+        (catalog.GroupDescriptor, dict(family="GL", params=(2, 3)), {},
+         {"params": (2, 4)}, "eq", "GroupDescriptor(GL(2,3))"),
+        (catalog.GroupMeta, dict(abelian=True, simple=False, solvable=True,
+                                 p_group=None), {}, {}, "identity", None),
+        (catalog._Family, dict(form="C(n)", order=abs, build=None),
+         dict(arity=2, degrees=(), field="prime power"), {}, "identity",
+         None),
+        (branching.StateInfo, state, dict(key=None), {"order": 7}, "eq",
+         "StateInfo(label='G', order=6, class_count=3, abelian=False)"),
+        (branching.BranchingMatrix,
+         dict(states=[branching.StateInfo(**state)], columns=[((0, 3),)],
+              root=0), {}, {"columns": [((0, 2),)]}, "eq", None),
+        (branching.TypePartition, dict(blocks=[[0]], quotient=[[3]],
+                                       block_of=[0], root_block=0), {},
+         {"quotient": [[2]]}, "eq", None),
+        (feitfine.PartitionPowerNotation, dict(b=(1,)), {}, {}, "identity",
+         None),
+        (formulas.RationalFunction, dict(num=X, den=X + 1),
+         dict(validity=formulas.VALID_PRIME_POWER), {}, "identity", None),
+        (formulas.RegistryEntry, dict(key=("GL2", 2), formula=rf,
+                                      source="table"), {}, {}, "identity",
+         None),
+        (formulas.MatrixFormula, dict(family="GL2", entries=((X,),),
+                                      order=X, validity="odd"), {}, {},
+         "identity", None),
+        (formulas.Family, dict(name="GL2", descriptor="GL(2,{q})", order=X,
+                               qs={}, table={}),
+         dict(validity=formulas.VALID_PRIME_POWER, matrix=None,
+              table_fix=None, matrix_fix=None), {}, "identity", None),
+        (oracle.TupleOrbitReport, dict(descriptor="C(3)", n=2, tuple_count=9,
+                                       orbit_count=9, burnside_count=9),
+         dict(method="backtracking+orbit-bfs+burnside"), {}, "identity",
+         None),
+    ]
+    return [pytest.param(*row, id=row[0].__name__) for row in rows]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, changed, equality, text",
+                         _records())
+def test_record_types_keep_their_semantics(cls, fields, defaults, changed,
+                                           equality, text):
+    # equality and hash where a caller or test uses them: by value (and
+    # hashable) for "hash", by value and unhashable for "eq", and by
+    # identity otherwise; a repr only where one was written
+    a, b = cls(**fields), cls(**fields)
+    assert not dataclasses.is_dataclass(a) and not hasattr(a, "__dict__")
+    assert {k: getattr(a, k) for k in {**fields, **defaults}} == \
+        {**fields, **defaults}
+    if equality == "identity":
+        assert a == a and a != b
+        assert hash(a) != hash(b)
+    else:
+        assert a == b and not a != b and a != object()
+        assert a != cls(**{**fields, **changed})
+        if equality == "hash":
+            assert hash(a) == hash(b)
+            assert len({a, b, cls(**{**fields, **changed})}) == 2
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+    if text is not None:
+        assert repr(a) == text
+
+
+def test_state_key_is_left_out_of_equality_and_repr():
+    a = branching.StateInfo("G", 6, 3, False, key=(0, 1, 2, 3, 4, 5))
+    b = branching.StateInfo("G", 6, 3, False)
+    assert a == b and repr(a) == repr(b)
+
+
+def test_cached_matrix_equals_the_built_one(tmp_path, monkeypatch):
+    # the record stores no state keys, so the reloaded matrix equals the
+    # built one only because StateInfo.key is left out of equality
+    monkeypatch.setenv("COMMPROB_CACHE", str(tmp_path))
+    G = catalog.build("GL(2,3)")
+    built = branching.build_branching(G)
+    assert cli.cache_store("GL(2,3)", G.order, built)
+    loaded = cli.cache_load("GL(2,3)", G.order)
+    assert loaded == built and loaded is not built
+    assert all(st.key is None for st in loaded.states)
+    assert all(st.key is not None for st in built.states)
+
+
+def test_matrix_generators_accept_field_elements():
+    # a FieldElement is one entry, not a row (groups._as_matrix reads a
+    # tuple as a row), in nested rows and in a flat list alike
+    F = gf.field(3)
+    one, zero = F.one, F.zero
+    for gen in ([[one, one], [zero, one]], [one, one, zero, one]):
+        G = groups.Group.from_matrix_generators(F, 2, [gen])
+        assert G._data == [(1, 0, 0, 1), (1, 1, 0, 1), (1, 2, 0, 1)]
