@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from .branching import (
@@ -62,6 +60,10 @@ def cache_dir() -> str:
 
 
 def _cache_path(descriptor: str) -> str:
+    # imported here: only the cache needs it, and ``verify`` never reads
+    # or writes the cache
+    import hashlib
+
     digest = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()[:24]
     return os.path.join(cache_dir(), f"bm-v{CACHE_FORMAT_VERSION}-{digest}.json")
 
@@ -141,6 +143,8 @@ def cache_store(descriptor: str, order: int, bm: BranchingMatrix) -> bool:
     temporary file in the cache directory and renames it into place, so
     concurrent stores of one descriptor never share a file; the
     temporary file is removed when the store fails."""
+    import tempfile
+
     path = _cache_path(descriptor)
     text = _record_text(descriptor, order, bm)
     tmp = None

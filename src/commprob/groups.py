@@ -54,9 +54,10 @@ Each member's class index is kept flat too, in one ``array('i')`` over
 the positions in ``H.key``, written by one C-level scatter per class;
 the id -> class map is a read-only view of it, and the engine reads the
 table by position.
-That class tree is the one orbit tree.  Centralizers are the point
-stabilizers: their order |H| / |x^H| is read from the classes, and each
-is closed only at a class representative, the root of its class tree.
+That class tree is the one orbit tree, and every non-abelian subgroup
+grows one.  Centralizers are the point stabilizers: their order
+|H| / |x^H| is read from the classes.  A centralizer is closed only at a
+class representative, the root of its class tree.
 The closure replays the tree from the root in the order it was grown,
 where an edge to z by a permutation is a tree edge exactly when z is
 not the root and its mark names that permutation, and stops as soon as
@@ -64,27 +65,27 @@ the Schreier generators of the other edges, formed from a lazily built
 transversal, close to that order in an incremental Dimino closure.
 Those generators also settle whether Z(x) is abelian, so an abelian
 centralizer is never walked for generators.  Z(y) = Z(x) exactly when y
-is in the center of Z(x) and has x's class size, so one closure answers
-every such y, and those y lie in other classes too.  Each class keeps
-one member whose centralizer is known, and the centralizer of any other
-member x is carried from it instead of closed (a member of a class with
-none kept closes its representative's first, and is carried from that):
-Z(g^-1 y g) = g^-1 Z(y) g
+is in the center of Z(x) and has x's class size, so every centralizer
+found, closed or carried, is kept for every such y by one rule, and
+those y lie in other classes too.  Each class keeps one member whose
+centralizer is known, and the centralizer of any other member x is
+carried from it instead of closed: Z(g^-1 y g) = g^-1 Z(y) g
 (orbit–stabilizer; Holt–Eick–O'Brien, *Handbook of Computational Group
 Theory*, §4.1), and the class tree gives a g as a path of action
 permutations, run back from y to the representative by their inverses,
 made once per subgroup on first need, and forward to x.  Carrying moves
 positions with no product and brings Z(y)'s abelian flag, generating set
 and action along; it is checked exactly, at 2 products per carried
-generator.  So each distinct centralizer of a subgroup is closed or
-carried once, and a closure is paid only for a class that no closure
-before it has reached.  A centralizer carried so keeps the conjugate it
-came from and the map onto it, and is a conjugate state all the way
-down: Z_{K^g}(x^g) = Z_K(x)^g, so its classes are the conjugate's
-relabelled, each taking its minimal id as representative, and its
-centralizers are the conjugate's carried through the same map, which
-they keep in turn.  It grows no orbit, keeps no class tree and closes
-nothing.  The same lemma gives the z-classes with no orbit
+generator.  A centralizer carried so keeps the conjugate K it came from
+and the map onto it, and differs from any other subgroup in one step
+only: Z_{K^g}(x^g) = Z_K(x)^g, so a class of it with no centralizer kept
+takes K's centralizer of K's representative of the preimage class,
+carried through the map, where another subgroup closes one.  Its
+classes are the orbits of the action carried with it, grown into a
+class tree like any other's.  So each distinct centralizer of a
+subgroup is closed or carried once, and a class pays for a closure, or
+a carry from its conjugate, only when no centralizer found before it has
+reached it.  The same lemma gives the z-classes with no orbit
 walk.  The derived subgroup is generated by the classes of the
 commutators.  The oracle reads the same action, of the whole group for
 its classes and of each centralizer it walks.
@@ -102,7 +103,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, islice, repeat
-from operator import is_, itemgetter, setitem
+from operator import eq, itemgetter, setitem
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeCapError
@@ -823,8 +824,9 @@ class Subgroup:
     set, abelian flag and conjugation action are filled together, by
     ``_find_generators``, or by ``_carry`` for a subgroup carried from a
     conjugate, which also fills ``_carried``: the conjugate and the map
-    onto the subgroup that its classes and centralizers are read
-    through."""
+    onto the subgroup that its centralizers are carried through.  Such a
+    subgroup grows its classes from the carried action like any
+    other."""
 
     __slots__ = ("group", "key", "_gens", "_abelian", "_action",
                  "_inverse", "_classes", "_centralizers", "_centralized",
@@ -922,9 +924,10 @@ class ClassData:
     point that permutation's inverse sends p to.  A representative's
     position is marked 1 too, so the root is known by its class, not by
     its mark.  This is H's only orbit tree: ``_transport`` follows its
-    paths, and ``centralizer`` replays it from the root to close a
-    representative's centralizer.  An abelian owner, and an owner
-    carried from a conjugate, have none (None)."""
+    paths, and ``_close`` replays it from the root to close a
+    representative's centralizer.  Every non-abelian owner has one,
+    carried from a conjugate or not; an abelian owner has none
+    (None)."""
 
     __slots__ = ("owner", "classes", "table", "reached")
 
@@ -1046,7 +1049,7 @@ def generating_ids(H: Subgroup) -> tuple:
     of ``_right_walk``, at most log2 |H| generators.  It is kept once:
     for the whole group by the walk that checks it closed at
     construction, for a validated subgroup by its validation, for a
-    centralizer carried from a conjugate's by ``_transport``, and
+    centralizer carried from a conjugate's by ``_carry``, and
     otherwise on first use.  A carried set is the image of the
     conjugate's set, so it may be larger than the pair or greedy set
     that H's own search would find."""
@@ -1233,21 +1236,17 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
     loop over the positions met so far with a ``bytearray`` of those
     seen, so no product is made once the action is built.  The bytearray
     is kept as ``ClassData.reached``: each class's tree, which
-    ``_transport`` follows and ``centralizer`` replays.  Each class's
+    ``_transport`` follows and ``_close`` replays.  Each class's
     index is written over its positions in ``ClassData.table`` by one
     C-level scatter.  An abelian H
     is split into singletons without reading it, and its table is its
     positions.  Seeds ascend, so each class representative is its
     minimal id.
 
-    An H carried from a conjugate K (``_carried_from``), which is never
-    abelian, takes K's classes instead, relabelled by
-    ``_relabel_classes``, and grows no orbit and keeps no tree."""
+    An H carried from a conjugate (``_carried_from``) is no exception:
+    its action is the one ``_carry`` relabelled, and its orbits are its
+    classes like any other's, grown into a tree of their own."""
     if H._classes is not None:
-        return H._classes
-    carried = _carried_from(H)
-    if carried is not None:
-        H._classes = _relabel_classes(H, *carried)
         return H._classes
     key = H.key
     if is_abelian(H):
@@ -1278,32 +1277,10 @@ def conjugacy_classes(H: Subgroup) -> ClassData:
 
 def _carried_from(H: Subgroup):
     """The conjugate K that H was carried from and the map onto H, the
-    images of ``K.key`` in order, or None: the seam through which H's
-    classes and centralizers are read from K's."""
+    images of ``K.key`` in order, or None: the seam through which a class
+    of H with no centralizer kept takes one from K's instead of closing
+    one."""
     return H._carried
-
-
-def _relabel_classes(H: Subgroup, K: Subgroup, moved: list) -> ClassData:
-    """The classes of H as the images of the classes of K under the
-    conjugation that sends ``K.key[i]`` to ``moved[i]``: conjugation
-    carries classes onto classes.  Each image takes its minimal id as
-    representative and the classes are ordered by it, as orbits grown
-    from ascending seeds are, so the result equals H's own.
-    ``InternalError`` unless the images partition H."""
-    classes = sorted(
-        tuple(sorted(map(moved.__getitem__, _positions(K, c.members))))
-        for c in conjugacy_classes(K).classes)
-    key = H.key
-    if sorted(chain.from_iterable(classes)) != list(key):
-        raise InternalError(
-            f"the classes carried to a subgroup of order {len(key)} do not "
-            f"partition it")
-    table = array("i", [0]) * len(key)
-    for ci, members in enumerate(classes):
-        deque(map(setitem, repeat(table), _positions(H, members), repeat(ci)),
-              maxlen=0)
-    return ClassData(H, [ConjugacyClass(m[0], len(m), m) for m in classes],
-                     table)
 
 
 def centralizer(H: Subgroup, x) -> Subgroup:
@@ -1312,47 +1289,28 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     Computational Group Theory*, §4.1).
 
     The class size |x^H| is read from ``conjugacy_classes(H)``, so the
-    stabilizer's order |H| / |x^H| is known before any walk.  When H was
-    carried from a conjugate K, Z(x) is carried from K's centralizer of
-    the preimage of x by ``_carry_centralizer``, with the same checks as
-    below.  Otherwise, when some
-    other member y of x's class has its centralizer kept, Z(x) is carried
-    from Z(y) by ``_transport``: a conjugation of H that sends y to x
-    sends Z(y) onto Z(x), so the image is exact, and it is checked (the
-    path sends y to x, the image has the order above, and x commutes
-    with every carried generator) at no product but 2 per generator.
+    stabilizer's order |H| / |x^H| is known before any walk.  A class of
+    size 1 gives H itself, and so does an abelian H, without reading the
+    action.  Otherwise Z(x) takes one path:
 
-    Otherwise Z = Z(r) of x's class representative r is closed, at the
-    root of the class tree that ``conjugacy_classes`` kept, and then Z(x)
-    is Z itself when the closure kept it for x in passing, and otherwise
-    carried from Z(r) by ``_transport``.  The closure replays the tree
-    from the root in the order it was grown, with no product: an edge
-    p -> z of permutation i is a tree edge exactly when z is not the
-    root and ``reached[z]`` names i, since a permutation sends one point
-    alone to z.  Permutation i of the action is y -> u y u^-1 for
-    u = s^-1, s generator i of ``generating_ids(H)``, the data
-    ``data[inv[s]]``.  Every other edge p -> u p u^-1 = z gives a
-    Schreier generator t_z^-1 u t_p, which commutes with r; the
-    transversal element t_p (t_p r t_p^-1 = p) is formed along p's
-    ``_class_path`` from the root only when a Schreier generator needs
-    it, and kept for each position on the path.  The Schreier generators
-    are added one at a time by an incremental Dimino closure, and the
-    replay stops as soon as the closure reaches |H| / |x^H|, so most of
-    the class is never replayed and most Schreier generators and
-    transversal elements are never formed.  The closure's generators
-    generate Z, so Z is abelian exactly when they commute pairwise; that
-    flag is kept on Z, which then needs no generator walk to be known
-    abelian.  ``InternalError`` unless the closure reaches that order.
+    - when a member y of x's class has its centralizer kept, Z(x) is
+      carried from Z(y) by ``_transport``;
+    - otherwise one centralizer of the class is found first, for a
+      member y: ``_close`` closes it at the class representative y, or,
+      when H was carried from a conjugate K, ``_carry_from_conjugate``
+      carries K's centralizer of K's own representative of the preimage
+      class through the map onto H, to the image y of that
+      representative.  Then Z(x) is that centralizer, when it is kept
+      for x too, or is carried from it by ``_transport``.
 
-    Z(y) = Z for every y in the center of Z whose class has r's size (the
-    lemma of ``z_classes``), r among them, so Z is kept for each of them,
-    and their centralizers take no closure; each class they meet keeps
-    one of them to carry from.  A class of size 1 gives
-    H itself, and so does an abelian H, without reading the action.
-    """
+    Every centralizer found, closed or carried, is kept by the one rule
+    of ``_keep``: Z(y) = Z for every y in the center of Z whose class
+    has x's size (the lemma of ``z_classes``), and those y lie in other
+    classes too.  So each distinct centralizer of H is closed or carried
+    once, and a class takes a closure, or a carry from K, only when no
+    centralizer found before has reached it."""
     if isinstance(x, Element):
         x = x.id
-    G = H.group
     px = bisect_left(H.key, x)
     if px == len(H.key) or H.key[px] != x:
         raise InputError(f"element {x} is not a member of the subgroup")
@@ -1362,7 +1320,8 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if is_abelian(H):
         return H
     cd = conjugacy_classes(H)
-    size = cd.classes[cd.table[px]].size
+    ci = cd.table[px]
+    size = cd.classes[ci].size
     if size == 1:
         H._centralizers[x] = H
         return H
@@ -1371,19 +1330,48 @@ def centralizer(H: Subgroup, x) -> Subgroup:
         raise InternalError(
             f"class size {size} does not divide |H| = {len(H.key)}"
         )
-    carried = _carried_from(H)
-    if carried is not None:
-        return _carry_centralizer(H, *carried, x, target)
-    y = _centralized_member(H, cd.table[px])
-    if y is not None:
-        return _transport(H, cd, y, x, target)
+    y = _centralized_member(H, ci)
+    if y is None:
+        carried = _carried_from(H)
+        if carried is None:
+            y = cd.classes[ci].rep
+            Z = _close(H, cd, y, target)
+        else:
+            y, Z = _carry_from_conjugate(H, *carried, x, target)
+        _keep(H, cd, Z, size)
+    return H._centralizers.get(x) or _keep(
+        H, cd, _transport(H, cd, y, x, target), size)
+
+
+def _close(H: Subgroup, cd: ClassData, r: int, target: int) -> Subgroup:
+    """Z_H(r) of a class representative r, of order ``target``, closed
+    at the root of the class tree that ``conjugacy_classes`` kept.
+
+    The closure replays the tree from the root in the order it was
+    grown, with no product: an edge p -> z of permutation i is a tree
+    edge exactly when z is not the root and ``reached[z]`` names i, since
+    a permutation sends one point alone to z.  Permutation i of the
+    action is y -> u y u^-1 for u = s^-1, s generator i of
+    ``generating_ids(H)``, the data ``data[inv[s]]``.  Every other edge
+    p -> u p u^-1 = z gives a Schreier generator t_z^-1 u t_p, which
+    commutes with r; the transversal element t_p (t_p r t_p^-1 = p) is
+    formed along p's ``_class_path`` from the root only when a Schreier
+    generator needs it, and kept for each position on the path.  The
+    Schreier generators are added one at a time by an incremental Dimino
+    closure, and the replay stops as soon as the closure reaches
+    ``target``, so most of the class is never replayed and most Schreier
+    generators and transversal elements are never formed.  The closure's
+    generators generate Z, so Z is abelian exactly when they commute
+    pairwise; that flag is kept on Z, which then needs no generator walk
+    to be known abelian.  ``InternalError`` unless the closure reaches
+    ``target``."""
+    G = H.group
     data = G._data
     ids = G._ids
     inv = G._inv
     mul_data = G._mul_data
     action = _conjugation_action(H)
     gdata = [data[inv[g]] for g in generating_ids(H)]
-    r = cd.classes[cd.table[px]].rep
     root = bisect_left(H.key, r)
     trans = {root: data[0]}
 
@@ -1429,13 +1417,46 @@ def centralizer(H: Subgroup, x) -> Subgroup:
     if Z._abelian is None:
         Z._abelian = all(mul_data(a, b) == mul_data(b, a)
                          for a, b in combinations(found, 2))
+    return Z
+
+
+def _keep(H: Subgroup, cd: ClassData, Z: Subgroup, size: int) -> Subgroup:
+    """Keep Z on H as the centralizer of every y in the center of Z whose
+    class has ``size`` members, and the first such y of each class as
+    the member its class carries from (``_centralized_member``); returns
+    Z.  For a centralizer Z = Z(x) with |x^H| = ``size`` these y are
+    exactly those with Z(y) = Z (the lemma of ``z_classes``), x among
+    them, so a closed or carried centralizer is kept for every member
+    whose centralizer it is, and for no other."""
     cz = center(Z).key
     for y, ci in zip(cz, map(cd.table.__getitem__, _positions(H, cz))):
         if cd.classes[ci].size == size:
             H._centralizers[y] = Z
             H._centralized.setdefault(ci, y)
-    # r itself, or x kept in passing, or carried from r
-    return H._centralizers.get(x) or _transport(H, cd, r, x, target)
+    return Z
+
+
+def _carry_from_conjugate(H: Subgroup, K: Subgroup, moved: list, x: int,
+                          target: int):
+    """One centralizer of x's class in H, for H carried from its
+    conjugate K by the map pi given as ``moved`` (the images of
+    ``K.key`` in order): Z_H(pi(r)) = pi(Z_K(r)) for K's representative r
+    of the class of the preimage of x, found in K (closed, carried or
+    kept there) and carried onto H by ``_carry`` through the same map.
+    Returns pi(r), a member of x's class, and its centralizer.
+    ``InternalError`` when x has no preimage."""
+    try:
+        i = moved.index(x)
+    except ValueError:
+        raise InternalError(
+            f"{x} has no preimage under the map of its carried subgroup"
+        ) from None
+    ck = conjugacy_classes(K)
+    r = ck.classes[ck.table[i]].rep
+    y = moved[bisect_left(K.key, r)]
+    W = centralizer(K, r)
+    return y, _carry(W, list(map(moved.__getitem__, _positions(K, W.key))),
+                     r, y, target)
 
 
 def _positions(H: Subgroup, ids):
@@ -1504,16 +1525,12 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     representative to each of y and x, so y's path run back by the
     inverse permutations and then x's path forward map the positions of
     Z(y) onto those of Z(x), with no product; ``_carry`` makes the image
-    and checks it.  The members whose kept centralizer is Z(y) are
-    carried too, and their images keep Z(x), and one of them per class
-    is kept to carry from, so that each distinct centralizer is carried
-    once."""
+    and checks it."""
     G = H.group
     key = H.key
     Zy = H._centralizers[y]
-    table = cd.table
     px = bisect_left(key, x)
-    root = bisect_left(key, cd.classes[table[px]].rep)
+    root = bisect_left(key, cd.classes[cd.table[px]].rep)
     moved = _positions(H, Zy.key)
     inverse = _inverse_action(H)
     for s in reversed(_class_path(H, bisect_left(key, y), root)):
@@ -1524,48 +1541,26 @@ def _transport(H: Subgroup, cd: ClassData, y: int, x: int,
     # the ids at the positions, which for the whole group are the ids
     moved = (list(moved) if len(key) == len(G._data)
              else list(map(key.__getitem__, moved)))
-    Z, same = _carry(H, Zy, moved, y, x, target, H._centralizers)
-    H._centralized.update(zip(map(table.__getitem__, _positions(H, same)),
-                              same))
-    return Z
+    return _carry(Zy, moved, y, x, target)
 
 
-def _carry_centralizer(H: Subgroup, K: Subgroup, moved: list, x: int,
-                       target: int) -> Subgroup:
-    """Z_H(x) for H carried from its conjugate K by the map ``moved``
-    (the images of ``K.key`` in order): Z_H(pi(y)) = pi(Z_K(y)), so
-    Z_K(y) of the preimage y of x, found in K (closed, carried or kept
-    there), is carried onto H by ``_carry`` through the same map, which
-    gives it its own map, so that its centralizers are carried in turn.
-    The members of H whose preimages have Z_K(y) kept keep the image
-    too, so each distinct centralizer of H is carried once."""
-    try:
-        y = K.key[moved.index(x)]
-    except ValueError:
-        raise InternalError(
-            f"{x} has no preimage under the map of its carried subgroup"
-        ) from None
-    W = centralizer(K, y)
-    image = list(map(moved.__getitem__, _positions(K, W.key)))
-    return _carry(H, W, image, y, x, target, K._centralizers)[0]
-
-
-def _carry(H: Subgroup, Zy: Subgroup, moved: list, y: int, x: int,
-           target: int, cents: dict):
+def _carry(Zy: Subgroup, moved: list, y: int, x: int,
+           target: int) -> Subgroup:
     """The image Z of Zy = Z(y) under a conjugation pi with pi(y) = x,
     given as ``moved``, the ids pi(z) of the members z of ``Zy.key`` in
-    order, kept on H as Z_H(x); and the images of the members whose
-    centralizer in ``cents`` is Zy, which H keeps Z for too.  Zy's
-    abelian flag, and when it is not abelian its generating set and
-    action (found first by its own walk if Zy has none yet), are carried
-    by relabelling positions, and kept in the order ``_find_generators``
-    keeps them, with Zy and ``moved`` as the conjugate and map that Z's
-    classes and centralizers are read through (``_carried_from``).
+    order: Z_H(x) for the subgroup H that pi carries Zy's ambient
+    subgroup onto, H itself for ``_transport``.  Zy's abelian flag, and
+    when it is not abelian its generating set and action (found first by
+    its own walk if Zy has none yet), are carried by relabelling
+    positions, and kept in the order ``_find_generators`` keeps them,
+    with Zy and ``moved`` as the conjugate and map that Z's centralizers
+    are carried through (``_carried_from``).  Z grows its classes from
+    the carried action like any other subgroup.
 
     ``InternalError`` unless pi sends y to x, the image has order
-    ``target`` = |H| / |x^H|, and x commutes with every carried
-    generator, at 2 products each."""
-    G = H.group
+    ``target`` = |H| / |x^H|, so that no two members share an image,
+    and x commutes with every carried generator, at 2 products each."""
+    G = Zy.group
     image = moved[bisect_left(Zy.key, y)]
     if image != x:
         raise InternalError(
@@ -1603,10 +1598,7 @@ def _carry(H: Subgroup, Zy: Subgroup, moved: list, y: int, x: int,
                           map(sigma.__getitem__, perm)), maxlen=0)
                 carried.append(out)
             _keep_generators(Z, False, carried, gens, (Zy, moved))
-    same = list(compress(moved, map(is_, map(cents.get, Zy.key),
-                                    repeat(Zy))))
-    H._centralizers.update(dict.fromkeys(same, Z))
-    return Z, same
+    return Z
 
 
 def is_abelian(H: Subgroup) -> bool:
@@ -1620,13 +1612,15 @@ def is_abelian(H: Subgroup) -> bool:
 def center(H: Subgroup) -> Subgroup:
     """Z(H): H itself when H is abelian, otherwise the members at the
     positions that every permutation of the conjugation action fixes,
-    found with no product."""
+    found with no product: each permutation filters, in C, the positions
+    that the ones before it fix."""
     if is_abelian(H):
         return H
-    action = _conjugation_action(H)
-    members = [h for i, h in enumerate(H.key)
-               if all(perm[i] == i for perm in action)]
-    return Subgroup(H.group, members, _validate=False)
+    fixed = range(len(H.key))
+    for perm in _conjugation_action(H):
+        fixed = list(compress(fixed, map(eq, map(perm.__getitem__, fixed),
+                                         fixed)))
+    return Subgroup(H.group, map(H.key.__getitem__, fixed), _validate=False)
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:

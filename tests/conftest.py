@@ -418,20 +418,21 @@ def count_transports(monkeypatch):
 
 def count_carried_states(monkeypatch):
     """Count the centralizers carried from a conjugate state from now on:
-    calls of ``groups._carry_centralizer``, one per distinct centralizer
-    of a state carried from its conjugate's, which takes neither a
-    closure nor a path in that state's classes.  Returns a one-item list
-    holding the running count."""
+    calls of ``groups._carry_from_conjugate``, one per class of a state
+    carried from its conjugate that no centralizer found before has
+    reached, which takes its conjugate's centralizer of a representative
+    in place of a closure.  Returns a one-item list holding the running
+    count."""
     from commprob import groups
 
     count = [0]
-    inner = groups._carry_centralizer
+    inner = groups._carry_from_conjugate
 
     def counted(*args):
         count[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(groups, "_carry_centralizer", counted)
+    monkeypatch.setattr(groups, "_carry_from_conjugate", counted)
     return count
 
 
@@ -460,9 +461,9 @@ def expansion_record(G, lescot_ns=range(2, 6)):
 
 def slow_expansion_record(build_group, lescot_ns=range(2, 6)):
     """``expansion_record`` of a group from ``build_group()`` with no
-    state carried from a conjugate: the seam ``groups._carried_from``
-    answers None, so every state grows its own classes and finds its
-    own centralizers."""
+    centralizer carried from a conjugate state: the seam
+    ``groups._carried_from`` answers None, so every state closes its own
+    centralizers where a carried one would take its conjugate's."""
     from unittest import mock
 
     from commprob import groups

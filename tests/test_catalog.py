@@ -6,7 +6,7 @@ import time
 import pytest
 
 from commprob import catalog
-from commprob.branching import cp2_classcount
+from commprob.branching import build_branching, cp2_classcount
 from commprob.catalog import (
     SMALL_GROUPS,
     GroupDescriptor,
@@ -23,7 +23,14 @@ from commprob.groups import (
     is_solvable,
     matrix_operations,
 )
-from conftest import fresh_build, nested_unitary_frames
+from conftest import (
+    count_carried_states,
+    count_closures,
+    count_products,
+    count_transports,
+    fresh_build,
+    nested_unitary_frames,
+)
 
 
 def test_parse_roundtrip():
@@ -394,13 +401,45 @@ ELEMENTS_SHA256 = {
 }
 
 
+@pytest.fixture(scope="module")
+def cold_gl34():
+    """One GL(3,4) built outside the build cache, for this module's tests
+    alone: the element-list test reads its elements, and the expansion
+    test expands it cold, in either order."""
+    return fresh_build("GL(3,4)")
+
+
 @pytest.mark.parametrize("text", ELEMENTS_SHA256)
-def test_element_lists_unchanged(text):
+def test_element_lists_unchanged(request, text):
     # groups over 50,000 elements are built outside the build cache, so
     # that it does not keep them
-    G = build(text) if order_formula(text) <= 50_000 else fresh_build(text)
+    if text == "GL(3,4)":
+        G = request.getfixturevalue("cold_gl34")
+    else:
+        G = build(text) if order_formula(text) <= 50_000 else fresh_build(text)
     digest = hashlib.sha256(repr(G._data).encode()).hexdigest()
     assert digest == ELEMENTS_SHA256[text]
+
+
+def test_a_cold_gl34_expansion_finds_each_centralizer_once(monkeypatch,
+                                                           cold_gl34):
+    # the largest group the tests branch, expanded cold: each distinct
+    # non-central centralizer that its subgroups find is closed, carried
+    # along a class or carried from a conjugate state once, and their
+    # number and the element products stay at most as measured (the
+    # subgroups found 222 when a carried state asked its conjugate for
+    # the centralizer of each preimage, not of its representatives)
+    G = cold_gl34
+    products = count_products(monkeypatch, G)
+    closures = count_closures(monkeypatch)
+    transports = count_transports(monkeypatch)
+    carried = count_carried_states(monkeypatch)
+    build_branching(G)
+    found = {(H, Z) for H in G._subgroups.values()
+             for Z in H._centralizers.values() if Z is not H}
+    assert closures[0] + transports[0] + carried[0] == len(found)
+    assert len(found) <= 189
+    assert products[0] <= 6827, products[0]
 
 
 def _enumerable_gl():

@@ -659,41 +659,57 @@ def replayed_class(perms, reached, root):
     return orbit
 
 
-@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)"])
+def check_class_trees(H, label):
+    """The class tree that ``conjugacy_classes`` keeps on a non-abelian
+    H: each non-root point's parent comes before it in growth order, and
+    the replay from the root lists the whole orbit in that order, which
+    is the class."""
+    cd = conjugacy_classes(H)
+    perms = groups._conjugation_action(H)
+    inverse = groups._inverse_action(H)
+    reached = cd.reached
+    assert reached is not None, label
+    for c in cd.classes:
+        root = bisect.bisect_left(H.key, c.rep)
+        seen = bytearray(len(H.key))
+        seen[root] = 1
+        grown = [root]
+        groups._grow_orbit(grown, perms, seen)
+        assert all(seen[p] == reached[p] for p in grown[1:])
+        order = {p: i for i, p in enumerate(grown)}
+        for p in grown[1:]:
+            s = reached[p] - 1
+            parent = inverse[s][p]
+            assert perms[s][parent] == p, (label, p)
+            assert order[parent] < order[p], (label, p)
+        orbit = replayed_class(perms, reached, root)
+        assert orbit == grown, (label, c.rep)
+        assert set(orbit) == brute_orbit(perms, root), label
+        assert sorted(map(H.key.__getitem__, orbit)) == list(c.members)
+
+
+@pytest.mark.parametrize("desc", ["S(4)", "GL(2,3)", "U(3,2)"])
 def test_orbit_tree_on_every_state(monkeypatch, desc):
     # the class tree that conjugacy_classes keeps, on every state of a
     # second fresh group, where no state is carried from a conjugate and
-    # the points are positions in H.key, not ids: each non-root point's
-    # parent comes before it in growth order, and the replay from the
-    # root lists the whole orbit in that order
+    # the points are positions in H.key, not ids; then on every state of
+    # the first, expanded group and on every subgroup it carried from a
+    # conjugate, whose trees grow under the carried action (U(3,2) has
+    # carried states, S(4) and GL(2,3) none)
     G = fresh_build(desc)
     T = fresh_build(desc)
-    for st in build_branching(G).states:
+    expanded = build_branching(G).states
+    for st in expanded:
         H = T.subgroup(st.key, validate=False)
-        cd = conjugacy_classes(H)
         if st.abelian:
-            assert cd.reached is None, (desc, st.key)
-            continue
-        perms = groups._conjugation_action(H)
-        inverse = groups._inverse_action(H)
-        reached = cd.reached
-        for c in cd.classes:
-            root = bisect.bisect_left(H.key, c.rep)
-            seen = bytearray(len(H.key))
-            seen[root] = 1
-            grown = [root]
-            groups._grow_orbit(grown, perms, seen)
-            assert all(seen[p] == reached[p] for p in grown[1:])
-            order = {p: i for i, p in enumerate(grown)}
-            for p in grown[1:]:
-                s = reached[p] - 1
-                parent = inverse[s][p]
-                assert perms[s][parent] == p, (desc, st.key, p)
-                assert order[parent] < order[p], (desc, st.key, p)
-            orbit = replayed_class(perms, reached, root)
-            assert orbit == grown, (desc, st.key, c.rep)
-            assert set(orbit) == brute_orbit(perms, root), (desc, st.key)
-            assert sorted(map(H.key.__getitem__, orbit)) == list(c.members)
+            assert conjugacy_classes(H).reached is None, (desc, st.key)
+        else:
+            check_class_trees(H, (desc, st.key))
+    carried = [H for H in G._subgroups.values() if H._carried is not None]
+    assert bool(carried) == (desc == "U(3,2)"), desc
+    for H in [G.subgroup(st.key, validate=False)
+              for st in expanded if not st.abelian] + carried:
+        check_class_trees(H, (desc, H.key))
     # with the action and the centralizers in place, classes and
     # z-classes are integer indexing alone
     states = [G.subgroup(st.key, validate=False)
@@ -934,7 +950,7 @@ def test_branching_work_count(monkeypatch, desc):
     # each distinct centralizer is closed once, from the part of the class
     # its closure needs, or carried from a conjugate with no product but
     # the check of its generators; a state carried from a conjugate state
-    # grows no orbit and closes nothing
+    # carries from its conjugate's centralizers where another would close
     G = fresh_build(desc)
     products = count_products(monkeypatch, G)
     build_branching(G)
@@ -942,7 +958,7 @@ def test_branching_work_count(monkeypatch, desc):
 
 
 # (closures, transports, carried states) of a cold expansion, as measured
-CENTRALIZER_WORK = {"GL(3,3)": (14, 28, 16), "U(3,3)": (13, 41, 61)}
+CENTRALIZER_WORK = {"GL(3,3)": (14, 34, 8), "U(3,3)": (13, 85, 18)}
 
 
 @pytest.mark.parametrize("desc, distinct", [("GL(3,3)", 54), ("U(3,3)", 111)])
@@ -951,11 +967,12 @@ def test_each_distinct_centralizer_is_closed_once(monkeypatch, desc, distinct):
     # finds in a subgroup: it closes one Schreier closure per z-class
     # block, whose equal centralizers answer the other classes of the
     # block, carries each other centralizer from a conjugate kept for its
-    # class, and carries every centralizer of a state carried from a
-    # conjugate state from that state's.  ``distinct`` counts those of
-    # the class representatives of the states; a carried state's
-    # representative may have a preimage that is not a representative,
-    # whose centralizer its state finds too
+    # class, and a state carried from a conjugate state carries one
+    # centralizer from that state's in place of each closure.
+    # ``distinct`` counts those of the class representatives of the
+    # states; a carried state takes the image of its conjugate's
+    # representative, which need not be its own, so it may find that
+    # one's centralizer too
     G = fresh_build(desc)
     closures = count_closures(monkeypatch)
     transports = count_transports(monkeypatch)
@@ -1067,9 +1084,9 @@ def test_carried_states_match_the_slow_path(desc):
     # matrix and state keys, the same classes and class tables on every
     # state, the same centralizer of every class representative, and the
     # same Lescot values.  A carried state's map is a bijection from its
-    # conjugate onto it, its classes keep no tree, its carried generating
-    # set generates it, and each carried permutation is the conjugation
-    # by its generator, recomputed with products
+    # conjugate onto it, its class tree replays each of its classes, its
+    # carried generating set generates it, and each carried permutation
+    # is the conjugation by its generator, recomputed with products
     slow = slow_expansion_record(lambda: fresh_build(desc))
     G = fresh_build(desc)
     assert expansion_record(G) == slow
@@ -1080,8 +1097,7 @@ def test_carried_states_match_the_slow_path(desc):
         K, moved = H._carried
         assert K is not H and not is_abelian(H)
         assert len(moved) == len(K.key) and sorted(moved) == list(H.key)
-        if H._classes is not None:
-            assert H._classes.reached is None
+        check_class_trees(H, (desc, H.key))
         points, where = groups._points(H)
         positions = tuple(bisect.bisect_left(H.key, g) for g in H._gens)
         assert groups._right_walk(points, where, groups._right_of(H),
@@ -1104,28 +1120,44 @@ def _carried_state(desc):
 
 
 def test_a_corrupted_carry_map_raises():
-    # a map with one image twice and another never: the carried classes
-    # do not partition the state
+    # a map with one image twice and another never: a centralizer that
+    # the map carries from two members onto one id is short of its
+    # order; the member no map reaches has no preimage; every other
+    # centralizer is carried exactly
     H, K, moved = _carried_state("U(3,2)")
-    H._classes = None
     H._carried = (K, moved[:-1] + moved[:1])
-    with pytest.raises(InternalError, match="do not partition"):
-        conjugacy_classes(H)
-    # a member of a representative's carried centralizer sent onto the
-    # representative itself: the image of that centralizer is short of
-    # its order
+    messages = []
+    for c in conjugacy_classes(H).classes:
+        H._centralizers = {}
+        H._centralized = {}
+        try:
+            Z = centralizer(H, c.rep)
+        except InternalError as exc:
+            messages.append(str(exc))
+        else:
+            assert Z.key == scan_centralizer(H, c.rep), c.rep
+    assert any("has order" in m for m in messages), messages
+    assert all("has order" in m or "has no preimage" in m
+               for m in messages), messages
+    # a member of the centralizer that a class carries from the
+    # conjugate sent onto the image of the conjugate's representative,
+    # which that centralizer holds too: its image is short of its order
     H, K, moved = _carried_state("U(3,2)")
     cd = conjugacy_classes(H)
+    ck = conjugacy_classes(K)
     failed = 0
     for c in cd.classes:
         i = moved.index(c.rep)
-        W = centralizer(K, K.key[i])
-        later = [p for p in map(K.key.index, W.key) if p > i]
+        r = ck.classes[ck.table[i]].rep
+        pr = K.key.index(r)
+        later = [p for p in map(K.key.index, centralizer(K, r).key)
+                 if p > i and p != pr]
         if c.size == 1 or not later:
             continue
         H._centralizers = {}
+        H._centralized = {}
         H._carried = (K, list(moved))
-        H._carried[1][later[0]] = c.rep
+        H._carried[1][later[0]] = moved[pr]
         with pytest.raises(InternalError, match="has order"):
             centralizer(H, c.rep)
         failed += 1
@@ -1143,18 +1175,22 @@ def test_a_corrupted_carry_map_raises_under_optimize():
         "                     for st in branching.build_branching(G).states)\n"
         "         if H._carried is not None)\n"
         "K, moved = H._carried\n"
-        "H._classes = None\n"
         "H._carried = (K, moved[:-1] + moved[:1])\n"
-        "try:\n"
-        "    groups.conjugacy_classes(H)\n"
-        "except InternalError as exc:\n"
-        "    print('InternalError', exc)\n"
+        "for c in groups.conjugacy_classes(H).classes:\n"
+        "    H._centralizers = {}\n"
+        "    H._centralized = {}\n"
+        "    try:\n"
+        "        groups.centralizer(H, c.rep)\n"
+        "    except InternalError as exc:\n"
+        "        print('InternalError', exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InternalError"), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("InternalError") for line in lines)
+    assert any("has order" in line for line in lines), proc.stdout
 
 
 def test_racing_threads_keep_each_set_with_its_own_action():

@@ -132,7 +132,10 @@ def test_import_generates_one_dataclass():
     # module is imported, which every CLI process pays; the record types
     # are plain classes, and MatrixOps stays a dataclass because the
     # benchmark's tracer and tests/test_oracle.py call dataclasses.replace
-    # on it.  The CLI imports traceback only on its internal-error path
+    # on it.  The CLI imports traceback only on its internal-error path,
+    # hashlib only for a cache path and tempfile only to store a record.
+    # Under -I alone site may import tempfile itself, so tempfile is
+    # checked with site off too (-I -S)
     code = "\n".join([
         "import dataclasses, sys",
         f"sys.path.insert(0, {str(ROOT / 'src')!r})",
@@ -145,11 +148,18 @@ def test_import_generates_one_dataclass():
         "    return make if cls is None else make(cls)",
         "dataclasses.dataclass = counted",
         "import commprob, commprob.cli",
-        "print(made, 'traceback' in sys.modules)",
+        "print(made, 'traceback' in sys.modules, 'hashlib' in sys.modules,",
+        "      'tempfile' in sys.modules)",
     ])
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["['commprob.groups.MatrixOps']", "False"]
+    assert out.split()[:3] == ["['commprob.groups.MatrixOps']", "False",
+                               "False"]
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert out.split() == ["['commprob.groups.MatrixOps']", "False", "False",
+                           "False"]
     assert dataclasses.is_dataclass(groups.MatrixOps)
 
 
